@@ -2,9 +2,9 @@
 
 One measurement step applies a determinant-one matrix M set purely by the
 two local-oscillator phases; two steps compose to any determinant-one gate.
-The demo runs a step symbolically, cross-checks its output covariance with
-the independent conditioning oracle, samples photocurrents, and removes all
-classical terms by feed-forward.
+The demo runs a step through the gate engine, cross-checks its output
+covariance with the independent conditioning oracle, samples photocurrents,
+and removes all classical terms by feed-forward.
 """
 
 import numpy as np
@@ -39,7 +39,7 @@ print("symbols are classical and will be displaced away.")
 
 engine = output_covariance(out, {0: cov_in})
 oracle = single_step_covariance_oracle(cov_in, cluster, setting)
-print("output covariance (symbolic engine):\n", np.round(engine, 8))
+print("output covariance (gate engine):\n", np.round(engine, 8))
 print("output covariance (conditioning oracle):\n", np.round(oracle, 8))
 print("max difference: %.2e" % np.max(np.abs(engine - oracle)))
 law = M @ cov_in @ M.T + 2 * 0.05 * np.eye(2)

@@ -30,6 +30,19 @@ exactly):
   on the sum port, both measuring cos(theta) x + sin(theta) y;
 * balanced detection yields i = 2 * beta0 * (measured quadrature).
 
+Every step is affine in the quadratures and currents, so the engine holds a
+chain of k steps as small dense arrays (:class:`GateOutput`): the net 2x2
+signal matrix, the output rows over the 4k source quadratures and over the
+2k currents, and the measured rows A (over quadratures) and B (over earlier
+currents).  One step costs a few 2 x n matrix products, so a chain costs
+O(k) small products.  Substituting current = 2 beta0 quadrature is one
+unit-lower-triangular solve R = (I - B diag(2 beta0))^-1 A, and the output
+and photocurrent covariances are Q Sigma Q^T and R Sigma R^T, so sampling
+factors one 2k x 2k matrix.  The expression views are built from the
+arrays: ``exprs`` once per output, ``noise_terms`` and ``measured`` when
+read.  The covariance oracle below conditions dense symplectic states
+instead and shares none of this code.
+
 Two chained steps compose to M(tp', tm') M(tp, tm), which reaches every
 determinant-one real 2x2 matrix; :func:`solve_phases` inverts that map in
 closed form.  The two-mode entangling gate is obtained by sandwiching two
@@ -39,6 +52,7 @@ parallel single-mode gates between symmetric beam splitters
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -49,10 +63,11 @@ from scipy.optimize import least_squares
 
 from .cluster import VLF_BOUND, ClusterGraph, cluster_unitary, default_two_node_q, unitary_to_symplectic
 from .quadrature import (
+    VACUUM_VARIANCE,
     GaussianState,
     LinearQuadratureExpr,
+    QuadratureIndex,
     embed,
-    expr_covariance,
     x_quad,
     y_quad,
 )
@@ -80,9 +95,12 @@ class PhaseSolveError(RuntimeError):
     """Raised when the two-step decomposition misses the residual target."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomodyneSetting:
-    """Local-oscillator phases and amplitude for one measurement step."""
+    """Local-oscillator phases and amplitude for one measurement step.
+
+    Slotted: pipelines hold one per lane and step.
+    """
 
     theta_in: float
     theta_1: float
@@ -162,75 +180,207 @@ def cluster_node_exprs(source_modes: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class GateOutput:
-    """Output-mode expressions of one or more measurement steps.
+    """Output of one or more chained measurement steps, as dense arrays.
 
-    exprs: (X_out, Y_out) including photocurrent symbols; noise_terms: the
-    accumulated -sqrt(2) squeezed-quadrature contributions; measured: the
-    time-ordered (current name, measured quadrature expression) records;
-    signal_matrix: the net 2x2 gate applied to the original input.
+    Quadrature columns follow :attr:`modes`: the input modes, then the two
+    source modes of each step, every mode as its (x, y) pair.  Current
+    columns follow ``current_names``, two per step in time order.
+
+    * ``signal_matrix`` - the net 2x2 gate M_k ... M_1 on the input pair;
+    * ``input_rows`` - the input pair over the input-mode quadratures;
+    * ``noise`` - the output pair over the source quadratures (the
+      accumulated -sqrt(2) squeezed-quadrature terms);
+    * ``classical`` and ``offset`` - the output pair over the recorded
+      currents, and its numeric classical part;
+    * ``measured_quad`` (A), ``measured_currents`` (B) and
+      ``measured_offset`` - each recorded quadrature as A q + B i + offset,
+      with q all quadrature columns and i the currents; B is strictly lower
+      triangular, since a measurement sees only earlier currents.
+
+    ``exprs`` is the (X_out, Y_out) expression view of the output rows,
+    built once when the output is made; pass ``exprs=None`` to
+    :func:`dataclasses.replace` to rebuild it from changed arrays.
     """
 
-    exprs: tuple
-    noise_terms: tuple
-    measured: tuple
     signal_matrix: np.ndarray
+    input_rows: np.ndarray
+    noise: np.ndarray
+    classical: np.ndarray
+    offset: np.ndarray
+    measured_quad: np.ndarray
+    measured_currents: np.ndarray
+    measured_offset: np.ndarray
+    current_names: tuple
+    input_modes: tuple
     settings: tuple
     clusters: tuple
     source_modes: tuple
+    exprs: tuple | None = None
     envelope_tag: str = ENVELOPE_TAG
 
-    def cluster_blocks(self) -> dict:
-        """Per-mode 2x2 covariance blocks of all cluster sources used."""
-        blocks = {}
-        for cluster, (m1, m2) in zip(self.clusters, self.source_modes):
-            u1, u2 = cluster.x_variances
-            v1, v2 = cluster.y_variances
-            blocks[m1] = np.diag([u1, v1])
-            blocks[m2] = np.diag([u2, v2])
-        return blocks
+    def __post_init__(self):
+        if self.exprs is None:
+            object.__setattr__(self, "exprs", _row_exprs(
+                self.quadrature_rows(), self.modes, self.classical, self.current_names,
+                self.offset))
+
+    @property
+    def modes(self) -> tuple:
+        """Mode of every quadrature-column pair, in column order."""
+        return self.input_modes + tuple(m for pair in self.source_modes for m in pair)
+
+    def quadrature_rows(self) -> np.ndarray:
+        """Quantum part of the output pair over all quadrature columns."""
+        return np.hstack([self.signal_matrix @ self.input_rows, self.noise])
+
+    def source_variances(self) -> np.ndarray:
+        """Variances of the source quadratures, in column order."""
+        return np.array([v for c in self.clusters
+                         for v in (c.x_variances[0], c.y_variances[0],
+                                   c.x_variances[1], c.y_variances[1])])
+
+    def column_cov(self, input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Covariance of the quadrature columns: input blocks (vacuum where
+        none is given) and the uncorrelated cluster sources."""
+        n_in = self.input_rows.shape[1]
+        cov = np.zeros((n_in + self.noise.shape[1],) * 2)
+        for i, mode in enumerate(self.input_modes):
+            block = np.asarray(input_blocks.get(mode, VACUUM_VARIANCE * np.eye(2)),
+                               dtype=float)
+            if block.shape != (2, 2):
+                raise ValueError("each covariance block must be 2x2")
+            cov[2 * i:2 * i + 2, 2 * i:2 * i + 2] = block
+        cov[n_in:, n_in:] = np.diag(self.source_variances())
+        return cov
+
+    def noise_covariance(self) -> np.ndarray:
+        """Covariance of the noise the steps add to the output pair."""
+        return (self.noise * self.source_variances()) @ self.noise.T
+
+    @property
+    def noise_terms(self) -> tuple:
+        """The noise rows as expressions over the source quadratures."""
+        return _row_exprs(self.noise, self.modes[len(self.input_modes):])
+
+    @property
+    def measured(self) -> tuple:
+        """Time-ordered (current name, measured quadrature expression) pairs."""
+        return tuple(zip(self.current_names, _row_exprs(
+            self.measured_quad, self.modes, self.measured_currents, self.current_names,
+            self.measured_offset)))
 
     def current_symbols(self) -> tuple:
-        return tuple(name for name, _ in self.measured)
+        return self.current_names
 
 
-def assemble_cov(blocks: Mapping[int, np.ndarray], n_modes: int | None = None) -> np.ndarray:
-    """Block-diagonal covariance from per-mode 2x2 blocks (vacuum elsewhere)."""
-    if n_modes is None:
-        n_modes = max(blocks) + 1 if blocks else 1
-    cov = 0.25 * np.eye(2 * n_modes)
-    for mode, block in blocks.items():
-        block = np.asarray(block, dtype=float)
-        if block.shape != (2, 2):
-            raise ValueError("each covariance block must be 2x2")
-        cov[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = block
-    return cov
+def _row_exprs(quad_rows, modes, current_rows=None, names=(), offsets=None) -> tuple:
+    """Expression view of array rows; column 2i + 0/1 is x/y of ``modes[i]``."""
+    cols = np.flatnonzero(np.any(quad_rows != 0.0, axis=0)).tolist()
+    labels = [QuadratureIndex(modes[c // 2], "xy"[c % 2]) for c in cols]
+    n = quad_rows.shape[0]
+    currents = current_rows.tolist() if current_rows is not None else [()] * n
+    offsets = offsets.tolist() if offsets is not None else [0.0] * n
+    return tuple(LinearQuadratureExpr(dict(zip(labels, row)), dict(zip(names, cur)), off)
+                 for row, cur, off in zip(quad_rows[:, cols].tolist(), currents, offsets))
 
 
-def output_covariance(output: GateOutput, input_blocks: Mapping[int, np.ndarray],
-                      n_modes: int | None = None) -> np.ndarray:
-    """Quantum covariance of the output pair over input plus source modes."""
-    blocks = dict(input_blocks)
-    blocks.update(output.cluster_blocks())
-    if n_modes is None:
-        used = set(blocks)
-        for e in output.exprs:
-            used |= e.modes()
-        n_modes = max(used) + 1
-    cov = assemble_cov(blocks, n_modes)
-    return expr_covariance([e.without_classical() for e in output.exprs], cov)
+def _input_rows(input_exprs: tuple) -> tuple:
+    """Input modes, the (x, y) pair over their quadratures, and its offset."""
+    if any(e.symbols for e in input_exprs):
+        raise ValueError("input expressions carry photocurrent symbols; feed forward "
+                         "first, or run all steps in one run_steps call")
+    modes = tuple(sorted(set().union(*(e.modes() for e in input_exprs))))
+    column = {m: 2 * i for i, m in enumerate(modes)}
+    rows = np.zeros((2, 2 * len(modes)))
+    for row, e in enumerate(input_exprs):
+        for idx, c in e.coeffs.items():
+            rows[row, column[idx.mode] + (idx.kind == "y")] = c
+    return modes, rows, np.array([e.offset for e in input_exprs])
 
 
-def _fresh_modes(exprs, requested):
-    if requested is not None:
-        m1, m2 = requested
-        if m1 == m2:
-            raise ValueError("the two source modes must be distinct")
-        return int(m1), int(m2)
-    used = set()
-    for e in exprs:
-        used |= e.modes()
-    base = max(used) + 1 if used else 0
-    return base, base + 1
+def _source_pair(requested, used: set) -> tuple:
+    if requested is None:
+        base = max(used) + 1 if used else 0
+        return base, base + 1
+    m1, m2 = int(requested[0]), int(requested[1])
+    if m1 == m2:
+        raise ValueError("the two source modes must be distinct")
+    if {m1, m2} & used:
+        raise ValueError(f"source modes ({m1}, {m2}) are already in use")
+    return m1, m2
+
+
+def _chain(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
+           settings: Sequence[HomodyneSetting], source_modes, labels: Sequence[str],
+           allow_unentangled: bool) -> GateOutput:
+    """Run the steps, each as two 2 x n products on the chain's arrays.
+
+    The current (x, y) pair is one 2 x (n + 2k + 1) array W = [quadrature
+    columns | current columns | offset]; the measured rows of a step are
+    D W and the step maps W to M W, then writes its new source and current
+    columns.
+    """
+    input_modes, input_rows, input_offset = _input_rows(input_exprs)
+    k, n_in = len(settings), input_rows.shape[1]
+    n = n_in + 4 * k
+    W = np.zeros((2, n + 2 * k + 1))
+    W[:, :n_in] = input_rows
+    W[:, -1] = input_offset
+    measured = np.zeros((2 * k, n + 2 * k + 1))
+    signal = np.eye(2)
+    used = set(input_modes)
+    pairs, names = [], []
+    for j, (cluster, setting) in enumerate(zip(clusters, settings)):
+        if cluster.vlf_sum() >= VLF_BOUND:
+            if not allow_unentangled:
+                raise ValueError(
+                    "cluster resource is not entangled (nullifier sum "
+                    f"{cluster.vlf_sum():g} >= {VLF_BOUND}); pass allow_unentangled=True to force")
+            warnings.warn("running a measurement step on an unentangled cluster resource",
+                          stacklevel=3)
+        M = gate_matrix(setting.theta_plus, setting.theta_minus)  # validates phases
+        m1, m2 = _source_pair(source_modes[j] if source_modes is not None else None, used)
+        used |= {m1, m2}
+        pairs.append((m1, m2))
+        names += [f"i_in{labels[j]}", f"i_1{labels[j]}"]
+
+        cin, sin_ = math.cos(setting.theta_in), math.sin(setting.theta_in)
+        c1, s1 = math.cos(setting.theta_1), math.sin(setting.theta_1)
+        r, col, cur = slice(2 * j, 2 * j + 2), n_in + 4 * j, n + 2 * j
+        # difference port (theta_in) and sum port (theta_1) of (input, node 1):
+        # measured = (cos t (X1 -/+ x) + sin t (Y1 -/+ y)) / sqrt 2 with
+        # X1 = (x_m1 + y_m2) / sqrt 2 and Y1 = (y_m1 - x_m2) / sqrt 2
+        measured[r] = np.array([[-cin, -sin_], [c1, s1]]) @ W / _SQRT2
+        measured[r, col:col + 4] = [[0.5 * cin, 0.5 * sin_, -0.5 * sin_, 0.5 * cin],
+                                    [0.5 * c1, 0.5 * s1, -0.5 * s1, 0.5 * c1]]
+        pref = 1.0 / (setting.beta_0 * _SQRT2 * math.sin(setting.theta_minus))
+        W = M @ W
+        W[0, col + 1] = W[1, col + 3] = -_SQRT2  # -sqrt(2) y_m1 on X, y_m2 on Y
+        W[:, cur:cur + 2] = [[pref * c1, -pref * cin], [-pref * s1, pref * sin_]]
+        signal = M @ signal
+    return GateOutput(
+        signal_matrix=signal,
+        input_rows=input_rows,
+        noise=W[:, n_in:n],
+        classical=W[:, n:-1],
+        offset=W[:, -1],
+        measured_quad=measured[:, :n],
+        measured_currents=measured[:, n:-1],
+        measured_offset=measured[:, -1],
+        current_names=tuple(names),
+        input_modes=input_modes,
+        settings=tuple(settings),
+        clusters=tuple(clusters),
+        source_modes=tuple(pairs),
+    )
+
+
+def output_covariance(output: GateOutput,
+                      input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
+    """Quantum covariance Q Sigma Q^T of the output pair over input plus
+    source modes (input modes without a block are vacuum)."""
+    Q = output.quadrature_rows()
+    return Q @ output.column_cov(input_blocks) @ Q.T
 
 
 def single_step(input_exprs: tuple, cluster: TwoNodeCluster, setting: HomodyneSetting,
@@ -238,49 +388,12 @@ def single_step(input_exprs: tuple, cluster: TwoNodeCluster, setting: HomodyneSe
                 allow_unentangled: bool = False) -> GateOutput:
     """One homodyne measurement step on a two-node cluster resource.
 
-    ``input_exprs`` is the (x, y) pair of the mode to transform; its symbols
-    (photocurrents of earlier steps) propagate through.  Fresh source modes
-    are allocated after the input's modes unless given explicitly.
+    ``input_exprs`` is the (x, y) pair of the mode to transform, free of
+    photocurrent symbols.  Fresh source modes are allocated after the
+    input's modes unless given explicitly.
     """
-    x_in, y_in = input_exprs
-    if cluster.vlf_sum() >= VLF_BOUND:
-        if not allow_unentangled:
-            raise ValueError(
-                "cluster resource is not entangled (nullifier sum "
-                f"{cluster.vlf_sum():g} >= {VLF_BOUND}); pass allow_unentangled=True to force")
-        warnings.warn("running a measurement step on an unentangled cluster resource",
-                      stacklevel=2)
-    M = gate_matrix(setting.theta_plus, setting.theta_minus)  # validates phases
-    m1, m2 = _fresh_modes(input_exprs, source_modes)
-    (X1, Y1), _ = cluster_node_exprs((m1, m2))
-
-    cin, sin_ = math.cos(setting.theta_in), math.sin(setting.theta_in)
-    c1, s1 = math.cos(setting.theta_1), math.sin(setting.theta_1)
-    h = 1.0 / _SQRT2
-    # difference port carries theta_in, sum port carries theta_1
-    measured_in = h * (cin * (X1 - x_in) + sin_ * (Y1 - y_in))
-    measured_1 = h * (c1 * (X1 + x_in) + s1 * (Y1 + y_in))
-    name_in = f"i_in{label}"
-    name_1 = f"i_1{label}"
-
-    sm = math.sin(setting.theta_minus)
-    pref = 1.0 / (setting.beta_0 * _SQRT2 * sm)
-    noise_x = (-_SQRT2) * y_quad(m1)
-    noise_y = (-_SQRT2) * y_quad(m2)
-    classical_x = LinearQuadratureExpr(symbols={name_in: pref * c1, name_1: -pref * cin})
-    classical_y = LinearQuadratureExpr(symbols={name_in: -pref * s1, name_1: pref * sin_})
-
-    x_out = M[0, 0] * x_in + M[0, 1] * y_in + noise_x + classical_x
-    y_out = M[1, 0] * x_in + M[1, 1] * y_in + noise_y + classical_y
-    return GateOutput(
-        exprs=(x_out, y_out),
-        noise_terms=(noise_x, noise_y),
-        measured=((name_in, measured_in), (name_1, measured_1)),
-        signal_matrix=M,
-        settings=(setting,),
-        clusters=(cluster,),
-        source_modes=((m1, m2),),
-    )
+    return _chain(input_exprs, (cluster,), (setting,), (source_modes,), (label,),
+                  allow_unentangled)
 
 
 def feed_forward(output: GateOutput, currents: Mapping[str, float] | None = None) -> GateOutput:
@@ -296,7 +409,8 @@ def feed_forward(output: GateOutput, currents: Mapping[str, float] | None = None
         if missing:
             raise ValueError(f"missing measured currents for feed-forward: {missing}")
     cleaned = tuple(LinearQuadratureExpr(e.coeffs) for e in output.exprs)
-    return replace(output, exprs=cleaned)
+    return replace(output, classical=np.zeros_like(output.classical),
+                   offset=np.zeros(2), exprs=cleaned)
 
 
 def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
@@ -310,31 +424,8 @@ def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
     """
     if len(clusters) != len(settings) or not settings:
         raise ValueError("need one cluster per setting, at least one step")
-    exprs = input_exprs
-    acc = None
-    for index, (cluster, setting) in enumerate(zip(clusters, settings)):
-        modes = source_modes[index] if source_modes is not None else None
-        step = single_step(exprs, cluster, setting, modes, label=f"[{index + 1}]",
-                           allow_unentangled=allow_unentangled)
-        if acc is None:
-            acc = step
-        else:
-            M = step.signal_matrix
-            noise = (
-                M[0, 0] * acc.noise_terms[0] + M[0, 1] * acc.noise_terms[1] + step.noise_terms[0],
-                M[1, 0] * acc.noise_terms[0] + M[1, 1] * acc.noise_terms[1] + step.noise_terms[1],
-            )
-            acc = GateOutput(
-                exprs=step.exprs,
-                noise_terms=noise,
-                measured=acc.measured + step.measured,
-                signal_matrix=M @ acc.signal_matrix,
-                settings=acc.settings + step.settings,
-                clusters=acc.clusters + step.clusters,
-                source_modes=acc.source_modes + step.source_modes,
-            )
-        exprs = acc.exprs
-    return acc
+    return _chain(input_exprs, clusters, settings, source_modes,
+                  [f"[{j + 1}]" for j in range(len(settings))], allow_unentangled)
 
 
 def compose_two_steps(setting_1: HomodyneSetting, setting_2: HomodyneSetting,
@@ -346,50 +437,40 @@ def compose_two_steps(setting_1: HomodyneSetting, setting_2: HomodyneSetting,
                      source_modes, allow_unentangled)
 
 
-def resolve_measured(output: GateOutput) -> tuple:
-    """Measured quadratures as pure operator expressions over the sources.
+def _two_beta(output: GateOutput) -> np.ndarray:
+    """current / measured quadrature, 2 beta0, for every current."""
+    return 2.0 * np.repeat([s.beta_0 for s in output.settings], 2)
 
-    Earlier currents appearing inside later measured expressions are
-    substituted by their defining operators (current = 2 beta0 quadrature),
-    in time order.
+
+def resolve_measured(output: GateOutput) -> tuple:
+    """Measured quadratures as pure operator rows over the quadrature columns.
+
+    Substituting every current by its defining operator (current =
+    2 beta0 quadrature) turns A q + B i + a0 into R q + r0 with
+
+        R = (I - B diag(2 beta0))^-1 A,   r0 = (I - B diag(2 beta0))^-1 a0,
+
+    a unit-lower-triangular solve.  Returns (R, r0), rows in the order of
+    ``output.current_names``.
     """
-    betas = []
-    for setting in output.settings:
-        betas += [setting.beta_0, setting.beta_0]
-    resolved = {}
-    ordered = []
-    for (name, expr), beta in zip(output.measured, betas):
-        full = LinearQuadratureExpr(expr.coeffs, offset=expr.offset)
-        for sym, coeff in expr.symbols.items():
-            if sym not in resolved:
-                raise ValueError(f"measured expression references unknown current {sym!r}")
-            sym_expr, sym_beta = resolved[sym]
-            full = full + (coeff * 2.0 * sym_beta) * sym_expr
-        resolved[name] = (full, beta)
-        ordered.append((name, full, beta))
-    return tuple(ordered)
+    two_beta = _two_beta(output)
+    L = np.eye(two_beta.size) - output.measured_currents * two_beta
+    rhs = np.hstack([output.measured_quad, output.measured_offset[:, None]])
+    solved = np.linalg.solve(L, rhs)
+    return solved[:, :-1], solved[:, -1]
 
 
 def sample_currents(output: GateOutput, input_blocks: Mapping[int, np.ndarray],
                     rng: np.random.Generator) -> dict:
     """Draw photocurrent records from their joint Gaussian law.
 
-    The joint covariance of all measured quadratures is built from the
-    resolved operator expressions; currents are scaled by 2 beta0.
+    The measured quadratures have covariance R Sigma R^T over the resolved
+    rows R; currents are scaled by 2 beta0.
     """
-    ordered = resolve_measured(output)
-    exprs = [e for _, e, _ in ordered]
-    blocks = dict(input_blocks)
-    blocks.update(output.cluster_blocks())
-    used = set(blocks)
-    for e in exprs:
-        used |= e.modes()
-    cov = assemble_cov(blocks, max(used) + 1 if used else 1)
-    sigma = expr_covariance(exprs, cov)
-    means = np.array([e.offset for e in exprs])
+    R, means = resolve_measured(output)
+    sigma = R @ output.column_cov(input_blocks) @ R.T
     draws = rng.multivariate_normal(means, sigma, method="svd")
-    return {name: 2.0 * beta * val
-            for (name, _, beta), val in zip(ordered, draws)}
+    return dict(zip(output.current_names, (_two_beta(output) * draws).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +544,30 @@ def condition_homodyne(state: GaussianState, measured_angles: Mapping[int, float
                                kept_modes, measured_modes, gain, sigma_mm)
 
 
+@functools.cache
+def _step_symplectic() -> np.ndarray:
+    """The oracle's constant map on (input, source 1, source 2), built once.
+
+    The two squeezed sources become the two-node cluster, then the mixing
+    beam splitter sends (input, node 1) to the difference and sum ports,
+    with the same mixing on x and y.  Built from the dense cluster code on
+    first use rather than at import, so processes that never run the oracle
+    do not load the LAPACK routines it needs.
+    """
+    S_cluster = embed(unitary_to_symplectic(
+        cluster_unitary(ClusterGraph.two_node(), default_two_node_q())), (1, 2), 3)
+    S_mix = np.kron(np.array([[-1.0, 1.0], [1.0, 1.0]]) / _SQRT2, np.eye(2))
+    S = embed(S_mix, (0, 1), 3) @ S_cluster
+    S.setflags(write=False)
+    return S
+
+
 def step_joint_state(input_cov: np.ndarray, cluster: TwoNodeCluster) -> GaussianState:
     """Three-mode state after cluster generation and the mixing beam splitter.
 
     Mode 0 is the difference port, mode 1 the sum port, mode 2 the surviving
-    cluster node.  Built entirely from matrix maps; this is the path
-    independent of the symbolic gate algebra.
+    cluster node.  Built entirely from symplectic matrix maps; this is the
+    path independent of the gate engine's arrays.
     """
     input_cov = np.asarray(input_cov, dtype=float)
     if input_cov.shape != (2, 2):
@@ -479,16 +578,7 @@ def step_joint_state(input_cov: np.ndarray, cluster: TwoNodeCluster) -> Gaussian
     joint[:2, :2] = input_cov
     joint[2:4, 2:4] = np.diag([u1, v1])
     joint[4:6, 4:6] = np.diag([u2, v2])
-    S_cluster = embed(unitary_to_symplectic(
-        cluster_unitary(ClusterGraph.two_node(), default_two_node_q())), (1, 2), 3)
-    # difference/sum ports of the pair (input, node 1); same mixing on x and y
-    W = np.array([[-1.0, 1.0], [1.0, 1.0]]) / _SQRT2
-    S_mix = np.zeros((4, 4))
-    for j in range(2):
-        for k in range(2):
-            S_mix[2 * j, 2 * k] = W[j, k]
-            S_mix[2 * j + 1, 2 * k + 1] = W[j, k]
-    S = embed(S_mix, (0, 1), 3) @ S_cluster
+    S = _step_symplectic()
     return GaussianState(np.zeros(6), S @ joint @ S.T)
 
 
@@ -513,7 +603,7 @@ def single_step_covariance_oracle(input_cov: np.ndarray, cluster: TwoNodeCluster
         Sigma_out = Sigma_cond + (G* - G) Sigma_mm (G* - G)^T
 
     with G* the conditional-mean gains and G the protocol gains.  Agrees
-    with the symbolic engine to floating-point accuracy and is independent
+    with the gate engine to floating-point accuracy and is independent
     of the anti-squeezed variances.
     """
     joint = step_joint_state(input_cov, cluster)

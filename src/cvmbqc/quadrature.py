@@ -164,16 +164,6 @@ def y_quad(mode: int) -> LinearQuadratureExpr:
     return LinearQuadratureExpr({QuadratureIndex(mode, "y"): 1.0})
 
 
-def exprs_allclose(a: LinearQuadratureExpr, b: LinearQuadratureExpr, tol=1e-12) -> bool:
-    keys = set(a.coeffs) | set(b.coeffs)
-    if any(abs(a.coeffs.get(k, 0.0) - b.coeffs.get(k, 0.0)) > tol for k in keys):
-        return False
-    names = set(a.symbols) | set(b.symbols)
-    if any(abs(a.symbols.get(n, 0.0) - b.symbols.get(n, 0.0)) > tol for n in names):
-        return False
-    return abs(a.offset - b.offset) <= tol
-
-
 # ---------------------------------------------------------------------------
 # Symplectic maps
 # ---------------------------------------------------------------------------
@@ -246,6 +236,15 @@ def embed(S_small: np.ndarray, modes: Sequence[int], n_modes: int) -> np.ndarray
 # Gaussian states
 # ---------------------------------------------------------------------------
 
+#: Symmetry tolerance of a covariance, relative to its largest entry (at least 1).
+SYMMETRY_TOL = 1e-12
+
+
+def _check_symmetric(cov: np.ndarray) -> None:
+    if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(cov)))):
+        raise ValueError("covariance must be symmetric")
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Gaussian state given by its quadrature mean vector and covariance.
@@ -264,8 +263,7 @@ class GaussianState:
             raise ValueError("mean/covariance dimensions disagree")
         if mean.size % 2:
             raise ValueError("state dimension must be even")
-        if np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise ValueError("covariance must be symmetric")
+        _check_symmetric(cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -331,8 +329,7 @@ def check_uncertainty(cov: np.ndarray, tol: float = UNCERTAINTY_TOL) -> Uncertai
     smallest eigenvalue is >= -tol.
     """
     cov = np.asarray(cov, dtype=float)
-    if np.max(np.abs(cov - cov.T)) > 1e-12:
-        raise ValueError("covariance must be symmetric")
+    _check_symmetric(cov)
     omega = omega_matrix(cov.shape[0] // 2)
     eigs = np.linalg.eigvalsh(cov + 0.25j * omega)
     lo = float(np.min(eigs))

@@ -463,9 +463,7 @@ def _run_gate(cfg: ExperimentConfig) -> ResultRecord:
                             source_modes=(1, 2), allow_unentangled=allow)
     engine_cov = gates.output_covariance(out, {0: cov_in})
     oracle_cov = gates.single_step_covariance_oracle(cov_in, cluster, setting)
-    noise_cov = expr_covariance(
-        [e.without_classical() for e in out.noise_terms],
-        gates.assemble_cov(out.cluster_blocks(), 3))
+    noise_cov = out.noise_covariance()
     det_err = abs(float(np.linalg.det(M)) - 1.0)
     oracle_err = float(np.max(np.abs(engine_cov - oracle_cov)))
 
@@ -667,19 +665,6 @@ def _run_pipeline(cfg: ExperimentConfig) -> ResultRecord:
             "feed-forward leaves no classical values"))
     record.events = result.events
     return record
-
-
-def sample_homodyne(output: gates.GateOutput, input_blocks, seed: int):
-    """Draw photocurrents for a gate output and apply feed-forward.
-
-    Returns (currents, corrected GateOutput); the corrected expressions
-    carry exactly zero classical offsets.  Reproducible for a fixed seed.
-    """
-    if seed is None:
-        raise ConfigError("sampling mode needs a seed")
-    rng = np.random.default_rng(seed)
-    currents = gates.sample_currents(output, input_blocks, rng)
-    return currents, gates.feed_forward(output, currents)
 
 
 _RUNNERS = {

@@ -31,8 +31,6 @@ from cvmbqc.gates import (
 )
 from cvmbqc.quadrature import (
     GaussianState,
-    LinearQuadratureExpr,
-    exprs_allclose,
     omega_matrix,
     x_quad,
     y_quad,
@@ -53,6 +51,13 @@ def random_input_cov(rng):
     if np.linalg.det(cov) < 1 / 16:
         cov += np.eye(2) * (0.25 + 1 / (4 * math.sqrt(min(a, b))))
     return cov
+
+
+def chain_settings(rng, k, wide=False):
+    """theta+ ~ U(-pi, pi); theta- = pi/2 + U(-0.3, 0.3), or U(0.3, 2.8) if wide."""
+    tp = rng.uniform(-math.pi, math.pi, k)
+    tm = rng.uniform(0.3, 2.8, k) if wide else math.pi / 2 + rng.uniform(-0.3, 0.3, k)
+    return [HomodyneSetting((p + m) / 2, (p - m) / 2) for p, m in zip(tp, tm)]
 
 
 class TestGateMatrix:
@@ -92,21 +97,51 @@ class TestGateMatrix:
 
 class TestSingleStep:
     def test_operator_identity(self):
-        # resolving the photocurrent symbols into their defining operators
-        # must reproduce the surviving cluster node exactly
+        # resolving the photocurrents into their defining operators
+        # (current = 2 beta0 quadrature) must reproduce the surviving
+        # cluster node exactly
         rng = np.random.default_rng(3)
         for _ in range(20):
             setting = random_setting(rng, beta_0=rng.uniform(0.5, 50.0))
             cluster = TwoNodeCluster.from_y_variances(*rng.uniform(0.01, 0.12, 2))
             out = single_step((x_quad(0), y_quad(0)), cluster, setting,
                               source_modes=(1, 2))
+            assert out.modes == (0, 1, 2)
             _, (X2, Y2) = cluster_node_exprs((1, 2))
-            resolved = {name: expr for name, expr, _ in resolve_measured(out)}
-            for expr, ref in zip(out.exprs, (X2, Y2)):
-                full = LinearQuadratureExpr(expr.coeffs, offset=expr.offset)
-                for sym, coeff in expr.symbols.items():
-                    full = full + (coeff * 2.0 * setting.beta_0) * resolved[sym]
-                assert exprs_allclose(full, ref, 1e-12)
+            R, means = resolve_measured(out)
+            full = out.quadrature_rows() + (out.classical * 2.0 * setting.beta_0) @ R
+            ref = np.vstack([e.coefficient_vector(3) for e in (X2, Y2)])
+            assert np.max(np.abs(full - ref)) <= 1e-12
+            assert not np.any(means) and not np.any(out.offset)
+
+    def test_resolved_rows_follow_the_cluster_nodes(self):
+        # three chained steps: step j measures the difference and sum ports
+        # of (its input, node 1 of cluster j), its input being node 2 of
+        # cluster j - 1; with every current = 2 beta0 quadrature, the
+        # resolved rows and the output follow those operator identities
+        rng = np.random.default_rng(14)
+        settings = [random_setting(rng, beta_0=rng.uniform(0.5, 50.0)) for _ in range(3)]
+        clusters = [TwoNodeCluster.from_y_variances(*rng.uniform(0.01, 0.12, 2))
+                    for _ in range(3)]
+        out = run_steps((x_quad(0), y_quad(0)), clusters, settings)
+        assert out.modes == tuple(range(7))
+        R, means = resolve_measured(out)
+        h = 1.0 / math.sqrt(2.0)
+        x, y = x_quad(0), y_quad(0)
+        for j, (setting, modes) in enumerate(zip(settings, out.source_modes)):
+            (X1, Y1), (X2, Y2) = cluster_node_exprs(modes)
+            cin, sin_ = math.cos(setting.theta_in), math.sin(setting.theta_in)
+            c1, s1 = math.cos(setting.theta_1), math.sin(setting.theta_1)
+            ports = (h * (cin * (X1 - x) + sin_ * (Y1 - y)),
+                     h * (c1 * (X1 + x) + s1 * (Y1 + y)))
+            for row, port in zip(R[2 * j:2 * j + 2], ports):
+                assert np.max(np.abs(row - port.coefficient_vector(7))) <= 1e-12
+            x, y = X2, Y2
+        two_beta = 2.0 * np.repeat([s.beta_0 for s in settings], 2)
+        full = out.quadrature_rows() + (out.classical * two_beta) @ R
+        ref = np.vstack([x.coefficient_vector(7), y.coefficient_vector(7)])
+        assert np.max(np.abs(full - ref)) <= 1e-12
+        assert not np.any(means)
 
     def test_ideal_cluster_covariance(self):
         setting = HomodyneSetting(0.9, 0.2)
@@ -168,6 +203,37 @@ class TestSingleStep:
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
         out = single_step((x_quad(3), y_quad(3)), cluster, HomodyneSetting(0.9, 0.2))
         assert out.source_modes == ((4, 5),)
+
+    def test_rejects_used_source_modes_and_symbolic_input(self):
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
+        setting = HomodyneSetting(0.9, 0.2)
+        with pytest.raises(ValueError, match="already in use"):
+            single_step((x_quad(0), y_quad(0)), cluster, setting, source_modes=(0, 1))
+        with pytest.raises(ValueError, match="already in use"):
+            run_steps((x_quad(0), y_quad(0)), [cluster] * 2, [setting] * 2,
+                      source_modes=((1, 2), (2, 3)))
+        out = single_step((x_quad(0), y_quad(0)), cluster, setting)
+        with pytest.raises(ValueError, match="photocurrent symbols"):
+            single_step(out.exprs, cluster, setting)
+
+    def test_expression_views_match_the_arrays(self):
+        rng = np.random.default_rng(15)
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.07)
+        out = run_steps((x_quad(0), y_quad(0)), [cluster] * 2,
+                        [random_setting(rng) for _ in range(2)])
+        n_modes = 5
+        for expr, row, cur in zip(out.exprs, out.quadrature_rows(), out.classical):
+            assert np.array_equal(expr.coefficient_vector(n_modes), row)
+            assert expr.symbols == {n: c for n, c in zip(out.current_names, cur) if c}
+        for expr, row in zip(out.noise_terms, out.noise):
+            assert np.array_equal(expr.coefficient_vector(n_modes)[2:], row)
+        assert [name for name, _ in out.measured] == list(out.current_names)
+        for (_, expr), a, b in zip(out.measured, out.measured_quad, out.measured_currents):
+            assert np.array_equal(expr.coefficient_vector(n_modes), a)
+            assert expr.symbols == {n: c for n, c in zip(out.current_names, b) if c}
+        # the second step sees both currents of the first, and only those
+        assert set(out.measured[2][1].symbols) == {"i_in[1]", "i_1[1]"}
+        assert not out.measured[0][1].symbols
 
 
 class TestConditioningOracle:
@@ -253,6 +319,8 @@ class TestFeedForward:
             assert before.coeffs == after.coeffs
         for before, after in zip(out.noise_terms, corrected.noise_terms):
             assert before == after
+        assert np.array_equal(out.noise, corrected.noise)
+        assert not np.any(corrected.classical) and not np.any(corrected.offset)
 
     def test_idempotent(self):
         out = self._output()
@@ -335,6 +403,35 @@ class TestCompose:
             run_steps((x_quad(0), y_quad(0)), [cluster], [])
 
 
+class TestChainAgainstOracle:
+    """Engine vs the chained conditioning oracle at every chain length."""
+
+    @staticmethod
+    def relative_gap(rng, k, wide):
+        settings = chain_settings(rng, k, wide)
+        clusters = [TwoNodeCluster.from_y_variances(*rng.uniform(0.01, 0.12, 2),
+                                                    rng.uniform(1.0, 20.0))
+                    for _ in range(k)]
+        cov_in = random_input_cov(rng)
+        out = run_steps((x_quad(0), y_quad(0)), clusters, settings)
+        engine = output_covariance(out, {0: cov_in})
+        oracle = cov_in
+        for cluster, setting in zip(clusters, settings):
+            oracle = single_step_covariance_oracle(oracle, cluster, setting)
+        return float(np.max(np.abs(engine - oracle)) / np.max(np.abs(oracle)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", [2, 8, 32, 64, 128])
+    def test_realistic_angles(self, k, seed):
+        assert self.relative_gap(np.random.default_rng(seed), k, wide=False) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_wide_angles(self, seed):
+        # covariance entries grow far past 1e5 here, so the oracle's states
+        # need the relative symmetry check
+        assert self.relative_gap(np.random.default_rng(seed), 32, wide=True) <= 1e-12
+
+
 class TestSampling:
     def test_deterministic_per_seed(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
@@ -358,13 +455,10 @@ class TestSampling:
         for _ in range(10_000):
             for name, val in sample_currents(out, blocks, rng).items():
                 draws[name].append(val)
-        ordered = resolve_measured(out)
-        from cvmbqc.gates import assemble_cov
-        from cvmbqc.quadrature import expr_covariance
-        cov = expr_covariance([e for _, e, _ in ordered],
-                              assemble_cov({**blocks, **out.cluster_blocks()}, 3))
-        for i, (name, _, beta) in enumerate(ordered):
-            sigma = 2.0 * beta * math.sqrt(cov[i, i])
+        R, _ = resolve_measured(out)
+        cov = R @ out.column_cov(blocks) @ R.T
+        for i, name in enumerate(out.current_names):
+            sigma = 2.0 * setting.beta_0 * math.sqrt(cov[i, i])
             assert abs(np.mean(draws[name])) < 4.0 * sigma / 100.0
 
     def test_feed_forward_after_sampling(self):

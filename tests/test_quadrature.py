@@ -202,6 +202,22 @@ class TestUncertainty:
         with pytest.raises(ValueError, match="symmetric"):
             check_uncertainty(np.array([[0.25, 0.1], [0.0, 0.25]]))
 
+    def test_symmetry_check_is_relative(self):
+        # a 1e10-scale covariance, as a long chain of wide-angle steps
+        # produces, with a few ulps of asymmetry is accepted
+        cov = np.array([[4.0e10, 1.5e10], [1.5e10, 2.0e10]])
+        cov[0, 1] += 4 * np.spacing(cov[0, 1])
+        assert cov[0, 1] != cov[1, 0]
+        assert check_uncertainty(cov).satisfied
+        GaussianState(np.zeros(2), cov)
+        # a real asymmetry at that scale is still rejected, and for entries
+        # up to 1 the bound stays the absolute 1e-12
+        cov[0, 1] += 1e3
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussianState(np.zeros(2), cov)
+        with pytest.raises(ValueError, match="symmetric"):
+            check_uncertainty(np.array([[0.25, 0.1], [0.1 + 2e-12, 0.25]]))
+
 
 def test_db_conversion_round_trip():
     for db in (0.0, 3.0, 8.3, 15.0):
