@@ -138,14 +138,11 @@ def unitary_to_symplectic(U: np.ndarray) -> np.ndarray:
     n = U.shape[0]
     if U.shape != (n, n) or np.max(np.abs(U @ U.conj().T - np.eye(n))) > 1e-10:
         raise ValueError("input is not unitary")
-    S = np.zeros((2 * n, 2 * n))
-    re, im = U.real, U.imag
-    for j in range(n):
-        for k in range(n):
-            S[2 * j, 2 * k] = re[j, k]
-            S[2 * j, 2 * k + 1] = -im[j, k]
-            S[2 * j + 1, 2 * k] = im[j, k]
-            S[2 * j + 1, 2 * k + 1] = re[j, k]
+    S = np.empty((2 * n, 2 * n))
+    S[0::2, 0::2] = U.real
+    S[0::2, 1::2] = -U.imag
+    S[1::2, 0::2] = U.imag
+    S[1::2, 1::2] = U.real
     return S
 
 

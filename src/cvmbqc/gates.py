@@ -59,7 +59,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .cluster import VLF_BOUND, ClusterGraph, cluster_unitary, default_two_node_q, unitary_to_symplectic
 from .quadrature import (
@@ -637,15 +636,16 @@ def solve_phases(target: np.ndarray, tol: float = PHASE_RESIDUAL_TOL,
 
     Uses the rotation form of the one-step gate,
     M(tp, tm) = R(-tp/2) diag(a, 1/a) R(-tp/2) with a = cot(tm/2): writing
-    the target as R(A) diag(s, 1/s) R(B) (signed SVD), the pair
+    the target as R(A) diag(s, 1/s) R(B) (signed SVD, s the larger singular
+    value), the pair
 
         step 1: tp = -2B, tm = 2*atan2(1, s)      (= R(B) diag(s,1/s) R(B))
         step 2: tp = B - A, tm = pi/2             (pure rotation R(A - B))
 
-    solves the problem in closed form.  A damped least-squares polish runs
-    only if the closed form misses ``tol`` (it does not, for well-scaled
-    targets); a residual still above ``tol`` raises :class:`PhaseSolveError`
-    carrying the best residual rather than returning a wrong answer.
+    solves the problem in closed form, to a residual of order eps * s
+    (about 1e-10 at s = 1e5).  A residual above ``tol`` raises
+    :class:`PhaseSolveError` carrying that residual rather than returning a
+    wrong answer.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (2, 2):
@@ -660,35 +660,20 @@ def solve_phases(target: np.ndarray, tol: float = PHASE_RESIDUAL_TOL,
         Vt = np.diag([1.0, -1.0]) @ Vt
     A = math.atan2(U[1, 0], U[0, 0])
     B = math.atan2(Vt[1, 0], Vt[0, 0])
-    sigma = math.sqrt(s[0] / s[1])
+    # det = 1 makes the small singular value 1/s[0]; the computed s[1]
+    # carries the SVD's absolute error eps * s[0], relative eps * s[0]**2,
+    # so deriving sigma from it would lose accuracy on ill-conditioned targets
+    sigma = float(s[0])
 
     tp1, tm1 = -2.0 * B, 2.0 * math.atan2(1.0, sigma)
     tp2, tm2 = B - A, math.pi / 2.0
-
-    def build(params):
-        q1 = _setting_from_half_sum_diff(params[0], params[1], beta_0)
-        q2 = _setting_from_half_sum_diff(params[2], params[3], beta_0)
-        return q1, q2, gate_matrix(params[2], params[3]) @ gate_matrix(params[0], params[1])
-
-    params = np.array([tp1, tm1, tp2, tm2])
-    q1, q2, M = build(params)
+    q1 = _setting_from_half_sum_diff(tp1, tm1, beta_0)
+    q2 = _setting_from_half_sum_diff(tp2, tm2, beta_0)
+    M = gate_matrix(tp2, tm2) @ gate_matrix(tp1, tm1)
     residual = float(np.max(np.abs(M - target)))
-
-    if residual > tol:  # fallback polish; the closed form should not get here
-        def cost(p):
-            try:
-                return (gate_matrix(p[2], p[3]) @ gate_matrix(p[0], p[1]) - target).ravel()
-            except DegenerateHomodynePhasesError:
-                return np.full(4, 1e6)
-
-        fit = least_squares(cost, params, method="lm", xtol=1e-15, ftol=1e-15)
-        q1f, q2f, Mf = build(fit.x)
-        if float(np.max(np.abs(Mf - target))) < residual:
-            q1, q2, M = q1f, q2f, Mf
-            residual = float(np.max(np.abs(M - target)))
-        if residual > tol:
-            raise PhaseSolveError(
-                f"target not reached: best residual {residual:.3e} exceeds {tol:g}")
+    if residual > tol:
+        raise PhaseSolveError(
+            f"target not reached: residual {residual:.3e} exceeds {tol:g}")
     return PhaseSolution(q1, q2, residual, M)
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .quadrature import VACUUM_VARIANCE
 
@@ -125,8 +124,11 @@ def y_spectral_variance_oracle(omega: float, kappa: float, mu: float = 0.0,
     Integrates 1/4 + 2 * Integral_0^W C(tau) cos(w tau) dtau with C the
     stationary normally ordered correlation, using oscillatory-weight
     quadrature.  This is the independent check of the closed form (exact
-    agreement is expected only at mu = 0).
+    agreement is expected only at mu = 0).  scipy is imported here, on the
+    first call, so importing the package does not load it.
     """
+    from scipy.integrate import quad
+
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     if not 0.0 <= mu < 1.0:

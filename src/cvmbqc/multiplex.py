@@ -42,24 +42,16 @@ class LaneCollisionError(RuntimeError):
 
 @dataclass(frozen=True)
 class DelaySpec:
-    """A delay tau against the pulse period; grid-aligned when tau = n * period.
-
-    ``transmissivity`` is a hook for delay-line loss; only the lossless
-    default 1.0 is modelled and exercised, values below 1 are accepted but
-    unsupported territory.
-    """
+    """A lossless delay tau against the pulse period; grid-aligned when tau = n * period."""
 
     tau: float
     period: float
-    transmissivity: float = 1.0
 
     def __post_init__(self):
         if self.tau < 0:
             raise ValueError("delay must be nonnegative")
         if self.period <= 0:
             raise ValueError("period must be positive")
-        if not 0.0 < self.transmissivity <= 1.0:
-            raise ValueError("transmissivity must lie in (0, 1]")
 
     @property
     def multiple(self) -> int | None:
@@ -129,12 +121,6 @@ class SwitchSchedule:
             if iv.start < prev_end:
                 raise ValueError("overlapping switch intervals")
             prev_end = iv.end
-
-    def phase_at(self, t: float) -> float:
-        for iv in self.intervals:
-            if iv.start <= t < iv.end:
-                return iv.phase
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -267,6 +253,8 @@ def simulate_pipeline(duration: float, gap: float,
         raise ValueError("all lanes must run the same positive number of steps")
     if len(clusters) < n_lanes * steps:
         raise ValueError(f"need {n_lanes * steps} clusters, got {len(clusters)}")
+    if ticks_per_gap < 1:
+        raise ValueError("ticks_per_gap must be at least 1")
 
     period = duration + gap
     delay, schedule, assignment = schedule_lanes(period, gap, n_lanes, n_lanes * steps)

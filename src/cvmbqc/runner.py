@@ -247,12 +247,15 @@ class ExperimentConfig:
 
 def load_params(path: str, kind: str) -> Params:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file {path!r} not found or unreadable")
-    if not parser.has_section(kind):
-        raise ConfigError(f"config file {path!r} has no [{kind}] section")
-    return Params(kind, dict(parser.items(kind)))
+    try:
+        read = parser.read(path)
+        if not read:
+            raise ConfigError(f"config file {path!r} not found or unreadable")
+        if not parser.has_section(kind):
+            raise ConfigError(f"config file {path!r} has no [{kind}] section")
+        return Params(kind, dict(parser.items(kind)))
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path!r} is malformed: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +368,10 @@ def _run_delayed_check(cfg: ExperimentConfig) -> ResultRecord:
     multiples = [int(n) for n in p.get_floats("multiples", [1, 2, 5, 50])]
     k_values = [int(k) for k in p.get_floats("k_values", [-3, -2, -1, 0, 1, 2, 3])]
     x_probe = p.get_float("x_variance", 10.0)
+    if duration <= 0 or gap <= 0:
+        raise ConfigError("[delayed-check] duration and gap must be positive")
+    if not multiples or min(multiples) < 1 or not k_values:
+        raise ConfigError("[delayed-check] need multiples >= 1 and at least one k value")
     period = duration + gap
 
     rows = {"n": [], "k": [], "omega": [], "lhs": [], "four_y_var": [],
@@ -585,7 +592,11 @@ def _run_pipeline(cfg: ExperimentConfig) -> ResultRecord:
     duration = p.get_float("duration", required=True)
     gap = p.get_float("gap", required=True)
     lanes = p.get_int("lanes", required=True)
+    if lanes < 1:
+        raise ConfigError("[pipeline] lanes must be at least 1")
     ticks = p.get_int("ticks_per_gap", 100)
+    if ticks < 1:
+        raise ConfigError("[pipeline] ticks_per_gap must be at least 1")
     beta0 = p.get_float("beta_0", gates.DEFAULT_BETA_0)
     allow = p.get_bool("allow_unentangled", False)
 
@@ -732,10 +743,10 @@ def main(argv=None) -> int:
         params = load_params(args.config, args.kind)
         cfg = ExperimentConfig(args.kind, params, args.seed, Path(args.out), args.fmt)
         record = run(cfg)
-        paths = write_outputs(record, cfg)
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or a library input check
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    paths = write_outputs(record, cfg)
     for v in record.verdicts:
         print(v.line())
     for path in paths:

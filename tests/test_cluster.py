@@ -110,6 +110,26 @@ class TestUnitaryToSymplectic:
         with pytest.raises(ValueError, match="unitary"):
             unitary_to_symplectic(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_matches_elementwise_definition(self):
+        rng = np.random.default_rng(21)
+        unitaries = [cluster_unitary(ClusterGraph.two_node(), default_two_node_q())]
+        for n in (1, 2, 5, 40):
+            z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            unitaries.append(np.linalg.qr(z)[0])
+            unitaries.append(cluster_unitary(random_graph(rng, n), random_orthogonal(rng, n)))
+        for U in unitaries:
+            n = U.shape[0]
+            expected = np.zeros((2 * n, 2 * n))
+            for j in range(n):
+                for k in range(n):
+                    expected[2 * j, 2 * k] = U[j, k].real
+                    expected[2 * j, 2 * k + 1] = -U[j, k].imag
+                    expected[2 * j + 1, 2 * k] = U[j, k].imag
+                    expected[2 * j + 1, 2 * k + 1] = U[j, k].real
+            S = unitary_to_symplectic(U)
+            assert np.array_equal(S, expected)
+            assert np.array_equal(np.signbit(S), np.signbit(expected))
+
 
 class TestNullifiers:
     def test_two_node(self):

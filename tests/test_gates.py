@@ -8,8 +8,10 @@ import pytest
 
 from cvmbqc.gates import (
     CZ_MATRIX,
+    PHASE_RESIDUAL_TOL,
     DegenerateHomodynePhasesError,
     HomodyneSetting,
+    PhaseSolveError,
     TwoModeCoefficients,
     TwoNodeCluster,
     canonical_cz_coefficients,
@@ -513,6 +515,26 @@ class TestSolvePhases:
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError, match="determinant"):
             solve_phases(2.0 * np.eye(2))
+
+    def test_ill_conditioned_targets(self):
+        # triangular targets with s a power of two keep det 1 exactly in
+        # floating point; singular-value ratios reach about 1e12
+        rng = np.random.default_rng(31)
+        for k in range(21):
+            s = 2.0 ** k
+            for x in rng.uniform(-s, s, size=8):
+                for T in ([[s, x], [0.0, 1.0 / s]], [[1.0 / s, 0.0], [x, s]]):
+                    assert solve_phases(T).residual <= PHASE_RESIDUAL_TOL, (s, x)
+        for T in (-np.eye(2), np.array([[1.0, 1e6], [0.0, 1.0]]), np.diag([1e6, 1e-6])):
+            assert solve_phases(T).residual <= PHASE_RESIDUAL_TOL
+
+    def test_residual_above_tol_raises(self):
+        # the closed form lands within rounding of this shear, not on it
+        target = np.array([[1.0, 0.5], [0.0, 1.0]])
+        residual = solve_phases(target).residual
+        assert residual > 0.0
+        with pytest.raises(PhaseSolveError, match=f"residual {residual:.3e}"):
+            solve_phases(target, tol=0.0)
 
 
 class TestCzTransform:

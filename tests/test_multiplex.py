@@ -201,6 +201,8 @@ class TestPipeline:
             simulate_pipeline(5.0, 1.0, inputs, clusters[:3], settings)
         with pytest.raises(ValueError, match="setting"):
             simulate_pipeline(5.0, 1.0, inputs, clusters, settings[:1])
+        with pytest.raises(ValueError, match="ticks_per_gap"):
+            simulate_pipeline(5.0, 1.0, inputs, clusters, settings, ticks_per_gap=0)
 
     def test_three_lanes_isolated(self):
         inputs, clusters, settings = _pipeline_fixture(3)

@@ -2,17 +2,32 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvmbqc
 from cvmbqc.runner import ConfigError, main, parse_angle
+
+SRC = str(Path(cvmbqc.__file__).resolve().parents[1])
 
 
 def write_config(tmp_path, body):
     path = tmp_path / "exp.ini"
     path.write_text(body)
     return str(path)
+
+
+def run_python(args, cwd):
+    """Run a fresh interpreter that imports this checkout's cvmbqc."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestParsing:
@@ -218,3 +233,61 @@ class TestPipeline:
         assert code == 0
         table = (tmp_path / "o" / "pipeline.csv").read_text().splitlines()
         assert table[0] == "name,value,threshold,comparison,passed"
+
+
+class TestBadInputExitCode:
+    """Inputs rejected by the runner or inside the library exit 2 with a
+    config error line, never with a traceback."""
+
+    @pytest.mark.parametrize("kind,text", [
+        ("gate", "[gate]\ntheta_in = 0.3\ntheta_1 = 0.3\n"),
+        ("compose", "[compose]\ntarget = 2, 0; 0, 1\n"),
+        ("pipeline", "[pipeline]\nduration = 5.0\ngap = 1.0\nlanes = 2\n"
+                     "ticks_per_gap = 0\n"
+                     "settings_lane0 = 0.9, 0.35\nsettings_lane1 = 1.0, 0.3\n"),
+        ("cluster-check", "[cluster-check]\ny_variance = -1\n"),
+        ("gate", "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\ny_variance = -1\n"),
+        ("pipeline", "[pipeline]\nduration = 5.0\ngap = 1.0\nlanes = 0\n"),
+        ("cz", "a = 1\n[cz]\n"),
+        ("cz", "[cz]\na = 50%\n"),
+        ("delayed-check", "[delayed-check]\nkappa = 1\nduration = 5\ngap = 1\nmultiples = 0\n"),
+        ("delayed-check", "[delayed-check]\nkappa = 1\nduration = 0\ngap = 0\n"),
+    ], ids=["degenerate-phases", "target-det", "ticks-per-gap", "cluster-variance",
+            "gate-variance", "no-lanes", "no-section-header", "bad-interpolation",
+            "zero-delay", "zero-period"])
+    def test_exits_2_without_traceback(self, tmp_path, kind, text):
+        cfg = write_config(tmp_path, text)
+        proc = run_python(["-m", "cvmbqc", kind, "--config", cfg, "--out", "o"],
+                          tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: ")
+        assert "Traceback" not in proc.stderr
+
+
+class TestColdPath:
+    """Only the spectrum oracle may load scipy."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        proc = run_python(["-c", "import sys, cvmbqc; "
+                                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                          tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_six_kinds_load_no_scipy(self, tmp_path):
+        cfg = write_config(tmp_path, (
+            "[cluster-check]\ny_variance = 0.05, 0.08\n"
+            "[delayed-check]\nkappa = 1.0\nduration = 5.0\ngap = 1.0\n"
+            "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\ny_variance = 0.05\n"
+            "sampling = true\n"
+            "[compose]\ntarget = 1, 0.5; 0, 1\ny_variance = 0.05\nsampling = true\n"
+            "[cz]\n" + TestPipeline.BODY + "sampling = true\n"))
+        script = (
+            "import sys\n"
+            "from cvmbqc.runner import main\n"
+            "for kind in ('cluster-check', 'delayed-check', 'gate', 'compose', 'cz', 'pipeline'):\n"
+            f"    assert main([kind, '--config', {cfg!r}, '--out', kind, '--seed', '5']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        proc = run_python(["-c", script], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
