@@ -8,6 +8,12 @@ preparation circuit but not the nullifier statistics when the sources are
 squeezed equally.  Cluster quality is measured through the nullifiers
 N_j = Y_j - sum_i A_ji X_i, and two-node inseparability through the
 criterion  var(N_1) + var(N_2) < 1/2  (strict).
+
+Everything here works on the adjacency and covariance arrays: edges and
+degrees come from the adjacency matrix, the cluster covariance is one
+product S diag(d) S^T, and the two-node check reads the 4x4 block of the
+two nodes.  Nullifiers are returned as ``LinearQuadratureExpr`` objects,
+each built from a single coefficient map, without expression arithmetic.
 """
 
 from __future__ import annotations
@@ -17,12 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import (
-    GaussianState,
-    expr_covariance,
-    x_quad,
-    y_quad,
-)
+from .quadrature import GaussianState, LinearQuadratureExpr, QuadratureIndex
 
 #: Two-node inseparability bound: the nullifier-variance sum must be below 1/2.
 VLF_BOUND = 0.5
@@ -63,8 +64,9 @@ class ClusterGraph:
         return int(self.adjacency[node].sum())
 
     def edges(self):
-        adj = self.adjacency
-        return [(i, j) for i in range(self.n_nodes) for j in range(i + 1, self.n_nodes) if adj[i, j]]
+        """Edges (i, j) with i < j as Python ints, in row-major order."""
+        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
+        return list(zip(rows.tolist(), cols.tolist()))
 
     @classmethod
     def from_text(cls, text: str) -> "ClusterGraph":
@@ -147,24 +149,27 @@ def unitary_to_symplectic(U: np.ndarray) -> np.ndarray:
 
 
 def nullifiers(graph: ClusterGraph) -> tuple:
-    """Nullifier expressions N_j = Y_j - sum_i A_ji X_i over cluster modes."""
-    adj = graph.adjacency
+    """Nullifier expressions N_j = Y_j - sum_i A_ji X_i over cluster modes.
+
+    Each expression is built from one coefficient map read off the
+    adjacency row: +1 on y_j and -1 on x_i for every neighbour i.
+    """
     out = []
-    for j in range(graph.n_nodes):
-        expr = y_quad(j)
-        for i in range(graph.n_nodes):
-            if adj[j, i]:
-                expr = expr - x_quad(i)
-        out.append(expr)
+    for j, row in enumerate(graph.adjacency):
+        coeffs = {QuadratureIndex(j, "y"): 1.0}
+        for i in np.flatnonzero(row).tolist():
+            coeffs[QuadratureIndex(i, "x")] = -1.0
+        out.append(LinearQuadratureExpr(coeffs))
     return tuple(out)
 
 
 def min_squeezing_threshold(graph: ClusterGraph) -> float:
     """Largest admissible source y variance: min over edges of 1/(2 + deg_i + deg_j)."""
-    edges = graph.edges()
-    if not edges:
+    rows, cols = np.nonzero(np.triu(graph.adjacency, 1))
+    if rows.size == 0:
         raise ValueError("threshold undefined: the graph has no edges")
-    return min(1.0 / (2 + graph.degree(i) + graph.degree(j)) for i, j in edges)
+    deg = graph.adjacency.sum(axis=1)
+    return float(np.min(1.0 / (2 + deg[rows] + deg[cols])))
 
 
 def generate_cluster(source_y_variances: Sequence[float],
@@ -190,11 +195,23 @@ def generate_cluster(source_y_variances: Sequence[float],
         vx = [float(v) for v in source_x_variances]
         if len(vx) != n or any(v <= 0 for v in vx):
             raise ValueError("invalid source x variances")
+    # interleaved source variances (vx_0, vy_0, vx_1, ...); the partner
+    # 1 / (16 vy) is inf for a subnormal vy and 0 once 16 vy overflows
+    d = np.empty(2 * n)
+    d[0::2] = vx
+    d[1::2] = vy
+    if not np.all((d > 0) & (d < np.inf)):
+        raise ValueError("quadrature variances must be positive and finite")
     if q is None:
         q = default_two_node_q() if n == 2 else np.eye(n)
-    sources = GaussianState.squeezed_vacuum(zip(vx, vy))
     S = unitary_to_symplectic(cluster_unitary(graph, q))
-    return GaussianState(S @ sources.mean, S @ sources.cov @ S.T)
+    # S diag(d) S^T with the diagonal applied as column scaling
+    return GaussianState(np.zeros(2 * n), (S * d) @ S.T)
+
+
+#: Rows of Y_i - X_j and Y_j - X_i over the quadratures (x_i, y_i, x_j, y_j).
+_VLF_ROWS = np.array([[0.0, 1.0, -1.0, 0.0],
+                      [-1.0, 0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -215,7 +232,7 @@ def vlf_two_node_check(state: GaussianState, node_pair=(0, 1)) -> VlfResult:
     i, j = node_pair
     if not (0 <= i < state.n_modes and 0 <= j < state.n_modes) or i == j:
         raise ValueError("invalid node pair")
-    exprs = [y_quad(i) - x_quad(j), y_quad(j) - x_quad(i)]
-    cov = expr_covariance(exprs, state.cov)
+    idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+    cov = _VLF_ROWS @ state.cov[np.ix_(idx, idx)] @ _VLF_ROWS.T
     total = float(cov[0, 0] + cov[1, 1])
     return VlfResult(total, total < VLF_BOUND - VLF_GUARD)

@@ -134,13 +134,15 @@ class TwoNodeCluster:
         vx = tuple(float(v) for v in self.x_variances)
         if len(vy) != 2 or len(vx) != 2:
             raise ValueError("a two-node cluster has exactly two sources")
-        if any(v <= 0 for v in vy + vx):
-            raise ValueError("source variances must be positive")
+        if not all(0 < v < math.inf for v in vy + vx):
+            raise ValueError("source variances must be positive and finite")
         object.__setattr__(self, "y_variances", vy)
         object.__setattr__(self, "x_variances", vx)
 
     @classmethod
     def from_y_variances(cls, v1: float, v2: float, excess: float = 1.0) -> "TwoNodeCluster":
+        if not (v1 > 0 and v2 > 0):
+            raise ValueError("source variances must be positive and finite")
         return cls((v1, v2), (excess / (16.0 * v1), excess / (16.0 * v2)))
 
     def vlf_sum(self) -> float:
@@ -625,6 +627,21 @@ class PhaseSolution:
     matrix: np.ndarray
 
 
+def _det_and_is_one(m: np.ndarray) -> tuple[float, bool]:
+    """Determinant of the 2x2 matrix ``m`` and whether it is 1 up to rounding.
+
+    The computed determinant of [[a, b], [c, d]] carries a rounding error of
+    a few eps * (|a d| + |b c|), which outgrows any fixed tolerance on
+    ill-conditioned matrices, so the tolerance scales with it.  This only
+    screens out matrices that are clearly not determinant-one; the residual
+    checks downstream (the phase solver's, the symplectic one) are the real
+    gates.
+    """
+    det = float(np.linalg.det(m))
+    scale = abs(m[0, 0] * m[1, 1]) + abs(m[0, 1] * m[1, 0])
+    return det, abs(det - 1.0) <= 1e-9 + 8.0 * np.finfo(float).eps * scale
+
+
 def _setting_from_half_sum_diff(theta_plus, theta_minus, beta_0):
     return HomodyneSetting((theta_plus + theta_minus) / 2.0,
                            (theta_plus - theta_minus) / 2.0, beta_0)
@@ -650,8 +667,8 @@ def solve_phases(target: np.ndarray, tol: float = PHASE_RESIDUAL_TOL,
     target = np.asarray(target, dtype=float)
     if target.shape != (2, 2):
         raise ValueError("target must be a 2x2 matrix")
-    det = float(np.linalg.det(target))
-    if abs(det - 1.0) > 1e-9:
+    det, is_one = _det_and_is_one(target)
+    if not is_one:
         raise ValueError(f"target determinant {det:.12g} is not 1")
 
     U, s, Vt = np.linalg.svd(target)
@@ -712,8 +729,8 @@ class TwoModeCoefficients:
         if a.shape != (2, 2) or b.shape != (2, 2):
             raise ValueError("invalid blocks: both must be 2x2")
         for name, blk in (("a", a), ("b", b)):
-            det = float(np.linalg.det(blk))
-            if abs(det - 1.0) > 1e-9:
+            det, is_one = _det_and_is_one(blk)
+            if not is_one:
                 raise ValueError(
                     f"invalid blocks: det({name}) = {det:.12g}, a realizable "
                     "single-mode Gaussian gate needs determinant 1")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -296,10 +297,9 @@ def simulate_pipeline(duration: float, gap: float,
         emit((lane + steps * n_lanes) * period_ticks, "switch", lane, "eject")
 
     # exactly one inject and one eject per lane
+    counts = Counter((ev.lane, ev.action) for ev in events)
     for lane in range(n_lanes):
-        injects = sum(1 for ev in events if ev.lane == lane and ev.action == "inject")
-        ejects = sum(1 for ev in events if ev.lane == lane and ev.action == "eject")
-        if injects != 1 or ejects != 1:
+        if counts[lane, "inject"] != 1 or counts[lane, "eject"] != 1:
             raise LaneCollisionError(f"lane {lane} scheduling is inconsistent")
 
     events.sort(key=lambda ev: (ev.tick, ev.lane, ev.element))

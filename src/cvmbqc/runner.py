@@ -28,6 +28,7 @@ from . import cluster as clus
 from . import gates, laser, multiplex
 from .quadrature import (
     VACUUM_VARIANCE,
+    check_uncertainty,
     expr_covariance,
     omega_matrix,
     x_quad,
@@ -151,15 +152,19 @@ def parse_angle(text: str) -> float:
     """Angles as plain floats or simple pi fractions: 'pi/2', '-3pi/4', '0.5pi'."""
     t = text.strip().lower().replace(" ", "")
     m = _PI_FORM.match(t)
-    if m:
-        num = m.group(1)
-        factor = 1.0 if num in ("", "+") else (-1.0 if num == "-" else float(num))
-        div = float(m.group(2)) if m.group(2) else 1.0
-        return factor * math.pi / div
     try:
-        return float(t)
-    except ValueError:
+        if m:
+            num = m.group(1)
+            factor = 1.0 if num in ("", "+") else (-1.0 if num == "-" else float(num))
+            div = float(m.group(2)) if m.group(2) else 1.0
+            angle = factor * math.pi / div
+        else:
+            angle = float(t)
+    except (ValueError, ZeroDivisionError):
         raise ConfigError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(angle):
+        raise ConfigError(f"angle {text!r} is not finite")
+    return angle
 
 
 def _parse_floats(text: str) -> list:
@@ -168,7 +173,10 @@ def _parse_floats(text: str) -> list:
 
 def _parse_matrix(text: str) -> np.ndarray:
     rows = [r for r in text.split(";") if r.strip()]
-    return np.array([[float(tok) for tok in row.split(",")] for row in rows])
+    m = np.array([[float(tok) for tok in row.split(",")] for row in rows])
+    if not np.all(np.isfinite(m)):
+        raise ConfigError(f"matrix {text!r} has a value that is not finite")
+    return m
 
 
 class Params:
@@ -190,9 +198,12 @@ class Params:
         if raw is None or isinstance(raw, float):
             return raw
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"[{self.kind}] {key} = {raw!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"[{self.kind}] {key} = {raw!r} is not finite")
+        return value
 
     def get_int(self, key, default=None, required=False):
         raw = self._raw(key, default, required)
@@ -218,9 +229,12 @@ class Params:
         if raw is None or isinstance(raw, list):
             return raw
         try:
-            return _parse_floats(raw)
+            values = _parse_floats(raw)
         except ValueError:
             raise ConfigError(f"[{self.kind}] {key} = {raw!r} is not a number list") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"[{self.kind}] {key} = {raw!r} has a value that is not finite")
+        return values
 
     def get_angle(self, key, default=None, required=False):
         raw = self._raw(key, default, required)
@@ -324,9 +338,12 @@ def _run_cluster_check(cfg: ExperimentConfig) -> ResultRecord:
     variances = p.get_floats("y_variance", required=True)
     if graph.n_nodes < 2:
         raise ConfigError("[cluster-check] graph needs at least two nodes")
+    if not variances:
+        raise ConfigError("[cluster-check] y_variance needs at least one value")
 
     threshold = clus.min_squeezing_threshold(graph)
     pairwise = graph.n_nodes == 2  # the inseparability sum applies to pairs
+    exprs = clus.nullifiers(graph)
     rows = {"y_variance": [], "nullifier_sum": [], "verdict": []}
     verdicts = []
     for v in variances:
@@ -341,7 +358,6 @@ def _run_cluster_check(cfg: ExperimentConfig) -> ResultRecord:
         else:
             # larger graphs: evaluate the nullifier variances directly and
             # check the source squeezing against the edge threshold
-            exprs = clus.nullifiers(graph)
             nullifier_sum = float(np.trace(expr_covariance(exprs, state.cov)))
             passed = v < threshold
             verdicts.append(Verdict(
@@ -421,7 +437,13 @@ def _input_cov(p: Params) -> np.ndarray:
     vals = p.get_floats("input_cov", [VACUUM_VARIANCE, 0.0, VACUUM_VARIANCE])
     if len(vals) != 3:
         raise ConfigError(f"[{p.kind}] input_cov needs 3 numbers: xx, xy, yy")
-    return np.array([[vals[0], vals[1]], [vals[1], vals[2]]])
+    cov = np.array([[vals[0], vals[1]], [vals[1], vals[2]]])
+    if not (vals[0] > 0 and vals[2] > 0):
+        raise ConfigError(f"[{p.kind}] input_cov needs positive variances xx and yy")
+    if not check_uncertainty(cov):
+        raise ConfigError(f"[{p.kind}] input_cov breaks the uncertainty bound "
+                          "xx*yy - xy^2 >= 1/16")
+    return cov
 
 
 def _cluster_from(p: Params, suffix: str = "") -> gates.TwoNodeCluster:
@@ -510,7 +532,10 @@ def _run_compose(cfg: ExperimentConfig) -> ResultRecord:
     solver_residual = None
     if target_text is not None:
         target = _parse_matrix(target_text)
-        solution = gates.solve_phases(target, beta_0=beta0)
+        try:
+            solution = gates.solve_phases(target, beta_0=beta0)
+        except gates.PhaseSolveError as exc:
+            raise ConfigError(f"[compose] {exc}") from None
         s1, s2 = solution.setting_1, solution.setting_2
         solver_residual = solution.residual
     else:
@@ -631,15 +656,15 @@ def _run_pipeline(cfg: ExperimentConfig) -> ResultRecord:
     for lane, out in enumerate(result.outputs):
         direct = gates.run_steps(inputs[lane], [cluster] * steps, settings[lane],
                                  allow_unentangled=allow)
+        lane_cov = gates.output_covariance(out, {0: cov_in})
         delta = max(
             float(np.max(np.abs(out.signal_matrix - direct.signal_matrix))),
-            float(np.max(np.abs(gates.output_covariance(out, {0: cov_in})
+            float(np.max(np.abs(lane_cov
                                 - gates.output_covariance(direct, {0: cov_in})))))
         isolation = max(isolation, delta)
         lane_rows["lane"].append(lane)
         lane_rows["signal"].append(out.signal_matrix.tolist())
-        lane_rows["covariance"].append(
-            gates.output_covariance(out, {0: cov_in}).tolist())
+        lane_rows["covariance"].append(lane_cov.tolist())
 
     collisions = result.collisions()
     record = ResultRecord(

@@ -227,3 +227,110 @@ class TestGenerateCluster:
             vlf_two_node_check(state, (0, 0))
         with pytest.raises(ValueError, match="node pair"):
             vlf_two_node_check(state, (0, 5))
+
+
+# Reference versions of the cluster path as plain expression arithmetic and
+# full-width products; the array code must reproduce them bit for bit.
+
+def reference_edges(graph):
+    adj = graph.adjacency
+    n = graph.n_nodes
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if adj[i, j]]
+
+
+def reference_threshold(graph):
+    return min(1.0 / (2 + graph.degree(i) + graph.degree(j))
+               for i, j in reference_edges(graph))
+
+
+def reference_nullifiers(graph):
+    out = []
+    for j in range(graph.n_nodes):
+        expr = y_quad(j)
+        for i in range(graph.n_nodes):
+            if graph.adjacency[j, i]:
+                expr = expr - x_quad(i)
+        out.append(expr)
+    return out
+
+
+def reference_cov(vy, graph, q=None):
+    n = graph.n_nodes
+    if q is None:
+        q = default_two_node_q() if n == 2 else np.eye(n)
+    d = np.empty(2 * n)
+    d[0::2] = [1.0 / (16.0 * v) for v in vy]
+    d[1::2] = vy
+    S = unitary_to_symplectic(cluster_unitary(graph, q))
+    return S @ np.diag(d) @ S.T
+
+
+def reference_pair_sum(cov, i, j):
+    c = expr_covariance([y_quad(i) - x_quad(j), y_quad(j) - x_quad(i)], cov)
+    return float(c[0, 0] + c[1, 1])
+
+
+def reference_graphs():
+    rng = np.random.default_rng(1234)
+    graphs = [ClusterGraph.two_node()]
+    for n in (3, 10, 50, 200):
+        graphs += [ClusterGraph.chain(n), ClusterGraph.star(n)]
+    for n in (2, 4, 7, 16, 40, 90):
+        graphs.append(random_graph(rng, n))
+    sparse = np.triu((rng.random((120, 120)) < 0.05).astype(int), 1)
+    graphs.append(ClusterGraph(sparse + sparse.T))
+    return graphs
+
+
+@pytest.mark.parametrize("graph", reference_graphs(),
+                         ids=lambda g: f"n{g.n_nodes}e{len(reference_edges(g))}")
+class TestArrayPathMatchesReference:
+    def test_edges(self, graph):
+        got = graph.edges()
+        assert got == reference_edges(graph)
+        assert all(type(i) is int and type(j) is int for i, j in got)
+
+    def test_threshold(self, graph):
+        if not reference_edges(graph):
+            with pytest.raises(ValueError, match="no edges"):
+                min_squeezing_threshold(graph)
+            return
+        got = min_squeezing_threshold(graph)
+        assert type(got) is float
+        assert got == reference_threshold(graph)
+
+    def test_nullifiers(self, graph):
+        got = nullifiers(graph)
+        assert isinstance(got, tuple)
+        assert [e.canonical() for e in got] == [e.canonical() for e in reference_nullifiers(graph)]
+
+    def test_cluster_covariance_and_pair_sums(self, graph):
+        n = graph.n_nodes
+        vy = np.random.default_rng(n).uniform(0.01, 0.2, n).tolist()
+        state = generate_cluster(vy, graph)
+        want = reference_cov(vy, graph)
+        assert np.array_equal(state.cov, want)
+        assert np.array_equal(np.signbit(state.cov), np.signbit(want))
+        assert np.array_equal(state.mean, np.zeros(2 * n))
+        assert not np.any(np.signbit(state.mean))
+        for i, j in reference_edges(graph):
+            assert vlf_two_node_check(state, (i, j)).nullifier_sum == reference_pair_sum(state.cov, i, j)
+            assert vlf_two_node_check(state, (j, i)).nullifier_sum == reference_pair_sum(state.cov, j, i)
+
+
+def test_random_orthogonal_freedom_matches_reference():
+    rng = np.random.default_rng(77)
+    for n in (2, 3, 6, 25):
+        graph = random_graph(rng, n)
+        q = random_orthogonal(rng, n)
+        vy = rng.uniform(0.01, 0.2, n).tolist()
+        cov = generate_cluster(vy, graph, q).cov
+        want = reference_cov(vy, graph, q)
+        assert np.array_equal(cov, want)
+        assert np.array_equal(np.signbit(cov), np.signbit(want))
+
+
+def test_overflowing_y_variance_is_rejected():
+    # 16 * vy overflows, so the partner x variance 1 / (16 vy) is zero
+    with pytest.raises(ValueError, match="positive"):
+        generate_cluster([0.1, 1e308], ClusterGraph.two_node())

@@ -34,6 +34,7 @@ from cvmbqc.gates import (
 from cvmbqc.quadrature import (
     GaussianState,
     omega_matrix,
+    phase_rotation,
     x_quad,
     y_quad,
 )
@@ -528,6 +529,23 @@ class TestSolvePhases:
         for T in (-np.eye(2), np.array([[1.0, 1e6], [0.0, 1.0]]), np.diag([1e6, 1e-6])):
             assert solve_phases(T).residual <= PHASE_RESIDUAL_TOL
 
+    def test_rotated_ill_conditioned_targets(self):
+        # the computed determinant of R(a) diag(s, 1/s) R(b) is off from 1 by
+        # about eps * s**2, far beyond a fixed 1e-9 at s = 1e6
+        rng = np.random.default_rng(44)
+        targets = [phase_rotation(0.7) @ np.diag([3e4, 1 / 3e4]) @ phase_rotation(-1.1)]
+        for s in np.logspace(0.0, 6.0, 25):
+            for a, b in rng.uniform(-math.pi, math.pi, size=(4, 2)):
+                targets.append(phase_rotation(a) @ np.diag([s, 1 / s]) @ phase_rotation(b))
+        for T in targets:
+            assert solve_phases(T).residual <= PHASE_RESIDUAL_TOL
+
+    @pytest.mark.parametrize("target", [[[2.0, 0.0], [0.0, 1.0]],
+                                        [[1.0 + 1e-6, 0.0], [0.0, 1.0]]])
+    def test_rejects_determinant_off_one(self, target):
+        with pytest.raises(ValueError, match="determinant"):
+            solve_phases(np.array(target))
+
     def test_residual_above_tol_raises(self):
         # the closed form lands within rounding of this shear, not on it
         target = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -563,6 +581,14 @@ class TestCzTransform:
     def test_rejects_bad_blocks(self):
         with pytest.raises(ValueError, match="invalid blocks"):
             TwoModeCoefficients(2.0 * np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="invalid blocks"):
+            TwoModeCoefficients(np.eye(2), np.diag([1.0 + 1e-6, 1.0]))
+
+    def test_accepts_ill_conditioned_blocks(self):
+        a = phase_rotation(0.7) @ np.diag([3e4, 1 / 3e4]) @ phase_rotation(-1.1)
+        assert abs(np.linalg.det(a) - 1.0) > 1e-9
+        coeffs = TwoModeCoefficients(a, np.eye(2))
+        assert np.array_equal(coeffs.a, a)
 
     def test_gain_matrix_matches_layout(self):
         s = HomodyneSetting(0.9, 0.2)

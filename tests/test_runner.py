@@ -252,9 +252,32 @@ class TestBadInputExitCode:
         ("cz", "[cz]\na = 50%\n"),
         ("delayed-check", "[delayed-check]\nkappa = 1\nduration = 5\ngap = 1\nmultiples = 0\n"),
         ("delayed-check", "[delayed-check]\nkappa = 1\nduration = 0\ngap = 0\n"),
+        ("gate", "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\ninput_cov = 1, 0, -1\n"),
+        ("gate", "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\ninput_cov = 0.01, 0, 0.01\n"),
+        ("compose", "[compose]\ntarget = 1, 0.5; 0, 1\ninput_cov = 1, 0, -1\n"),
+        ("compose", "[compose]\ntarget = 1, 0.5; 0, 1\ninput_cov = 0.01, 0, 0.01\n"),
+        ("pipeline", TestPipeline.BODY + "input_cov = 1, 0, -1\n"),
+        ("pipeline", TestPipeline.BODY + "input_cov = 0.01, 0, 0.01\n"),
+        ("cluster-check", "[cluster-check]\ny_variance =\n"),
+        ("cluster-check", "[cluster-check]\ngraph = 0 1 0; 1 0 1; 0 1 0\ny_variance = 5e-324\n"),
+        ("gate", "[gate]\ntheta_in = 0\ntheta_1 = 0.35\ny_variance = 0\n"),
+        ("gate", "[gate]\ntheta_in = pi/0\ntheta_1 = 0.35\n"),
+        ("gate", "[gate]\ntheta_in = nan\ntheta_1 = 0.35\n"),
+        ("cluster-check", "[cluster-check]\ny_variance = 0.05, inf\n"),
+        ("compose", "[compose]\ntarget = nan, 0; 0, 1\n"),
+        # R(0.7) diag(3e8, 1/3e8) R(-1.1): det 1 within rounding, residual far off
+        ("compose", "[compose]\ntarget = 104078834.8964697, 204489895.9780269; "
+                    "87664393.28543168, 172239463.30439582\n"),
+        ("delayed-check", "[delayed-check]\nkappa = 1\nduration = 5\ngap = 1\nmultiples = inf\n"),
     ], ids=["degenerate-phases", "target-det", "ticks-per-gap", "cluster-variance",
             "gate-variance", "no-lanes", "no-section-header", "bad-interpolation",
-            "zero-delay", "zero-period"])
+            "zero-delay", "zero-period",
+            "gate-input-negative-variance", "gate-input-uncertainty",
+            "compose-input-negative-variance", "compose-input-uncertainty",
+            "pipeline-input-negative-variance", "pipeline-input-uncertainty",
+            "empty-y-variance", "cluster-variance-underflow", "gate-zero-variance",
+            "angle-over-zero", "nan-angle", "inf-variance", "nan-target",
+            "unreachable-target", "inf-multiple"])
     def test_exits_2_without_traceback(self, tmp_path, kind, text):
         cfg = write_config(tmp_path, text)
         proc = run_python(["-m", "cvmbqc", kind, "--config", cfg, "--out", "o"],
