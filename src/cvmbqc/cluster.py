@@ -140,6 +140,15 @@ def unitary_to_symplectic(U: np.ndarray) -> np.ndarray:
     n = U.shape[0]
     if U.shape != (n, n) or np.max(np.abs(U @ U.conj().T - np.eye(n))) > 1e-10:
         raise ValueError("input is not unitary")
+    return _real_form(U)
+
+
+def _real_form(U: np.ndarray) -> np.ndarray:
+    """The real 2n x 2n form of a square complex U, without a unitarity check.
+
+    For callers that hold U from :func:`cluster_unitary`, which has checked it.
+    """
+    n = U.shape[0]
     S = np.empty((2 * n, 2 * n))
     S[0::2, 0::2] = U.real
     S[0::2, 1::2] = -U.imag
@@ -204,7 +213,7 @@ def generate_cluster(source_y_variances: Sequence[float],
         raise ValueError("quadrature variances must be positive and finite")
     if q is None:
         q = default_two_node_q() if n == 2 else np.eye(n)
-    S = unitary_to_symplectic(cluster_unitary(graph, q))
+    S = _real_form(cluster_unitary(graph, q))
     # S diag(d) S^T with the diagonal applied as column scaling
     return GaussianState(np.zeros(2 * n), (S * d) @ S.T)
 

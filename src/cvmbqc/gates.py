@@ -41,7 +41,10 @@ and photocurrent covariances are Q Sigma Q^T and R Sigma R^T, so sampling
 factors one 2k x 2k matrix.  The expression views are built from the
 arrays: ``exprs`` once per output, ``noise_terms`` and ``measured`` when
 read.  The covariance oracle below conditions dense symplectic states
-instead and shares none of this code.
+instead and shares none of this code: one step builds the 6x6 joint state
+of the input, the two sources and the mixing beam splitter, and conditions
+it on both homodyne results with one eigendecomposition of the 2x2
+measured block.
 
 Two chained steps compose to M(tp', tm') M(tp, tm), which reaches every
 determinant-one real 2x2 matrix; :func:`solve_phases` inverts that map in
@@ -60,7 +63,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cluster import VLF_BOUND, ClusterGraph, cluster_unitary, default_two_node_q, unitary_to_symplectic
+from .cluster import VLF_BOUND, ClusterGraph, _real_form, cluster_unitary, default_two_node_q
 from .quadrature import (
     VACUUM_VARIANCE,
     GaussianState,
@@ -495,6 +498,14 @@ class ConditionedGaussian:
     measured_cov: np.ndarray
 
 
+#: Smallest eigenvalue of the measured covariance accepted by conditioning.
+MEASURED_EIG_MIN = 1e-14
+
+#: Inverse eigenvalues at or below this fraction of the largest are zeroed,
+#: numpy's default ``pinv`` cutoff.
+PINV_RCOND = 1e-15
+
+
 def condition_homodyne(state: GaussianState, measured_angles: Mapping[int, float],
                        outcomes: Mapping[int, float] | None = None) -> ConditionedGaussian:
     """Condition a Gaussian state on homodyne results via the Schur complement.
@@ -504,10 +515,15 @@ def condition_homodyne(state: GaussianState, measured_angles: Mapping[int, float
     must be disjoint from the kept modes (every mode is either measured or
     kept).  The conditional covariance of the kept block is
 
-        Sigma_kk - Sigma_km pinv(Sigma_mm) Sigma_km^T
+        Sigma_kk - Sigma_km pinv(Sigma_mm) Sigma_km^T.
 
-    with the pseudo-inverse taken on the measured subspace; a measured
-    variance below 1e-14 is rejected as ill-conditioned.
+    One eigendecomposition Sigma_mm = V diag(w) V^T serves both the screen
+    and the inverse: a smallest eigenvalue below 1e-14 is rejected as
+    ill-conditioned, and pinv(Sigma_mm) = V diag(1/w) V^T with 1/w set to
+    zero for w <= 1e-15 max(w), the cutoff of numpy's ``pinv``.  Built in
+    pinv's order, this equals ``np.linalg.pinv(Sigma_mm, hermitian=True)``,
+    which would decompose Sigma_mm a second time.  The kept rows and block
+    are read from the covariance by index.
     """
     n = state.n_modes
     measured_modes = tuple(sorted(measured_angles))
@@ -525,19 +541,23 @@ def condition_homodyne(state: GaussianState, measured_angles: Mapping[int, float
         P[row, 2 * mode] = math.cos(angle)
         P[row, 2 * mode + 1] = math.sin(angle)
     kept_idx = [i for m in kept_modes for i in (2 * m, 2 * m + 1)]
-    K = np.zeros((len(kept_idx), 2 * n))
-    for row, idx in enumerate(kept_idx):
-        K[row, idx] = 1.0
 
-    sigma_mm = P @ state.cov @ P.T
-    if np.min(np.linalg.eigvalsh(sigma_mm)) < 1e-14:
-        raise ValueError("ill-conditioned measured variance (< 1e-14)")
-    sigma_km = K @ state.cov @ P.T
-    gain = sigma_km @ np.linalg.pinv(sigma_mm, hermitian=True)
-    cov_cond = K @ state.cov @ K.T - gain @ sigma_km.T
+    cov = state.cov
+    sigma_mm = P @ cov @ P.T
+    w, V = np.linalg.eigh(sigma_mm)  # ascending eigenvalues
+    if w[0] < MEASURED_EIG_MIN:
+        raise ValueError(f"ill-conditioned measured variance (< {MEASURED_EIG_MIN:g})")
+    # descending and multiplied in pinv's order, so the inverse rounds as pinv's does
+    w, V = w[::-1], V[:, ::-1]
+    inv_w = 1.0 / w
+    inv_w[w <= PINV_RCOND * w[0]] = 0.0
+    cov_kept = cov.take(kept_idx, axis=0)
+    sigma_km = cov_kept @ P.T
+    gain = sigma_km @ (V @ (inv_w[:, None] * V.T))
+    cov_cond = cov_kept.take(kept_idx, axis=1) - gain @ sigma_km.T
     cov_cond = 0.5 * (cov_cond + cov_cond.T)
 
-    mean_kept = state.mean[kept_idx]
+    mean_kept = state.mean.take(kept_idx)
     if outcomes is not None:
         m_vals = np.array([float(outcomes[m]) for m in measured_modes])
         mean_kept = mean_kept + gain @ (m_vals - P @ state.mean)
@@ -555,12 +575,16 @@ def _step_symplectic() -> np.ndarray:
     first use rather than at import, so processes that never run the oracle
     do not load the LAPACK routines it needs.
     """
-    S_cluster = embed(unitary_to_symplectic(
+    S_cluster = embed(_real_form(
         cluster_unitary(ClusterGraph.two_node(), default_two_node_q())), (1, 2), 3)
     S_mix = np.kron(np.array([[-1.0, 1.0], [1.0, 1.0]]) / _SQRT2, np.eye(2))
     S = embed(S_mix, (0, 1), 3) @ S_cluster
     S.setflags(write=False)
     return S
+
+
+#: Diagonal positions of the source quadratures (x1, y1, x2, y2) in the joint state.
+_SOURCE_DIAG = np.arange(2, 6)
 
 
 def step_joint_state(input_cov: np.ndarray, cluster: TwoNodeCluster) -> GaussianState:
@@ -577,8 +601,7 @@ def step_joint_state(input_cov: np.ndarray, cluster: TwoNodeCluster) -> Gaussian
     v1, v2 = cluster.y_variances
     joint = np.zeros((6, 6))
     joint[:2, :2] = input_cov
-    joint[2:4, 2:4] = np.diag([u1, v1])
-    joint[4:6, 4:6] = np.diag([u2, v2])
+    joint[_SOURCE_DIAG, _SOURCE_DIAG] = (u1, v1, u2, v2)
     S = _step_symplectic()
     return GaussianState(np.zeros(6), S @ joint @ S.T)
 

@@ -241,7 +241,7 @@ SYMMETRY_TOL = 1e-12
 
 
 def _check_symmetric(cov: np.ndarray) -> None:
-    if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(cov)))):
+    if abs(cov - cov.T).max() > SYMMETRY_TOL * max(1.0, float(abs(cov).max())):
         raise ValueError("covariance must be symmetric")
 
 

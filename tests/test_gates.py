@@ -31,6 +31,7 @@ from cvmbqc.gates import (
     solve_phases,
     step_joint_state,
 )
+from cvmbqc.runner import STEP_ORACLE_TOL
 from cvmbqc.quadrature import (
     GaussianState,
     omega_matrix,
@@ -301,6 +302,125 @@ class TestConditioningOracle:
         assert check_uncertainty(state.cov).satisfied
 
 
+def reference_condition_homodyne(state, measured_angles, outcomes=None):
+    """Conditioning as first written: 0/1 selection products, an eigvalsh
+    screen and numpy's pinv, two decompositions of the measured block."""
+    n = state.n_modes
+    measured_modes = tuple(sorted(measured_angles))
+    kept_modes = tuple(m for m in range(n) if m not in measured_angles)
+    P = np.zeros((len(measured_modes), 2 * n))
+    for row, mode in enumerate(measured_modes):
+        angle = float(measured_angles[mode])
+        P[row, 2 * mode] = math.cos(angle)
+        P[row, 2 * mode + 1] = math.sin(angle)
+    kept_idx = [i for m in kept_modes for i in (2 * m, 2 * m + 1)]
+    K = np.zeros((len(kept_idx), 2 * n))
+    for row, idx in enumerate(kept_idx):
+        K[row, idx] = 1.0
+    sigma_mm = P @ state.cov @ P.T
+    if np.min(np.linalg.eigvalsh(sigma_mm)) < 1e-14:
+        raise ValueError("ill-conditioned measured variance (< 1e-14)")
+    sigma_km = K @ state.cov @ P.T
+    gain = sigma_km @ np.linalg.pinv(sigma_mm, hermitian=True)
+    cov_cond = K @ state.cov @ K.T - gain @ sigma_km.T
+    cov_cond = 0.5 * (cov_cond + cov_cond.T)
+    mean_kept = state.mean[kept_idx]
+    if outcomes is not None:
+        m_vals = np.array([float(outcomes[m]) for m in measured_modes])
+        mean_kept = mean_kept + gain @ (m_vals - P @ state.mean)
+    return GaussianState(mean_kept, cov_cond), kept_modes, measured_modes, gain, sigma_mm
+
+
+def assert_rel_close(actual, expected, rel=1e-12):
+    """max |actual - expected| <= rel * max |expected| (or rel when that is 0)."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    scale = max(float(np.max(np.abs(expected), initial=0.0)), 1.0e-300)
+    assert float(np.max(np.abs(actual - expected), initial=0.0)) <= rel * max(scale, 1.0)
+
+
+class TestConditioningAgainstReference:
+    """One eigendecomposition and index selection vs the two-decomposition form."""
+
+    @staticmethod
+    def random_state(rng, n):
+        A = rng.normal(size=(2 * n, 2 * n))
+        cov = A @ A.T / (2 * n) + rng.uniform(0.05, 0.5) * np.eye(2 * n)
+        return GaussianState(rng.normal(size=2 * n), cov)
+
+    def assert_matches(self, state, angles, outcomes=None):
+        ref_state, kept, measured, ref_gain, ref_mm = reference_condition_homodyne(
+            state, angles, outcomes)
+        cond = condition_homodyne(state, angles, outcomes)
+        assert cond.kept_modes == kept and cond.measured_modes == measured
+        assert_rel_close(cond.state.cov, ref_state.cov)
+        assert_rel_close(cond.state.mean, ref_state.mean)
+        assert_rel_close(cond.bayes_gain, ref_gain)
+        assert_rel_close(cond.measured_cov, ref_mm)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_states_and_subsets(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            state = self.random_state(rng, n)
+            size = int(rng.integers(1, n))
+            modes = rng.choice(n, size=size, replace=False).tolist()
+            angles = {m: float(rng.uniform(-math.pi, math.pi)) for m in modes}
+            outcomes = {m: float(rng.normal()) for m in modes}
+            self.assert_matches(state, angles)
+            self.assert_matches(state, angles, outcomes)
+
+    def test_oracle_joint_states(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            setting = random_setting(rng)
+            cluster = TwoNodeCluster.from_y_variances(
+                *rng.uniform(0.005, 0.12, 2), rng.uniform(1.0, 20.0))
+            state = step_joint_state(random_input_cov(rng), cluster)
+            self.assert_matches(state, {0: setting.theta_in, 1: setting.theta_1})
+
+    @staticmethod
+    def diagonal_block_state(small, large=1.0, coupling=0.0):
+        """Modes 0 and 1 measured at angle 0 see Sigma_mm = diag(large, small)
+        exactly; ``coupling`` correlates x_1 with the kept x_2."""
+        cov = np.diag([large, 0.25, small, 0.25, 0.5, 0.5])
+        cov[2, 4] = cov[4, 2] = coupling
+        return GaussianState(np.zeros(6), cov)
+
+    @pytest.mark.parametrize("small,rejected", [(0.5e-14, True), (1e-14, False),
+                                                (2e-14, False)])
+    def test_screen_verdict_at_the_edge(self, small, rejected):
+        state = self.diagonal_block_state(small)
+        angles = {0: 0.0, 1: 0.0}
+        verdicts = []
+        for fn in (reference_condition_homodyne, condition_homodyne):
+            try:
+                fn(state, angles)
+                verdicts.append(False)
+            except ValueError as exc:
+                assert "ill-conditioned" in str(exc)
+                verdicts.append(True)
+        assert verdicts == [rejected, rejected]
+        if not rejected:
+            self.assert_matches(state, angles)
+
+    def test_pinv_cutoff_zeroes_small_eigenvalue(self):
+        # 5e-14 passes the 1e-14 screen but lies below 1e-15 * 100, so the
+        # pseudo-inverse drops it: the kept x_2 learns nothing from x_1,
+        # where a plain inverse would give it a gain of 1e-14 / 5e-14
+        state = self.diagonal_block_state(5e-14, large=100.0, coupling=1e-14)
+        angles = {0: 0.0, 1: 0.0}
+        cond = condition_homodyne(state, angles)
+        assert np.all(cond.bayes_gain[:, 1] == 0.0)
+        self.assert_matches(state, angles, outcomes={0: 0.3, 1: -2.0})
+        # just above the cutoff the direction is inverted, by both
+        state = self.diagonal_block_state(2e-13, large=100.0, coupling=1e-14)
+        cond = condition_homodyne(state, angles)
+        assert cond.bayes_gain[0, 1] == pytest.approx(0.05, rel=1e-12)
+        self.assert_matches(state, angles)
+
+
 class TestFeedForward:
     def _output(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
@@ -427,6 +547,59 @@ class TestChainAgainstOracle:
     @pytest.mark.parametrize("k", [2, 8, 32, 64, 128])
     def test_realistic_angles(self, k, seed):
         assert self.relative_gap(np.random.default_rng(seed), k, wide=False) <= 1e-12
+
+    @staticmethod
+    def mutated_gap(seed, mutate):
+        """Engine on k = 32 realistic settings vs the oracle on mutated ones."""
+        rng = np.random.default_rng(seed)
+        k = 32
+        settings = chain_settings(rng, k)
+        cov_in = random_input_cov(rng)
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.05, 10.0)
+        out = run_steps((x_quad(0), y_quad(0)), [cluster] * k, settings)
+        engine = output_covariance(out, {0: cov_in})
+        oracle = cov_in
+        for setting in mutate(list(settings), int(rng.integers(k - 1))):
+            oracle = single_step_covariance_oracle(oracle, cluster, setting)
+        return float(np.max(np.abs(engine - oracle)))
+
+    @staticmethod
+    def shift_theta_in(settings, j):
+        s = settings[j]
+        settings[j] = HomodyneSetting(s.theta_in + 1e-6, s.theta_1)
+        return settings
+
+    @staticmethod
+    def exchange_neighbours(settings, j):
+        settings[j], settings[j + 1] = settings[j + 1], settings[j]
+        return settings
+
+    @staticmethod
+    def negate_theta_1(settings, j):
+        s = settings[j]
+        settings[j] = HomodyneSetting(s.theta_in, -s.theta_1)
+        return settings
+
+    @staticmethod
+    def swap_in_and_1(settings, j):
+        s = settings[j]
+        settings[j] = HomodyneSetting(s.theta_1, s.theta_in)
+        return settings
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("mutation", ["shift_theta_in", "exchange_neighbours",
+                                          "negate_theta_1"])
+    def test_mutated_step_fails_the_oracle_check(self, mutation, seed):
+        # the agreement check must be able to fail on a wrong program
+        gap = self.mutated_gap(seed, getattr(self, mutation))
+        assert gap > STEP_ORACLE_TOL
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_swapped_phases_are_invisible_to_the_covariance(self, seed):
+        # swapping theta_in and theta_1 flips theta- only, and
+        # M(tp, -tm) = -M(tp, tm) acts on covariances as M(tp, tm) does, so
+        # no covariance check can see it; this pins down that blind spot
+        assert self.mutated_gap(seed, self.swap_in_and_1) <= STEP_ORACLE_TOL
 
     @pytest.mark.parametrize("seed", range(5))
     def test_wide_angles(self, seed):

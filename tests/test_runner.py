@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cvmbqc
+from cvmbqc import gates, runner
 from cvmbqc.runner import ConfigError, main, parse_angle
 
 SRC = str(Path(cvmbqc.__file__).resolve().parents[1])
@@ -180,6 +181,36 @@ class TestCompose:
         assert record["scalars"]["solver_residual"] <= 1e-6
         signal = np.array(record["scalars"]["signal_matrix"])
         np.testing.assert_allclose(signal, [[1.0, 0.5], [0.0, 1.0]], atol=1e-8)
+
+
+class TestOracleVerdictCanFail:
+    """A wrong feed-forward gain in the oracle must fail the agreement verdict."""
+
+    @pytest.mark.parametrize("kind,body", [
+        ("gate", "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\ny_variance = 0.05\n"),
+        ("compose", "[compose]\ntheta_in_1 = 0.9\ntheta_1_1 = 0.35\n"
+                    "theta_in_2 = 1.4\ntheta_1_2 = 0.6\ny_variance = 0.05\n"),
+        ("compose", "[compose]\ntarget = 1, 0.5; 0, 1\ny_variance = 0.05\n"),
+    ], ids=["gate", "compose-angles", "compose-target"])
+    def test_flipped_gain_sign_exits_1(self, tmp_path, monkeypatch, capsys, kind, body):
+        cfg = write_config(tmp_path, body)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+        real = gates.protocol_gains
+
+        def flipped(setting):
+            gains = real(setting).copy()
+            gains[0, 0] = -gains[0, 0]
+            return gains
+
+        monkeypatch.setattr(gates, "protocol_gains", flipped)
+        code = main([kind, "--config", cfg, "--out", str(tmp_path / "bad")])
+        assert code == 1
+        assert "[FAIL] oracle_agreement" in capsys.readouterr().out
+        record = json.loads((tmp_path / "bad" / f"{kind}.json").read_text())
+        verdicts = {v["name"]: v for v in record["verdicts"]}
+        assert verdicts["oracle_agreement"]["passed"] is False
+        assert record["passed"] is False
+        assert record["scalars"]["residuals"]["oracle"] > runner.STEP_ORACLE_TOL
 
 
 class TestCz:
