@@ -31,20 +31,28 @@ exactly):
 * balanced detection yields i = 2 * beta0 * (measured quadrature).
 
 Every step is affine in the quadratures and currents, so the engine holds a
-chain of k steps as small dense arrays (:class:`GateOutput`): the net 2x2
-signal matrix, the output rows over the 4k source quadratures and over the
-2k currents, and the measured rows A (over quadratures) and B (over earlier
-currents).  One step costs a few 2 x n matrix products, so a chain costs
-O(k) small products.  Substituting current = 2 beta0 quadrature is one
-unit-lower-triangular solve R = (I - B diag(2 beta0))^-1 A, and the output
-and photocurrent covariances are Q Sigma Q^T and R Sigma R^T, so sampling
-factors one 2k x 2k matrix.  The expression views are built from the
-arrays: ``exprs`` once per output, ``noise_terms`` and ``measured`` when
-read.  The covariance oracle below conditions dense symplectic states
-instead and shares none of this code: one step builds the 6x6 joint state
-of the input, the two sources and the mixing beam splitter, and conditions
-it on both homodyne results with one eigendecomposition of the 2x2
-measured block.
+chain of k steps as small dense arrays (:class:`GateOutput`), built in one
+pass from the cluster-node identities.  Step j homodynes its input against
+node 1 of cluster j, and its input is node 2 of cluster j - 1 (the chain
+input for j = 0), so each measured quadrature is a fixed row over the
+sources of two steps:
+
+    ports_j = D_j (input_j) + diag(-1, 1) D_j (X1_j, Y1_j),
+    D_j = [[-cos theta_in, -sin theta_in], [cos theta_1, sin theta_1]] / sqrt(2).
+
+These rows R, and the offset D_0 (input offset) of the first step, hold
+with every current replaced by its defining operator (current = 2 beta0
+quadrature); they carry no current columns and need no solve.  The output
+rows over the source quadratures and over the 2k currents come from the
+suffix products M_k ... M_{j+1} of the 2x2 gates, so a chain costs O(k).
+The output and photocurrent covariances are Q Sigma Q^T and R Sigma R^T,
+so sampling factors one 2k x 2k matrix.  The expression views are built
+from the arrays: ``exprs`` once per output, ``noise_terms`` and
+``measured`` when read.  The covariance oracle below conditions dense
+symplectic states instead and shares none of this code: one step builds
+the 6x6 joint state of the input, the two sources and the mixing beam
+splitter, and conditions it on both homodyne results with one
+eigendecomposition of the 2x2 measured block.
 
 Two chained steps compose to M(tp', tm') M(tp, tm), which reaches every
 determinant-one real 2x2 matrix; :func:`solve_phases` inverts that map in
@@ -84,9 +92,6 @@ DEFAULT_BETA_0 = 1e6
 
 #: Residual bound for the two-step phase solver.
 PHASE_RESIDUAL_TOL = 1e-6
-
-#: Opaque tag for the classical detection envelope carried by gate outputs.
-ENVELOPE_TAG = "L(t)"
 
 
 class DegenerateHomodynePhasesError(ValueError):
@@ -196,10 +201,11 @@ class GateOutput:
       accumulated -sqrt(2) squeezed-quadrature terms);
     * ``classical`` and ``offset`` - the output pair over the recorded
       currents, and its numeric classical part;
-    * ``measured_quad`` (A), ``measured_currents`` (B) and
-      ``measured_offset`` - each recorded quadrature as A q + B i + offset,
-      with q all quadrature columns and i the currents; B is strictly lower
-      triangular, since a measurement sees only earlier currents.
+    * ``measured_rows`` (R) and ``measured_offset`` (r0) - each recorded
+      quadrature as R q + r0 over the quadrature columns q, one row per
+      current.  Row pair j is the two ports of step j, taken from node 2 of
+      cluster j - 1 (the input for j = 0) and node 1 of cluster j, so every
+      row has at most 8 nonzero columns and carries no current.
 
     ``exprs`` is the (X_out, Y_out) expression view of the output rows,
     built once when the output is made; pass ``exprs=None`` to
@@ -211,8 +217,7 @@ class GateOutput:
     noise: np.ndarray
     classical: np.ndarray
     offset: np.ndarray
-    measured_quad: np.ndarray
-    measured_currents: np.ndarray
+    measured_rows: np.ndarray
     measured_offset: np.ndarray
     current_names: tuple
     input_modes: tuple
@@ -220,7 +225,6 @@ class GateOutput:
     clusters: tuple
     source_modes: tuple
     exprs: tuple | None = None
-    envelope_tag: str = ENVELOPE_TAG
 
     def __post_init__(self):
         if self.exprs is None:
@@ -270,11 +274,7 @@ class GateOutput:
     def measured(self) -> tuple:
         """Time-ordered (current name, measured quadrature expression) pairs."""
         return tuple(zip(self.current_names, _row_exprs(
-            self.measured_quad, self.modes, self.measured_currents, self.current_names,
-            self.measured_offset)))
-
-    def current_symbols(self) -> tuple:
-        return self.current_names
+            self.measured_rows, self.modes, offsets=self.measured_offset)))
 
 
 def _row_exprs(quad_rows, modes, current_rows=None, names=(), offsets=None) -> tuple:
@@ -314,26 +314,33 @@ def _source_pair(requested, used: set) -> tuple:
     return m1, m2
 
 
+#: sqrt(2) (X, Y) of node 1 and of node 2 over the cluster's sources
+#: (x_m1, y_m1, x_m2, y_m2), as in :func:`cluster_node_exprs`.
+_NODE_1 = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]])
+_NODE_2 = np.array([[0.0, -1.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
+
+#: The -sqrt(2) (y_m1, y_m2) term a step adds to its output pair.
+_STEP_NOISE = np.array([[0.0, -_SQRT2, 0.0, 0.0], [0.0, 0.0, 0.0, -_SQRT2]])
+
+#: diag(-1, 1) as a row-sign column: turns (cos, sin) rows into D sqrt(2).
+_PORT_SIGN = np.array([[-1.0], [1.0]])
+
+
 def _chain(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
            settings: Sequence[HomodyneSetting], source_modes, labels: Sequence[str],
            allow_unentangled: bool) -> GateOutput:
-    """Run the steps, each as two 2 x n products on the chain's arrays.
+    """Build the chain's arrays from the cluster-node identities.
 
-    The current (x, y) pair is one 2 x (n + 2k + 1) array W = [quadrature
-    columns | current columns | offset]; the measured rows of a step are
-    D W and the step maps W to M W, then writes its new source and current
-    columns.
+    With T_j the rows (cos, sin) of theta_in and theta_1 of step j and
+    D_j = diag(-1, 1) T_j / sqrt(2), step j measures D_j on its input and
+    T_j / sqrt(2) on node 1 of cluster j; its input is node 2 of cluster
+    j - 1, or the chain input for j = 0.  The output carries each step's
+    noise and current terms through the suffix product M_k ... M_{j+1}.
     """
     input_modes, input_rows, input_offset = _input_rows(input_exprs)
     k, n_in = len(settings), input_rows.shape[1]
-    n = n_in + 4 * k
-    W = np.zeros((2, n + 2 * k + 1))
-    W[:, :n_in] = input_rows
-    W[:, -1] = input_offset
-    measured = np.zeros((2 * k, n + 2 * k + 1))
-    signal = np.eye(2)
     used = set(input_modes)
-    pairs, names = [], []
+    pairs, names, matrices, trig, gains = [], [], [], [], []
     for j, (cluster, setting) in enumerate(zip(clusters, settings)):
         if cluster.vlf_sum() >= VLF_BOUND:
             if not allow_unentangled:
@@ -342,35 +349,43 @@ def _chain(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
                     f"{cluster.vlf_sum():g} >= {VLF_BOUND}); pass allow_unentangled=True to force")
             warnings.warn("running a measurement step on an unentangled cluster resource",
                           stacklevel=3)
-        M = gate_matrix(setting.theta_plus, setting.theta_minus)  # validates phases
+        matrices.append(gate_matrix(setting.theta_plus, setting.theta_minus))  # validates phases
         m1, m2 = _source_pair(source_modes[j] if source_modes is not None else None, used)
         used |= {m1, m2}
         pairs.append((m1, m2))
         names += [f"i_in{labels[j]}", f"i_1{labels[j]}"]
-
         cin, sin_ = math.cos(setting.theta_in), math.sin(setting.theta_in)
         c1, s1 = math.cos(setting.theta_1), math.sin(setting.theta_1)
-        r, col, cur = slice(2 * j, 2 * j + 2), n_in + 4 * j, n + 2 * j
-        # difference port (theta_in) and sum port (theta_1) of (input, node 1):
-        # measured = (cos t (X1 -/+ x) + sin t (Y1 -/+ y)) / sqrt 2 with
-        # X1 = (x_m1 + y_m2) / sqrt 2 and Y1 = (y_m1 - x_m2) / sqrt 2
-        measured[r] = np.array([[-cin, -sin_], [c1, s1]]) @ W / _SQRT2
-        measured[r, col:col + 4] = [[0.5 * cin, 0.5 * sin_, -0.5 * sin_, 0.5 * cin],
-                                    [0.5 * c1, 0.5 * s1, -0.5 * s1, 0.5 * c1]]
         pref = 1.0 / (setting.beta_0 * _SQRT2 * math.sin(setting.theta_minus))
-        W = M @ W
-        W[0, col + 1] = W[1, col + 3] = -_SQRT2  # -sqrt(2) y_m1 on X, y_m2 on Y
-        W[:, cur:cur + 2] = [[pref * c1, -pref * cin], [-pref * s1, pref * sin_]]
-        signal = M @ signal
+        trig.append(((cin, sin_), (c1, s1)))
+        gains.append(((pref * c1, -pref * cin), (-pref * s1, pref * sin_)))
+    trig = np.array(trig)
+
+    # row pair j over (step, 4 sources): node 1 of cluster j on the diagonal,
+    # node 2 of cluster j - 1 below it
+    sources = np.zeros((k, 2, k, 4))
+    steps = np.arange(k)
+    sources[steps, :, steps] = 0.5 * (trig @ _NODE_1)
+    sources[steps[1:], :, steps[:-1]] = 0.5 * ((_PORT_SIGN * trig[1:]) @ _NODE_2)
+    measured_rows = np.hstack([np.zeros((2 * k, n_in)), sources.reshape(2 * k, 4 * k)])
+    measured_offset = np.zeros(2 * k)
+    D0 = _PORT_SIGN * trig[0]
+    measured_rows[:2, :n_in] = D0 @ input_rows / _SQRT2
+    measured_offset[:2] = D0 @ input_offset / _SQRT2
+
+    suffix = np.empty((k, 2, 2))
+    signal = np.eye(2)
+    for j in range(k - 1, -1, -1):
+        suffix[j] = signal
+        signal = signal @ matrices[j]
     return GateOutput(
         signal_matrix=signal,
         input_rows=input_rows,
-        noise=W[:, n_in:n],
-        classical=W[:, n:-1],
-        offset=W[:, -1],
-        measured_quad=measured[:, :n],
-        measured_currents=measured[:, n:-1],
-        measured_offset=measured[:, -1],
+        noise=(suffix @ _STEP_NOISE).transpose(1, 0, 2).reshape(2, 4 * k),
+        classical=(suffix @ np.array(gains)).transpose(1, 0, 2).reshape(2, 2 * k),
+        offset=signal @ input_offset,
+        measured_rows=measured_rows,
+        measured_offset=measured_offset,
         current_names=tuple(names),
         input_modes=input_modes,
         settings=tuple(settings),
@@ -436,45 +451,27 @@ def compose_two_steps(setting_1: HomodyneSetting, setting_2: HomodyneSetting,
                       input_exprs: tuple, clusters: tuple,
                       source_modes: tuple | None = None,
                       allow_unentangled: bool = False) -> GateOutput:
-    """Two chained measurement steps; the signal part becomes M2 @ M1."""
+    """Two chained measurement steps; the signal part becomes M2 @ M1.
+
+    An alias of :func:`run_steps` with two settings, kept for callers that
+    name the two steps.
+    """
     return run_steps(input_exprs, clusters, (setting_1, setting_2),
                      source_modes, allow_unentangled)
-
-
-def _two_beta(output: GateOutput) -> np.ndarray:
-    """current / measured quadrature, 2 beta0, for every current."""
-    return 2.0 * np.repeat([s.beta_0 for s in output.settings], 2)
-
-
-def resolve_measured(output: GateOutput) -> tuple:
-    """Measured quadratures as pure operator rows over the quadrature columns.
-
-    Substituting every current by its defining operator (current =
-    2 beta0 quadrature) turns A q + B i + a0 into R q + r0 with
-
-        R = (I - B diag(2 beta0))^-1 A,   r0 = (I - B diag(2 beta0))^-1 a0,
-
-    a unit-lower-triangular solve.  Returns (R, r0), rows in the order of
-    ``output.current_names``.
-    """
-    two_beta = _two_beta(output)
-    L = np.eye(two_beta.size) - output.measured_currents * two_beta
-    rhs = np.hstack([output.measured_quad, output.measured_offset[:, None]])
-    solved = np.linalg.solve(L, rhs)
-    return solved[:, :-1], solved[:, -1]
 
 
 def sample_currents(output: GateOutput, input_blocks: Mapping[int, np.ndarray],
                     rng: np.random.Generator) -> dict:
     """Draw photocurrent records from their joint Gaussian law.
 
-    The measured quadratures have covariance R Sigma R^T over the resolved
-    rows R; currents are scaled by 2 beta0.
+    The measured quadratures have mean r0 and covariance R Sigma R^T over
+    the measured rows R; currents are scaled by 2 beta0.
     """
-    R, means = resolve_measured(output)
+    R = output.measured_rows
     sigma = R @ output.column_cov(input_blocks) @ R.T
-    draws = rng.multivariate_normal(means, sigma, method="svd")
-    return dict(zip(output.current_names, (_two_beta(output) * draws).tolist()))
+    draws = rng.multivariate_normal(output.measured_offset, sigma, method="svd")
+    two_beta = 2.0 * np.repeat([s.beta_0 for s in output.settings], 2)
+    return dict(zip(output.current_names, (two_beta * draws).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ Conventions used throughout the package:
   block of mode j occupies rows/columns 2j and 2j + 1.
 * A phase rotation by angle phi multiplies the complex amplitude x + i*y
   by exp(i*phi).
-* Classical quantities (photocurrent records, local-oscillator amplitudes,
-  detection envelopes) ride along as symbolic offsets on operator
-  expressions and never enter covariances.
+* Classical quantities (photocurrent records, local-oscillator amplitudes)
+  ride along as symbolic offsets on operator expressions and never enter
+  covariances.
 """
 
 from __future__ import annotations
@@ -141,10 +141,6 @@ class LinearQuadratureExpr:
             else:
                 symbols[name] = c
         return LinearQuadratureExpr(self.coeffs, symbols, offset)
-
-    def without_classical(self) -> "LinearQuadratureExpr":
-        """Quantum part only: drop symbols and offset."""
-        return LinearQuadratureExpr(self.coeffs)
 
     def __repr__(self):
         parts = [f"{c:+g}*{idx!r}" for idx, c in sorted(self.coeffs.items())]

@@ -453,28 +453,36 @@ def _cluster_from(p: Params, suffix: str = "") -> gates.TwoNodeCluster:
     return gates.TwoNodeCluster.from_y_variances(v1, v2, factor)
 
 
-def _sampling_block(cfg: ExperimentConfig, out: gates.GateOutput,
-                    input_blocks: dict) -> tuple:
-    """Sample photocurrents, feed forward, and report the zeroed offsets."""
+def _sample_and_feed_forward(cfg: ExperimentConfig, outputs: list,
+                             input_blocks: dict) -> tuple:
+    """Sample each output's photocurrents from one seeded generator, in
+    order, feed them forward, and judge the corrected offsets.
+
+    Returns one record block per output (the currents, the shifts they put
+    on the output offsets, the corrected offsets and symbol counts) and the
+    feed_forward_offsets_zero verdict over all outputs.
+    """
     if cfg.seed is None:
         raise ConfigError(f"[{cfg.kind}] sampling mode needs --seed")
     rng = np.random.default_rng(cfg.seed)
-    currents = gates.sample_currents(out, input_blocks, rng)
-    shifts = [e.substitute(currents).offset for e in out.exprs]
-    corrected = gates.feed_forward(out, currents)
-    offsets = [e.offset for e in corrected.exprs]
-    leftover = [len(e.symbols) for e in corrected.exprs]
-    scalars = {
-        "currents": {k: _round12(v) for k, v in sorted(currents.items())},
-        "feed_forward_shifts": [_round12(s) for s in shifts],
-        "corrected_offsets": offsets,
-        "corrected_symbol_count": leftover,
-    }
-    ok = all(o == 0.0 for o in offsets) and all(c == 0 for c in leftover)
+    blocks = []
+    for out in outputs:
+        currents = gates.sample_currents(out, input_blocks, rng)
+        corrected = gates.feed_forward(out, currents)
+        blocks.append({
+            "currents": {k: _round12(v) for k, v in sorted(currents.items())},
+            "feed_forward_shifts": [_round12(e.substitute(currents).offset)
+                                    for e in out.exprs],
+            "corrected_offsets": [e.offset for e in corrected.exprs],
+            "corrected_symbol_count": [len(e.symbols) for e in corrected.exprs],
+        })
+    offsets = [o for b in blocks for o in b["corrected_offsets"]]
+    ok = (all(o == 0.0 for o in offsets)
+          and not any(c for b in blocks for c in b["corrected_symbol_count"]))
     verdict = Verdict("feed_forward_offsets_zero", ok,
                       float(max(abs(o) for o in offsets)), 0.0, "==",
                       "feed-forward leaves no classical values")
-    return scalars, verdict
+    return blocks, verdict
 
 
 def _run_gate(cfg: ExperimentConfig) -> ResultRecord:
@@ -514,8 +522,8 @@ def _run_gate(cfg: ExperimentConfig) -> ResultRecord:
                 STEP_ORACLE_TOL, "<=", "STEP_ORACLE_TOL"),
     ]
     if p.get_bool("sampling", False):
-        scalars, verdict = _sampling_block(cfg, out, {0: cov_in})
-        record.scalars["sampling"] = scalars
+        [record.scalars["sampling"]], verdict = _sample_and_feed_forward(
+            cfg, [out], {0: cov_in})
         record.verdicts.append(verdict)
     return record
 
@@ -577,8 +585,8 @@ def _run_compose(cfg: ExperimentConfig) -> ResultRecord:
             "phase_solver_residual", solver_residual <= PHASE_RESIDUAL_TOL,
             solver_residual, PHASE_RESIDUAL_TOL, "<=", "PHASE_RESIDUAL_TOL"))
     if p.get_bool("sampling", False):
-        scalars, verdict = _sampling_block(cfg, out, {0: cov_in})
-        record.scalars["sampling"] = scalars
+        [record.scalars["sampling"]], verdict = _sample_and_feed_forward(
+            cfg, [out], {0: cov_in})
         record.verdicts.append(verdict)
     return record
 
@@ -685,20 +693,8 @@ def _run_pipeline(cfg: ExperimentConfig) -> ResultRecord:
                 LANE_ISOLATION_TOL, "<=", "LANE_ISOLATION_TOL"),
     ]
     if p.get_bool("sampling", False):
-        if cfg.seed is None:
-            raise ConfigError("[pipeline] sampling mode needs --seed")
-        rng = np.random.default_rng(cfg.seed)
-        offsets_ok = True
-        worst = 0.0
-        for out in result.outputs:
-            currents = gates.sample_currents(out, {0: cov_in}, rng)
-            corrected = gates.feed_forward(out, currents)
-            for e in corrected.exprs:
-                offsets_ok = offsets_ok and e.offset == 0.0 and not e.symbols
-                worst = max(worst, abs(e.offset))
-        record.verdicts.append(Verdict(
-            "feed_forward_offsets_zero", offsets_ok, worst, 0.0, "==",
-            "feed-forward leaves no classical values"))
+        _, verdict = _sample_and_feed_forward(cfg, result.outputs, {0: cov_in})
+        record.verdicts.append(verdict)
     record.events = result.events
     return record
 

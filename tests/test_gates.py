@@ -23,7 +23,6 @@ from cvmbqc.gates import (
     gate_matrix,
     output_covariance,
     protocol_gains,
-    resolve_measured,
     run_steps,
     sample_currents,
     single_step,
@@ -34,6 +33,7 @@ from cvmbqc.gates import (
 from cvmbqc.runner import STEP_ORACLE_TOL
 from cvmbqc.quadrature import (
     GaussianState,
+    LinearQuadratureExpr,
     omega_matrix,
     phase_rotation,
     x_quad,
@@ -101,8 +101,8 @@ class TestGateMatrix:
 
 class TestSingleStep:
     def test_operator_identity(self):
-        # resolving the photocurrents into their defining operators
-        # (current = 2 beta0 quadrature) must reproduce the surviving
+        # with the photocurrents resolved into their defining operators
+        # (current = 2 beta0 quadrature), the output is the surviving
         # cluster node exactly
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -112,24 +112,24 @@ class TestSingleStep:
                               source_modes=(1, 2))
             assert out.modes == (0, 1, 2)
             _, (X2, Y2) = cluster_node_exprs((1, 2))
-            R, means = resolve_measured(out)
+            R = out.measured_rows
             full = out.quadrature_rows() + (out.classical * 2.0 * setting.beta_0) @ R
             ref = np.vstack([e.coefficient_vector(3) for e in (X2, Y2)])
             assert np.max(np.abs(full - ref)) <= 1e-12
-            assert not np.any(means) and not np.any(out.offset)
+            assert not np.any(out.measured_offset) and not np.any(out.offset)
 
-    def test_resolved_rows_follow_the_cluster_nodes(self):
-        # three chained steps: step j measures the difference and sum ports
-        # of (its input, node 1 of cluster j), its input being node 2 of
-        # cluster j - 1; with every current = 2 beta0 quadrature, the
-        # resolved rows and the output follow those operator identities
-        rng = np.random.default_rng(14)
-        settings = [random_setting(rng, beta_0=rng.uniform(0.5, 50.0)) for _ in range(3)]
-        clusters = [TwoNodeCluster.from_y_variances(*rng.uniform(0.01, 0.12, 2))
-                    for _ in range(3)]
-        out = run_steps((x_quad(0), y_quad(0)), clusters, settings)
-        assert out.modes == tuple(range(7))
-        R, means = resolve_measured(out)
+    @staticmethod
+    def assert_rows_follow_the_nodes(out, settings):
+        """Step j measures the difference and sum ports of (its input,
+        node 1 of cluster j), its input being node 2 of cluster j - 1; each
+        row equals its port to 1e-14 and has at most 8 nonzero columns.
+        Returns node 2 of the last cluster, the chain's output with every
+        current = 2 beta0 quadrature."""
+        n_modes = len(out.modes)
+        R = out.measured_rows
+        assert R.shape == (2 * len(settings), 2 * n_modes)
+        assert np.all(np.count_nonzero(R, axis=1) <= 8)
+        assert not np.any(out.measured_offset)
         h = 1.0 / math.sqrt(2.0)
         x, y = x_quad(0), y_quad(0)
         for j, (setting, modes) in enumerate(zip(settings, out.source_modes)):
@@ -139,13 +139,60 @@ class TestSingleStep:
             ports = (h * (cin * (X1 - x) + sin_ * (Y1 - y)),
                      h * (c1 * (X1 + x) + s1 * (Y1 + y)))
             for row, port in zip(R[2 * j:2 * j + 2], ports):
-                assert np.max(np.abs(row - port.coefficient_vector(7))) <= 1e-12
+                assert np.max(np.abs(row - port.coefficient_vector(n_modes))) <= 1e-14
             x, y = X2, Y2
+        return np.vstack([x.coefficient_vector(n_modes), y.coefficient_vector(n_modes)])
+
+    def test_resolved_rows_follow_the_cluster_nodes(self):
+        rng = np.random.default_rng(14)
+        settings = [random_setting(rng, beta_0=rng.uniform(0.5, 50.0)) for _ in range(3)]
+        clusters = [TwoNodeCluster.from_y_variances(*rng.uniform(0.01, 0.12, 2))
+                    for _ in range(3)]
+        out = run_steps((x_quad(0), y_quad(0)), clusters, settings)
+        assert out.modes == tuple(range(7))
+        ref = self.assert_rows_follow_the_nodes(out, settings)
         two_beta = 2.0 * np.repeat([s.beta_0 for s in settings], 2)
-        full = out.quadrature_rows() + (out.classical * two_beta) @ R
-        ref = np.vstack([x.coefficient_vector(7), y.coefficient_vector(7)])
+        full = out.quadrature_rows() + (out.classical * two_beta) @ out.measured_rows
         assert np.max(np.abs(full - ref)) <= 1e-12
-        assert not np.any(means)
+
+    def test_input_offset_reaches_only_the_first_ports(self):
+        # later steps measure cluster nodes, which carry no offset; with the
+        # currents resolved, the offset the output carries is cancelled
+        rng = np.random.default_rng(16)
+        settings = [random_setting(rng, beta_0=rng.uniform(0.5, 50.0)) for _ in range(3)]
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.07)
+        shifted = (x_quad(0) + LinearQuadratureExpr(offset=0.3),
+                   y_quad(0) + LinearQuadratureExpr(offset=-1.1))
+        out = run_steps(shifted, [cluster] * 3, settings)
+        s = settings[0]
+        h = 1.0 / math.sqrt(2.0)
+        ports = (-h * (math.cos(s.theta_in) * 0.3 - math.sin(s.theta_in) * 1.1),
+                 h * (math.cos(s.theta_1) * 0.3 - math.sin(s.theta_1) * 1.1))
+        assert np.max(np.abs(out.measured_offset[:2] - ports)) <= 1e-15
+        assert not np.any(out.measured_offset[2:])
+        np.testing.assert_allclose(out.offset, out.signal_matrix @ [0.3, -1.1], rtol=1e-15)
+        two_beta = 2.0 * np.repeat([s.beta_0 for s in settings], 2)
+        resolved = out.offset + (out.classical * two_beta) @ out.measured_offset
+        assert np.max(np.abs(resolved)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(100, 104))
+    @pytest.mark.parametrize("k", [3, 16, 48, 64])
+    def test_rows_follow_the_cluster_nodes_at_wide_angles(self, k, seed):
+        # wide angles make the gates, and so any row built by cancelling
+        # propagated current terms, grow far past 1
+        rng = np.random.default_rng(seed)
+        settings = [HomodyneSetting(s.theta_in, s.theta_1, rng.uniform(0.5, 50.0))
+                    for s in chain_settings(rng, k, wide=True)]
+        clusters = [TwoNodeCluster.from_y_variances(*rng.uniform(0.01, 0.12, 2))
+                    for _ in range(k)]
+        out = run_steps((x_quad(0), y_quad(0)), clusters, settings)
+        assert out.modes == tuple(range(1 + 2 * k))
+        ref = self.assert_rows_follow_the_nodes(out, settings)
+        # the output's current terms grow with the gates, so this identity
+        # is checked relative to their size
+        carried = out.classical * 2.0 * np.repeat([s.beta_0 for s in settings], 2)
+        full = out.quadrature_rows() + carried @ out.measured_rows
+        assert np.max(np.abs(full - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(carried))))
 
     def test_ideal_cluster_covariance(self):
         setting = HomodyneSetting(0.9, 0.2)
@@ -232,12 +279,15 @@ class TestSingleStep:
         for expr, row in zip(out.noise_terms, out.noise):
             assert np.array_equal(expr.coefficient_vector(n_modes)[2:], row)
         assert [name for name, _ in out.measured] == list(out.current_names)
-        for (_, expr), a, b in zip(out.measured, out.measured_quad, out.measured_currents):
-            assert np.array_equal(expr.coefficient_vector(n_modes), a)
-            assert expr.symbols == {n: c for n, c in zip(out.current_names, b) if c}
-        # the second step sees both currents of the first, and only those
-        assert set(out.measured[2][1].symbols) == {"i_in[1]", "i_1[1]"}
-        assert not out.measured[0][1].symbols
+        for (_, expr), row, off in zip(out.measured, out.measured_rows,
+                                       out.measured_offset):
+            assert np.array_equal(expr.coefficient_vector(n_modes), row)
+            assert not expr.symbols and expr.offset == off
+        # the first step sees the input and the sources of step 1; the
+        # second sees the 8 source columns of steps 1 and 2, and only those
+        support = [{(i.mode, i.kind) for i in expr.coeffs} for _, expr in out.measured]
+        assert support[0] == support[1] == {(m, q) for m in (0, 1, 2) for q in "xy"}
+        assert support[2] == support[3] == {(m, q) for m in (1, 2, 3, 4) for q in "xy"}
 
 
 class TestConditioningOracle:
@@ -429,14 +479,14 @@ class TestFeedForward:
 
     def test_offsets_become_exactly_zero(self):
         out = self._output()
-        currents = {name: 1.7 for name in out.current_symbols()}
+        currents = {name: 1.7 for name in out.current_names}
         corrected = feed_forward(out, currents)
         for e in corrected.exprs:
             assert e.offset == 0.0 and not e.symbols
 
     def test_quantum_parts_untouched(self):
         out = self._output()
-        currents = {name: -4.0 for name in out.current_symbols()}
+        currents = {name: -4.0 for name in out.current_names}
         corrected = feed_forward(out, currents)
         for before, after in zip(out.exprs, corrected.exprs):
             assert before.coeffs == after.coeffs
@@ -447,7 +497,7 @@ class TestFeedForward:
 
     def test_idempotent(self):
         out = self._output()
-        currents = {name: 0.3 for name in out.current_symbols()}
+        currents = {name: 0.3 for name in out.current_names}
         once = feed_forward(out, currents)
         twice = feed_forward(once, {})
         assert once.exprs == twice.exprs
@@ -627,11 +677,11 @@ class TestSampling:
         out = single_step((x_quad(0), y_quad(0)), cluster, setting, (1, 2))
         blocks = {0: np.diag([0.25, 0.25])}
         rng = np.random.default_rng(11)
-        draws = {name: [] for name in out.current_symbols()}
+        draws = {name: [] for name in out.current_names}
         for _ in range(10_000):
             for name, val in sample_currents(out, blocks, rng).items():
                 draws[name].append(val)
-        R, _ = resolve_measured(out)
+        R = out.measured_rows
         cov = R @ out.column_cov(blocks) @ R.T
         for i, name in enumerate(out.current_names):
             sigma = 2.0 * setting.beta_0 * math.sqrt(cov[i, i])

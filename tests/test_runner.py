@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import cvmbqc
 from cvmbqc import gates, runner
+from cvmbqc.quadrature import LinearQuadratureExpr
 from cvmbqc.runner import ConfigError, main, parse_angle
 
 SRC = str(Path(cvmbqc.__file__).resolve().parents[1])
@@ -211,6 +213,48 @@ class TestOracleVerdictCanFail:
         assert verdicts["oracle_agreement"]["passed"] is False
         assert record["passed"] is False
         assert record["scalars"]["residuals"]["oracle"] > runner.STEP_ORACLE_TOL
+
+
+class TestFeedForwardVerdictCanFail:
+    """Every sampling kind judges the corrected offsets of every output."""
+
+    BODIES = {
+        "gate": "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\ny_variance = 0.05\n",
+        "compose": "[compose]\ntarget = 1, 0.5; 0, 1\ny_variance = 0.05\n",
+        "pipeline": ("[pipeline]\nduration = 5.0\ngap = 1.0\nlanes = 2\n"
+                     "y_variance = 0.05\nsettings_lane0 = 0.9, 0.35; 1.4, 0.6\n"
+                     "settings_lane1 = 1.0, 0.3; 1.2, 0.5\n"),
+    }
+
+    @pytest.mark.parametrize("kind", ["compose", "pipeline"])  # gate: TestGate
+    def test_needs_a_seed(self, tmp_path, capsys, kind):
+        cfg = write_config(tmp_path, self.BODIES[kind] + "sampling = true\n")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"[{kind}] sampling mode needs --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(BODIES))
+    def test_leftover_offset_in_the_last_output_exits_1(self, tmp_path, monkeypatch,
+                                                         capsys, kind):
+        cfg = write_config(tmp_path, self.BODIES[kind] + "sampling = true\n")
+        args = ["--config", cfg, "--seed", "5"]
+        assert main([kind, *args, "--out", str(tmp_path / "ok")]) == 0
+        real = gates.feed_forward
+        calls = []
+
+        def leaky_last(output, currents):
+            calls.append(output)
+            out = real(output, currents)
+            if len(calls) < (2 if kind == "pipeline" else 1):
+                return out
+            x, y = out.exprs
+            return replace(out, exprs=(x, y + LinearQuadratureExpr(offset=-2e-3)))
+
+        monkeypatch.setattr(gates, "feed_forward", leaky_last)
+        assert main([kind, *args, "--out", str(tmp_path / "bad")]) == 1
+        assert "[FAIL] feed_forward_offsets_zero" in capsys.readouterr().out
+        record = json.loads((tmp_path / "bad" / f"{kind}.json").read_text())
+        verdicts = {v["name"]: v for v in record["verdicts"]}
+        assert verdicts["feed_forward_offsets_zero"]["value"] == 2e-3
 
 
 class TestCz:
