@@ -465,11 +465,22 @@ def sample_currents(output: GateOutput, input_blocks: Mapping[int, np.ndarray],
     """Draw photocurrent records from their joint Gaussian law.
 
     The measured quadratures have mean r0 and covariance R Sigma R^T over
-    the measured rows R; currents are scaled by 2 beta0.
+    the measured rows R; currents are scaled by 2 beta0.  numpy's check that
+    the covariance is positive semidefinite uses an absolute tolerance of
+    1e-8, so variances far from unit scale fail it (in a two-step chain,
+    source variances of 1e8 or 1e-9); that raises ValueError rather than
+    sampling.
     """
     R = output.measured_rows
     sigma = R @ output.column_cov(input_blocks) @ R.T
-    draws = rng.multivariate_normal(output.measured_offset, sigma, method="svd")
+    try:
+        draws = rng.multivariate_normal(output.measured_offset, sigma, method="svd",
+                                        check_valid="raise")
+    except ValueError:
+        raise ValueError(
+            "cannot sample the photocurrents: their covariance, with variances "
+            f"up to {float(np.max(np.diag(sigma))):.3g}, fails numpy's "
+            "positive-semidefinite check") from None
     two_beta = 2.0 * np.repeat([s.beta_0 for s in output.settings], 2)
     return dict(zip(output.current_names, (two_beta * draws).tolist()))
 

@@ -18,6 +18,7 @@ minimum-uncertainty reciprocal times an optional excess-noise factor.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -121,14 +122,25 @@ def y_spectral_variance_oracle(omega: float, kappa: float, mu: float = 0.0,
                                window: float | None = None) -> float:
     """Numeric Fourier transform of the correlation function plus vacuum.
 
-    Integrates 1/4 + 2 * Integral_0^W C(tau) cos(w tau) dtau with C the
-    stationary normally ordered correlation, using oscillatory-weight
-    quadrature.  This is the independent check of the closed form (exact
-    agreement is expected only at mu = 0).  scipy is imported here, on the
-    first call, so importing the package does not load it.
-    """
-    from scipy.integrate import quad
+    Computes 1/4 + 2 * Integral_0^W C(tau) cos(w tau) dtau, with C the
+    stationary normally ordered correlation, by Filon-type quadrature
+    (Iserles and Norsett, Proc. R. Soc. A 461, 1383, 2005).  [0, W] is cut
+    into ceil(2 kappa W) equal panels.  On each panel the envelope C is
+    expanded in Legendre polynomials P_0 .. P_19 from its values at the 20
+    Gauss-Legendre nodes, and each term is integrated against the cosine
+    exactly: on a panel of width h, Integral_-1^1 P_n(x) exp(i z x) dx =
+    2 i^n j_n(z) with z = w h / 2, the same for every panel.  The panels are
+    summed with ``math.fsum``.
 
+    The method is generic: it samples C and uses no closed form of the
+    transform, so it is an independent check of the closed form (exact
+    agreement is expected only at mu = 0).  Its cost is fixed: 20 samples of
+    C per panel, 2000 at the default window, for any finite w.  Its error
+    is about 2e-10 relative to the exact finite-window transform, tested to
+    1e-9 for w from 1e-3 kappa to 1e15 kappa; where the result is small
+    (w << kappa at mu = 0) the sum 1/4 + 2 I cancels, and the relative error
+    grows as about eps / (4 * result).
+    """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     if not 0.0 <= mu < 1.0:
@@ -139,13 +151,71 @@ def y_spectral_variance_oracle(omega: float, kappa: float, mu: float = 0.0,
             f"integration window {W:g} shorter than {MIN_ORACLE_WINDOW:g}/kappa")
     rate = kappa * (1.0 - mu / 2.0)
     amp = -(kappa / 8.0) * ((1.0 - mu) / (1.0 - mu / 2.0))
+    omega = abs(float(omega))
 
-    def corr(tau):
-        return amp * math.exp(-rate * tau)
+    panels = math.ceil(2.0 * kappa * W)
+    h = W / panels
+    nodes, projection = _legendre_projection()
+    mid = (np.arange(panels) + 0.5) * h
+    coeffs = amp * np.exp(-rate * (mid[:, None] + 0.5 * h * nodes)) @ projection
+    # Re(exp(i w mid) i^n j_n): even n weigh cos(w mid), odd n -sin(w mid)
+    j = _spherical_bessel(0.5 * omega * h, _PANEL_NODES) * _I_POWER_SIGNS
+    phase = omega * mid
+    panel = h * (np.cos(phase) * (coeffs[:, 0::2] @ j[0::2])
+                 - np.sin(phase) * (coeffs[:, 1::2] @ j[1::2]))
+    return VACUUM_VARIANCE + 2.0 * math.fsum(panel)
 
-    integral, _ = quad(corr, 0.0, W, weight="cos", wvar=float(omega),
-                       epsabs=1e-14, epsrel=1e-13, limit=400)
-    return VACUUM_VARIANCE + 2.0 * integral
+
+#: Gauss-Legendre nodes per oracle panel; the envelope is expanded in P_0 ..
+#: P_{n-1} with n this count.
+_PANEL_NODES = 20
+
+#: (-1)^(n // 2): the sign of the real or imaginary part of i^n.
+_I_POWER_SIGNS = (-1.0) ** (np.arange(_PANEL_NODES) // 2)
+
+
+@functools.cache
+def _legendre_projection() -> tuple:
+    """Gauss-Legendre nodes x_k on [-1, 1] and the matrix taking values
+    f(x_k) to Legendre coefficients c_n = (n + 1/2) sum_k w_k P_n(x_k) f(x_k).
+
+    The coefficients are those of the degree-19 interpolant at the nodes.
+    numpy.polynomial is imported here, on the first call.
+    """
+    from numpy.polynomial.legendre import leggauss, legvander
+
+    nodes, weights = leggauss(_PANEL_NODES)
+    projection = legvander(nodes, _PANEL_NODES - 1) * (
+        weights[:, None] * (np.arange(_PANEL_NODES) + 0.5))
+    nodes.flags.writeable = projection.flags.writeable = False
+    return nodes, projection
+
+
+def _spherical_bessel(z: float, count: int) -> np.ndarray:
+    """Spherical Bessel functions j_0(z) .. j_{count-1}(z) for z >= 0.
+
+    Above z = count - 1 every order lies below its turning point, where the
+    upward recurrence j_{n+1} = (2n+1)/z j_n - j_{n-1} is stable.  Elsewhere
+    Miller's backward recurrence runs from order 2 count + 24, written for
+    u_n = j_n (2n+1)!! / z^n so that no step divides by z:
+    u_{n-1} = u_n - z^2 u_{n+1} / ((2n+1)(2n+3)).  Its result is normalised
+    by sum_n (2n+1) j_n^2 = 1, which holds for every z.  Absolute error is
+    a few eps.
+    """
+    if z > count - 1:
+        s, c = math.sin(z), math.cos(z)
+        j = [s / z, (s / z - c) / z]
+        for n in range(1, count - 1):
+            j.append((2 * n + 1) / z * j[n] - j[n - 1])
+        return np.array(j)
+    top = 2 * count + 24
+    u = np.zeros(top + 2)
+    u[top] = 1.0
+    for n in range(top, 0, -1):
+        u[n - 1] = u[n] - z * z * u[n + 1] / ((2 * n + 1) * (2 * n + 3))
+    orders = np.arange(top + 1)
+    j = u[:-1] * z ** orders / np.cumprod(2.0 * orders + 1.0)
+    return j[:count] / math.sqrt(math.fsum((2.0 * orders + 1.0) * j * j))
 
 
 @dataclass(frozen=True)

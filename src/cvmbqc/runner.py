@@ -19,6 +19,7 @@ import json
 import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,6 +54,11 @@ PHASE_RESIDUAL_TOL = gates.PHASE_RESIDUAL_TOL
 SYMPLECTIC_TOL = 1e-12
 #: Pipeline outputs vs stand-alone per-lane runs, absolute.
 LANE_ISOLATION_TOL = 1e-12
+#: Largest magnitude of an input_cov, target or cz block entry, and of the
+#: delayed-check x_variance; products of a few such numbers, as the engine,
+#: the oracle and determinants form them, stay inside the floating-point
+#: range.
+MAX_CONFIG_ENTRY = 1e50
 
 
 class ConfigError(ValueError):
@@ -176,6 +182,9 @@ def _parse_matrix(text: str) -> np.ndarray:
     m = np.array([[float(tok) for tok in row.split(",")] for row in rows])
     if not np.all(np.isfinite(m)):
         raise ConfigError(f"matrix {text!r} has a value that is not finite")
+    if np.any(np.abs(m) > MAX_CONFIG_ENTRY):
+        raise ConfigError(f"matrix {text!r} has an entry above {MAX_CONFIG_ENTRY:g} "
+                          "in magnitude (MAX_CONFIG_ENTRY)")
     return m
 
 
@@ -276,6 +285,18 @@ def load_params(path: str, kind: str) -> Params:
 # experiment implementations
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _float_range(kind: str, inputs: str):
+    """Turn an overflow, underflow or invalid value in numpy into a config
+    error that names the ``inputs`` responsible."""
+    try:
+        with np.errstate(all="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigError(
+            f"[{kind}] {inputs} leave the floating-point range ({exc})") from None
+
+
 def _run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
     p = cfg.params
     kappa = p.get_float("kappa", required=True)
@@ -289,18 +310,22 @@ def _run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
     n_oracle = p.get_int("oracle_points", 9)
     if not (0 < lo < hi) or points < 2:
         raise ConfigError("[spectrum] need 0 < omega_min < omega_max and points >= 2")
+    if n_oracle < 2:
+        raise ConfigError("[spectrum] oracle_points must be at least 2")
     if mu != 0.0:
         raise ConfigError(
             "[spectrum] the closed-form spectrum holds at mu = 0 only; for "
             "mu > 0 use cvmbqc.laser.y_spectral_variance_oracle directly")
 
-    omegas = np.unique(np.concatenate([
-        np.logspace(math.log10(lo), math.log10(hi), points), [kappa]]))
     spec = laser.QuadratureSpectrum(kappa, laser.XNoiseModel(factor))
-    y = spec.y_var(omegas)
-    x = spec.x_var(omegas)
+    with _float_range("spectrum", f"kappa = {kappa:g}, omega from {lo:g} to {hi:g} "
+                                  f"and excess_factor = {factor:g}"):
+        omegas = np.unique(np.concatenate([
+            np.logspace(math.log10(lo), math.log10(hi), points), [kappa]]))
+        y = spec.y_var(omegas)
+        x = spec.x_var(omegas)
 
-    oracle_idx = np.unique(np.linspace(0, omegas.size - 1, max(2, n_oracle)).astype(int))
+    oracle_idx = np.unique(np.linspace(0, omegas.size - 1, n_oracle).astype(int))
     oracle_rel = 0.0
     for i in oracle_idx:
         ref = laser.y_spectral_variance_oracle(float(omegas[i]), kappa, mu)
@@ -388,34 +413,39 @@ def _run_delayed_check(cfg: ExperimentConfig) -> ResultRecord:
         raise ConfigError("[delayed-check] duration and gap must be positive")
     if not multiples or min(multiples) < 1 or not k_values:
         raise ConfigError("[delayed-check] need multiples >= 1 and at least one k value")
+    if abs(x_probe) > MAX_CONFIG_ENTRY:
+        raise ConfigError(f"[delayed-check] x_variance is above {MAX_CONFIG_ENTRY:g} "
+                          "in magnitude (MAX_CONFIG_ENTRY)")
     period = duration + gap
 
     rows = {"n": [], "k": [], "omega": [], "lhs": [], "four_y_var": [],
             "entangled": [], "reduced_exactly": []}
     all_reduced = True
-    for n in multiples:
-        tau = n * period
-        for k in k_values:
-            omega = 2.0 * math.pi * k / tau
-            y = float(laser.y_spectral_variance(omega, kappa))
-            x = 0.0 if k == 0 else float(
-                laser.x_spectral_variance(omega, kappa, laser.XNoiseModel(10.0)))
-            res = multiplex.delayed_vlf(tau, omega, y, x)
-            reduced = res.lhs == 4.0 * y
-            all_reduced = all_reduced and reduced
-            rows["n"].append(n)
-            rows["k"].append(k)
-            rows["omega"].append(omega)
-            rows["lhs"].append(res.lhs)
-            rows["four_y_var"].append(4.0 * y)
-            rows["entangled"].append(res.entangled)
-            rows["reduced_exactly"].append(reduced)
+    with _float_range("delayed-check", f"kappa = {kappa:g}, period = {period:g}, "
+                                       "multiples and k_values"):
+        for n in multiples:
+            tau = n * period
+            for k in k_values:
+                omega = 2.0 * math.pi * k / tau
+                y = float(laser.y_spectral_variance(omega, kappa))
+                x = 0.0 if k == 0 else float(
+                    laser.x_spectral_variance(omega, kappa, laser.XNoiseModel(10.0)))
+                res = multiplex.delayed_vlf(tau, omega, y, x)
+                reduced = res.lhs == 4.0 * y
+                all_reduced = all_reduced and reduced
+                rows["n"].append(n)
+                rows["k"].append(k)
+                rows["omega"].append(omega)
+                rows["lhs"].append(res.lhs)
+                rows["four_y_var"].append(4.0 * y)
+                rows["entangled"].append(res.entangled)
+                rows["reduced_exactly"].append(reduced)
 
-    tau_probe = multiples[0] * period
-    omega_off = math.pi / tau_probe  # half a cycle: maximally off-grid
-    probe = multiplex.delayed_vlf(tau_probe, omega_off,
-                                  float(laser.y_spectral_variance(omega_off, kappa)),
-                                  x_probe)
+        tau_probe = multiples[0] * period
+        omega_off = math.pi / tau_probe  # half a cycle: maximally off-grid
+        probe = multiplex.delayed_vlf(tau_probe, omega_off,
+                                      float(laser.y_spectral_variance(omega_off, kappa)),
+                                      x_probe)
     record = ResultRecord(
         kind="delayed-check",
         inputs={"kappa": kappa, "duration": duration, "gap": gap,
@@ -437,6 +467,9 @@ def _input_cov(p: Params) -> np.ndarray:
     vals = p.get_floats("input_cov", [VACUUM_VARIANCE, 0.0, VACUUM_VARIANCE])
     if len(vals) != 3:
         raise ConfigError(f"[{p.kind}] input_cov needs 3 numbers: xx, xy, yy")
+    if max(map(abs, vals)) > MAX_CONFIG_ENTRY:
+        raise ConfigError(f"[{p.kind}] input_cov has an entry above "
+                          f"{MAX_CONFIG_ENTRY:g} in magnitude (MAX_CONFIG_ENTRY)")
     cov = np.array([[vals[0], vals[1]], [vals[1], vals[2]]])
     if not (vals[0] > 0 and vals[2] > 0):
         raise ConfigError(f"[{p.kind}] input_cov needs positive variances xx and yy")

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from cvmbqc.laser import (
+    DEFAULT_ORACLE_WINDOW,
+    MIN_ORACLE_WINDOW,
     DivergentAntisqueezingError,
     PulseTrain,
     QuadratureSpectrum,
@@ -128,6 +130,85 @@ class TestOracle:
     def test_rejects_short_window(self):
         with pytest.raises(ValueError, match="window"):
             y_spectral_variance_oracle(1.0, 1.0, 0.0, window=5.0)
+
+
+def finite_window_transform(omega, kappa, mu, window):
+    """1/4 + 2 * Integral_0^W amp exp(-rate tau) cos(omega tau) dtau, exactly.
+
+    At mu = 0 the 1/4 is cancelled analytically, so the reference keeps its
+    relative accuracy where the result is small (omega << kappa)."""
+    rate = kappa * (1.0 - mu / 2.0)
+    amp = -(kappa / 8.0) * ((1.0 - mu) / (1.0 - mu / 2.0))
+    if mu == 0.0:
+        return (omega ** 2 / (4.0 * (kappa ** 2 + omega ** 2))
+                + kappa ** 2 * math.exp(-kappa * window)
+                * (math.cos(omega * window) - omega / kappa * math.sin(omega * window))
+                / (4.0 * (kappa ** 2 + omega ** 2)))
+    tail = math.exp(-rate * window) * (rate * math.cos(omega * window)
+                                       - omega * math.sin(omega * window))
+    return 0.25 + 2.0 * amp * (rate - tail) / (rate ** 2 + omega ** 2)
+
+
+class TestOracleErrorBound:
+    """The quadrature against the exact finite-window Laplace transform."""
+
+    KAPPAS = (0.5, 1.3)
+    # Both windows give panels of width 1/(2 kappa), so omega = 4 n kappa puts
+    # the panel frequency w h / 2 at n: 4 pi and 8 pi are zeros of j_0, and
+    # 76 is where the Bessel recurrence changes direction.  The largest
+    # frequencies come first: a design whose panel count grows with omega
+    # then fails on an allocation it cannot make, not on one it can.
+    OMEGA_RATIOS = ((1e15, 1e9, 1e6, 4 * math.pi, 8 * math.pi, 20.0, 76.0, 76.0 + 1e-9)
+                    + tuple(np.logspace(-3, 3, 61)))
+
+    @pytest.mark.parametrize("mu", [0.0, 0.05, 0.3])
+    @pytest.mark.parametrize("short", [False, True], ids=["default-window", "min-window"])
+    def test_relative_error_below_1e_9(self, mu, short):
+        for kappa in self.KAPPAS:
+            window = MIN_ORACLE_WINDOW / kappa if short else None
+            exact_window = window or DEFAULT_ORACLE_WINDOW / kappa
+            for ratio in self.OMEGA_RATIOS:
+                omega = ratio * kappa
+                ref = finite_window_transform(omega, kappa, mu, exact_window)
+                got = y_spectral_variance_oracle(omega, kappa, mu, window)
+                assert abs(got - ref) <= 1e-9 * ref, (kappa, omega)
+
+    @pytest.mark.parametrize("short", [False, True], ids=["default-window", "min-window"])
+    def test_zero_frequency(self, short):
+        for kappa in self.KAPPAS:
+            window = MIN_ORACLE_WINDOW / kappa if short else None
+            exact_window = window or DEFAULT_ORACLE_WINDOW / kappa
+            # e^{-kappa W} / 4: about 5e-23 at the default window, 5.2e-10 at the short one
+            ref = finite_window_transform(0.0, kappa, 0.0, exact_window)
+            assert ref == pytest.approx(math.exp(-kappa * exact_window) / 4.0, rel=1e-12)
+            assert abs(y_spectral_variance_oracle(0.0, kappa, 0.0, window) - ref) <= 1e-15
+            for mu in (0.05, 0.3):
+                ref = finite_window_transform(0.0, kappa, mu, exact_window)
+                got = y_spectral_variance_oracle(0.0, kappa, mu, window)
+                assert abs(got - ref) <= 1e-9 * ref
+
+    def test_even_in_omega(self):
+        for omega in (0.3, 7.0, 1e9):
+            assert y_spectral_variance_oracle(-omega, 1.0, 0.05) == \
+                y_spectral_variance_oracle(omega, 1.0, 0.05)
+
+    def test_integrand_samples_do_not_depend_on_omega(self, monkeypatch):
+        # 20 samples on each of ceil(2 kappa W) panels, whatever omega is
+        sizes = []
+        real_exp = np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return real_exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        for omega in (1e300, 1e15, 1e3, 1.0, 1e-3, 0.0):
+            sizes.clear()
+            y_spectral_variance_oracle(omega, 1.3)
+            assert sizes == [100 * 20]
+        sizes.clear()
+        y_spectral_variance_oracle(1e15, 1.3, window=MIN_ORACLE_WINDOW / 1.3)
+        assert sizes == [40 * 20]
 
 
 class TestXModel:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cvmbqc
-from cvmbqc import gates, runner
+from cvmbqc import gates, laser, runner
 from cvmbqc.quadrature import LinearQuadratureExpr
 from cvmbqc.runner import ConfigError, main, parse_angle
 
@@ -85,6 +85,20 @@ class TestSpectrum:
         code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "mu" in capsys.readouterr().err
+
+    def test_oracle_verdict_fails_on_a_perturbed_closed_form(self, tmp_path, monkeypatch,
+                                                              capsys):
+        cfg = write_config(tmp_path, "[spectrum]\nkappa = 1.3\npoints = 40\n")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+        real = laser.y_spectral_variance
+        monkeypatch.setattr(laser, "y_spectral_variance",
+                            lambda omega, kappa: real(omega, kappa) * (1.0 + 1e-5))
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
+        assert "[FAIL] oracle_agreement" in capsys.readouterr().out
+        record = json.loads((tmp_path / "bad" / "spectrum.json").read_text())
+        verdicts = {v["name"]: v for v in record["verdicts"]}
+        assert verdicts["oracle_agreement"]["passed"] is False
+        assert record["scalars"]["oracle_rel_error"] > runner.ORACLE_REL_TOL
 
 
 class TestClusterCheck:
@@ -362,8 +376,77 @@ class TestBadInputExitCode:
         assert "Traceback" not in proc.stderr
 
 
+class TestNumericEdgesExitCode:
+    """Valid but huge or tiny numbers that once reached numpy unchecked:
+    each exits 2 with a config error line and no numpy RuntimeWarning."""
+
+    @pytest.mark.parametrize("text", [
+        "kappa = 1e200\n",
+        "kappa = 1e300\n",
+        "kappa = 1e308\n",
+        "kappa = 1e-300\n",
+        "kappa = 1e-200\nomega_max = 1e-190\n",
+        "kappa = 1\nomega_max = 1e300\n",
+        "kappa = 1\nomega_min = 1e-160\n",
+        "kappa = 1\nexcess_factor = 1e308\n",
+        "kappa = 1\noracle_points = 1\n",
+        "kappa = 1\noracle_points = 0\n",
+    ], ids=["kappa-1e200", "kappa-1e300", "kappa-1e308", "kappa-1e-300",
+            "kappa-1e-200", "omega-max-1e300", "omega-min-1e-160",
+            "excess-factor-1e308", "one-oracle-point", "no-oracle-point"])
+    def test_spectrum(self, tmp_path, text):
+        cfg = write_config(tmp_path, "[spectrum]\n" + text)
+        proc = run_python(["-m", "cvmbqc", "spectrum", "--config", cfg, "--out", "o"],
+                          tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("config error: [spectrum] ")
+
+    @pytest.mark.parametrize("text", [
+        "kappa = 1e-300\nduration = 1\ngap = 5\nmultiples = 3, 7\n",
+        "kappa = 0.5\nduration = 5.7e158\ngap = 1\n",
+        "kappa = 0.5\nduration = 20\ngap = 0.5\nk_values = 6.3e16, 5.8e225\n",
+        # wrote an off-grid lhs of inf, as the non-JSON token Infinity
+        "kappa = 1\nduration = 5\ngap = 1\nx_variance = 1e308\n",
+    ], ids=["kappa-1e-300", "duration-5.7e158", "k-5.8e225", "x-variance-1e308"])
+    def test_delayed_check(self, tmp_path, text):
+        cfg = write_config(tmp_path, "[delayed-check]\n" + text)
+        proc = run_python(["-m", "cvmbqc", "delayed-check", "--config", cfg, "--out", "o"],
+                          tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("config error: [delayed-check] ")
+
+    @pytest.mark.parametrize("kind,text,message", [
+        # a source variance near 1e16 (or an x variance near 1e12) fails the
+        # sampler's positive-semidefinite check
+        ("compose", "[compose]\ntarget = 1, 0.5; 0, 1\nsampling = true\n"
+                    "allow_unentangled = true\ny_variance_1_step1 = 4.8e16\n",
+         "cannot sample the photocurrents"),
+        ("compose", "[compose]\ntarget = 1, 0.5; 0, 1\nsampling = true\n"
+                    "y_variance = 1e-12\n", "cannot sample the photocurrents"),
+        # overflowed in the output covariance
+        ("gate", "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\n"
+                 "input_cov = 4.6e-209, 8.5e48, 1e308\n", "MAX_CONFIG_ENTRY"),
+        ("compose", "[compose]\ntarget = 1, 0.5; 0, 1\n"
+                    "input_cov = 4.6e-209, 8.5e48, 1e308\n", "MAX_CONFIG_ENTRY"),
+        # overflowed in the determinant
+        ("compose", "[compose]\ntarget = 1e160, 1e160; 1e160, 1e160\n", "MAX_CONFIG_ENTRY"),
+        ("compose", "[compose]\ntarget = 1e160, 0; 0, 1e-160\n", "MAX_CONFIG_ENTRY"),
+    ], ids=["sampling-source-1e16", "sampling-source-1e-12", "gate-input-cov-1e308",
+            "compose-input-cov-1e308", "target-1e160", "target-diag-1e160"])
+    def test_engine_kinds(self, tmp_path, kind, text, message):
+        cfg = write_config(tmp_path, text)
+        proc = run_python(["-W", "error::RuntimeWarning", "-m", "cvmbqc", kind,
+                           "--config", cfg, "--out", "o", "--seed", "3"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("config error: ")]
+        assert len(errors) == 1 and message in errors[0]
+
+
 class TestColdPath:
-    """Only the spectrum oracle may load scipy."""
+    """No import and no experiment kind loads scipy."""
 
     def test_import_loads_no_scipy(self, tmp_path):
         proc = run_python(["-c", "import sys, cvmbqc; "
@@ -372,8 +455,9 @@ class TestColdPath:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_six_kinds_load_no_scipy(self, tmp_path):
+    def test_seven_kinds_load_no_scipy(self, tmp_path):
         cfg = write_config(tmp_path, (
+            "[spectrum]\nkappa = 1.3\npoints = 40\n"
             "[cluster-check]\ny_variance = 0.05, 0.08\n"
             "[delayed-check]\nkappa = 1.0\nduration = 5.0\ngap = 1.0\n"
             "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\ny_variance = 0.05\n"
@@ -382,8 +466,9 @@ class TestColdPath:
             "[cz]\n" + TestPipeline.BODY + "sampling = true\n"))
         script = (
             "import sys\n"
-            "from cvmbqc.runner import main\n"
-            "for kind in ('cluster-check', 'delayed-check', 'gate', 'compose', 'cz', 'pipeline'):\n"
+            "from cvmbqc.runner import EXPERIMENT_KINDS, main\n"
+            "assert len(EXPERIMENT_KINDS) == 7\n"
+            "for kind in EXPERIMENT_KINDS:\n"
             f"    assert main([kind, '--config', {cfg!r}, '--out', kind, '--seed', '5']) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         proc = run_python(["-c", script], tmp_path)

@@ -1,7 +1,7 @@
 """Property test of the command-line contract over generated configs.
 
-Whatever the numbers in a ``[cluster-check]``, ``[gate]`` or ``[compose]``
-section, a run ends with exit code 0 (all verdicts pass), 1 (a verdict
+Whatever the numbers in a ``[spectrum]``, ``[cluster-check]``,
+``[delayed-check]``, ``[gate]`` or ``[compose]`` section, a run ends with exit code 0 (all verdicts pass), 1 (a verdict
 fails) or 2 (a config error), and never with a traceback.
 """
 
@@ -48,12 +48,29 @@ def mostly(valid, other=NUMBER):
     return st.integers(0, 7).flatmap(lambda i: other if i == 0 else st.sampled_from(valid))
 
 
+SPECTRUM = section(
+    "spectrum",
+    {"omega_min": mostly(["1e-3", "0.01", "0.5"]),
+     "omega_max": mostly(["1e3", "100", "20"]),
+     "points": mostly(["40", "200", "2"]),
+     "excess_factor": mostly(["10", "1", "2.5"]),
+     "mu": mostly(["0"]),
+     "oracle_points": mostly(["9", "2", "5"])},
+    required={"kappa": mostly(["1", "0.5", "1.3", "2"])})
 CLUSTER_CHECK = section(
     "cluster-check",
     {"graph": mostly(["0 1; 1 0", "0 1 0; 1 0 1; 0 1 0",
                       "0 1 1 1; 1 0 0 0; 1 0 0 0; 1 0 0 0"], GRAPH)},
     required={"y_variance": mostly(["0.05", "0.01, 0.1", "0.2, 0.05, 0.01", "0.3"],
                                    NUMBER_LIST)})
+DELAYED_CHECK = section(
+    "delayed-check",
+    {"multiples": mostly(["1, 2, 5, 50", "1", "3, 7"], NUMBER_LIST),
+     "k_values": mostly(["-3, -2, -1, 0, 1, 2, 3", "0", "1, 2"], NUMBER_LIST),
+     "x_variance": mostly(["10", "0.5", "100"])},
+    required={"kappa": mostly(["1", "0.5", "2"]),
+              "duration": mostly(["5.0", "20", "1"]),
+              "gap": mostly(["1.0", "5", "0.5"])})
 VARIANCE = mostly(["0.05", "0.01", "0.1"])
 STEP_KEYS = {
     "beta_0": mostly(["1e6", "3", "0.5"]), "y_variance": VARIANCE,
@@ -104,9 +121,21 @@ def check_contract(kind, text):
 
 
 @FUZZ
+@given(SPECTRUM)
+def test_spectrum_contract(text):
+    check_contract("spectrum", text)
+
+
+@FUZZ
 @given(CLUSTER_CHECK)
 def test_cluster_check_contract(text):
     check_contract("cluster-check", text)
+
+
+@FUZZ
+@given(DELAYED_CHECK)
+def test_delayed_check_contract(text):
+    check_contract("delayed-check", text)
 
 
 @FUZZ
