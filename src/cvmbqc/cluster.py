@@ -11,13 +11,23 @@ criterion  var(N_1) + var(N_2) < 1/2  (strict).
 
 Everything here works on the adjacency and covariance arrays: edges and
 degrees come from the adjacency matrix, the cluster covariance is one
-product S diag(d) S^T, and the two-node check reads the 4x4 block of the
-two nodes.  Nullifiers are returned as ``LinearQuadratureExpr`` objects,
-each built from a single coefficient map, without expression arithmetic.
+product S diag(d) S^T, and the two-node check reads six entries of the
+two nodes' 4x4 block.  Nullifiers are returned as ``LinearQuadratureExpr``
+objects, each built from a single coefficient map, without expression
+arithmetic.
+
+Q = None means the identity, and the product with it is skipped.  The
+output bits are fixed by a few operations, kept as they are: the
+eigendecomposition of I + A^2, the real product (V / sqrt(w)) V^T, the
+complex product (I + iA) @ (I + A^2)^(-1/2), the product with a given Q,
+the product (S * d) @ S^T, and the order in which the two-node check
+subtracts its six entries.  Skipping the product with I changes no
+covariance bit; it can change only the sign of a zero in U.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -117,14 +127,22 @@ def cluster_unitary(graph: ClusterGraph, q: np.ndarray | None = None) -> np.ndar
 
     The inverse square root is taken by eigendecomposition of the symmetric
     positive-definite matrix I + A^2 (its spectrum is bounded below by 1,
-    so the construction is always well conditioned).
+    so the construction is always well conditioned), as (V / sqrt(w)) V^T.
+    ``q=None`` means Q = I, and the product with it is skipped; a given Q
+    must be orthogonal and multiplies the complex product from the right.
+    The output bits are fixed by the eigendecomposition, the real product
+    (V / sqrt(w)) V^T, the complex product (I + iA) @ inv_sqrt and the
+    product with Q; U is checked to be unitary.
     """
     n = graph.n_nodes
-    q = np.eye(n) if q is None else _check_orthogonal(q, n)
+    if q is not None:
+        q = _check_orthogonal(q, n)
     adj = graph.adjacency.astype(float)
     w, V = np.linalg.eigh(np.eye(n) + adj @ adj)
-    inv_sqrt = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
-    U = (np.eye(n) + 1j * adj) @ inv_sqrt @ q
+    inv_sqrt = (V * (1.0 / np.sqrt(w))) @ V.T
+    U = (np.eye(n) + 1j * adj) @ inv_sqrt
+    if q is not None:
+        U = U @ q
     if np.max(np.abs(U @ U.conj().T - np.eye(n))) > _UNITARY_TOL:
         raise ValueError("constructed matrix failed the unitarity check")
     return U
@@ -161,13 +179,15 @@ def nullifiers(graph: ClusterGraph) -> tuple:
     """Nullifier expressions N_j = Y_j - sum_i A_ji X_i over cluster modes.
 
     Each expression is built from one coefficient map read off the
-    adjacency row: +1 on y_j and -1 on x_i for every neighbour i.
+    adjacency row: +1 on y_j and -1 on x_i for every neighbour i.  Each
+    x label is made once and shared by the expressions that use it.
     """
+    xs = [QuadratureIndex(i, "x") for i in range(graph.n_nodes)]
     out = []
     for j, row in enumerate(graph.adjacency):
         coeffs = {QuadratureIndex(j, "y"): 1.0}
         for i in np.flatnonzero(row).tolist():
-            coeffs[QuadratureIndex(i, "x")] = -1.0
+            coeffs[xs[i]] = -1.0
         out.append(LinearQuadratureExpr(coeffs))
     return tuple(out)
 
@@ -211,16 +231,11 @@ def generate_cluster(source_y_variances: Sequence[float],
     d[1::2] = vy
     if not np.all((d > 0) & (d < np.inf)):
         raise ValueError("quadrature variances must be positive and finite")
-    if q is None:
-        q = default_two_node_q() if n == 2 else np.eye(n)
+    if q is None and n == 2:
+        q = default_two_node_q()
     S = _real_form(cluster_unitary(graph, q))
     # S diag(d) S^T with the diagonal applied as column scaling
     return GaussianState(np.zeros(2 * n), (S * d) @ S.T)
-
-
-#: Rows of Y_i - X_j and Y_j - X_i over the quadratures (x_i, y_i, x_j, y_j).
-_VLF_ROWS = np.array([[0.0, 1.0, -1.0, 0.0],
-                      [-1.0, 0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -236,12 +251,21 @@ def vlf_two_node_check(state: GaussianState, node_pair=(0, 1)) -> VlfResult:
 
     Boundary values classify as not entangled; sums within VLF_GUARD of the
     bound count as boundary so that rounding in the state construction cannot
-    flip the strict verdict.
+    flip the strict verdict.  Node indices must be integers (numpy integers
+    included).
     """
     i, j = node_pair
+    try:
+        i, j = operator.index(i), operator.index(j)
+    except TypeError:
+        raise ValueError("invalid node pair") from None
     if not (0 <= i < state.n_modes and 0 <= j < state.n_modes) or i == j:
         raise ValueError("invalid node pair")
-    idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-    cov = _VLF_ROWS @ state.cov[np.ix_(idx, idx)] @ _VLF_ROWS.T
-    total = float(cov[0, 0] + cov[1, 1])
+    # the two nullifier variances from six covariance entries, each summed
+    # in the order of the rows (0, 1, -1, 0) and (-1, 0, 0, 1) applied to
+    # the (x_i, y_i, x_j, y_j) block from both sides
+    xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+    c = state.cov.item
+    total = (((c(yi, yi) - c(xj, yi)) - (c(yi, xj) - c(xj, xj)))
+             + ((c(yj, yj) - c(xi, yj)) - (c(yj, xi) - c(xi, xi))))
     return VlfResult(total, total < VLF_BOUND - VLF_GUARD)

@@ -217,7 +217,11 @@ class PipelineResult:
 
 
 def _to_ticks(value: float, tick: float, what: str) -> int:
-    n = round(value / tick)
+    cycles = value / tick if tick > 0 else math.inf
+    if not math.isfinite(cycles):
+        raise ValueError(f"{what} = {value:g} does not fit on the tick grid "
+                         f"(tick = {tick:g}); adjust ticks_per_gap")
+    n = round(cycles)
     if abs(value - n * tick) > 1e-9 * max(abs(value), 1.0):
         raise ValueError(f"{what} = {value:g} is not representable on the tick grid "
                          f"(tick = {tick:g}); adjust ticks_per_gap")

@@ -303,7 +303,14 @@ def expr_covariance(exprs: Sequence[LinearQuadratureExpr],
     """
     source_cov = np.asarray(source_cov, dtype=float)
     n_modes = source_cov.shape[0] // 2
-    C = np.vstack([e.coefficient_vector(n_modes) for e in exprs])
+    if not len(exprs):
+        raise ValueError("need at least one expression")
+    C = np.zeros((len(exprs), 2 * n_modes))
+    for r, e in enumerate(exprs):
+        for idx, c in e.coeffs.items():
+            if idx.flat >= 2 * n_modes:
+                raise ValueError(f"unknown basis index {idx!r} for {n_modes} modes")
+            C[r, idx.flat] = c
     return C @ source_cov @ C.T
 
 

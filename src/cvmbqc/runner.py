@@ -479,6 +479,16 @@ def _input_cov(p: Params) -> np.ndarray:
     return cov
 
 
+def _beta_0(p: Params) -> float:
+    beta0 = p.get_float("beta_0", gates.DEFAULT_BETA_0)
+    # nonpositive values are left to the library's own check
+    if not (beta0 <= 0 or 1.0 / MAX_CONFIG_ENTRY <= beta0 <= MAX_CONFIG_ENTRY):
+        raise ConfigError(f"[{p.kind}] beta_0 = {beta0:g} is outside "
+                          f"[{1.0 / MAX_CONFIG_ENTRY:g}, {MAX_CONFIG_ENTRY:g}] "
+                          "(1/MAX_CONFIG_ENTRY to MAX_CONFIG_ENTRY)")
+    return beta0
+
+
 def _cluster_from(p: Params, suffix: str = "") -> gates.TwoNodeCluster:
     v1 = p.get_float(f"y_variance_1{suffix}", p.get_float("y_variance", 0.05))
     v2 = p.get_float(f"y_variance_2{suffix}", p.get_float("y_variance", 0.05))
@@ -523,7 +533,7 @@ def _run_gate(cfg: ExperimentConfig) -> ResultRecord:
     setting = gates.HomodyneSetting(
         p.get_angle("theta_in", required=True),
         p.get_angle("theta_1", required=True),
-        p.get_float("beta_0", gates.DEFAULT_BETA_0))
+        _beta_0(p))
     cluster = _cluster_from(p)
     cov_in = _input_cov(p)
     allow = p.get_bool("allow_unentangled", False)
@@ -563,7 +573,7 @@ def _run_gate(cfg: ExperimentConfig) -> ResultRecord:
 
 def _run_compose(cfg: ExperimentConfig) -> ResultRecord:
     p = cfg.params
-    beta0 = p.get_float("beta_0", gates.DEFAULT_BETA_0)
+    beta0 = _beta_0(p)
     cov_in = _input_cov(p)
     cluster_1 = _cluster_from(p, "_step1") if "y_variance_1_step1" in p.keys() else _cluster_from(p)
     cluster_2 = _cluster_from(p, "_step2") if "y_variance_1_step2" in p.keys() else _cluster_from(p)
@@ -663,7 +673,10 @@ def _run_pipeline(cfg: ExperimentConfig) -> ResultRecord:
     ticks = p.get_int("ticks_per_gap", 100)
     if ticks < 1:
         raise ConfigError("[pipeline] ticks_per_gap must be at least 1")
-    beta0 = p.get_float("beta_0", gates.DEFAULT_BETA_0)
+    if ticks > MAX_CONFIG_ENTRY:
+        raise ConfigError(f"[pipeline] ticks_per_gap is above {MAX_CONFIG_ENTRY:g} "
+                          "(MAX_CONFIG_ENTRY)")
+    beta0 = _beta_0(p)
     allow = p.get_bool("allow_unentangled", False)
 
     settings = []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cvmbqc import cluster as cluster_module
 from cvmbqc.cluster import (
     ClusterGraph,
     cluster_unitary,
@@ -228,9 +229,43 @@ class TestGenerateCluster:
         with pytest.raises(ValueError, match="node pair"):
             vlf_two_node_check(state, (0, 5))
 
+    @pytest.mark.parametrize("pair", [(0.5, 1), (0, 1.0), (0, "1"), (None, 1)])
+    def test_vlf_rejects_non_integer_pair(self, pair):
+        state = generate_cluster([0.1, 0.1, 0.1], ClusterGraph.chain(3))
+        with pytest.raises(ValueError, match="node pair"):
+            vlf_two_node_check(state, pair)
 
-# Reference versions of the cluster path as plain expression arithmetic and
-# full-width products; the array code must reproduce them bit for bit.
+    def test_vlf_accepts_numpy_integers(self):
+        state = generate_cluster([0.1, 0.05, 0.2], ClusterGraph.chain(3))
+        for i, j in ((0, 1), (2, 1)):
+            want = vlf_two_node_check(state, (i, j))
+            assert vlf_two_node_check(state, (np.int64(i), np.intp(j))) == want
+            assert vlf_two_node_check(state, np.array([i, j])) == want
+
+    def test_unitarity_check_can_fail(self, monkeypatch):
+        # one eigenvector off by 1e-9 leaves (I + A^2)^(-1/2) non-orthogonal
+        # by about 1e-9, far above the 1e-12 unitarity tolerance
+        real_eigh = np.linalg.eigh
+
+        def perturbed_eigh(a):
+            w, v = real_eigh(a)
+            v = v.copy()
+            v[:, 1] *= 1 + 1e-9
+            return w, v
+
+        monkeypatch.setattr(cluster_module.np.linalg, "eigh", perturbed_eigh)
+        with pytest.raises(ValueError, match="unitarity check"):
+            generate_cluster([0.1] * 5, ClusterGraph.chain(5))
+
+    def test_rejects_non_orthogonal_q_beyond_two_nodes(self):
+        with pytest.raises(ValueError, match="Q is not orthogonal"):
+            generate_cluster([0.1] * 5, ClusterGraph.chain(5), q=np.ones((5, 5)))
+
+
+# Reference versions of the cluster path as plain expression arithmetic,
+# full-width products and the earlier formulas (explicit diagonal matrices,
+# a product with Q = I, the 2x4 pair-sum rows, one coefficient vector per
+# expression); the array code must reproduce them bit for bit.
 
 def reference_edges(graph):
     adj = graph.adjacency
@@ -254,6 +289,17 @@ def reference_nullifiers(graph):
     return out
 
 
+def reference_unitary(graph, q=None):
+    """U by the earlier arithmetic: the inverse square root through an
+    explicit diagonal matrix, then a product with Q even when Q = I."""
+    n = graph.n_nodes
+    q = np.eye(n) if q is None else q
+    adj = graph.adjacency.astype(float)
+    w, V = np.linalg.eigh(np.eye(n) + adj @ adj)
+    inv_sqrt = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
+    return (np.eye(n) + 1j * adj) @ inv_sqrt @ q
+
+
 def reference_cov(vy, graph, q=None):
     n = graph.n_nodes
     if q is None:
@@ -261,13 +307,48 @@ def reference_cov(vy, graph, q=None):
     d = np.empty(2 * n)
     d[0::2] = [1.0 / (16.0 * v) for v in vy]
     d[1::2] = vy
-    S = unitary_to_symplectic(cluster_unitary(graph, q))
+    S = unitary_to_symplectic(reference_unitary(graph, q))
     return S @ np.diag(d) @ S.T
 
 
+def reference_expr_covariance(exprs, cov):
+    n_modes = cov.shape[0] // 2
+    C = np.vstack([e.coefficient_vector(n_modes) for e in exprs])
+    return C @ cov @ C.T
+
+
 def reference_pair_sum(cov, i, j):
-    c = expr_covariance([y_quad(i) - x_quad(j), y_quad(j) - x_quad(i)], cov)
+    rows = np.array([[0.0, 1.0, -1.0, 0.0], [-1.0, 0.0, 0.0, 1.0]])
+    idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+    c = rows @ cov[np.ix_(idx, idx)] @ rows.T
     return float(c[0, 0] + c[1, 1])
+
+
+def assert_matches_reference(graph, q):
+    """U, the cluster covariance, the nullifier covariance and every pair
+    sum are bit-identical to the reference arithmetic."""
+    n = graph.n_nodes
+    U = cluster_unitary(graph, q)
+    want_U = reference_unitary(graph, q)
+    assert np.array_equal(U, want_U)
+    if q is not None:
+        # the signs of zeros may differ only where the product with I is skipped
+        assert np.array_equal(np.signbit(U.real), np.signbit(want_U.real))
+        assert np.array_equal(np.signbit(U.imag), np.signbit(want_U.imag))
+
+    vy = np.random.default_rng(n).uniform(0.01, 0.2, n).tolist()
+    state = generate_cluster(vy, graph, q)
+    want = reference_cov(vy, graph, q)
+    assert np.array_equal(state.cov, want)
+    assert np.array_equal(np.signbit(state.cov), np.signbit(want))
+    assert np.array_equal(state.mean, np.zeros(2 * n))
+    assert not np.any(np.signbit(state.mean))
+
+    got_null = expr_covariance(nullifiers(graph), state.cov)
+    assert np.array_equal(got_null, reference_expr_covariance(reference_nullifiers(graph), want))
+    for i, j in reference_edges(graph):
+        assert vlf_two_node_check(state, (i, j)).nullifier_sum == reference_pair_sum(want, i, j)
+        assert vlf_two_node_check(state, (j, i)).nullifier_sum == reference_pair_sum(want, j, i)
 
 
 def reference_graphs():
@@ -305,17 +386,11 @@ class TestArrayPathMatchesReference:
         assert [e.canonical() for e in got] == [e.canonical() for e in reference_nullifiers(graph)]
 
     def test_cluster_covariance_and_pair_sums(self, graph):
+        assert_matches_reference(graph, None)
+
+    def test_random_q_covariance_and_pair_sums(self, graph):
         n = graph.n_nodes
-        vy = np.random.default_rng(n).uniform(0.01, 0.2, n).tolist()
-        state = generate_cluster(vy, graph)
-        want = reference_cov(vy, graph)
-        assert np.array_equal(state.cov, want)
-        assert np.array_equal(np.signbit(state.cov), np.signbit(want))
-        assert np.array_equal(state.mean, np.zeros(2 * n))
-        assert not np.any(np.signbit(state.mean))
-        for i, j in reference_edges(graph):
-            assert vlf_two_node_check(state, (i, j)).nullifier_sum == reference_pair_sum(state.cov, i, j)
-            assert vlf_two_node_check(state, (j, i)).nullifier_sum == reference_pair_sum(state.cov, j, i)
+        assert_matches_reference(graph, random_orthogonal(np.random.default_rng(n + 1), n))
 
 
 def test_random_orthogonal_freedom_matches_reference():

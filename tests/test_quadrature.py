@@ -166,6 +166,8 @@ class TestExprAlgebra:
     def test_unknown_index_rejected(self):
         with pytest.raises(ValueError, match="unknown basis index"):
             expr_covariance([x_quad(3)], VACUUM_VARIANCE * np.eye(4))
+        with pytest.raises(ValueError, match="at least one expression"):
+            expr_covariance([], VACUUM_VARIANCE * np.eye(4))
 
     def test_matches_apply_symplectic(self):
         # expressions built from the rows of a symplectic map must reproduce

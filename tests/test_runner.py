@@ -358,6 +358,12 @@ class TestBadInputExitCode:
         ("compose", "[compose]\ntarget = 104078834.8964697, 204489895.9780269; "
                     "87664393.28543168, 172239463.30439582\n"),
         ("delayed-check", "[delayed-check]\nkappa = 1\nduration = 5\ngap = 1\nmultiples = inf\n"),
+        ("gate", "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\nbeta_0 = 1e308\n"),
+        ("compose", "[compose]\ntarget = 1, 0.5; 0, 1\nbeta_0 = 5e-324\n"),
+        ("pipeline", "[pipeline]\nduration = 1e308\ngap = 1e-300\nlanes = 1\n"
+                     "settings_lane0 = 0.9, 0.35\n"),
+        ("pipeline", "[pipeline]\nduration = 5\ngap = 5e-324\nticks_per_gap = 10\nlanes = 1\n"
+                     "settings_lane0 = 0.9, 0.35\n"),
     ], ids=["degenerate-phases", "target-det", "ticks-per-gap", "cluster-variance",
             "gate-variance", "no-lanes", "no-section-header", "bad-interpolation",
             "zero-delay", "zero-period",
@@ -366,7 +372,8 @@ class TestBadInputExitCode:
             "pipeline-input-negative-variance", "pipeline-input-uncertainty",
             "empty-y-variance", "cluster-variance-underflow", "gate-zero-variance",
             "angle-over-zero", "nan-angle", "inf-variance", "nan-target",
-            "unreachable-target", "inf-multiple"])
+            "unreachable-target", "inf-multiple", "huge-beta-0", "subnormal-beta-0",
+            "tick-count-overflow", "tick-underflow"])
     def test_exits_2_without_traceback(self, tmp_path, kind, text):
         cfg = write_config(tmp_path, text)
         proc = run_python(["-m", "cvmbqc", kind, "--config", cfg, "--out", "o"],

@@ -1,8 +1,8 @@
 """Property test of the command-line contract over generated configs.
 
-Whatever the numbers in a ``[spectrum]``, ``[cluster-check]``,
-``[delayed-check]``, ``[gate]`` or ``[compose]`` section, a run ends with exit code 0 (all verdicts pass), 1 (a verdict
-fails) or 2 (a config error), and never with a traceback.
+Whatever the numbers in a section of any of the seven kinds, a run ends
+with exit code 0 (all verdicts pass), 1 (a verdict fails) or 2 (a config
+error), and never with a traceback.
 """
 
 import io
@@ -94,6 +94,21 @@ TARGET = mostly(["1, 0.5; 0, 1", "2, 0; 0, 0.5", "0, 1; -1, 0", "-1, 0; 0, -1",
                  "1e4, 0; 0, 1e-4"],
                 st.one_of(st.sampled_from(["2, 0; 0, 1", "1, 0; 0"]), MATRIX))
 COMPOSE_TARGET = section("compose", COMPOSE_KEYS, required={"target": TARGET})
+# cz: both blocks, one block (a config error) or none (the canonical pair)
+BLOCK = mostly(["1, 0; 1, 1", "1, 0; -1, 1", "1, 0; 0, 1", "2, 0; 0, 0.5", "0, 1; -1, 0"],
+               st.one_of(st.sampled_from(["1, 0; 0", "1, 0; 0, 1; 0, 0", ""]), MATRIX))
+CZ = section("cz", {"a": BLOCK, "b": BLOCK})
+# pipeline: every lane runs the same number of steps, two in the valid spellings
+LANE = mostly(["0.9, 0.35; 1.4, 0.6", "1.0, 0.3; 1.2, 0.5", "pi/2, 0; -0.4, 1.2"],
+              st.one_of(st.sampled_from(["0.9", "", ";", "0.9, 0.35", "0.3, 0.3; 1, 2"]),
+                        st.lists(NUMBER, min_size=2, max_size=2).map(", ".join)))
+PIPELINE = section(
+    "pipeline",
+    {**STEP_KEYS, "y_variance_1": VARIANCE, "y_variance_2": VARIANCE,
+     "ticks_per_gap": mostly(["100", "1", "7", "1" + "0" * 60]),
+     "settings_lane1": LANE, "settings_lane2": LANE},
+    required={"duration": mostly(["5.0", "1", "2.5"]), "gap": mostly(["1.0", "0.5", "1"]),
+              "lanes": mostly(["1", "2", "3"]), "settings_lane0": LANE})
 FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
@@ -143,6 +158,9 @@ def test_delayed_check_contract(text):
 # inputs that once ended in a ZeroDivisionError traceback
 @example("[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\ny_variance = 0\n")
 @example("[gate]\ntheta_in = pi/0\ntheta_1 = 0.35\n")
+# a local-oscillator amplitude whose double or inverse leaves the float range
+@example("[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\nbeta_0 = 1e308\nsampling = true\n")
+@example("[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\nbeta_0 = 5e-324\n")
 def test_gate_contract(text):
     check_contract("gate", text)
 
@@ -157,3 +175,24 @@ def test_compose_angles_contract(text):
 @given(COMPOSE_TARGET)
 def test_compose_target_contract(text):
     check_contract("compose", text)
+
+
+@FUZZ
+@given(CZ)
+def test_cz_contract(text):
+    check_contract("cz", text)
+
+
+PIPELINE_BASE = "[pipeline]\nlanes = 1\nsettings_lane0 = 0.9, 0.35\n"
+
+
+@FUZZ
+@given(PIPELINE)
+# inputs that once ended in an OverflowError, a ZeroDivisionError or a
+# RuntimeWarning traceback
+@example(PIPELINE_BASE + "duration = 1e308\ngap = 1e-300\n")
+@example(PIPELINE_BASE + "duration = 5\ngap = 5e-324\nticks_per_gap = 10\n")
+@example(PIPELINE_BASE + "duration = 5\ngap = 1\nticks_per_gap = 1" + "0" * 400 + "\n")
+@example(PIPELINE_BASE + "duration = 5\ngap = 1\nbeta_0 = 1e308\nsampling = true\n")
+def test_pipeline_contract(text):
+    check_contract("pipeline", text)
