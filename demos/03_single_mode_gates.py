@@ -12,10 +12,10 @@ import numpy as np
 from cvmbqc import (
     HomodyneSetting,
     TwoNodeCluster,
-    compose_two_steps,
     feed_forward,
     gate_matrix,
     output_covariance,
+    run_steps,
     sample_currents,
     single_step,
     single_step_covariance_oracle,
@@ -55,8 +55,8 @@ print("solved phases: step 1 (%.4f, %.4f), step 2 (%.4f, %.4f), residual %.1e"
          solution.setting_2.theta_in, solution.setting_2.theta_1,
          solution.residual))
 
-composed = compose_two_steps(solution.setting_1, solution.setting_2,
-                             (x_quad(0), y_quad(0)), (cluster, cluster))
+composed = run_steps((x_quad(0), y_quad(0)), (cluster, cluster),
+                     (solution.setting_1, solution.setting_2))
 print("composed signal matrix:\n", np.round(composed.signal_matrix, 9))
 
 print()

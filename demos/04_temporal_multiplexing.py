@@ -12,9 +12,9 @@ from cvmbqc import (
     HomodyneSetting,
     TwoNodeCluster,
     admissible_frequencies,
-    compose_two_steps,
     delayed_vlf,
     output_covariance,
+    run_steps,
     simulate_pipeline,
     x_quad,
     y_quad,
@@ -58,8 +58,7 @@ print(f"loop delay {result.delay.tau:g} (= lanes x gap), "
 
 cov_in = {0: np.diag([0.25, 0.25])}
 for lane in range(2):
-    direct = compose_two_steps(settings[lane][0], settings[lane][1],
-                               inputs[lane], (cluster, cluster))
+    direct = run_steps(inputs[lane], (cluster, cluster), settings[lane])
     diff = np.max(np.abs(output_covariance(result.outputs[lane], cov_in)
                          - output_covariance(direct, cov_in)))
     print(f"lane {lane}: signal matrix\n{np.round(result.outputs[lane].signal_matrix, 6)}")

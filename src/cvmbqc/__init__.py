@@ -50,12 +50,7 @@ from .cluster import (
 from .laser import (
     DivergentAntisqueezingError,
     PulseTrain,
-    QuadratureSpectrum,
-    SpectralGrid,
-    WholePulseMode,
     XNoiseModel,
-    discrete_frequencies,
-    whole_pulse_mode,
     x_spectral_variance,
     y_correlation,
     y_spectral_variance,
@@ -71,7 +66,6 @@ from .gates import (
     TwoModeCoefficients,
     TwoNodeCluster,
     canonical_cz_coefficients,
-    compose_two_steps,
     condition_homodyne,
     cz_transform,
     feed_forward,

@@ -46,12 +46,11 @@ quadrature); they carry no current columns and need no solve.  The output
 rows over the source quadratures and over the 2k currents come from the
 suffix products M_k ... M_{j+1} of the 2x2 gates, so a chain costs O(k).
 The output and photocurrent covariances are Q Sigma Q^T and R Sigma R^T,
-so sampling factors one 2k x 2k matrix.  The expression views are built
-from the arrays: ``exprs`` once per output, ``noise_terms`` and
-``measured`` when read.  The covariance oracle below conditions dense
-symplectic states instead and shares none of this code: one step builds
-the 6x6 joint state of the input, the two sources and the mixing beam
-splitter, and conditions it on both homodyne results with one
+so sampling factors one 2k x 2k matrix.  The expression view ``exprs``
+is built from the arrays once per output.  The covariance oracle below
+conditions dense symplectic states instead and shares none of this code:
+one step builds the 6x6 joint state of the input, the two sources and the
+mixing beam splitter, and conditions it on both homodyne results with one
 eigendecomposition of the 2x2 measured block.
 
 Two chained steps compose to M(tp', tm') M(tp, tm), which reaches every
@@ -265,27 +264,14 @@ class GateOutput:
         """Covariance of the noise the steps add to the output pair."""
         return (self.noise * self.source_variances()) @ self.noise.T
 
-    @property
-    def noise_terms(self) -> tuple:
-        """The noise rows as expressions over the source quadratures."""
-        return _row_exprs(self.noise, self.modes[len(self.input_modes):])
 
-    @property
-    def measured(self) -> tuple:
-        """Time-ordered (current name, measured quadrature expression) pairs."""
-        return tuple(zip(self.current_names, _row_exprs(
-            self.measured_rows, self.modes, offsets=self.measured_offset)))
-
-
-def _row_exprs(quad_rows, modes, current_rows=None, names=(), offsets=None) -> tuple:
+def _row_exprs(quad_rows, modes, current_rows, names, offsets) -> tuple:
     """Expression view of array rows; column 2i + 0/1 is x/y of ``modes[i]``."""
     cols = np.flatnonzero(np.any(quad_rows != 0.0, axis=0)).tolist()
     labels = [QuadratureIndex(modes[c // 2], "xy"[c % 2]) for c in cols]
-    n = quad_rows.shape[0]
-    currents = current_rows.tolist() if current_rows is not None else [()] * n
-    offsets = offsets.tolist() if offsets is not None else [0.0] * n
     return tuple(LinearQuadratureExpr(dict(zip(labels, row)), dict(zip(names, cur)), off)
-                 for row, cur, off in zip(quad_rows[:, cols].tolist(), currents, offsets))
+                 for row, cur, off in zip(quad_rows[:, cols].tolist(),
+                                          current_rows.tolist(), offsets.tolist()))
 
 
 def _input_rows(input_exprs: tuple) -> tuple:
@@ -403,7 +389,7 @@ def output_covariance(output: GateOutput,
 
 
 def single_step(input_exprs: tuple, cluster: TwoNodeCluster, setting: HomodyneSetting,
-                source_modes: tuple | None = None, label: str = "",
+                source_modes: tuple | None = None,
                 allow_unentangled: bool = False) -> GateOutput:
     """One homodyne measurement step on a two-node cluster resource.
 
@@ -411,7 +397,7 @@ def single_step(input_exprs: tuple, cluster: TwoNodeCluster, setting: HomodyneSe
     photocurrent symbols.  Fresh source modes are allocated after the
     input's modes unless given explicitly.
     """
-    return _chain(input_exprs, (cluster,), (setting,), (source_modes,), (label,),
+    return _chain(input_exprs, (cluster,), (setting,), (source_modes,), ("",),
                   allow_unentangled)
 
 
@@ -445,19 +431,6 @@ def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
         raise ValueError("need one cluster per setting, at least one step")
     return _chain(input_exprs, clusters, settings, source_modes,
                   [f"[{j + 1}]" for j in range(len(settings))], allow_unentangled)
-
-
-def compose_two_steps(setting_1: HomodyneSetting, setting_2: HomodyneSetting,
-                      input_exprs: tuple, clusters: tuple,
-                      source_modes: tuple | None = None,
-                      allow_unentangled: bool = False) -> GateOutput:
-    """Two chained measurement steps; the signal part becomes M2 @ M1.
-
-    An alias of :func:`run_steps` with two settings, kept for callers that
-    name the two steps.
-    """
-    return run_steps(input_exprs, clusters, (setting_1, setting_2),
-                     source_modes, allow_unentangled)
 
 
 def sample_currents(output: GateOutput, input_blocks: Mapping[int, np.ndarray],

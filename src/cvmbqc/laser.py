@@ -21,8 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -233,20 +232,6 @@ class XNoiseModel:
         if self.factor < 1.0:
             raise ValueError("excess-noise factor must be >= 1")
 
-    @classmethod
-    def minimum_uncertainty(cls) -> "XNoiseModel":
-        return cls(1.0)
-
-    @classmethod
-    def excess_noise(cls, factor: float) -> "XNoiseModel":
-        return cls(factor)
-
-    @property
-    def label(self) -> str:
-        if self.factor == 1.0:
-            return "minimum_uncertainty"
-        return f"excess_noise({self.factor:g})"
-
 
 def x_spectral_variance(omega, kappa: float,
                         model: XNoiseModel = XNoiseModel(1.0)):
@@ -260,78 +245,3 @@ def x_spectral_variance(omega, kappa: float,
         raise DivergentAntisqueezingError(
             "x variance divergent at omega = 0 under the reciprocal model")
     return model.factor / (16.0 * y)
-
-
-@dataclass(frozen=True)
-class QuadratureSpectrum:
-    """Paired squeezed/anti-squeezed spectra for one laser."""
-
-    kappa: float
-    model: XNoiseModel = field(default_factory=XNoiseModel)
-
-    def y_var(self, omega):
-        return y_spectral_variance(omega, self.kappa)
-
-    def x_var(self, omega):
-        return x_spectral_variance(omega, self.kappa, self.model)
-
-    def four_y_var(self, omega):
-        return 4.0 * self.y_var(omega)
-
-
-@dataclass(frozen=True)
-class SpectralGrid:
-    """Discrete frequencies w_k = 2 pi k / (n (T + T0)) for integer k."""
-
-    ks: tuple
-    omegas: np.ndarray
-    multiplicity: int
-    period: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "omegas", np.asarray(self.omegas, dtype=float))
-
-
-def discrete_frequencies(train: PulseTrain, multiplicity: int,
-                         k_range: Iterable[int]) -> SpectralGrid:
-    """Build the discrete frequency grid; k = 0 is always included."""
-    if multiplicity < 1:
-        raise ValueError("multiplicity must be >= 1")
-    requested = set(int(k) for k in k_range)
-    if not requested:
-        raise ValueError("empty k range")
-    ks = sorted(requested | {0})
-    base = 2.0 * math.pi / (multiplicity * train.period)
-    omegas = np.array([base * k for k in ks])
-    return SpectralGrid(tuple(ks), omegas, multiplicity, train.period)
-
-
-@dataclass(frozen=True)
-class WholePulseMode:
-    """Zero-frequency temporal mode of one pulse: E(0) = integral of E(t) dt.
-
-    This is the best-squeezed oscillator of the pulse; ideally its squeezed
-    variance vanishes.  The discretized mode pair obeys [Q(-w_k), P(w_k)] =
-    1/4, matching the single-quadrature normalization.
-    """
-
-    pulse: int
-    channel: int
-    omega: float = 0.0
-    k: int = 0
-    y_variance: float = 0.0
-    commutator: float = 0.25
-
-    def correlated_with(self, other: "WholePulseMode") -> bool:
-        """Whole-pulse modes of distinct pulses or lasers are uncorrelated."""
-        return self.pulse == other.pulse and self.channel == other.channel
-
-
-def whole_pulse_mode(train: PulseTrain, m: int, channel: int) -> WholePulseMode:
-    """Whole-pulse (k = 0) mode descriptor for pulse ``m`` of one laser."""
-    if not 0 <= m < train.n_pulses:
-        raise ValueError(f"pulse index {m} out of range")
-    if channel not in (0, 1):
-        raise ValueError("channel must be 0 or 1")
-    return WholePulseMode(pulse=m, channel=channel,
-                          y_variance=float(y_spectral_variance(0.0, train.kappa)))

@@ -262,6 +262,9 @@ def simulate_pipeline(duration: float, gap: float,
         raise ValueError("ticks_per_gap must be at least 1")
 
     period = duration + gap
+    if not math.isfinite(period):
+        raise ValueError(f"pulse period duration + gap = {duration:g} + {gap:g} "
+                         "is not finite")
     delay, schedule, assignment = schedule_lanes(period, gap, n_lanes, n_lanes * steps)
     tick = gap / ticks_per_gap
     gap_ticks = ticks_per_gap

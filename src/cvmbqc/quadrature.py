@@ -281,9 +281,6 @@ class GaussianState:
             diag += [vx, vy]
         return cls(np.zeros(len(diag)), np.diag(diag))
 
-    def mode_cov(self, mode: int) -> np.ndarray:
-        return self.cov[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2]
-
 
 def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
     """Heisenberg update: mean -> S mean, cov -> S cov S^T."""

@@ -177,9 +177,12 @@ def _parse_floats(text: str) -> list:
     return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
-def _parse_matrix(text: str) -> np.ndarray:
-    rows = [r for r in text.split(";") if r.strip()]
-    m = np.array([[float(tok) for tok in row.split(",")] for row in rows])
+def _parse_matrix(p: Params, key: str) -> np.ndarray:
+    text = p.get_str(key)
+    rows = [[float(tok) for tok in r.split(",")] for r in text.split(";") if r.strip()]
+    if len({len(r) for r in rows}) > 1:
+        raise ConfigError(f"[{p.kind}] {key} = {text!r} has rows of unequal length")
+    m = np.array(rows)
     if not np.all(np.isfinite(m)):
         raise ConfigError(f"matrix {text!r} has a value that is not finite")
     if np.any(np.abs(m) > MAX_CONFIG_ENTRY):
@@ -317,13 +320,13 @@ def _run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
             "[spectrum] the closed-form spectrum holds at mu = 0 only; for "
             "mu > 0 use cvmbqc.laser.y_spectral_variance_oracle directly")
 
-    spec = laser.QuadratureSpectrum(kappa, laser.XNoiseModel(factor))
+    model = laser.XNoiseModel(factor)
     with _float_range("spectrum", f"kappa = {kappa:g}, omega from {lo:g} to {hi:g} "
                                   f"and excess_factor = {factor:g}"):
         omegas = np.unique(np.concatenate([
             np.logspace(math.log10(lo), math.log10(hi), points), [kappa]]))
-        y = spec.y_var(omegas)
-        x = spec.x_var(omegas)
+        y = laser.y_spectral_variance(omegas, kappa)
+        x = laser.x_spectral_variance(omegas, kappa, model)
 
     oracle_idx = np.unique(np.linspace(0, omegas.size - 1, n_oracle).astype(int))
     oracle_rel = 0.0
@@ -331,7 +334,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
         ref = laser.y_spectral_variance_oracle(float(omegas[i]), kappa, mu)
         oracle_rel = max(oracle_rel, abs(ref - y[i]) / y[i])
 
-    at_kappa = 4.0 * float(spec.y_var(kappa))
+    at_kappa = 4.0 * float(laser.y_spectral_variance(kappa, kappa))
     uncert = float(np.min(x * y))
     record = ResultRecord(
         kind="spectrum",
@@ -425,8 +428,8 @@ def _run_delayed_check(cfg: ExperimentConfig) -> ResultRecord:
                                        "multiples and k_values"):
         for n in multiples:
             tau = n * period
-            for k in k_values:
-                omega = 2.0 * math.pi * k / tau
+            for k, omega in zip(k_values,
+                                multiplex.admissible_frequencies(tau, k_values).tolist()):
                 y = float(laser.y_spectral_variance(omega, kappa))
                 x = 0.0 if k == 0 else float(
                     laser.x_spectral_variance(omega, kappa, laser.XNoiseModel(10.0)))
@@ -575,14 +578,14 @@ def _run_compose(cfg: ExperimentConfig) -> ResultRecord:
     p = cfg.params
     beta0 = _beta_0(p)
     cov_in = _input_cov(p)
-    cluster_1 = _cluster_from(p, "_step1") if "y_variance_1_step1" in p.keys() else _cluster_from(p)
-    cluster_2 = _cluster_from(p, "_step2") if "y_variance_1_step2" in p.keys() else _cluster_from(p)
+    cluster_1, cluster_2 = (
+        _cluster_from(p, s) if {f"y_variance_1{s}", f"y_variance_2{s}"} & p.keys()
+        else _cluster_from(p) for s in ("_step1", "_step2"))
     allow = p.get_bool("allow_unentangled", False)
 
-    target_text = p.get_str("target")
     solver_residual = None
-    if target_text is not None:
-        target = _parse_matrix(target_text)
+    if "target" in p.keys():
+        target = _parse_matrix(p, "target")
         try:
             solution = gates.solve_phases(target, beta_0=beta0)
         except gates.PhaseSolveError as exc:
@@ -595,10 +598,8 @@ def _run_compose(cfg: ExperimentConfig) -> ResultRecord:
         s2 = gates.HomodyneSetting(p.get_angle("theta_in_2", required=True),
                                    p.get_angle("theta_1_2", required=True), beta0)
 
-    out = gates.compose_two_steps(s1, s2, (x_quad(0), y_quad(0)),
-                                  (cluster_1, cluster_2),
-                                  source_modes=((1, 2), (3, 4)),
-                                  allow_unentangled=allow)
+    out = gates.run_steps((x_quad(0), y_quad(0)), (cluster_1, cluster_2), (s1, s2),
+                          source_modes=((1, 2), (3, 4)), allow_unentangled=allow)
     engine_cov = gates.output_covariance(out, {0: cov_in})
     mid = gates.single_step_covariance_oracle(cov_in, cluster_1, s1)
     oracle_cov = gates.single_step_covariance_oracle(mid, cluster_2, s2)
@@ -636,12 +637,11 @@ def _run_compose(cfg: ExperimentConfig) -> ResultRecord:
 
 def _run_cz(cfg: ExperimentConfig) -> ResultRecord:
     p = cfg.params
-    a_text, b_text = p.get_str("a"), p.get_str("b")
-    if (a_text is None) != (b_text is None):
+    if ("a" in p.keys()) != ("b" in p.keys()):
         raise ConfigError("[cz] provide both blocks a and b, or neither")
-    canonical = a_text is None
+    canonical = "a" not in p.keys()
     coeffs = (gates.canonical_cz_coefficients() if canonical
-              else gates.TwoModeCoefficients(_parse_matrix(a_text), _parse_matrix(b_text)))
+              else gates.TwoModeCoefficients(_parse_matrix(p, "a"), _parse_matrix(p, "b")))
     matrix = gates.cz_transform(coeffs)
     omega = omega_matrix(2)
     sympl_err = float(np.max(np.abs(matrix @ omega @ matrix.T - omega)))

@@ -17,11 +17,11 @@ from cvmbqc.gates import (
     TwoModeCoefficients,
     TwoNodeCluster,
     canonical_cz_coefficients,
-    compose_two_steps,
     cz_transform,
     feed_forward,
     gate_matrix,
     output_covariance,
+    run_steps,
     sample_currents,
     single_step,
     single_step_covariance_oracle,
@@ -241,8 +241,7 @@ def test_criterion_10_lane_isolation():
     cov_in = {0: np.diag([0.25, 0.25])}
     worst = 0.0
     for lane in range(2):
-        direct = compose_two_steps(settings[lane][0], settings[lane][1],
-                                   inputs[lane], (cluster, cluster))
+        direct = run_steps(inputs[lane], (cluster, cluster), settings[lane])
         worst = max(worst, float(np.max(np.abs(
             output_covariance(result.outputs[lane], cov_in)
             - output_covariance(direct, cov_in)))))
@@ -261,8 +260,8 @@ def test_criterion_10_lane_isolation():
 def test_criterion_11_feed_forward(tmp_path):
     # symbolic path: sampled currents, offsets exactly zero
     cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
-    out = compose_two_steps(HomodyneSetting(0.9, 0.35), HomodyneSetting(1.4, 0.6),
-                            (x_quad(0), y_quad(0)), (cluster, cluster))
+    out = run_steps((x_quad(0), y_quad(0)), (cluster, cluster),
+                    (HomodyneSetting(0.9, 0.35), HomodyneSetting(1.4, 0.6)))
     currents = sample_currents(out, {0: np.diag([0.25, 0.25])},
                                np.random.default_rng(99))
     corrected = feed_forward(out, currents)

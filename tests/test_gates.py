@@ -16,7 +16,6 @@ from cvmbqc.gates import (
     TwoNodeCluster,
     canonical_cz_coefficients,
     cluster_node_exprs,
-    compose_two_steps,
     condition_homodyne,
     cz_transform,
     feed_forward,
@@ -276,18 +275,11 @@ class TestSingleStep:
         for expr, row, cur in zip(out.exprs, out.quadrature_rows(), out.classical):
             assert np.array_equal(expr.coefficient_vector(n_modes), row)
             assert expr.symbols == {n: c for n, c in zip(out.current_names, cur) if c}
-        for expr, row in zip(out.noise_terms, out.noise):
-            assert np.array_equal(expr.coefficient_vector(n_modes)[2:], row)
-        assert [name for name, _ in out.measured] == list(out.current_names)
-        for (_, expr), row, off in zip(out.measured, out.measured_rows,
-                                       out.measured_offset):
-            assert np.array_equal(expr.coefficient_vector(n_modes), row)
-            assert not expr.symbols and expr.offset == off
-        # the first step sees the input and the sources of step 1; the
-        # second sees the 8 source columns of steps 1 and 2, and only those
-        support = [{(i.mode, i.kind) for i in expr.coeffs} for _, expr in out.measured]
-        assert support[0] == support[1] == {(m, q) for m in (0, 1, 2) for q in "xy"}
-        assert support[2] == support[3] == {(m, q) for m in (1, 2, 3, 4) for q in "xy"}
+        # the first step sees the input and the sources of step 1 (modes 0-2);
+        # the second sees the 8 source columns of steps 1 and 2, and only those
+        support = [set(np.flatnonzero(row).tolist()) for row in out.measured_rows]
+        assert support[0] == support[1] == set(range(6))
+        assert support[2] == support[3] == set(range(2, 10))
 
 
 class TestConditioningOracle:
@@ -490,8 +482,6 @@ class TestFeedForward:
         corrected = feed_forward(out, currents)
         for before, after in zip(out.exprs, corrected.exprs):
             assert before.coeffs == after.coeffs
-        for before, after in zip(out.noise_terms, corrected.noise_terms):
-            assert before == after
         assert np.array_equal(out.noise, corrected.noise)
         assert not np.any(corrected.classical) and not np.any(corrected.offset)
 
@@ -512,15 +502,13 @@ class TestCompose:
     def test_identity_twice(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
         ident = HomodyneSetting(math.pi / 4, -math.pi / 4)  # tp = 0, tm = pi/2
-        out = compose_two_steps(ident, ident, (x_quad(0), y_quad(0)),
-                                (cluster, cluster))
+        out = run_steps((x_quad(0), y_quad(0)), (cluster, cluster), (ident, ident))
         np.testing.assert_allclose(out.signal_matrix, np.eye(2), atol=1e-14)
 
     def test_quarter_rotation_squared(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
         quarter = HomodyneSetting(math.pi / 2, 0.0)  # tp = tm = pi/2
-        out = compose_two_steps(quarter, quarter, (x_quad(0), y_quad(0)),
-                                (cluster, cluster))
+        out = run_steps((x_quad(0), y_quad(0)), (cluster, cluster), (quarter, quarter))
         np.testing.assert_allclose(out.signal_matrix, -np.eye(2), atol=1e-14)
 
     def test_ideal_clusters_covariance(self):
@@ -528,7 +516,7 @@ class TestCompose:
         cluster = TwoNodeCluster.from_y_variances(1e-13, 1e-13)
         s1, s2 = random_setting(rng), random_setting(rng)
         cov_in = random_input_cov(rng)
-        out = compose_two_steps(s1, s2, (x_quad(0), y_quad(0)), (cluster, cluster))
+        out = run_steps((x_quad(0), y_quad(0)), (cluster, cluster), (s1, s2))
         M = out.signal_matrix
         engine = output_covariance(out, {0: cov_in})
         np.testing.assert_allclose(engine, M @ cov_in @ M.T, atol=1e-9)
@@ -540,7 +528,7 @@ class TestCompose:
         c2 = TwoNodeCluster.from_y_variances(v2, v2)
         s1, s2 = random_setting(rng), random_setting(rng)
         cov_in = random_input_cov(rng)
-        out = compose_two_steps(s1, s2, (x_quad(0), y_quad(0)), (c1, c2))
+        out = run_steps((x_quad(0), y_quad(0)), (c1, c2), (s1, s2))
         M2 = gate_matrix(s2.theta_plus, s2.theta_minus)
         law = (out.signal_matrix @ cov_in @ out.signal_matrix.T
                + 2.0 * v1 * (M2 @ M2.T) + 2.0 * v2 * np.eye(2))
@@ -554,7 +542,7 @@ class TestCompose:
             c2 = TwoNodeCluster.from_y_variances(*rng.uniform(0.01, 0.12, 2))
             s1, s2 = random_setting(rng), random_setting(rng)
             cov_in = random_input_cov(rng)
-            out = compose_two_steps(s1, s2, (x_quad(0), y_quad(0)), (c1, c2))
+            out = run_steps((x_quad(0), y_quad(0)), (c1, c2), (s1, s2))
             engine = output_covariance(out, {0: cov_in})
             oracle = single_step_covariance_oracle(
                 single_step_covariance_oracle(cov_in, c1, s1), c2, s2)
@@ -566,7 +554,7 @@ class TestCompose:
         covs = []
         for factor in (1.0, 100.0):
             c = TwoNodeCluster.from_y_variances(0.05, 0.08, factor)
-            out = compose_two_steps(s1, s2, (x_quad(0), y_quad(0)), (c, c))
+            out = run_steps((x_quad(0), y_quad(0)), (c, c), (s1, s2))
             covs.append(output_covariance(out, {0: cov_in}))
         assert np.max(np.abs(covs[0] - covs[1])) < 1e-10
 
@@ -661,8 +649,8 @@ class TestChainAgainstOracle:
 class TestSampling:
     def test_deterministic_per_seed(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
-        out = compose_two_steps(HomodyneSetting(0.9, 0.2), HomodyneSetting(1.4, 0.6),
-                                (x_quad(0), y_quad(0)), (cluster, cluster))
+        out = run_steps((x_quad(0), y_quad(0)), (cluster, cluster),
+                        (HomodyneSetting(0.9, 0.2), HomodyneSetting(1.4, 0.6)))
         blocks = {0: np.diag([0.25, 0.25])}
         a = sample_currents(out, blocks, np.random.default_rng(42))
         b = sample_currents(out, blocks, np.random.default_rng(42))
@@ -689,8 +677,8 @@ class TestSampling:
 
     def test_feed_forward_after_sampling(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
-        out = compose_two_steps(HomodyneSetting(0.9, 0.2), HomodyneSetting(1.4, 0.6),
-                                (x_quad(0), y_quad(0)), (cluster, cluster))
+        out = run_steps((x_quad(0), y_quad(0)), (cluster, cluster),
+                        (HomodyneSetting(0.9, 0.2), HomodyneSetting(1.4, 0.6)))
         currents = sample_currents(out, {0: np.diag([0.25, 0.25])},
                                    np.random.default_rng(0))
         corrected = feed_forward(out, currents)
@@ -731,8 +719,8 @@ class TestSolvePhases:
         # the returned settings must drive actual gate steps
         sol = solve_phases(np.array([[1.0, 0.5], [0.0, 1.0]]))
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
-        out = compose_two_steps(sol.setting_1, sol.setting_2,
-                                (x_quad(0), y_quad(0)), (cluster, cluster))
+        out = run_steps((x_quad(0), y_quad(0)), (cluster, cluster),
+                        (sol.setting_1, sol.setting_2))
         np.testing.assert_allclose(out.signal_matrix,
                                    [[1.0, 0.5], [0.0, 1.0]], atol=1e-9)
 

@@ -11,10 +11,7 @@ from cvmbqc.laser import (
     MIN_ORACLE_WINDOW,
     DivergentAntisqueezingError,
     PulseTrain,
-    QuadratureSpectrum,
     XNoiseModel,
-    discrete_frequencies,
-    whole_pulse_mode,
     x_spectral_variance,
     y_correlation,
     y_spectral_variance,
@@ -216,12 +213,12 @@ class TestXModel:
         assert x_spectral_variance(1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_excess_noise_scales(self):
-        assert x_spectral_variance(1.0, 1.0, XNoiseModel.excess_noise(4.0)) == \
+        assert x_spectral_variance(1.0, 1.0, XNoiseModel(4.0)) == \
             pytest.approx(2.0, abs=1e-14)
 
     def test_uncertainty_product_everywhere(self):
         omegas = np.logspace(-3, 3, 60)
-        for model in (XNoiseModel.minimum_uncertainty(), XNoiseModel.excess_noise(7.0)):
+        for model in (XNoiseModel(1.0), XNoiseModel(7.0)):
             x = x_spectral_variance(omegas, 1.0, model)
             y = y_spectral_variance(omegas, 1.0)
             assert np.all(x * y >= 1.0 / 16.0 - 1e-15)
@@ -233,47 +230,3 @@ class TestXModel:
     def test_rejects_factor_below_one(self):
         with pytest.raises(ValueError):
             XNoiseModel(0.5)
-
-    def test_spectrum_wrapper(self):
-        spec = QuadratureSpectrum(2.0, XNoiseModel.excess_noise(3.0))
-        assert spec.four_y_var(2.0) == pytest.approx(0.5, abs=1e-15)
-        assert spec.x_var(2.0) == pytest.approx(3.0 / (16 * 0.125), abs=1e-12)
-
-
-class TestGridsAndWholePulse:
-    def test_direct_formula(self, train):
-        grid = discrete_frequencies(train, 1, [1])
-        assert grid.omegas[-1] == pytest.approx(2 * math.pi / 25.0, rel=1e-15)
-
-    def test_multiplicity_halves_frequencies(self, train):
-        g1 = discrete_frequencies(train, 1, range(-3, 4))
-        g2 = discrete_frequencies(train, 2, range(-3, 4))
-        np.testing.assert_allclose(g2.omegas, g1.omegas / 2.0, atol=1e-18)
-
-    def test_symmetric_range_closed_under_negation(self, train):
-        grid = discrete_frequencies(train, 1, range(-4, 5))
-        np.testing.assert_allclose(np.sort(-grid.omegas), np.sort(grid.omegas))
-
-    def test_zero_always_included(self, train):
-        grid = discrete_frequencies(train, 1, [3, 5])
-        assert 0 in grid.ks
-
-    def test_empty_range_rejected(self, train):
-        with pytest.raises(ValueError, match="empty k range"):
-            discrete_frequencies(train, 1, [])
-        with pytest.raises(ValueError, match="multiplicity"):
-            discrete_frequencies(train, 0, [0])
-
-    def test_whole_pulse_mode(self, train):
-        mode = whole_pulse_mode(train, 1, 0)
-        assert mode.y_variance == 0.0
-        assert mode.omega == 0.0 and mode.k == 0
-        assert mode.commutator == 0.25
-
-    def test_whole_pulse_correlations(self, train):
-        a = whole_pulse_mode(train, 0, 0)
-        b = whole_pulse_mode(train, 1, 0)
-        c = whole_pulse_mode(train, 0, 1)
-        assert a.correlated_with(a)
-        assert not a.correlated_with(b)
-        assert not a.correlated_with(c)

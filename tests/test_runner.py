@@ -198,6 +198,14 @@ class TestCompose:
         signal = np.array(record["scalars"]["signal_matrix"])
         np.testing.assert_allclose(signal, [[1.0, 0.5], [0.0, 1.0]], atol=1e-8)
 
+    def test_second_step_variance_without_the_first(self, tmp_path):
+        cfg = write_config(tmp_path, (
+            "[compose]\ntarget = 1, 0.5; 0, 1\ny_variance = 0.05\n"
+            "y_variance_2_step1 = 0.1\n"))
+        assert main(["compose", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        record = json.loads((tmp_path / "o" / "compose.json").read_text())
+        assert record["inputs"]["y_variances"] == [[0.05, 0.1], [0.05, 0.05]]
+
 
 class TestOracleVerdictCanFail:
     """A wrong feed-forward gain in the oracle must fail the agreement verdict."""
@@ -381,6 +389,21 @@ class TestBadInputExitCode:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("config error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("kind,text,message", [
+        ("cz", "[cz]\na = 1, 0; 0\nb = 1, 0; 0, 1\n",
+         "[cz] a = '1, 0; 0' has rows of unequal length"),
+        ("compose", "[compose]\ntarget = 1, 0.5; 0\n",
+         "[compose] target = '1, 0.5; 0' has rows of unequal length"),
+        ("pipeline", "[pipeline]\nduration = 1e308\ngap = 1e308\nlanes = 1\n"
+                     "settings_lane0 = 0.9, 0.35\n",
+         "duration + gap = 1e+308 + 1e+308 is not finite"),
+    ], ids=["ragged-cz-block", "ragged-target", "period-overflow"])
+    def test_message_names_the_inputs(self, tmp_path, capsys, kind, text, message):
+        cfg = write_config(tmp_path, text)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
 
 
 class TestNumericEdgesExitCode:
