@@ -17,6 +17,8 @@ from cvmbqc.laser import (
     y_spectral_variance,
     y_spectral_variance_oracle,
 )
+from cvmbqc.multiplex import admissible_frequencies
+from cvmbqc.quadrature import VACUUM_VARIANCE
 
 
 @pytest.fixture
@@ -206,6 +208,33 @@ class TestOracleErrorBound:
         sizes.clear()
         y_spectral_variance_oracle(1e15, 1.3, window=MIN_ORACLE_WINDOW / 1.3)
         assert sizes == [40 * 20]
+
+
+def _whole_pulse_covariance(train, m, m_prime, channel, channel_prime, n=21):
+    """Riemann sum of the correlation over two pulse windows (k = 0 modes)."""
+    ts = np.linspace(0.0, train.duration, n)
+    step = ts[1] - ts[0]
+    t0, t0p = train.pulse_start(m), train.pulse_start(m_prime)
+    return sum(y_correlation(t0 + t, t0p + tp, m, m_prime, train, channel, channel_prime)
+               for t in ts for tp in ts) * step * step
+
+
+class TestGridsAndWholePulse:
+    def test_direct_formula(self, train):
+        omegas = admissible_frequencies(train.period, [1])
+        assert omegas[-1] == pytest.approx(2 * math.pi / 25.0, rel=1e-15)
+
+    def test_whole_pulse_mode(self, train):
+        # the k = 0 admissible frequency is the whole-pulse mode: fully squeezed
+        # ideally, with the single-quadrature commutator normalization 1/4
+        assert admissible_frequencies(train.period, [0])[0] == 0.0
+        assert y_spectral_variance(0.0, train.kappa) == 0.0
+        assert VACUUM_VARIANCE == 0.25
+
+    def test_whole_pulse_correlations(self, train):
+        assert _whole_pulse_covariance(train, 0, 0, 0, 0) < 0.0
+        assert _whole_pulse_covariance(train, 0, 1, 0, 0) == 0.0
+        assert _whole_pulse_covariance(train, 0, 0, 0, 1) == 0.0
 
 
 class TestXModel:
