@@ -17,7 +17,6 @@ from cvmbqc import (
     output_covariance,
     run_steps,
     sample_currents,
-    single_step,
     single_step_covariance_oracle,
     solve_phases,
     x_quad,
@@ -32,7 +31,7 @@ print("=== one measurement step ===")
 M = gate_matrix(setting.theta_plus, setting.theta_minus)
 print("gate matrix M:\n", np.round(M, 6), "\n(det = %.12f)" % np.linalg.det(M))
 
-out = single_step((x_quad(0), y_quad(0)), cluster, setting, source_modes=(1, 2))
+out = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
 print("output x expression:", out.exprs[0])
 print("The squeezed-source terms are the computation error; the photocurrent")
 print("symbols are classical and will be displaced away.")

@@ -73,7 +73,6 @@ from .gates import (
     output_covariance,
     run_steps,
     sample_currents,
-    single_step,
     single_step_covariance_oracle,
     solve_phases,
 )

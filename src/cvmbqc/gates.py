@@ -30,12 +30,15 @@ exactly):
   on the sum port, both measuring cos(theta) x + sin(theta) y;
 * balanced detection yields i = 2 * beta0 * (measured quadrature).
 
-Every step is affine in the quadratures and currents, so the engine holds a
-chain of k steps as small dense arrays (:class:`GateOutput`), built in one
-pass from the cluster-node identities.  Step j homodynes its input against
-node 1 of cluster j, and its input is node 2 of cluster j - 1 (the chain
-input for j = 0), so each measured quadrature is a fixed row over the
-sources of two steps:
+:func:`run_steps` is the engine's one entry point, for one step or many.
+Its input is the (x, y) pair of one mode m, with optional numeric offsets;
+the sources of step j are modes m + 1 + 2j and m + 2 + 2j, so the column
+layout is fixed by m and the step count.  Every step is affine in the
+quadratures and currents, so the engine holds a chain of k steps as small
+dense arrays (:class:`GateOutput`), built in one pass from the cluster-node
+identities.  Step j homodynes its input against node 1 of cluster j, and
+its input is node 2 of cluster j - 1 (the chain input for j = 0), so each
+measured quadrature is a fixed row over the sources of two steps:
 
     ports_j = D_j (input_j) + diag(-1, 1) D_j (X1_j, Y1_j),
     D_j = [[-cos theta_in, -sin theta_in], [cos theta_1, sin theta_1]] / sqrt(2).
@@ -171,13 +174,13 @@ def gate_matrix(theta_plus: float, theta_minus: float) -> np.ndarray:
     return np.array([[cp + cm, sp], [-sp, cp - cm]]) / s
 
 
-def cluster_node_exprs(source_modes: tuple) -> tuple:
+def cluster_node_exprs(sources: tuple) -> tuple:
     """Cluster-node quadratures over the two squeezed source modes.
 
     Returns ((X1, Y1), (X2, Y2)) for sources (m1, m2) entangled through
     U = (1/sqrt 2)[[1, -i], [i, -1]].
     """
-    m1, m2 = source_modes
+    m1, m2 = sources
     h = 1.0 / _SQRT2
     X1 = h * (x_quad(m1) + y_quad(m2))
     Y1 = h * (y_quad(m1) - x_quad(m2))
@@ -190,12 +193,13 @@ def cluster_node_exprs(source_modes: tuple) -> tuple:
 class GateOutput:
     """Output of one or more chained measurement steps, as dense arrays.
 
-    Quadrature columns follow :attr:`modes`: the input modes, then the two
-    source modes of each step, every mode as its (x, y) pair.  Current
-    columns follow ``current_names``, two per step in time order.
+    Quadrature columns follow :attr:`modes`: the input mode m, then the
+    source modes m + 1 + 2j and m + 2 + 2j of each step j, every mode as its
+    (x, y) pair.  Current columns follow ``current_names``, two per step in
+    time order.
 
-    * ``signal_matrix`` - the net 2x2 gate M_k ... M_1 on the input pair;
-    * ``input_rows`` - the input pair over the input-mode quadratures;
+    * ``signal_matrix`` - the net 2x2 gate M_k ... M_1 on the input pair,
+      which is also the output pair over the input columns;
     * ``noise`` - the output pair over the source quadratures (the
       accumulated -sqrt(2) squeezed-quadrature terms);
     * ``classical`` and ``offset`` - the output pair over the recorded
@@ -212,17 +216,15 @@ class GateOutput:
     """
 
     signal_matrix: np.ndarray
-    input_rows: np.ndarray
     noise: np.ndarray
     classical: np.ndarray
     offset: np.ndarray
     measured_rows: np.ndarray
     measured_offset: np.ndarray
     current_names: tuple
-    input_modes: tuple
+    input_mode: int
     settings: tuple
     clusters: tuple
-    source_modes: tuple
     exprs: tuple | None = None
 
     def __post_init__(self):
@@ -234,11 +236,16 @@ class GateOutput:
     @property
     def modes(self) -> tuple:
         """Mode of every quadrature-column pair, in column order."""
-        return self.input_modes + tuple(m for pair in self.source_modes for m in pair)
+        return tuple(range(self.input_mode, self.input_mode + 1 + 2 * len(self.settings)))
+
+    @property
+    def source_modes(self) -> tuple:
+        """The two source modes of each step, in step order."""
+        return tuple(zip(self.modes[1::2], self.modes[2::2]))
 
     def quadrature_rows(self) -> np.ndarray:
         """Quantum part of the output pair over all quadrature columns."""
-        return np.hstack([self.signal_matrix @ self.input_rows, self.noise])
+        return np.hstack([self.signal_matrix, self.noise])
 
     def source_variances(self) -> np.ndarray:
         """Variances of the source quadratures, in column order."""
@@ -247,17 +254,14 @@ class GateOutput:
                                    c.x_variances[1], c.y_variances[1])])
 
     def column_cov(self, input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Covariance of the quadrature columns: input blocks (vacuum where
-        none is given) and the uncorrelated cluster sources."""
-        n_in = self.input_rows.shape[1]
-        cov = np.zeros((n_in + self.noise.shape[1],) * 2)
-        for i, mode in enumerate(self.input_modes):
-            block = np.asarray(input_blocks.get(mode, VACUUM_VARIANCE * np.eye(2)),
-                               dtype=float)
-            if block.shape != (2, 2):
-                raise ValueError("each covariance block must be 2x2")
-            cov[2 * i:2 * i + 2, 2 * i:2 * i + 2] = block
-        cov[n_in:, n_in:] = np.diag(self.source_variances())
+        """Covariance of the quadrature columns: the input mode's block
+        (vacuum when none is given) and the uncorrelated cluster sources."""
+        block = np.asarray(input_blocks.get(self.input_mode, VACUUM_VARIANCE * np.eye(2)),
+                           dtype=float)
+        if block.shape != (2, 2):
+            raise ValueError("the input covariance block must be 2x2")
+        cov = np.diag(np.concatenate([np.zeros(2), self.source_variances()]))
+        cov[:2, :2] = block
         return cov
 
     def noise_covariance(self) -> np.ndarray:
@@ -274,30 +278,16 @@ def _row_exprs(quad_rows, modes, current_rows, names, offsets) -> tuple:
                                           current_rows.tolist(), offsets.tolist()))
 
 
-def _input_rows(input_exprs: tuple) -> tuple:
-    """Input modes, the (x, y) pair over their quadratures, and its offset."""
+def _input_mode(input_exprs: tuple) -> tuple:
+    """Mode m and offsets (a, b) of an input pair (x_m + a, y_m + b)."""
     if any(e.symbols for e in input_exprs):
         raise ValueError("input expressions carry photocurrent symbols; feed forward "
                          "first, or run all steps in one run_steps call")
-    modes = tuple(sorted(set().union(*(e.modes() for e in input_exprs))))
-    column = {m: 2 * i for i, m in enumerate(modes)}
-    rows = np.zeros((2, 2 * len(modes)))
-    for row, e in enumerate(input_exprs):
-        for idx, c in e.coeffs.items():
-            rows[row, column[idx.mode] + (idx.kind == "y")] = c
-    return modes, rows, np.array([e.offset for e in input_exprs])
-
-
-def _source_pair(requested, used: set) -> tuple:
-    if requested is None:
-        base = max(used) + 1 if used else 0
-        return base, base + 1
-    m1, m2 = int(requested[0]), int(requested[1])
-    if m1 == m2:
-        raise ValueError("the two source modes must be distinct")
-    if {m1, m2} & used:
-        raise ValueError(f"source modes ({m1}, {m2}) are already in use")
-    return m1, m2
+    mode = min(set().union(*(e.modes() for e in input_exprs)), default=0)
+    if [e.coeffs for e in input_exprs] != [x_quad(mode).coeffs, y_quad(mode).coeffs]:
+        raise ValueError("the input must be the (x, y) pair of one mode m with "
+                         "optional numeric offsets, (x_m + a, y_m + b)")
+    return mode, np.array([e.offset for e in input_exprs])
 
 
 #: sqrt(2) (X, Y) of node 1 and of node 2 over the cluster's sources
@@ -312,10 +302,17 @@ _STEP_NOISE = np.array([[0.0, -_SQRT2, 0.0, 0.0], [0.0, 0.0, 0.0, -_SQRT2]])
 _PORT_SIGN = np.array([[-1.0], [1.0]])
 
 
-def _chain(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
-           settings: Sequence[HomodyneSetting], source_modes, labels: Sequence[str],
-           allow_unentangled: bool) -> GateOutput:
-    """Build the chain's arrays from the cluster-node identities.
+def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
+              settings: Sequence[HomodyneSetting], *,
+              allow_unentangled: bool = False) -> GateOutput:
+    """Chain measurement steps; the signal part becomes M_k ... M_2 M_1.
+
+    ``input_exprs`` is the (x, y) pair of one mode m with optional numeric
+    offsets, (x_m + a, y_m + b), free of photocurrent symbols; step j
+    (from 0) takes the source modes m + 1 + 2j and m + 2 + 2j.  Noise of
+    earlier steps is propagated through the later gate matrices, and the
+    photocurrents are named in time order: ``i_in``, ``i_1`` for a single
+    step, ``i_in[j]``, ``i_1[j]`` for step j = 1..k of a longer chain.
 
     With T_j the rows (cos, sin) of theta_in and theta_1 of step j and
     D_j = diag(-1, 1) T_j / sqrt(2), step j measures D_j on its input and
@@ -323,23 +320,22 @@ def _chain(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
     j - 1, or the chain input for j = 0.  The output carries each step's
     noise and current terms through the suffix product M_k ... M_{j+1}.
     """
-    input_modes, input_rows, input_offset = _input_rows(input_exprs)
-    k, n_in = len(settings), input_rows.shape[1]
-    used = set(input_modes)
-    pairs, names, matrices, trig, gains = [], [], [], [], []
-    for j, (cluster, setting) in enumerate(zip(clusters, settings)):
+    k = len(settings)
+    if len(clusters) != k or not k:
+        raise ValueError("need one cluster per setting, at least one step")
+    input_mode, input_offset = _input_mode(input_exprs)
+    labels = [""] if k == 1 else [f"[{j + 1}]" for j in range(k)]
+    names, matrices, trig, gains = [], [], [], []
+    for cluster, setting, label in zip(clusters, settings, labels):
         if cluster.vlf_sum() >= VLF_BOUND:
             if not allow_unentangled:
                 raise ValueError(
                     "cluster resource is not entangled (nullifier sum "
                     f"{cluster.vlf_sum():g} >= {VLF_BOUND}); pass allow_unentangled=True to force")
             warnings.warn("running a measurement step on an unentangled cluster resource",
-                          stacklevel=3)
+                          stacklevel=2)
         matrices.append(gate_matrix(setting.theta_plus, setting.theta_minus))  # validates phases
-        m1, m2 = _source_pair(source_modes[j] if source_modes is not None else None, used)
-        used |= {m1, m2}
-        pairs.append((m1, m2))
-        names += [f"i_in{labels[j]}", f"i_1{labels[j]}"]
+        names += [f"i_in{label}", f"i_1{label}"]
         cin, sin_ = math.cos(setting.theta_in), math.sin(setting.theta_in)
         c1, s1 = math.cos(setting.theta_1), math.sin(setting.theta_1)
         pref = 1.0 / (setting.beta_0 * _SQRT2 * math.sin(setting.theta_minus))
@@ -353,10 +349,10 @@ def _chain(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
     steps = np.arange(k)
     sources[steps, :, steps] = 0.5 * (trig @ _NODE_1)
     sources[steps[1:], :, steps[:-1]] = 0.5 * ((_PORT_SIGN * trig[1:]) @ _NODE_2)
-    measured_rows = np.hstack([np.zeros((2 * k, n_in)), sources.reshape(2 * k, 4 * k)])
+    measured_rows = np.hstack([np.zeros((2 * k, 2)), sources.reshape(2 * k, 4 * k)])
     measured_offset = np.zeros(2 * k)
     D0 = _PORT_SIGN * trig[0]
-    measured_rows[:2, :n_in] = D0 @ input_rows / _SQRT2
+    measured_rows[:2, :2] = D0 / _SQRT2
     measured_offset[:2] = D0 @ input_offset / _SQRT2
 
     suffix = np.empty((k, 2, 2))
@@ -366,39 +362,24 @@ def _chain(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
         signal = signal @ matrices[j]
     return GateOutput(
         signal_matrix=signal,
-        input_rows=input_rows,
         noise=(suffix @ _STEP_NOISE).transpose(1, 0, 2).reshape(2, 4 * k),
         classical=(suffix @ np.array(gains)).transpose(1, 0, 2).reshape(2, 2 * k),
         offset=signal @ input_offset,
         measured_rows=measured_rows,
         measured_offset=measured_offset,
         current_names=tuple(names),
-        input_modes=input_modes,
+        input_mode=input_mode,
         settings=tuple(settings),
         clusters=tuple(clusters),
-        source_modes=tuple(pairs),
     )
 
 
 def output_covariance(output: GateOutput,
                       input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
-    """Quantum covariance Q Sigma Q^T of the output pair over input plus
-    source modes (input modes without a block are vacuum)."""
+    """Quantum covariance Q Sigma Q^T of the output pair over the input and
+    source modes (vacuum input when ``input_blocks`` has no block for it)."""
     Q = output.quadrature_rows()
     return Q @ output.column_cov(input_blocks) @ Q.T
-
-
-def single_step(input_exprs: tuple, cluster: TwoNodeCluster, setting: HomodyneSetting,
-                source_modes: tuple | None = None,
-                allow_unentangled: bool = False) -> GateOutput:
-    """One homodyne measurement step on a two-node cluster resource.
-
-    ``input_exprs`` is the (x, y) pair of the mode to transform, free of
-    photocurrent symbols.  Fresh source modes are allocated after the
-    input's modes unless given explicitly.
-    """
-    return _chain(input_exprs, (cluster,), (setting,), (source_modes,), ("",),
-                  allow_unentangled)
 
 
 def feed_forward(output: GateOutput, currents: Mapping[str, float] | None = None) -> GateOutput:
@@ -416,21 +397,6 @@ def feed_forward(output: GateOutput, currents: Mapping[str, float] | None = None
     cleaned = tuple(LinearQuadratureExpr(e.coeffs) for e in output.exprs)
     return replace(output, classical=np.zeros_like(output.classical),
                    offset=np.zeros(2), exprs=cleaned)
-
-
-def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
-              settings: Sequence[HomodyneSetting],
-              source_modes: Sequence[tuple] | None = None,
-              allow_unentangled: bool = False) -> GateOutput:
-    """Chain measurement steps; the signal part becomes M_k ... M_2 M_1.
-
-    Noise contributions of earlier steps are propagated through the later
-    gate matrices and photocurrent records accumulate in time order.
-    """
-    if len(clusters) != len(settings) or not settings:
-        raise ValueError("need one cluster per setting, at least one step")
-    return _chain(input_exprs, clusters, settings, source_modes,
-                  [f"[{j + 1}]" for j in range(len(settings))], allow_unentangled)
 
 
 def sample_currents(output: GateOutput, input_blocks: Mapping[int, np.ndarray],

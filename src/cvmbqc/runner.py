@@ -179,7 +179,10 @@ def _parse_floats(text: str) -> list:
 
 def _parse_matrix(p: Params, key: str) -> np.ndarray:
     text = p.get_str(key)
-    rows = [[float(tok) for tok in r.split(",")] for r in text.split(";") if r.strip()]
+    try:
+        rows = [[float(tok) for tok in r.split(",")] for r in text.split(";") if r.strip()]
+    except ValueError:
+        raise ConfigError(f"[{p.kind}] {key} = {text!r} is not a number matrix") from None
     if len({len(r) for r in rows}) > 1:
         raise ConfigError(f"[{p.kind}] {key} = {text!r} has rows of unequal length")
     m = np.array(rows)
@@ -542,8 +545,8 @@ def _run_gate(cfg: ExperimentConfig) -> ResultRecord:
     allow = p.get_bool("allow_unentangled", False)
 
     M = gates.gate_matrix(setting.theta_plus, setting.theta_minus)
-    out = gates.single_step((x_quad(0), y_quad(0)), cluster, setting,
-                            source_modes=(1, 2), allow_unentangled=allow)
+    out = gates.run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,),
+                          allow_unentangled=allow)
     engine_cov = gates.output_covariance(out, {0: cov_in})
     oracle_cov = gates.single_step_covariance_oracle(cov_in, cluster, setting)
     noise_cov = out.noise_covariance()
@@ -599,7 +602,7 @@ def _run_compose(cfg: ExperimentConfig) -> ResultRecord:
                                    p.get_angle("theta_1_2", required=True), beta0)
 
     out = gates.run_steps((x_quad(0), y_quad(0)), (cluster_1, cluster_2), (s1, s2),
-                          source_modes=((1, 2), (3, 4)), allow_unentangled=allow)
+                          allow_unentangled=allow)
     engine_cov = gates.output_covariance(out, {0: cov_in})
     mid = gates.single_step_covariance_oracle(cov_in, cluster_1, s1)
     oracle_cov = gates.single_step_covariance_oracle(mid, cluster_2, s2)

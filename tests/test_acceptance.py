@@ -23,7 +23,6 @@ from cvmbqc.gates import (
     output_covariance,
     run_steps,
     sample_currents,
-    single_step,
     single_step_covariance_oracle,
     solve_phases,
 )
@@ -137,7 +136,7 @@ def test_criterion_5_measurement_step_equivalence():
     worst = 0.0
     for _ in range(100):
         setting, cov_in, cluster = _random_config(rng)
-        out = single_step((x_quad(0), y_quad(0)), cluster, setting, (1, 2))
+        out = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
         engine = output_covariance(out, {0: cov_in})
         oracle = single_step_covariance_oracle(cov_in, cluster, setting)
         worst = max(worst, float(np.max(np.abs(engine - oracle))))
@@ -157,7 +156,7 @@ def test_criterion_6_noise_floor():
         covs = []
         for factor in (1.0, 100.0):
             cluster = TwoNodeCluster.from_y_variances(v, v, factor)
-            out = single_step((x_quad(0), y_quad(0)), cluster, setting, (1, 2))
+            out = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
             covs.append(output_covariance(out, {0: cov_in}))
         M = gate_matrix(setting.theta_plus, setting.theta_minus)
         law = M @ cov_in @ M.T + 2.0 * v * np.eye(2)

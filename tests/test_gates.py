@@ -24,7 +24,6 @@ from cvmbqc.gates import (
     protocol_gains,
     run_steps,
     sample_currents,
-    single_step,
     single_step_covariance_oracle,
     solve_phases,
     step_joint_state,
@@ -107,8 +106,7 @@ class TestSingleStep:
         for _ in range(20):
             setting = random_setting(rng, beta_0=rng.uniform(0.5, 50.0))
             cluster = TwoNodeCluster.from_y_variances(*rng.uniform(0.01, 0.12, 2))
-            out = single_step((x_quad(0), y_quad(0)), cluster, setting,
-                              source_modes=(1, 2))
+            out = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
             assert out.modes == (0, 1, 2)
             _, (X2, Y2) = cluster_node_exprs((1, 2))
             R = out.measured_rows
@@ -196,7 +194,7 @@ class TestSingleStep:
     def test_ideal_cluster_covariance(self):
         setting = HomodyneSetting(0.9, 0.2)
         cluster = TwoNodeCluster.from_y_variances(1e-13, 1e-13)
-        out = single_step((x_quad(0), y_quad(0)), cluster, setting, (1, 2))
+        out = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
         cov_in = np.diag([0.4, 0.3])
         M = out.signal_matrix
         engine = output_covariance(out, {0: cov_in})
@@ -210,7 +208,7 @@ class TestSingleStep:
             setting = random_setting(rng)
             cluster = TwoNodeCluster.from_y_variances(v, v)
             cov_in = random_input_cov(rng)
-            out = single_step((x_quad(0), y_quad(0)), cluster, setting, (1, 2))
+            out = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
             M = out.signal_matrix
             law = M @ cov_in @ M.T + 2.0 * v * np.eye(2)
             engine = output_covariance(out, {0: cov_in})
@@ -222,16 +220,16 @@ class TestSingleStep:
         covs = []
         for factor in (1.0, 100.0):
             cluster = TwoNodeCluster.from_y_variances(0.05, 0.08, factor)
-            out = single_step((x_quad(0), y_quad(0)), cluster, setting, (1, 2))
+            out = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
             covs.append(output_covariance(out, {0: cov_in}))
         assert np.max(np.abs(covs[0] - covs[1])) < 1e-10
 
     def test_classical_term_scales_inversely_with_beta(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
-        small = single_step((x_quad(0), y_quad(0)), cluster,
-                            HomodyneSetting(0.9, 0.2, beta_0=1.0), (1, 2))
-        large = single_step((x_quad(0), y_quad(0)), cluster,
-                            HomodyneSetting(0.9, 0.2, beta_0=1e9), (1, 2))
+        small = run_steps((x_quad(0), y_quad(0)), (cluster,),
+                          (HomodyneSetting(0.9, 0.2, beta_0=1.0),))
+        large = run_steps((x_quad(0), y_quad(0)), (cluster,),
+                          (HomodyneSetting(0.9, 0.2, beta_0=1e9),))
         for lo, hi in zip(small.exprs, large.exprs):
             assert max(abs(c) for c in hi.symbols.values()) < \
                 1e-8 * max(abs(c) for c in lo.symbols.values())
@@ -239,32 +237,70 @@ class TestSingleStep:
     def test_unentangled_cluster_rejected_then_warned(self):
         cluster = TwoNodeCluster.from_y_variances(0.2, 0.2)  # sum 0.8 >= 0.5
         with pytest.raises(ValueError, match="not entangled"):
-            single_step((x_quad(0), y_quad(0)), cluster, HomodyneSetting(0.9, 0.2))
+            run_steps((x_quad(0), y_quad(0)), (cluster,), (HomodyneSetting(0.9, 0.2),))
         with pytest.warns(UserWarning, match="unentangled"):
-            single_step((x_quad(0), y_quad(0)), cluster, HomodyneSetting(0.9, 0.2),
-                        allow_unentangled=True)
+            run_steps((x_quad(0), y_quad(0)), (cluster,), (HomodyneSetting(0.9, 0.2),),
+                      allow_unentangled=True)
+        # keyword-only, so a stray fourth argument cannot switch the check off
+        with pytest.raises(TypeError):
+            run_steps((x_quad(0), y_quad(0)), (cluster,), (HomodyneSetting(0.9, 0.2),), True)
 
     def test_degenerate_setting_rejected(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
         with pytest.raises(DegenerateHomodynePhasesError):
-            single_step((x_quad(0), y_quad(0)), cluster, HomodyneSetting(0.7, 0.7))
+            run_steps((x_quad(0), y_quad(0)), (cluster,), (HomodyneSetting(0.7, 0.7),))
 
     def test_source_mode_allocation(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
-        out = single_step((x_quad(3), y_quad(3)), cluster, HomodyneSetting(0.9, 0.2))
+        setting = HomodyneSetting(0.9, 0.2)
+        shifted = (x_quad(3) + LinearQuadratureExpr(offset=0.3),
+                   y_quad(3) + LinearQuadratureExpr(offset=-1.1))
+        out = run_steps(shifted, (cluster,), (setting,))
+        assert out.input_mode == 3
         assert out.source_modes == ((4, 5),)
+        assert out.modes == (3, 4, 5)
+        np.testing.assert_allclose(out.offset, out.signal_matrix @ [0.3, -1.1], rtol=1e-15)
+        # the input block is read at the input's own mode
+        cov_in = np.diag([0.4, 0.3])
+        at_zero = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
+        assert np.array_equal(output_covariance(out, {3: cov_in}),
+                              output_covariance(at_zero, {0: cov_in}))
+
+    def test_current_names(self):
+        # the names are the keys of the sampling records
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
+        setting = HomodyneSetting(0.9, 0.2)
+        one = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
+        assert one.current_names == ("i_in", "i_1")
+        three = run_steps((x_quad(0), y_quad(0)), [cluster] * 3, [setting] * 3)
+        assert three.current_names == ("i_in[1]", "i_1[1]", "i_in[2]", "i_1[2]",
+                                       "i_in[3]", "i_1[3]")
+
+    @pytest.mark.parametrize("pair", [
+        (2.0 * x_quad(0), y_quad(0)),
+        (x_quad(0), y_quad(1)),
+        (x_quad(0) + x_quad(1), y_quad(0)),
+        (y_quad(0), x_quad(0)),
+    ], ids=["scaled", "two-modes", "mixed", "swapped"])
+    def test_input_must_be_one_modes_pair(self, pair):
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
+        with pytest.raises(ValueError, match=r"the \(x, y\) pair of one mode m"):
+            run_steps(pair, (cluster,), (HomodyneSetting(0.9, 0.2),))
+
+    def test_feed_forwarded_output_is_not_an_input(self):
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
+        setting = HomodyneSetting(0.9, 0.2)
+        out = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
+        corrected = feed_forward(out, {name: 0.5 for name in out.current_names})
+        with pytest.raises(ValueError, match=r"the \(x, y\) pair of one mode m"):
+            run_steps(corrected.exprs, (cluster,), (setting,))
 
     def test_rejects_used_source_modes_and_symbolic_input(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
         setting = HomodyneSetting(0.9, 0.2)
-        with pytest.raises(ValueError, match="already in use"):
-            single_step((x_quad(0), y_quad(0)), cluster, setting, source_modes=(0, 1))
-        with pytest.raises(ValueError, match="already in use"):
-            run_steps((x_quad(0), y_quad(0)), [cluster] * 2, [setting] * 2,
-                      source_modes=((1, 2), (2, 3)))
-        out = single_step((x_quad(0), y_quad(0)), cluster, setting)
+        out = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
         with pytest.raises(ValueError, match="photocurrent symbols"):
-            single_step(out.exprs, cluster, setting)
+            run_steps(out.exprs, (cluster,), (setting,))
 
     def test_expression_views_match_the_arrays(self):
         rng = np.random.default_rng(15)
@@ -323,7 +359,7 @@ class TestConditioningOracle:
                 rng.uniform(0.005, 0.12), rng.uniform(0.005, 0.12),
                 rng.uniform(1.0, 20.0))
             cov_in = random_input_cov(rng)
-            out = single_step((x_quad(0), y_quad(0)), cluster, setting, (1, 2))
+            out = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
             engine = output_covariance(out, {0: cov_in})
             oracle = single_step_covariance_oracle(cov_in, cluster, setting)
             assert np.max(np.abs(engine - oracle)) < 1e-9
@@ -466,8 +502,8 @@ class TestConditioningAgainstReference:
 class TestFeedForward:
     def _output(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
-        return single_step((x_quad(0), y_quad(0)), cluster,
-                           HomodyneSetting(0.9, 0.2, beta_0=3.0), (1, 2))
+        return run_steps((x_quad(0), y_quad(0)), (cluster,),
+                         (HomodyneSetting(0.9, 0.2, beta_0=3.0),))
 
     def test_offsets_become_exactly_zero(self):
         out = self._output()
@@ -662,7 +698,7 @@ class TestSampling:
         # 10^4 draws of each current: sample mean within 4 sigma / 100
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
         setting = HomodyneSetting(0.9, 0.2, beta_0=1.0)
-        out = single_step((x_quad(0), y_quad(0)), cluster, setting, (1, 2))
+        out = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
         blocks = {0: np.diag([0.25, 0.25])}
         rng = np.random.default_rng(11)
         draws = {name: [] for name in out.current_names}

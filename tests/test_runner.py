@@ -176,6 +176,7 @@ class TestGate:
         assert first == second  # byte-for-byte determinism
         record = json.loads(first)
         assert record["scalars"]["sampling"]["corrected_offsets"] == [0.0, 0.0]
+        assert list(record["scalars"]["sampling"]["currents"]) == ["i_1", "i_in"]
         main(["gate", "--config", cfg, "--out", str(tmp_path / "c"), "--seed", "8"])
         assert (tmp_path / "c" / "gate.json").read_bytes() != first
 
@@ -197,6 +198,16 @@ class TestCompose:
         assert record["scalars"]["solver_residual"] <= 1e-6
         signal = np.array(record["scalars"]["signal_matrix"])
         np.testing.assert_allclose(signal, [[1.0, 0.5], [0.0, 1.0]], atol=1e-8)
+
+    def test_sampling_names_the_currents_by_step(self, tmp_path):
+        cfg = write_config(tmp_path, (
+            "[compose]\ntarget = 1, 0.5; 0, 1\ny_variance = 0.05\nsampling = true\n"))
+        code = main(["compose", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", "7"])
+        assert code == 0
+        record = json.loads((tmp_path / "o" / "compose.json").read_text())
+        assert list(record["scalars"]["sampling"]["currents"]) == [
+            "i_1[1]", "i_1[2]", "i_in[1]", "i_in[2]"]
 
     def test_second_step_variance_without_the_first(self, tmp_path):
         cfg = write_config(tmp_path, (
@@ -398,7 +409,12 @@ class TestBadInputExitCode:
         ("pipeline", "[pipeline]\nduration = 1e308\ngap = 1e308\nlanes = 1\n"
                      "settings_lane0 = 0.9, 0.35\n",
          "duration + gap = 1e+308 + 1e+308 is not finite"),
-    ], ids=["ragged-cz-block", "ragged-target", "period-overflow"])
+        ("compose", "[compose]\ntarget = 1,\n",
+         "[compose] target = '1,' is not a number matrix"),
+        ("cz", "[cz]\na = 1, x; 0, 1\nb = 1, 0; 0, 1\n",
+         "[cz] a = '1, x; 0, 1' is not a number matrix"),
+    ], ids=["ragged-cz-block", "ragged-target", "period-overflow", "empty-target-entry",
+            "non-number-cz-entry"])
     def test_message_names_the_inputs(self, tmp_path, capsys, kind, text, message):
         cfg = write_config(tmp_path, text)
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
