@@ -16,6 +16,13 @@ two nodes' 4x4 block.  Nullifiers are returned as ``LinearQuadratureExpr``
 objects, each built from a single coefficient map, without expression
 arithmetic.
 
+A graph is immutable: its adjacency is a read-only copy of the caller's
+array.  So the parts that depend on the graph alone, the Q-free map
+(I + iA)(I + A^2)^(-1/2) and the nullifier tuple, are computed once per
+graph object, on first use, and returned shared: the map as a read-only
+array.  A sweep over source variances on one graph pays for them once;
+what depends on the variances or on a given Q is computed on every call.
+
 Q = None means the identity, and the product with it is skipped.  The
 output bits are fixed by a few operations, kept as they are: the
 eigendecomposition of I + A^2, the real product (V / sqrt(w)) V^T, the
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +58,11 @@ _ORTHOGONAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ClusterGraph:
-    """Simple graph given by a symmetric 0/1 adjacency matrix, zero diagonal."""
+    """Simple graph given by a symmetric 0/1 adjacency matrix, zero diagonal.
+
+    The adjacency is stored as a read-only integer copy, so the graph cannot
+    change after it is built and what is derived from it can be kept.
+    """
 
     adjacency: np.ndarray
 
@@ -64,7 +76,9 @@ class ClusterGraph:
             raise ValueError("adjacency diagonal must be zero")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency must be symmetric")
-        object.__setattr__(self, "adjacency", adj.astype(int))
+        adj = adj.astype(int)
+        adj.flags.writeable = False
+        object.__setattr__(self, "adjacency", adj)
 
     @property
     def n_nodes(self) -> int:
@@ -77,6 +91,33 @@ class ClusterGraph:
         """Edges (i, j) with i < j as Python ints, in row-major order."""
         rows, cols = np.nonzero(np.triu(self.adjacency, 1))
         return list(zip(rows.tolist(), cols.tolist()))
+
+    @cached_property
+    def _entangling_map(self) -> np.ndarray:
+        """The checked Q-free map (I + iA)(I + A^2)^(-1/2), read-only.
+
+        Filled on first use; a fill that raises keeps nothing.
+        """
+        n = self.n_nodes
+        adj = self.adjacency.astype(float)
+        w, V = np.linalg.eigh(np.eye(n) + adj @ adj)
+        inv_sqrt = (V * (1.0 / np.sqrt(w))) @ V.T
+        U = (np.eye(n) + 1j * adj) @ inv_sqrt
+        _check_unitary(U)
+        U.flags.writeable = False
+        return U
+
+    @cached_property
+    def _nullifiers(self) -> tuple:
+        """The nullifier expressions, built on first use (see :func:`nullifiers`)."""
+        xs = [QuadratureIndex(i, "x") for i in range(self.n_nodes)]
+        out = []
+        for j, row in enumerate(self.adjacency):
+            coeffs = {QuadratureIndex(j, "y"): 1.0}
+            for i in np.flatnonzero(row).tolist():
+                coeffs[xs[i]] = -1.0
+            out.append(LinearQuadratureExpr(coeffs))
+        return tuple(out)
 
     @classmethod
     def from_text(cls, text: str) -> "ClusterGraph":
@@ -117,6 +158,11 @@ def _check_orthogonal(q: np.ndarray, n: int) -> np.ndarray:
     return q
 
 
+def _check_unitary(U: np.ndarray) -> None:
+    if np.max(np.abs(U @ U.conj().T - np.eye(U.shape[0]))) > _UNITARY_TOL:
+        raise ValueError("constructed matrix failed the unitarity check")
+
+
 def default_two_node_q() -> np.ndarray:
     """Orthogonal freedom matching the two-source experimental layout."""
     return np.diag([1.0, -1.0])
@@ -128,23 +174,20 @@ def cluster_unitary(graph: ClusterGraph, q: np.ndarray | None = None) -> np.ndar
     The inverse square root is taken by eigendecomposition of the symmetric
     positive-definite matrix I + A^2 (its spectrum is bounded below by 1,
     so the construction is always well conditioned), as (V / sqrt(w)) V^T.
-    ``q=None`` means Q = I, and the product with it is skipped; a given Q
-    must be orthogonal and multiplies the complex product from the right.
     The output bits are fixed by the eigendecomposition, the real product
     (V / sqrt(w)) V^T, the complex product (I + iA) @ inv_sqrt and the
     product with Q; U is checked to be unitary.
+
+    ``q=None`` means Q = I: the product with it is skipped, and the Q-free
+    map, computed and checked once per graph, is returned shared and
+    read-only.  A given Q must be orthogonal; it multiplies that map from
+    the right on every call, and the product, a new array, is checked again.
     """
-    n = graph.n_nodes
-    if q is not None:
-        q = _check_orthogonal(q, n)
-    adj = graph.adjacency.astype(float)
-    w, V = np.linalg.eigh(np.eye(n) + adj @ adj)
-    inv_sqrt = (V * (1.0 / np.sqrt(w))) @ V.T
-    U = (np.eye(n) + 1j * adj) @ inv_sqrt
-    if q is not None:
-        U = U @ q
-    if np.max(np.abs(U @ U.conj().T - np.eye(n))) > _UNITARY_TOL:
-        raise ValueError("constructed matrix failed the unitarity check")
+    if q is None:
+        return graph._entangling_map
+    q = _check_orthogonal(q, graph.n_nodes)
+    U = graph._entangling_map @ q
+    _check_unitary(U)
     return U
 
 
@@ -180,16 +223,11 @@ def nullifiers(graph: ClusterGraph) -> tuple:
 
     Each expression is built from one coefficient map read off the
     adjacency row: +1 on y_j and -1 on x_i for every neighbour i.  Each
-    x label is made once and shared by the expressions that use it.
+    x label is made once and shared by the expressions that use it.  The
+    tuple is built once per graph and returned shared; its expressions
+    are immutable by convention.
     """
-    xs = [QuadratureIndex(i, "x") for i in range(graph.n_nodes)]
-    out = []
-    for j, row in enumerate(graph.adjacency):
-        coeffs = {QuadratureIndex(j, "y"): 1.0}
-        for i in np.flatnonzero(row).tolist():
-            coeffs[xs[i]] = -1.0
-        out.append(LinearQuadratureExpr(coeffs))
-    return tuple(out)
+    return graph._nullifiers
 
 
 def min_squeezing_threshold(graph: ClusterGraph) -> float:

@@ -54,6 +54,42 @@ class TestGraphValidation:
         np.testing.assert_array_equal(g1.adjacency, g2.adjacency)
 
 
+class TestSharedResults:
+    """A graph cannot change, so what it keeps can be handed out shared."""
+
+    def test_adjacency_is_read_only(self):
+        graph = ClusterGraph.chain(3)
+        with pytest.raises(ValueError, match="read-only"):
+            graph.adjacency[0, 1] = 0
+
+    def test_caller_array_is_copied(self):
+        adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        graph = ClusterGraph(adj)
+        U = cluster_unitary(graph).copy()
+        adj[0, 1] = adj[1, 0] = 0
+        np.testing.assert_array_equal(graph.adjacency, ClusterGraph.chain(3).adjacency)
+        assert np.array_equal(cluster_unitary(graph), U)
+        assert nullifiers(graph)[0] == y_quad(0) - x_quad(1)
+
+    def test_q_free_unitary_is_shared_and_read_only(self):
+        graph = ClusterGraph.chain(3)
+        U = cluster_unitary(graph)
+        assert cluster_unitary(graph) is U
+        with pytest.raises(ValueError, match="read-only"):
+            U[0, 0] = 0
+
+    def test_unitary_with_q_is_a_new_writeable_array(self):
+        graph = ClusterGraph.chain(3)
+        U = cluster_unitary(graph, np.eye(3))
+        assert U is not cluster_unitary(graph, np.eye(3))
+        U[0, 0] = 0
+        assert cluster_unitary(graph)[0, 0] != 0
+
+    def test_nullifiers_are_shared(self):
+        graph = ClusterGraph.chain(3)
+        assert nullifiers(graph) is nullifiers(graph)
+
+
 class TestClusterUnitary:
     def test_two_node_with_default_q(self):
         U = cluster_unitary(ClusterGraph.two_node(), default_two_node_q())
@@ -246,16 +282,30 @@ class TestGenerateCluster:
         # one eigenvector off by 1e-9 leaves (I + A^2)^(-1/2) non-orthogonal
         # by about 1e-9, far above the 1e-12 unitarity tolerance
         real_eigh = np.linalg.eigh
+        calls = []
 
         def perturbed_eigh(a):
+            calls.append(a.shape)
             w, v = real_eigh(a)
             v = v.copy()
             v[:, 1] *= 1 + 1e-9
             return w, v
 
-        monkeypatch.setattr(cluster_module.np.linalg, "eigh", perturbed_eigh)
-        with pytest.raises(ValueError, match="unitarity check"):
-            generate_cluster([0.1] * 5, ClusterGraph.chain(5))
+        graph = ClusterGraph.chain(5)
+        vy = [0.1] * 5
+        with monkeypatch.context() as patch:
+            patch.setattr(cluster_module.np.linalg, "eigh", perturbed_eigh)
+            for q in (None, np.eye(5)):
+                with pytest.raises(ValueError, match="unitarity check"):
+                    generate_cluster(vy, graph, q)
+        # a failed fill keeps nothing: each call factorised again, and the
+        # same graph object builds its cluster once eigh is restored
+        assert len(calls) == 2
+        for q in (None, np.eye(5)):
+            state = generate_cluster(vy, graph, q)
+            want = reference_cov(vy, graph, q)
+            assert np.array_equal(state.cov, want)
+            assert np.array_equal(np.signbit(state.cov), np.signbit(want))
 
     def test_rejects_non_orthogonal_q_beyond_two_nodes(self):
         with pytest.raises(ValueError, match="Q is not orthogonal"):
@@ -326,29 +376,34 @@ def reference_pair_sum(cov, i, j):
 
 def assert_matches_reference(graph, q):
     """U, the cluster covariance, the nullifier covariance and every pair
-    sum are bit-identical to the reference arithmetic."""
+    sum are bit-identical to the reference arithmetic, on each of two calls
+    on the same graph: the first may fill what the graph keeps, the second
+    reuses it."""
     n = graph.n_nodes
-    U = cluster_unitary(graph, q)
     want_U = reference_unitary(graph, q)
-    assert np.array_equal(U, want_U)
-    if q is not None:
-        # the signs of zeros may differ only where the product with I is skipped
-        assert np.array_equal(np.signbit(U.real), np.signbit(want_U.real))
-        assert np.array_equal(np.signbit(U.imag), np.signbit(want_U.imag))
-
     vy = np.random.default_rng(n).uniform(0.01, 0.2, n).tolist()
-    state = generate_cluster(vy, graph, q)
     want = reference_cov(vy, graph, q)
-    assert np.array_equal(state.cov, want)
-    assert np.array_equal(np.signbit(state.cov), np.signbit(want))
-    assert np.array_equal(state.mean, np.zeros(2 * n))
-    assert not np.any(np.signbit(state.mean))
+    want_null = reference_expr_covariance(reference_nullifiers(graph), want)
+    for _ in range(2):
+        U = cluster_unitary(graph, q)
+        assert np.array_equal(U, want_U)
+        if q is not None:
+            # the signs of zeros may differ only where the product with I is skipped
+            assert np.array_equal(np.signbit(U.real), np.signbit(want_U.real))
+            assert np.array_equal(np.signbit(U.imag), np.signbit(want_U.imag))
 
-    got_null = expr_covariance(nullifiers(graph), state.cov)
-    assert np.array_equal(got_null, reference_expr_covariance(reference_nullifiers(graph), want))
-    for i, j in reference_edges(graph):
-        assert vlf_two_node_check(state, (i, j)).nullifier_sum == reference_pair_sum(want, i, j)
-        assert vlf_two_node_check(state, (j, i)).nullifier_sum == reference_pair_sum(want, j, i)
+        state = generate_cluster(vy, graph, q)
+        assert np.array_equal(state.cov, want)
+        assert np.array_equal(np.signbit(state.cov), np.signbit(want))
+        assert np.array_equal(state.mean, np.zeros(2 * n))
+        assert not np.any(np.signbit(state.mean))
+
+        got_null = expr_covariance(nullifiers(graph), state.cov)
+        assert np.array_equal(got_null, want_null)
+        assert np.array_equal(np.signbit(got_null), np.signbit(want_null))
+        for i, j in reference_edges(graph):
+            assert vlf_two_node_check(state, (i, j)).nullifier_sum == reference_pair_sum(want, i, j)
+            assert vlf_two_node_check(state, (j, i)).nullifier_sum == reference_pair_sum(want, j, i)
 
 
 def reference_graphs():
@@ -380,17 +435,31 @@ class TestArrayPathMatchesReference:
         assert type(got) is float
         assert got == reference_threshold(graph)
 
+    # the graphs are shared by the parameter sets, so each test that checks
+    # a first call rebuilds its graph from the adjacency
+
     def test_nullifiers(self, graph):
-        got = nullifiers(graph)
-        assert isinstance(got, tuple)
-        assert [e.canonical() for e in got] == [e.canonical() for e in reference_nullifiers(graph)]
+        graph = ClusterGraph(graph.adjacency)
+        want = [e.canonical() for e in reference_nullifiers(graph)]
+        for _ in range(2):
+            got = nullifiers(graph)
+            assert isinstance(got, tuple)
+            assert [e.canonical() for e in got] == want
 
     def test_cluster_covariance_and_pair_sums(self, graph):
-        assert_matches_reference(graph, None)
+        assert_matches_reference(ClusterGraph(graph.adjacency), None)
 
     def test_random_q_covariance_and_pair_sums(self, graph):
         n = graph.n_nodes
-        assert_matches_reference(graph, random_orthogonal(np.random.default_rng(n + 1), n))
+        q = random_orthogonal(np.random.default_rng(n + 1), n)
+        assert_matches_reference(ClusterGraph(graph.adjacency), q)
+
+    def test_interleaved_q_covariance_and_pair_sums(self, graph):
+        n = graph.n_nodes
+        q = random_orthogonal(np.random.default_rng(n + 2), n)
+        graph = ClusterGraph(graph.adjacency)
+        for each in (None, q, None, q):
+            assert_matches_reference(graph, each)
 
 
 def test_random_orthogonal_freedom_matches_reference():

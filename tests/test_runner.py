@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import cvmbqc
+from cvmbqc import cluster as clus
 from cvmbqc import gates, laser, runner
-from cvmbqc.quadrature import LinearQuadratureExpr
+from cvmbqc.quadrature import LinearQuadratureExpr, expr_covariance
 from cvmbqc.runner import ConfigError, main, parse_angle
 
 SRC = str(Path(cvmbqc.__file__).resolve().parents[1])
@@ -126,6 +127,42 @@ class TestClusterCheck:
         assert code == 0
         record = json.loads((tmp_path / "o" / "cluster-check.json").read_text())
         assert record["scalars"]["min_squeezing_threshold"] == 0.2
+
+    def test_sweep_factorises_once(self, tmp_path, monkeypatch):
+        real = np.linalg.eigh
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        cfg = write_config(tmp_path, "[cluster-check]\ngraph = 0 1 0; 1 0 1; 0 1 0\n"
+                                     "y_variance = 0.01, 0.05, 0.1\n")
+        # the record before it is written, with its sums unrounded
+        record = runner.run(runner.ExperimentConfig(
+            "cluster-check", runner.load_params(cfg, "cluster-check"), None,
+            tmp_path / "o", "json"))
+        assert calls == [(3, 3)]
+        assert record.passed
+        checks = record.series["checks"]
+        assert checks["y_variance"] == [0.01, 0.05, 0.1]
+        for v, got in zip(checks["y_variance"], checks["nullifier_sum"]):
+            graph = clus.ClusterGraph.chain(3)
+            state = clus.generate_cluster([v] * 3, graph)
+            assert got == float(np.trace(expr_covariance(clus.nullifiers(graph), state.cov)))
+
+    def test_source_above_edge_threshold_exits_1(self, tmp_path, capsys):
+        # a 3-node chain has threshold 1/5; vacuum sources (1/4) are above it
+        cfg = write_config(tmp_path, "[cluster-check]\ngraph = 0 1 0; 1 0 1; 0 1 0\n"
+                                     "y_variance = 0.01, 0.25\n")
+        assert main(["cluster-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "[FAIL] below_edge_threshold[v=0.25]" in capsys.readouterr().out
+        record = json.loads((tmp_path / "o" / "cluster-check.json").read_text())
+        verdicts = [(v["name"], v["passed"]) for v in record["verdicts"]]
+        assert verdicts == [("below_edge_threshold[v=0.01]", True),
+                            ("below_edge_threshold[v=0.25]", False)]
+        assert record["passed"] is False
 
 
 class TestDelayedCheck:
