@@ -18,7 +18,6 @@ universal single-mode Gaussian gates and a two-mode entangling gate:
 from .quadrature import (
     GaussianState,
     LinearQuadratureExpr,
-    QuadratureIndex,
     UncertaintyReport,
     VACUUM_VARIANCE,
     apply_symplectic,

@@ -13,8 +13,8 @@ Everything here works on the adjacency and covariance arrays: edges and
 degrees come from the adjacency matrix, the cluster covariance is one
 product S diag(d) S^T, and the two-node check reads six entries of the
 two nodes' 4x4 block.  Nullifiers are returned as ``LinearQuadratureExpr``
-objects, each built from a single coefficient map, without expression
-arithmetic.
+objects, each built from a single coefficient map keyed by covariance
+column (x_i is 2i, y_j is 2j + 1), without expression arithmetic.
 
 A graph is immutable: its adjacency is a read-only copy of the caller's
 array.  So the parts that depend on the graph alone, the Q-free map
@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import GaussianState, LinearQuadratureExpr, QuadratureIndex
+from .quadrature import GaussianState, LinearQuadratureExpr
 
 #: Two-node inseparability bound: the nullifier-variance sum must be below 1/2.
 VLF_BOUND = 0.5
@@ -56,12 +56,13 @@ _UNITARY_TOL = 1e-12
 _ORTHOGONAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterGraph:
     """Simple graph given by a symmetric 0/1 adjacency matrix, zero diagonal.
 
     The adjacency is stored as a read-only integer copy, so the graph cannot
     change after it is built and what is derived from it can be kept.
+    Graphs compare and hash by identity, as their per-object caches do.
     """
 
     adjacency: np.ndarray
@@ -110,12 +111,11 @@ class ClusterGraph:
     @cached_property
     def _nullifiers(self) -> tuple:
         """The nullifier expressions, built on first use (see :func:`nullifiers`)."""
-        xs = [QuadratureIndex(i, "x") for i in range(self.n_nodes)]
         out = []
         for j, row in enumerate(self.adjacency):
-            coeffs = {QuadratureIndex(j, "y"): 1.0}
+            coeffs = {2 * j + 1: 1.0}
             for i in np.flatnonzero(row).tolist():
-                coeffs[xs[i]] = -1.0
+                coeffs[2 * i] = -1.0
             out.append(LinearQuadratureExpr(coeffs))
         return tuple(out)
 
@@ -222,10 +222,9 @@ def nullifiers(graph: ClusterGraph) -> tuple:
     """Nullifier expressions N_j = Y_j - sum_i A_ji X_i over cluster modes.
 
     Each expression is built from one coefficient map read off the
-    adjacency row: +1 on y_j and -1 on x_i for every neighbour i.  Each
-    x label is made once and shared by the expressions that use it.  The
-    tuple is built once per graph and returned shared; its expressions
-    are immutable by convention.
+    adjacency row: +1 on column 2j + 1 (y_j) and -1 on column 2i (x_i) for
+    every neighbour i.  The tuple is built once per graph and returned
+    shared; its expressions are immutable by convention.
     """
     return graph._nullifiers
 

@@ -78,7 +78,6 @@ from .quadrature import (
     VACUUM_VARIANCE,
     GaussianState,
     LinearQuadratureExpr,
-    QuadratureIndex,
     embed,
     x_quad,
     y_quad,
@@ -193,9 +192,10 @@ def cluster_node_exprs(sources: tuple) -> tuple:
 class GateOutput:
     """Output of one or more chained measurement steps, as dense arrays.
 
-    Quadrature columns follow :attr:`modes`: the input mode m, then the
-    source modes m + 1 + 2j and m + 2 + 2j of each step j, every mode as its
-    (x, y) pair.  Current columns follow ``current_names``, two per step in
+    Quadrature columns are the (x, y) pairs of the input mode m, then of the
+    source modes m + 1 + 2j and m + 2 + 2j of each step j; array column c is
+    covariance column 2m + c, so a k-step output spans columns 2m to
+    2m + 4k + 1.  Current columns follow ``current_names``, two per step in
     time order.
 
     * ``signal_matrix`` - the net 2x2 gate M_k ... M_1 on the input pair,
@@ -230,18 +230,8 @@ class GateOutput:
     def __post_init__(self):
         if self.exprs is None:
             object.__setattr__(self, "exprs", _row_exprs(
-                self.quadrature_rows(), self.modes, self.classical, self.current_names,
-                self.offset))
-
-    @property
-    def modes(self) -> tuple:
-        """Mode of every quadrature-column pair, in column order."""
-        return tuple(range(self.input_mode, self.input_mode + 1 + 2 * len(self.settings)))
-
-    @property
-    def source_modes(self) -> tuple:
-        """The two source modes of each step, in step order."""
-        return tuple(zip(self.modes[1::2], self.modes[2::2]))
+                self.quadrature_rows(), 2 * self.input_mode, self.classical,
+                self.current_names, self.offset))
 
     def quadrature_rows(self) -> np.ndarray:
         """Quantum part of the output pair over all quadrature columns."""
@@ -269,11 +259,12 @@ class GateOutput:
         return (self.noise * self.source_variances()) @ self.noise.T
 
 
-def _row_exprs(quad_rows, modes, current_rows, names, offsets) -> tuple:
-    """Expression view of array rows; column 2i + 0/1 is x/y of ``modes[i]``."""
-    cols = np.flatnonzero(np.any(quad_rows != 0.0, axis=0)).tolist()
-    labels = [QuadratureIndex(modes[c // 2], "xy"[c % 2]) for c in cols]
-    return tuple(LinearQuadratureExpr(dict(zip(labels, row)), dict(zip(names, cur)), off)
+def _row_exprs(quad_rows, first_column, current_rows, names, offsets) -> tuple:
+    """Expression view of array rows; array column c is covariance column
+    ``first_column`` + c."""
+    cols = np.flatnonzero(np.any(quad_rows != 0.0, axis=0))
+    keys = (cols + first_column).tolist()
+    return tuple(LinearQuadratureExpr(dict(zip(keys, row)), dict(zip(names, cur)), off)
                  for row, cur, off in zip(quad_rows[:, cols].tolist(),
                                           current_rows.tolist(), offsets.tolist()))
 
@@ -283,7 +274,7 @@ def _input_mode(input_exprs: tuple) -> tuple:
     if any(e.symbols for e in input_exprs):
         raise ValueError("input expressions carry photocurrent symbols; feed forward "
                          "first, or run all steps in one run_steps call")
-    mode = min(set().union(*(e.modes() for e in input_exprs)), default=0)
+    mode = min((col for e in input_exprs for col in e.coeffs), default=0) // 2
     if [e.coeffs for e in input_exprs] != [x_quad(mode).coeffs, y_quad(mode).coeffs]:
         raise ValueError("the input must be the (x, y) pair of one mode m with "
                          "optional numeric offsets, (x_m + a, y_m + b)")

@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * Each optical mode carries a quadrature pair (x, y) obeying [x, y] = i/2,
   so the vacuum variance of every quadrature is 1/4.
 * Quadratures are ordered mode by mode, (x_0, y_0, x_1, y_1, ...); the 2x2
-  block of mode j occupies rows/columns 2j and 2j + 1.
+  block of mode j occupies rows/columns 2j and 2j + 1.  Expressions key
+  their coefficients by the same column: x_m is 2m and y_m is 2m + 1.
 * A phase rotation by angle phi multiplies the complex amplitude x + i*y
   by exp(i*phi).
 * Classical quantities (photocurrent records, local-oscillator amplitudes)
@@ -16,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -31,32 +33,16 @@ SYMPLECTIC_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-10
 
 
-@dataclass(frozen=True, order=True)
-class QuadratureIndex:
-    """Label of one quadrature: mode number plus kind ('x' or 'y')."""
-
-    mode: int
-    kind: str
-
-    def __post_init__(self):
-        if self.mode < 0:
-            raise ValueError(f"mode must be nonnegative, got {self.mode}")
-        if self.kind not in ("x", "y"):
-            raise ValueError(f"kind must be 'x' or 'y', got {self.kind!r}")
-
-    @property
-    def flat(self) -> int:
-        """Row index in the interleaved (x_0, y_0, x_1, y_1, ...) ordering."""
-        return 2 * self.mode + (1 if self.kind == "y" else 0)
-
-    def __repr__(self):
-        return f"{self.kind}{self.mode}"
+def _label(col: int) -> str:
+    """Name of covariance column ``col``: x_m for 2m, y_m for 2m + 1."""
+    return f"{'xy'[col % 2]}{col // 2}"
 
 
 class LinearQuadratureExpr:
     """Real linear combination of mode quadratures plus a classical part.
 
-    The quantum part is a finite map ``QuadratureIndex -> coefficient``.
+    The quantum part is a finite map ``column -> coefficient`` over the
+    interleaved covariance columns (x_m is 2m, y_m is 2m + 1).
     The classical part is a numeric ``offset`` plus named classical symbols
     (photocurrent records and the like) with real coefficients.  Classical
     terms never contribute to covariances.
@@ -101,22 +87,14 @@ class LinearQuadratureExpr:
 
     # -- inspection ------------------------------------------------------
 
-    def modes(self) -> set:
-        return {idx.mode for idx in self.coeffs}
-
     def coefficient_vector(self, n_modes: int) -> np.ndarray:
         """Dense coefficient vector over the first ``n_modes`` modes."""
-        vec = np.zeros(2 * n_modes)
-        for idx, c in self.coeffs.items():
-            if idx.flat >= 2 * n_modes:
-                raise ValueError(f"unknown basis index {idx!r} for {n_modes} modes")
-            vec[idx.flat] = c
-        return vec
+        return _coefficient_matrix((self,), n_modes)[0]
 
     def canonical(self):
         """Hashable canonical form, used for exact comparisons."""
         return (
-            tuple(sorted((idx.mode, idx.kind, c) for idx, c in self.coeffs.items())),
+            tuple(sorted(self.coeffs.items())),
             tuple(sorted(self.symbols.items())),
             self.offset,
         )
@@ -143,21 +121,43 @@ class LinearQuadratureExpr:
         return LinearQuadratureExpr(self.coeffs, symbols, offset)
 
     def __repr__(self):
-        parts = [f"{c:+g}*{idx!r}" for idx, c in sorted(self.coeffs.items())]
+        parts = [f"{c:+g}*{_label(col)}" for col, c in sorted(self.coeffs.items())]
         parts += [f"{c:+g}*<{name}>" for name, c in sorted(self.symbols.items())]
         if self.offset or not parts:
             parts.append(f"{self.offset:+g}")
         return " ".join(parts)
 
 
+def _coefficient_matrix(exprs: Sequence[LinearQuadratureExpr], n_modes: int) -> np.ndarray:
+    """Coefficient vectors of ``exprs`` over the first ``n_modes`` modes, one per row."""
+    C = np.zeros((len(exprs), 2 * n_modes))
+    for r, e in enumerate(exprs):
+        for col, c in e.coeffs.items():
+            if not 0 <= col < 2 * n_modes:
+                raise ValueError(f"unknown basis index {_label(col)} for {n_modes} modes")
+            C[r, col] = c
+    return C
+
+
+def _mode_column(mode: int) -> int:
+    """Column 2m of x_m, for a nonnegative integer mode m."""
+    try:
+        m = operator.index(mode)
+    except TypeError:
+        raise ValueError(f"mode must be a nonnegative integer, got {mode!r}") from None
+    if m < 0:
+        raise ValueError(f"mode must be a nonnegative integer, got {mode!r}")
+    return 2 * m
+
+
 def x_quad(mode: int) -> LinearQuadratureExpr:
-    """Unit expression for the x quadrature of ``mode``."""
-    return LinearQuadratureExpr({QuadratureIndex(mode, "x"): 1.0})
+    """Unit expression for the x quadrature of ``mode`` (column 2 mode)."""
+    return LinearQuadratureExpr({_mode_column(mode): 1.0})
 
 
 def y_quad(mode: int) -> LinearQuadratureExpr:
-    """Unit expression for the y quadrature of ``mode``."""
-    return LinearQuadratureExpr({QuadratureIndex(mode, "y"): 1.0})
+    """Unit expression for the y quadrature of ``mode`` (column 2 mode + 1)."""
+    return LinearQuadratureExpr({_mode_column(mode) + 1: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +173,18 @@ def omega_matrix(n_modes: int) -> np.ndarray:
     return omega
 
 
+def symplectic_residual(S: np.ndarray) -> float:
+    """Largest entry of |S Omega S^T - Omega| for a square 2n x 2n map S."""
+    S = np.asarray(S, dtype=float)
+    omega = omega_matrix(S.shape[0] // 2)
+    return float(np.max(np.abs(S @ omega @ S.T - omega)))
+
+
 def is_symplectic(S: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
         return False
-    omega = omega_matrix(S.shape[0] // 2)
-    return bool(np.max(np.abs(S @ omega @ S.T - omega)) < tol)
+    return symplectic_residual(S) < tol
 
 
 def assert_symplectic(S: np.ndarray, tol: float = SYMPLECTIC_TOL) -> np.ndarray:
@@ -302,12 +308,7 @@ def expr_covariance(exprs: Sequence[LinearQuadratureExpr],
     n_modes = source_cov.shape[0] // 2
     if not len(exprs):
         raise ValueError("need at least one expression")
-    C = np.zeros((len(exprs), 2 * n_modes))
-    for r, e in enumerate(exprs):
-        for idx, c in e.coeffs.items():
-            if idx.flat >= 2 * n_modes:
-                raise ValueError(f"unknown basis index {idx!r} for {n_modes} modes")
-            C[r, idx.flat] = c
+    C = _coefficient_matrix(exprs, n_modes)
     return C @ source_cov @ C.T
 
 

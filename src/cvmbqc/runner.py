@@ -26,12 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import cluster as clus
-from . import gates, laser, multiplex
+from . import gates, laser, multiplex, quadrature
 from .quadrature import (
     VACUUM_VARIANCE,
     check_uncertainty,
     expr_covariance,
-    omega_matrix,
+    symplectic_residual,
     x_quad,
     y_quad,
 )
@@ -51,7 +51,7 @@ STEP_ORACLE_TOL = 1e-9
 #: Two-step phase-solver residual.
 PHASE_RESIDUAL_TOL = gates.PHASE_RESIDUAL_TOL
 #: Symplectic-condition residual for constructed maps.
-SYMPLECTIC_TOL = 1e-12
+SYMPLECTIC_TOL = quadrature.SYMPLECTIC_TOL
 #: Pipeline outputs vs stand-alone per-lane runs, absolute.
 LANE_ISOLATION_TOL = 1e-12
 #: Largest magnitude of an input_cov, target or cz block entry, and of the
@@ -646,8 +646,7 @@ def _run_cz(cfg: ExperimentConfig) -> ResultRecord:
     coeffs = (gates.canonical_cz_coefficients() if canonical
               else gates.TwoModeCoefficients(_parse_matrix(p, "a"), _parse_matrix(p, "b")))
     matrix = gates.cz_transform(coeffs)
-    omega = omega_matrix(2)
-    sympl_err = float(np.max(np.abs(matrix @ omega @ matrix.T - omega)))
+    sympl_err = symplectic_residual(matrix)
     record = ResultRecord(
         kind="cz",
         inputs={"a": coeffs.a.tolist(), "b": coeffs.b.tolist(),

@@ -89,6 +89,15 @@ class TestSharedResults:
         graph = ClusterGraph.chain(3)
         assert nullifiers(graph) is nullifiers(graph)
 
+    def test_graphs_compare_and_hash_by_identity(self):
+        # each graph object keeps its own caches, so equality is identity
+        graph = ClusterGraph.two_node()
+        twin = ClusterGraph(graph.adjacency)
+        assert graph == graph and not graph != graph
+        assert graph != twin and not graph == twin
+        assert {graph: 1, twin: 2}[graph] == 1
+        assert len({graph, twin, graph}) == 2
+
 
 class TestClusterUnitary:
     def test_two_node_with_default_q(self):

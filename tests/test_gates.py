@@ -62,6 +62,15 @@ def chain_settings(rng, k, wide=False):
     return [HomodyneSetting((p + m) / 2, (p - m) / 2) for p, m in zip(tp, tm)]
 
 
+def assert_columns(out, m, k):
+    """A k-step output from input mode m spans covariance columns 2m to
+    2m + 4k + 1: the input pair, then the sources of every step."""
+    assert out.input_mode == m and len(out.settings) == k
+    assert out.quadrature_rows().shape == (2, 4 * k + 2)
+    for e in out.exprs:
+        assert all(2 * m <= c < 2 * m + 4 * k + 2 for c in e.coeffs)
+
+
 class TestGateMatrix:
     def test_quarter_quarter_is_rotation(self):
         M = gate_matrix(math.pi / 2, math.pi / 2)
@@ -107,7 +116,7 @@ class TestSingleStep:
             setting = random_setting(rng, beta_0=rng.uniform(0.5, 50.0))
             cluster = TwoNodeCluster.from_y_variances(*rng.uniform(0.01, 0.12, 2))
             out = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
-            assert out.modes == (0, 1, 2)
+            assert_columns(out, 0, 1)
             _, (X2, Y2) = cluster_node_exprs((1, 2))
             R = out.measured_rows
             full = out.quadrature_rows() + (out.classical * 2.0 * setting.beta_0) @ R
@@ -122,15 +131,16 @@ class TestSingleStep:
         row equals its port to 1e-14 and has at most 8 nonzero columns.
         Returns node 2 of the last cluster, the chain's output with every
         current = 2 beta0 quadrature."""
-        n_modes = len(out.modes)
+        n_modes = 1 + 2 * len(settings)
         R = out.measured_rows
         assert R.shape == (2 * len(settings), 2 * n_modes)
         assert np.all(np.count_nonzero(R, axis=1) <= 8)
         assert not np.any(out.measured_offset)
         h = 1.0 / math.sqrt(2.0)
         x, y = x_quad(0), y_quad(0)
-        for j, (setting, modes) in enumerate(zip(settings, out.source_modes)):
-            (X1, Y1), (X2, Y2) = cluster_node_exprs(modes)
+        for j, setting in enumerate(settings):
+            # step j's sources are modes m + 1 + 2j and m + 2 + 2j, m = 0
+            (X1, Y1), (X2, Y2) = cluster_node_exprs((1 + 2 * j, 2 + 2 * j))
             cin, sin_ = math.cos(setting.theta_in), math.sin(setting.theta_in)
             c1, s1 = math.cos(setting.theta_1), math.sin(setting.theta_1)
             ports = (h * (cin * (X1 - x) + sin_ * (Y1 - y)),
@@ -146,7 +156,7 @@ class TestSingleStep:
         clusters = [TwoNodeCluster.from_y_variances(*rng.uniform(0.01, 0.12, 2))
                     for _ in range(3)]
         out = run_steps((x_quad(0), y_quad(0)), clusters, settings)
-        assert out.modes == tuple(range(7))
+        assert_columns(out, 0, 3)
         ref = self.assert_rows_follow_the_nodes(out, settings)
         two_beta = 2.0 * np.repeat([s.beta_0 for s in settings], 2)
         full = out.quadrature_rows() + (out.classical * two_beta) @ out.measured_rows
@@ -183,7 +193,7 @@ class TestSingleStep:
         clusters = [TwoNodeCluster.from_y_variances(*rng.uniform(0.01, 0.12, 2))
                     for _ in range(k)]
         out = run_steps((x_quad(0), y_quad(0)), clusters, settings)
-        assert out.modes == tuple(range(1 + 2 * k))
+        assert_columns(out, 0, k)
         ref = self.assert_rows_follow_the_nodes(out, settings)
         # the output's current terms grow with the gates, so this identity
         # is checked relative to their size
@@ -256,9 +266,12 @@ class TestSingleStep:
         shifted = (x_quad(3) + LinearQuadratureExpr(offset=0.3),
                    y_quad(3) + LinearQuadratureExpr(offset=-1.1))
         out = run_steps(shifted, (cluster,), (setting,))
-        assert out.input_mode == 3
-        assert out.source_modes == ((4, 5),)
-        assert out.modes == (3, 4, 5)
+        assert_columns(out, 3, 1)
+        # the sources are modes 4 and 5; the step adds -sqrt(2) y4 to X_out
+        # and -sqrt(2) y5 to Y_out, columns 9 and 11
+        x_out, y_out = out.exprs
+        assert {c: v for c, v in x_out.coeffs.items() if c >= 8} == {9: -math.sqrt(2)}
+        assert {c: v for c, v in y_out.coeffs.items() if c >= 8} == {11: -math.sqrt(2)}
         np.testing.assert_allclose(out.offset, out.signal_matrix @ [0.3, -1.1], rtol=1e-15)
         # the input block is read at the input's own mode
         cov_in = np.diag([0.4, 0.3])

@@ -6,17 +6,18 @@ import pytest
 from cvmbqc.quadrature import (
     GaussianState,
     LinearQuadratureExpr,
-    QuadratureIndex,
     VACUUM_VARIANCE,
     apply_symplectic,
     check_uncertainty,
     db_to_variance,
     embed,
     expr_covariance,
+    is_symplectic,
     omega_matrix,
     phase_rotation,
     squeezing,
     symmetric_beam_splitter,
+    symplectic_residual,
     variance_to_db,
     x_quad,
     y_quad,
@@ -46,6 +47,13 @@ class TestSymplecticForms:
         expected = np.array([[0, 1, 0, 0], [-1, 0, 0, 0],
                              [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float)
         np.testing.assert_array_equal(omega, expected)
+
+    def test_symplectic_residual(self):
+        # 2I maps Omega to 4 Omega, a residual of 3; a beam splitter has none
+        assert symplectic_residual(np.eye(4)) == 0.0
+        assert symplectic_residual(2.0 * np.eye(2)) == 3.0
+        assert symplectic_residual(symmetric_beam_splitter()) < 1e-15
+        assert not is_symplectic(2.0 * np.eye(2)) and is_symplectic(np.eye(2))
 
     def test_phase_rotation_zero_is_identity(self):
         np.testing.assert_allclose(phase_rotation(0.0), np.eye(2), atol=1e-15)
@@ -135,15 +143,20 @@ class TestApplySymplectic:
 
 class TestExprAlgebra:
     def test_quadrature_index_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureIndex(-1, "x")
-        with pytest.raises(ValueError):
-            QuadratureIndex(0, "z")
+        # x_m is covariance column 2m and y_m is 2m + 1, for an integer m >= 0
+        assert x_quad(2).coeffs == {4: 1.0} and y_quad(2).coeffs == {5: 1.0}
+        assert x_quad(np.int64(2)).coeffs == {4: 1.0}
+        for quad in (x_quad, y_quad):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                quad(-1)
+            # 2 * 1.5 = 3.0 would hash as column 3, which is y1
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                quad(1.5)
 
     def test_linear_ops_are_exact(self):
         e = 2.0 * x_quad(0) - 3.0 * y_quad(1)
-        assert e.coeffs[QuadratureIndex(0, "x")] == 2.0
-        assert e.coeffs[QuadratureIndex(1, "y")] == -3.0
+        assert e.coeffs[0] == 2.0
+        assert e.coeffs[3] == -3.0
         zero = e - e
         assert not zero.coeffs and zero.offset == 0.0
 
@@ -168,6 +181,21 @@ class TestExprAlgebra:
             expr_covariance([x_quad(3)], VACUUM_VARIANCE * np.eye(4))
         with pytest.raises(ValueError, match="at least one expression"):
             expr_covariance([], VACUUM_VARIANCE * np.eye(4))
+
+    @pytest.mark.parametrize("column, label", [(-1, "y-1"), (-2, "x-1"), (4, "x2"), (7, "y3")])
+    def test_column_outside_the_modes_rejected(self, column, label):
+        # a negative column must not wrap round to the last ones
+        e = x_quad(0) + LinearQuadratureExpr({column: 1.0})
+        message = f"unknown basis index {label} for 2 modes"
+        with pytest.raises(ValueError, match=message):
+            e.coefficient_vector(2)
+        with pytest.raises(ValueError, match=message):
+            expr_covariance([y_quad(1), e], VACUUM_VARIANCE * np.eye(4))
+
+    def test_repr_names_the_columns(self):
+        assert repr(1.5 * x_quad(2) - y_quad(0)) == "-1*y0 +1.5*x2"
+        assert repr(LinearQuadratureExpr(symbols={"i": 0.5}, offset=1.0)) == "+0.5*<i> +1"
+        assert repr(LinearQuadratureExpr()) == "+0"
 
     def test_matches_apply_symplectic(self):
         # expressions built from the rows of a symplectic map must reproduce
