@@ -48,13 +48,17 @@ with every current replaced by its defining operator (current = 2 beta0
 quadrature); they carry no current columns and need no solve.  The output
 rows over the source quadratures and over the 2k currents come from the
 suffix products M_k ... M_{j+1} of the 2x2 gates, so a chain costs O(k).
-The output and photocurrent covariances are Q Sigma Q^T and R Sigma R^T,
-so sampling factors one 2k x 2k matrix.  The expression view ``exprs``
-is built from the arrays once per output.  The covariance oracle below
-conditions dense symplectic states instead and shares none of this code:
-one step builds the 6x6 joint state of the input, the two sources and the
-mixing beam splitter, and conditions it on both homodyne results with one
-eigendecomposition of the 2x2 measured block.
+All k gate matrices are built as one array from the M(tp, tm) formula
+that :func:`gate_matrix` uses, with one division by sin(tm).  The output and photocurrent
+covariances are Q Sigma Q^T and R Sigma R^T, so sampling factors one
+2k x 2k matrix.  The expression view ``exprs`` is built from the arrays
+once per output.  The covariance oracle below conditions dense symplectic
+covariances instead and shares none of this code: one step builds the 6x6
+joint covariance S J S^T of the input, the two sources and the mixing beam
+splitter, and passes it straight to the array-level Schur core that
+:func:`condition_homodyne` also wraps.  The core conditions on both
+homodyne results with one eigendecomposition of the 2x2 measured block;
+no state object is built on the way.
 
 Two chained steps compose to M(tp', tm') M(tp, tm), which reaches every
 determinant-one real 2x2 matrix; :func:`solve_phases` inverts that map in
@@ -78,6 +82,7 @@ from .quadrature import (
     VACUUM_VARIANCE,
     GaussianState,
     LinearQuadratureExpr,
+    _check_symmetric,
     embed,
     x_quad,
     y_quad,
@@ -163,14 +168,24 @@ class TwoNodeCluster:
         return self.vlf_sum() < VLF_BOUND
 
 
-def gate_matrix(theta_plus: float, theta_minus: float) -> np.ndarray:
-    """Determinant-one gate matrix realized by one measurement step."""
+def _scaled_gate(theta_plus: float, theta_minus: float) -> tuple:
+    """sin(tm) and the rows of sin(tm) M(tp, tm); raises on degenerate phases.
+
+    The one home of the M(tp, tm) formula: :func:`gate_matrix` divides one
+    pair of rows by sin(tm), :func:`run_steps` a whole chain's at once.
+    """
     s = math.sin(theta_minus)
     if abs(s) <= DEGENERACY_TOL:
         raise DegenerateHomodynePhasesError(
             f"degenerate homodyne phases: |sin(theta_minus)| = {abs(s):.2e}")
     cp, cm, sp = math.cos(theta_plus), math.cos(theta_minus), math.sin(theta_plus)
-    return np.array([[cp + cm, sp], [-sp, cp - cm]]) / s
+    return s, ((cp + cm, sp), (-sp, cp - cm))
+
+
+def gate_matrix(theta_plus: float, theta_minus: float) -> np.ndarray:
+    """Determinant-one gate matrix realized by one measurement step."""
+    s, rows = _scaled_gate(theta_plus, theta_minus)
+    return np.array(rows) / s
 
 
 def cluster_node_exprs(sources: tuple) -> tuple:
@@ -316,7 +331,7 @@ def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
         raise ValueError("need one cluster per setting, at least one step")
     input_mode, input_offset = _input_mode(input_exprs)
     labels = [""] if k == 1 else [f"[{j + 1}]" for j in range(k)]
-    names, matrices, trig, gains = [], [], [], []
+    names, sines, scaled, trig, gains = [], [], [], [], []
     for cluster, setting, label in zip(clusters, settings, labels):
         if cluster.vlf_sum() >= VLF_BOUND:
             if not allow_unentangled:
@@ -325,13 +340,16 @@ def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
                     f"{cluster.vlf_sum():g} >= {VLF_BOUND}); pass allow_unentangled=True to force")
             warnings.warn("running a measurement step on an unentangled cluster resource",
                           stacklevel=2)
-        matrices.append(gate_matrix(setting.theta_plus, setting.theta_minus))  # validates phases
+        sm, rows = _scaled_gate(setting.theta_plus, setting.theta_minus)  # validates phases
+        sines.append(sm)
+        scaled.append(rows)
         names += [f"i_in{label}", f"i_1{label}"]
         cin, sin_ = math.cos(setting.theta_in), math.sin(setting.theta_in)
         c1, s1 = math.cos(setting.theta_1), math.sin(setting.theta_1)
-        pref = 1.0 / (setting.beta_0 * _SQRT2 * math.sin(setting.theta_minus))
+        pref = 1.0 / (setting.beta_0 * _SQRT2 * sm)
         trig.append(((cin, sin_), (c1, s1)))
         gains.append(((pref * c1, -pref * cin), (-pref * s1, pref * sin_)))
+    matrices = np.array(scaled) / np.array(sines)[:, None, None]
     trig = np.array(trig)
 
     # row pair j over (step, 4 sources): node 1 of cluster j on the diagonal,
@@ -444,6 +462,37 @@ MEASURED_EIG_MIN = 1e-14
 PINV_RCOND = 1e-15
 
 
+def _schur_condition(cov: np.ndarray, P: np.ndarray, kept_idx) -> tuple:
+    """Array-level Schur core shared by every homodyne conditioning.
+
+    ``P`` holds one measured quadrature per row over the columns of
+    ``cov``, and ``kept_idx`` the kept columns.  Returns the gain
+    Sigma_km pinv(Sigma_mm), the symmetrised conditioned block
+    Sigma_kk - gain Sigma_km^T and Sigma_mm = P cov P^T.
+
+    One eigendecomposition Sigma_mm = V diag(w) V^T serves both the screen
+    and the inverse: a smallest eigenvalue below ``MEASURED_EIG_MIN`` is
+    rejected as ill-conditioned, and pinv(Sigma_mm) = V diag(1/w) V^T with
+    1/w set to zero for w <= ``PINV_RCOND`` max(w), the cutoff of numpy's
+    ``pinv``.  Built in pinv's order, this equals
+    ``np.linalg.pinv(Sigma_mm, hermitian=True)``, which would decompose
+    Sigma_mm a second time.  The kept rows and block are read by index.
+    """
+    sigma_mm = P @ cov @ P.T
+    w, V = np.linalg.eigh(sigma_mm)  # ascending eigenvalues
+    if w[0] < MEASURED_EIG_MIN:
+        raise ValueError(f"ill-conditioned measured variance (< {MEASURED_EIG_MIN:g})")
+    # descending and multiplied in pinv's order, so the inverse rounds as pinv's does
+    w, V = w[::-1], V[:, ::-1]
+    inv_w = 1.0 / w
+    inv_w[w <= PINV_RCOND * w[0]] = 0.0
+    cov_kept = cov.take(kept_idx, axis=0)
+    sigma_km = cov_kept @ P.T
+    gain = sigma_km @ (V @ (inv_w[:, None] * V.T))
+    cov_cond = cov_kept.take(kept_idx, axis=1) - gain @ sigma_km.T
+    return gain, 0.5 * (cov_cond + cov_cond.T), sigma_mm
+
+
 def condition_homodyne(state: GaussianState, measured_angles: Mapping[int, float],
                        outcomes: Mapping[int, float] | None = None) -> ConditionedGaussian:
     """Condition a Gaussian state on homodyne results via the Schur complement.
@@ -455,13 +504,12 @@ def condition_homodyne(state: GaussianState, measured_angles: Mapping[int, float
 
         Sigma_kk - Sigma_km pinv(Sigma_mm) Sigma_km^T.
 
-    One eigendecomposition Sigma_mm = V diag(w) V^T serves both the screen
-    and the inverse: a smallest eigenvalue below 1e-14 is rejected as
-    ill-conditioned, and pinv(Sigma_mm) = V diag(1/w) V^T with 1/w set to
-    zero for w <= 1e-15 max(w), the cutoff of numpy's ``pinv``.  Built in
-    pinv's order, this equals ``np.linalg.pinv(Sigma_mm, hermitian=True)``,
-    which would decompose Sigma_mm a second time.  The kept rows and block
-    are read from the covariance by index.
+    This builds the measured rows P and the kept columns from the modes and
+    hands the covariance to the array-level Schur core that the covariance
+    oracle calls directly: one eigendecomposition of Sigma_mm, a smallest
+    eigenvalue below 1e-14 rejected as ill-conditioned, and the inverse in
+    numpy ``pinv``'s order with its 1e-15 relative cutoff.  With outcomes,
+    the kept mean moves by the gain times the measured deviations.
     """
     n = state.n_modes
     measured_modes = tuple(sorted(measured_angles))
@@ -479,21 +527,7 @@ def condition_homodyne(state: GaussianState, measured_angles: Mapping[int, float
         P[row, 2 * mode] = math.cos(angle)
         P[row, 2 * mode + 1] = math.sin(angle)
     kept_idx = [i for m in kept_modes for i in (2 * m, 2 * m + 1)]
-
-    cov = state.cov
-    sigma_mm = P @ cov @ P.T
-    w, V = np.linalg.eigh(sigma_mm)  # ascending eigenvalues
-    if w[0] < MEASURED_EIG_MIN:
-        raise ValueError(f"ill-conditioned measured variance (< {MEASURED_EIG_MIN:g})")
-    # descending and multiplied in pinv's order, so the inverse rounds as pinv's does
-    w, V = w[::-1], V[:, ::-1]
-    inv_w = 1.0 / w
-    inv_w[w <= PINV_RCOND * w[0]] = 0.0
-    cov_kept = cov.take(kept_idx, axis=0)
-    sigma_km = cov_kept @ P.T
-    gain = sigma_km @ (V @ (inv_w[:, None] * V.T))
-    cov_cond = cov_kept.take(kept_idx, axis=1) - gain @ sigma_km.T
-    cov_cond = 0.5 * (cov_cond + cov_cond.T)
+    gain, cov_cond, sigma_mm = _schur_condition(state.cov, P, kept_idx)
 
     mean_kept = state.mean.take(kept_idx)
     if outcomes is not None:
@@ -521,16 +555,19 @@ def _step_symplectic() -> np.ndarray:
     return S
 
 
-#: Diagonal positions of the source quadratures (x1, y1, x2, y2) in the joint state.
-_SOURCE_DIAG = np.arange(2, 6)
+#: Flat positions of the source variances (x1, y1, x2, y2) on the joint
+#: state's 6x6 diagonal, entries (2, 2) to (5, 5).
+_SOURCE_DIAG = slice(14, 36, 7)
+
+#: Columns of the surviving cluster node (mode 2) in the joint state.
+_KEPT_NODE = np.array([4, 5])
 
 
-def step_joint_state(input_cov: np.ndarray, cluster: TwoNodeCluster) -> GaussianState:
-    """Three-mode state after cluster generation and the mixing beam splitter.
+def _joint_cov(input_cov: np.ndarray, cluster: TwoNodeCluster) -> np.ndarray:
+    """Covariance S J S^T of :func:`step_joint_state`, checked as a state's is.
 
-    Mode 0 is the difference port, mode 1 the sum port, mode 2 the surviving
-    cluster node.  Built entirely from symplectic matrix maps; this is the
-    path independent of the gate engine's arrays.
+    J holds the 2x2 input block and the uncorrelated source variances; the
+    result must pass the relative symmetry check of :class:`GaussianState`.
     """
     input_cov = np.asarray(input_cov, dtype=float)
     if input_cov.shape != (2, 2):
@@ -539,9 +576,22 @@ def step_joint_state(input_cov: np.ndarray, cluster: TwoNodeCluster) -> Gaussian
     v1, v2 = cluster.y_variances
     joint = np.zeros((6, 6))
     joint[:2, :2] = input_cov
-    joint[_SOURCE_DIAG, _SOURCE_DIAG] = (u1, v1, u2, v2)
+    joint.flat[_SOURCE_DIAG] = (u1, v1, u2, v2)
     S = _step_symplectic()
-    return GaussianState(np.zeros(6), S @ joint @ S.T)
+    cov = S @ joint @ S.T
+    _check_symmetric(cov)
+    return cov
+
+
+def step_joint_state(input_cov: np.ndarray, cluster: TwoNodeCluster) -> GaussianState:
+    """Three-mode state after cluster generation and the mixing beam splitter.
+
+    Mode 0 is the difference port, mode 1 the sum port, mode 2 the surviving
+    cluster node.  Built entirely from symplectic matrix maps; this is the
+    path independent of the gate engine's arrays.  The covariance comes
+    from the same builder that the covariance oracle conditions directly.
+    """
+    return GaussianState(np.zeros(6), _joint_cov(input_cov, cluster))
 
 
 def protocol_gains(setting: HomodyneSetting) -> np.ndarray:
@@ -558,20 +608,27 @@ def single_step_covariance_oracle(input_cov: np.ndarray, cluster: TwoNodeCluster
                                   setting: HomodyneSetting) -> np.ndarray:
     """Output covariance of one step, via conditioning instead of gate algebra.
 
-    Conditions the post-beam-splitter state on the two homodyne results
-    (Schur complement), then restores the outcome scatter left by the fixed
-    feed-forward gains (law of total covariance):
+    Conditions the joint covariance of :func:`step_joint_state` on the two
+    homodyne results (Schur complement), then restores the outcome scatter
+    left by the fixed feed-forward gains (law of total covariance):
 
         Sigma_out = Sigma_cond + (G* - G) Sigma_mm (G* - G)^T
 
-    with G* the conditional-mean gains and G the protocol gains.  Agrees
-    with the gate engine to floating-point accuracy and is independent
-    of the anti-squeezed variances.
+    with G* the conditional-mean gains and G the protocol gains.  Works on
+    the arrays alone: the measured rows read theta_in on the difference
+    port and theta_1 on the sum port, and the kept columns are the
+    surviving node's.  Agrees with the gate engine to floating-point
+    accuracy and is independent of the anti-squeezed variances.
     """
-    joint = step_joint_state(input_cov, cluster)
-    cond = condition_homodyne(joint, {0: setting.theta_in, 1: setting.theta_1})
-    D = cond.bayes_gain - protocol_gains(setting)
-    return cond.state.cov + D @ cond.measured_cov @ D.T
+    joint = _joint_cov(input_cov, cluster)
+    P = np.zeros((2, 6))
+    P[0, 0] = math.cos(setting.theta_in)
+    P[0, 1] = math.sin(setting.theta_in)
+    P[1, 2] = math.cos(setting.theta_1)
+    P[1, 3] = math.sin(setting.theta_1)
+    gain, cov_cond, sigma_mm = _schur_condition(joint, P, _KEPT_NODE)
+    D = gain - protocol_gains(setting)
+    return cov_cond + D @ sigma_mm @ D.T
 
 
 # ---------------------------------------------------------------------------

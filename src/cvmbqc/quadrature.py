@@ -33,8 +33,16 @@ SYMPLECTIC_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-10
 
 
-def _label(col: int) -> str:
-    """Name of covariance column ``col``: x_m for 2m, y_m for 2m + 1."""
+def _label(col) -> str:
+    """Name of covariance column ``col``: x_m for 2m, y_m for 2m + 1.
+
+    A key that is not an integer, such as 3.0, is no column; it is named by
+    its repr.
+    """
+    try:
+        col = operator.index(col)
+    except TypeError:
+        return f"column {col!r}"
     return f"{'xy'[col % 2]}{col // 2}"
 
 
@@ -131,11 +139,14 @@ class LinearQuadratureExpr:
 def _coefficient_matrix(exprs: Sequence[LinearQuadratureExpr], n_modes: int) -> np.ndarray:
     """Coefficient vectors of ``exprs`` over the first ``n_modes`` modes, one per row."""
     C = np.zeros((len(exprs), 2 * n_modes))
-    for r, e in enumerate(exprs):
-        for col, c in e.coeffs.items():
-            if not 0 <= col < 2 * n_modes:
-                raise ValueError(f"unknown basis index {_label(col)} for {n_modes} modes")
-            C[r, col] = c
+    try:
+        for r, e in enumerate(exprs):
+            for col, c in e.coeffs.items():
+                if not 0 <= col < 2 * n_modes:
+                    raise IndexError
+                C[r, col] = c
+    except (TypeError, IndexError):  # out of range, or no integer column (e.g. 3.0)
+        raise ValueError(f"unknown basis index {_label(col)} for {n_modes} modes") from None
     return C
 
 

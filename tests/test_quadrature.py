@@ -192,6 +192,19 @@ class TestExprAlgebra:
         with pytest.raises(ValueError, match=message):
             expr_covariance([y_quad(1), e], VACUUM_VARIANCE * np.eye(4))
 
+    @pytest.mark.parametrize("column, label", [(3.0, "column 3.0"), (0.5, "column 0.5"),
+                                               (100.0, "column 100.0"), ("x0", "column 'x0'")])
+    def test_non_integer_column_rejected(self, column, label):
+        # a float key equal to a column is still no column: it must not
+        # reach numpy's indexing, and the repr must still print
+        e = LinearQuadratureExpr({column: 1.0})
+        message = f"unknown basis index {label} for 2 modes"
+        with pytest.raises(ValueError, match=message):
+            e.coefficient_vector(2)
+        with pytest.raises(ValueError, match=message):
+            expr_covariance([x_quad(0), e], VACUUM_VARIANCE * np.eye(4))
+        assert repr(e) == f"+1*{label}"
+
     def test_repr_names_the_columns(self):
         assert repr(1.5 * x_quad(2) - y_quad(0)) == "-1*y0 +1.5*x2"
         assert repr(LinearQuadratureExpr(symbols={"i": 0.5}, offset=1.0)) == "+0.5*<i> +1"
