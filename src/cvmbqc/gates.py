@@ -48,17 +48,15 @@ with every current replaced by its defining operator (current = 2 beta0
 quadrature); they carry no current columns and need no solve.  The output
 rows over the source quadratures and over the 2k currents come from the
 suffix products M_k ... M_{j+1} of the 2x2 gates, so a chain costs O(k).
-All k gate matrices are built as one array from the M(tp, tm) formula
-that :func:`gate_matrix` uses, with one division by sin(tm).  The output and photocurrent
-covariances are Q Sigma Q^T and R Sigma R^T, so sampling factors one
-2k x 2k matrix.  The expression view ``exprs`` is built from the arrays
-once per output.  The covariance oracle below conditions dense symplectic
-covariances instead and shares none of this code: one step builds the 6x6
-joint covariance S J S^T of the input, the two sources and the mixing beam
-splitter, and passes it straight to the array-level Schur core that
-:func:`condition_homodyne` also wraps.  The core conditions on both
-homodyne results with one eigendecomposition of the 2x2 measured block;
-no state object is built on the way.
+The output and photocurrent covariances are Q Sigma Q^T and R Sigma R^T,
+so sampling factors one 2k x 2k matrix.  The expression view ``exprs``
+is built from the arrays once per output.  The covariance oracle below
+conditions dense symplectic covariances instead and shares none of this
+code: one step builds the 6x6 joint covariance S J S^T of the input, the
+two sources and the mixing beam splitter, and passes it straight to the
+array-level Schur core that :func:`condition_homodyne` also wraps.  The
+core conditions on both homodyne results with one eigendecomposition of
+the 2x2 measured block; no state object is built on the way.
 
 Two chained steps compose to M(tp', tm') M(tp, tm), which reaches every
 determinant-one real 2x2 matrix; :func:`solve_phases` inverts that map in
@@ -168,24 +166,14 @@ class TwoNodeCluster:
         return self.vlf_sum() < VLF_BOUND
 
 
-def _scaled_gate(theta_plus: float, theta_minus: float) -> tuple:
-    """sin(tm) and the rows of sin(tm) M(tp, tm); raises on degenerate phases.
-
-    The one home of the M(tp, tm) formula: :func:`gate_matrix` divides one
-    pair of rows by sin(tm), :func:`run_steps` a whole chain's at once.
-    """
+def gate_matrix(theta_plus: float, theta_minus: float) -> np.ndarray:
+    """Determinant-one gate matrix realized by one measurement step."""
     s = math.sin(theta_minus)
     if abs(s) <= DEGENERACY_TOL:
         raise DegenerateHomodynePhasesError(
             f"degenerate homodyne phases: |sin(theta_minus)| = {abs(s):.2e}")
     cp, cm, sp = math.cos(theta_plus), math.cos(theta_minus), math.sin(theta_plus)
-    return s, ((cp + cm, sp), (-sp, cp - cm))
-
-
-def gate_matrix(theta_plus: float, theta_minus: float) -> np.ndarray:
-    """Determinant-one gate matrix realized by one measurement step."""
-    s, rows = _scaled_gate(theta_plus, theta_minus)
-    return np.array(rows) / s
+    return np.array([[cp + cm, sp], [-sp, cp - cm]]) / s
 
 
 def cluster_node_exprs(sources: tuple) -> tuple:
@@ -331,7 +319,7 @@ def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
         raise ValueError("need one cluster per setting, at least one step")
     input_mode, input_offset = _input_mode(input_exprs)
     labels = [""] if k == 1 else [f"[{j + 1}]" for j in range(k)]
-    names, sines, scaled, trig, gains = [], [], [], [], []
+    names, matrices, trig, gains = [], [], [], []
     for cluster, setting, label in zip(clusters, settings, labels):
         if cluster.vlf_sum() >= VLF_BOUND:
             if not allow_unentangled:
@@ -340,16 +328,13 @@ def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
                     f"{cluster.vlf_sum():g} >= {VLF_BOUND}); pass allow_unentangled=True to force")
             warnings.warn("running a measurement step on an unentangled cluster resource",
                           stacklevel=2)
-        sm, rows = _scaled_gate(setting.theta_plus, setting.theta_minus)  # validates phases
-        sines.append(sm)
-        scaled.append(rows)
+        matrices.append(gate_matrix(setting.theta_plus, setting.theta_minus))  # validates phases
         names += [f"i_in{label}", f"i_1{label}"]
         cin, sin_ = math.cos(setting.theta_in), math.sin(setting.theta_in)
         c1, s1 = math.cos(setting.theta_1), math.sin(setting.theta_1)
-        pref = 1.0 / (setting.beta_0 * _SQRT2 * sm)
+        pref = 1.0 / (setting.beta_0 * _SQRT2 * math.sin(setting.theta_minus))
         trig.append(((cin, sin_), (c1, s1)))
         gains.append(((pref * c1, -pref * cin), (-pref * s1, pref * sin_)))
-    matrices = np.array(scaled) / np.array(sines)[:, None, None]
     trig = np.array(trig)
 
     # row pair j over (step, 4 sources): node 1 of cluster j on the diagonal,
@@ -555,10 +540,6 @@ def _step_symplectic() -> np.ndarray:
     return S
 
 
-#: Flat positions of the source variances (x1, y1, x2, y2) on the joint
-#: state's 6x6 diagonal, entries (2, 2) to (5, 5).
-_SOURCE_DIAG = slice(14, 36, 7)
-
 #: Columns of the surviving cluster node (mode 2) in the joint state.
 _KEPT_NODE = np.array([4, 5])
 
@@ -576,7 +557,7 @@ def _joint_cov(input_cov: np.ndarray, cluster: TwoNodeCluster) -> np.ndarray:
     v1, v2 = cluster.y_variances
     joint = np.zeros((6, 6))
     joint[:2, :2] = input_cov
-    joint.flat[_SOURCE_DIAG] = (u1, v1, u2, v2)
+    joint[2, 2], joint[3, 3], joint[4, 4], joint[5, 5] = u1, v1, u2, v2
     S = _step_symplectic()
     cov = S @ joint @ S.T
     _check_symmetric(cov)

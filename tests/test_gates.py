@@ -2,13 +2,16 @@
 two-mode entangling construction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cvmbqc.gates import (
     CZ_MATRIX,
+    MEASURED_EIG_MIN,
     PHASE_RESIDUAL_TOL,
+    PINV_RCOND,
     DegenerateHomodynePhasesError,
     HomodyneSetting,
     PhaseSolveError,
@@ -260,6 +263,34 @@ class TestSingleStep:
         with pytest.raises(DegenerateHomodynePhasesError):
             run_steps((x_quad(0), y_quad(0)), (cluster,), (HomodyneSetting(0.7, 0.7),))
 
+    GOOD = TwoNodeCluster.from_y_variances(0.05, 0.05)
+    LOOSE = TwoNodeCluster.from_y_variances(0.2, 0.2)  # nullifier sum 0.8
+    FINE = HomodyneSetting(0.9, 0.2)
+    FLAT = HomodyneSetting(0.4, 0.4)
+
+    @pytest.mark.parametrize("clusters,settings,error,message", [
+        ((GOOD, GOOD, GOOD), (FINE, FLAT, FINE), DegenerateHomodynePhasesError,
+         "degenerate homodyne phases"),
+        ((GOOD, LOOSE, GOOD), (FINE, FINE, FINE), ValueError, "not entangled"),
+        # the earlier step's fault is reported first, whichever kind it is
+        ((LOOSE, GOOD), (FINE, FLAT), ValueError, "not entangled"),
+        ((GOOD, LOOSE), (FLAT, FINE), DegenerateHomodynePhasesError,
+         "degenerate homodyne phases"),
+        ((GOOD,), (FINE, FINE), ValueError, "one cluster per setting"),
+        ((), (), ValueError, "one cluster per setting"),
+    ], ids=["degenerate", "unentangled", "unentangled-first", "degenerate-first",
+            "count", "empty"])
+    def test_first_fault_reported(self, clusters, settings, error, message):
+        with pytest.raises(error, match=message):
+            run_steps((x_quad(0), y_quad(0)), clusters, settings)
+
+    def test_unentangled_warnings_point_at_the_caller(self):
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            run_steps((x_quad(2), y_quad(2)), (self.LOOSE, self.GOOD, self.LOOSE),
+                      (self.FINE,) * 3, allow_unentangled=True)
+        assert [(w.category, w.filename) for w in log] == [(UserWarning, __file__)] * 2
+
     def test_source_mode_allocation(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
         setting = HomodyneSetting(0.9, 0.2)
@@ -422,6 +453,47 @@ def reference_condition_homodyne(state, measured_angles, outcomes=None):
     return GaussianState(mean_kept, cov_cond), kept_modes, measured_modes, gain, sigma_mm
 
 
+def reference_condition_eigh(state, measured_angles, outcomes=None):
+    """Conditioning before the array-level Schur core, kept verbatim: one
+    eigh of the measured block and the inverse in pinv's order, inline."""
+    n = state.n_modes
+    measured_modes = tuple(sorted(measured_angles))
+    if not measured_modes:
+        raise ValueError("no measured modes given")
+    if any(not 0 <= m < n for m in measured_modes):
+        raise ValueError("measured mode out of range")
+    kept_modes = tuple(m for m in range(n) if m not in measured_angles)
+    if not kept_modes:
+        raise ValueError("no kept modes remain")
+
+    P = np.zeros((len(measured_modes), 2 * n))
+    for row, mode in enumerate(measured_modes):
+        angle = float(measured_angles[mode])
+        P[row, 2 * mode] = math.cos(angle)
+        P[row, 2 * mode + 1] = math.sin(angle)
+    kept_idx = [i for m in kept_modes for i in (2 * m, 2 * m + 1)]
+
+    cov = state.cov
+    sigma_mm = P @ cov @ P.T
+    w, V = np.linalg.eigh(sigma_mm)
+    if w[0] < MEASURED_EIG_MIN:
+        raise ValueError(f"ill-conditioned measured variance (< {MEASURED_EIG_MIN:g})")
+    w, V = w[::-1], V[:, ::-1]
+    inv_w = 1.0 / w
+    inv_w[w <= PINV_RCOND * w[0]] = 0.0
+    cov_kept = cov.take(kept_idx, axis=0)
+    sigma_km = cov_kept @ P.T
+    gain = sigma_km @ (V @ (inv_w[:, None] * V.T))
+    cov_cond = cov_kept.take(kept_idx, axis=1) - gain @ sigma_km.T
+    cov_cond = 0.5 * (cov_cond + cov_cond.T)
+
+    mean_kept = state.mean.take(kept_idx)
+    if outcomes is not None:
+        m_vals = np.array([float(outcomes[m]) for m in measured_modes])
+        mean_kept = mean_kept + gain @ (m_vals - P @ state.mean)
+    return GaussianState(mean_kept, cov_cond), kept_modes, measured_modes, gain, sigma_mm
+
+
 def assert_rel_close(actual, expected, rel=1e-12):
     """max |actual - expected| <= rel * max |expected| (or rel when that is 0)."""
     actual, expected = np.asarray(actual), np.asarray(expected)
@@ -431,7 +503,8 @@ def assert_rel_close(actual, expected, rel=1e-12):
 
 
 class TestConditioningAgainstReference:
-    """One eigendecomposition and index selection vs the two-decomposition form."""
+    """One eigendecomposition and index selection vs the two-decomposition
+    form, and bit for bit vs the form before the array-level Schur core."""
 
     @staticmethod
     def random_state(rng, n):
@@ -448,6 +521,11 @@ class TestConditioningAgainstReference:
         assert_rel_close(cond.state.mean, ref_state.mean)
         assert_rel_close(cond.bayes_gain, ref_gain)
         assert_rel_close(cond.measured_cov, ref_mm)
+        eigh_state, _, _, eigh_gain, eigh_mm = reference_condition_eigh(state, angles, outcomes)
+        for got, expected in ((cond.state.cov, eigh_state.cov),
+                              (cond.state.mean, eigh_state.mean),
+                              (cond.bayes_gain, eigh_gain), (cond.measured_cov, eigh_mm)):
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_states_and_subsets(self, seed):
@@ -485,14 +563,14 @@ class TestConditioningAgainstReference:
         state = self.diagonal_block_state(small)
         angles = {0: 0.0, 1: 0.0}
         verdicts = []
-        for fn in (reference_condition_homodyne, condition_homodyne):
+        for fn in (reference_condition_homodyne, reference_condition_eigh, condition_homodyne):
             try:
                 fn(state, angles)
                 verdicts.append(False)
             except ValueError as exc:
                 assert "ill-conditioned" in str(exc)
                 verdicts.append(True)
-        assert verdicts == [rejected, rejected]
+        assert verdicts == [rejected] * 3
         if not rejected:
             self.assert_matches(state, angles)
 

@@ -1,84 +1,36 @@
-"""Bit-identity of the gate engine and the covariance oracle against their
-earlier per-object forms.
+"""Bit-identity of the covariance oracle against its earlier per-object form.
 
 The references below are the earlier code, kept verbatim: the oracle as
 ``step_joint_state`` -> ``condition_homodyne`` -> ``protocol_gains`` over
-``GaussianState`` objects, and ``run_steps`` with one ``gate_matrix`` call
-per step.  The library now runs both through arrays (one Schur core, one
-batch of gate matrices) with the same float operations in the same order,
-so every output must be equal bit for bit, and every error must keep its
-type and message.
+``GaussianState`` objects.  The earlier ``condition_homodyne`` is
+``test_gates.reference_condition_eigh``, which checks the library's
+``condition_homodyne`` bit for bit too.  The oracle now builds the joint
+covariance and conditions it through one array-level Schur core, with the
+same float operations in the same order, so every output must be equal bit
+for bit, and every error must keep its type and message.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from cvmbqc import gates
-from cvmbqc.cluster import VLF_BOUND
 from cvmbqc.gates import (
-    MEASURED_EIG_MIN,
-    PINV_RCOND,
     DegenerateHomodynePhasesError,
-    GateOutput,
     HomodyneSetting,
     TwoNodeCluster,
-    condition_homodyne,
-    gate_matrix,
     protocol_gains,
-    run_steps,
     single_step_covariance_oracle,
     step_joint_state,
 )
-from cvmbqc.quadrature import GaussianState, LinearQuadratureExpr, x_quad, y_quad
+from cvmbqc.quadrature import GaussianState
+from test_gates import reference_condition_eigh
 
 
 # ---------------------------------------------------------------------------
 # References: the earlier code
 # ---------------------------------------------------------------------------
-
-def reference_condition(state, measured_angles, outcomes=None):
-    """``condition_homodyne`` before the array core; returns (state, kept
-    modes, measured modes, gain, measured covariance)."""
-    n = state.n_modes
-    measured_modes = tuple(sorted(measured_angles))
-    if not measured_modes:
-        raise ValueError("no measured modes given")
-    if any(not 0 <= m < n for m in measured_modes):
-        raise ValueError("measured mode out of range")
-    kept_modes = tuple(m for m in range(n) if m not in measured_angles)
-    if not kept_modes:
-        raise ValueError("no kept modes remain")
-
-    P = np.zeros((len(measured_modes), 2 * n))
-    for row, mode in enumerate(measured_modes):
-        angle = float(measured_angles[mode])
-        P[row, 2 * mode] = math.cos(angle)
-        P[row, 2 * mode + 1] = math.sin(angle)
-    kept_idx = [i for m in kept_modes for i in (2 * m, 2 * m + 1)]
-
-    cov = state.cov
-    sigma_mm = P @ cov @ P.T
-    w, V = np.linalg.eigh(sigma_mm)
-    if w[0] < MEASURED_EIG_MIN:
-        raise ValueError(f"ill-conditioned measured variance (< {MEASURED_EIG_MIN:g})")
-    w, V = w[::-1], V[:, ::-1]
-    inv_w = 1.0 / w
-    inv_w[w <= PINV_RCOND * w[0]] = 0.0
-    cov_kept = cov.take(kept_idx, axis=0)
-    sigma_km = cov_kept @ P.T
-    gain = sigma_km @ (V @ (inv_w[:, None] * V.T))
-    cov_cond = cov_kept.take(kept_idx, axis=1) - gain @ sigma_km.T
-    cov_cond = 0.5 * (cov_cond + cov_cond.T)
-
-    mean_kept = state.mean.take(kept_idx)
-    if outcomes is not None:
-        m_vals = np.array([float(outcomes[m]) for m in measured_modes])
-        mean_kept = mean_kept + gain @ (m_vals - P @ state.mean)
-    return GaussianState(mean_kept, cov_cond), kept_modes, measured_modes, gain, sigma_mm
-
 
 def reference_joint_state(input_cov, cluster):
     """``step_joint_state`` before the shared covariance builder."""
@@ -98,64 +50,10 @@ def reference_joint_state(input_cov, cluster):
 def reference_oracle(input_cov, cluster, setting):
     """``single_step_covariance_oracle`` through the state objects."""
     joint = reference_joint_state(input_cov, cluster)
-    state, _, _, gain, sigma_mm = reference_condition(
+    state, _, _, gain, sigma_mm = reference_condition_eigh(
         joint, {0: setting.theta_in, 1: setting.theta_1})
     D = gain - protocol_gains(setting)
     return state.cov + D @ sigma_mm @ D.T
-
-
-def reference_run_steps(input_exprs, clusters, settings, *, allow_unentangled=False):
-    """``run_steps`` with one ``gate_matrix`` call per step."""
-    k = len(settings)
-    if len(clusters) != k or not k:
-        raise ValueError("need one cluster per setting, at least one step")
-    input_mode, input_offset = gates._input_mode(input_exprs)
-    labels = [""] if k == 1 else [f"[{j + 1}]" for j in range(k)]
-    names, matrices, trig, gains = [], [], [], []
-    for cluster, setting, label in zip(clusters, settings, labels):
-        if cluster.vlf_sum() >= VLF_BOUND:
-            if not allow_unentangled:
-                raise ValueError(
-                    "cluster resource is not entangled (nullifier sum "
-                    f"{cluster.vlf_sum():g} >= {VLF_BOUND}); pass allow_unentangled=True to force")
-            warnings.warn("running a measurement step on an unentangled cluster resource",
-                          stacklevel=2)
-        matrices.append(gate_matrix(setting.theta_plus, setting.theta_minus))
-        names += [f"i_in{label}", f"i_1{label}"]
-        cin, sin_ = math.cos(setting.theta_in), math.sin(setting.theta_in)
-        c1, s1 = math.cos(setting.theta_1), math.sin(setting.theta_1)
-        pref = 1.0 / (setting.beta_0 * math.sqrt(2.0) * math.sin(setting.theta_minus))
-        trig.append(((cin, sin_), (c1, s1)))
-        gains.append(((pref * c1, -pref * cin), (-pref * s1, pref * sin_)))
-    trig = np.array(trig)
-
-    sources = np.zeros((k, 2, k, 4))
-    steps = np.arange(k)
-    sources[steps, :, steps] = 0.5 * (trig @ gates._NODE_1)
-    sources[steps[1:], :, steps[:-1]] = 0.5 * ((gates._PORT_SIGN * trig[1:]) @ gates._NODE_2)
-    measured_rows = np.hstack([np.zeros((2 * k, 2)), sources.reshape(2 * k, 4 * k)])
-    measured_offset = np.zeros(2 * k)
-    D0 = gates._PORT_SIGN * trig[0]
-    measured_rows[:2, :2] = D0 / math.sqrt(2.0)
-    measured_offset[:2] = D0 @ input_offset / math.sqrt(2.0)
-
-    suffix = np.empty((k, 2, 2))
-    signal = np.eye(2)
-    for j in range(k - 1, -1, -1):
-        suffix[j] = signal
-        signal = signal @ matrices[j]
-    return GateOutput(
-        signal_matrix=signal,
-        noise=(suffix @ gates._STEP_NOISE).transpose(1, 0, 2).reshape(2, 4 * k),
-        classical=(suffix @ np.array(gains)).transpose(1, 0, 2).reshape(2, 2 * k),
-        offset=signal @ input_offset,
-        measured_rows=measured_rows,
-        measured_offset=measured_offset,
-        current_names=tuple(names),
-        input_mode=input_mode,
-        settings=tuple(settings),
-        clusters=tuple(clusters),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +68,12 @@ THETA_MINUS = {"realistic": (math.pi / 2 - 0.3, math.pi / 2 + 0.3),
                "wider": (0.1, math.pi - 0.1)}
 
 
-def chain_settings(rng, k, family, beta_0=None):
-    """theta+ ~ U(-pi, pi), theta- uniform over ``THETA_MINUS[family]``;
-    beta_0 log-uniform over 1e-3..1e9 per step unless given."""
+def chain_settings(rng, k, family):
+    """theta+ ~ U(-pi, pi), theta- uniform over ``THETA_MINUS[family]``,
+    beta_0 log-uniform over 1e-3..1e9 per step."""
     tp = rng.uniform(-math.pi, math.pi, k)
     tm = rng.uniform(*THETA_MINUS[family], k)
-    betas = (10.0 ** rng.uniform(-3.0, 9.0, k) if beta_0 is None
-             else np.full(k, beta_0))
+    betas = 10.0 ** rng.uniform(-3.0, 9.0, k)
     return [HomodyneSetting((p + m) / 2, (p - m) / 2, b) for p, m, b in zip(tp, tm, betas)]
 
 
@@ -204,8 +101,8 @@ CHAIN_CASES = [(k, family, seed) for k in (1, 2, 8, 16, 32, 48)
                for family in THETA_MINUS for seed in range(3)]
 
 
-def chain_rng(k, family, seed, salt=0):
-    return np.random.default_rng([salt, k, list(THETA_MINUS).index(family), seed])
+def chain_rng(k, family, seed):
+    return np.random.default_rng([k, list(THETA_MINUS).index(family), seed])
 
 
 # ---------------------------------------------------------------------------
@@ -254,27 +151,6 @@ class TestOracleBitIdentical:
             ref, new = reference_joint_state(cov, cluster), step_joint_state(cov, cluster)
             assert np.array_equal(new.cov, ref.cov) and np.array_equal(new.mean, ref.mean)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_condition_homodyne(self, seed):
-        rng = np.random.default_rng(50 + seed)
-        for _ in range(40):
-            n = int(rng.integers(2, 7))
-            A = rng.normal(size=(2 * n, 2 * n))
-            cov = A @ A.T / (2 * n) + rng.uniform(0.05, 0.5) * np.eye(2 * n)
-            state = GaussianState(rng.normal(size=2 * n), cov)
-            modes = rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist()
-            angles = {m: float(rng.uniform(-math.pi, math.pi)) for m in modes}
-            for outcomes in (None, {m: float(rng.normal()) for m in modes}):
-                ref_state, kept, measured, gain, sigma_mm = reference_condition(
-                    state, angles, outcomes)
-                cond = condition_homodyne(state, angles, outcomes)
-                assert (cond.kept_modes, cond.measured_modes) == (kept, measured)
-                for got, expected in ((cond.state.cov, ref_state.cov),
-                                      (cond.state.mean, ref_state.mean),
-                                      (cond.bayes_gain, gain),
-                                      (cond.measured_cov, sigma_mm)):
-                    assert np.array_equal(got, expected)
-
     TINY = TwoNodeCluster((1e-16, 1e-16), (1e-16, 1e-16))
     CLUSTER = TwoNodeCluster.from_y_variances(0.05, 0.05, 10.0)
 
@@ -304,80 +180,3 @@ class TestOracleBitIdentical:
         expected = outcome(reference_oracle, input_cov, cluster, setting)
         assert expected == ("raised", error, message)
         assert outcome(single_step_covariance_oracle, input_cov, cluster, setting) == expected
-
-
-# ---------------------------------------------------------------------------
-# run_steps with one batch of gate matrices
-# ---------------------------------------------------------------------------
-
-def offset_input(mode, a, b):
-    return (x_quad(mode) + LinearQuadratureExpr(offset=a),
-            y_quad(mode) + LinearQuadratureExpr(offset=b))
-
-
-def assert_outputs_equal(got, expected):
-    for name in ("signal_matrix", "noise", "classical", "offset", "measured_rows",
-                 "measured_offset"):
-        a, b = getattr(got, name), getattr(expected, name)
-        assert a.shape == b.shape and np.array_equal(a, b), name
-    assert got.current_names == expected.current_names
-    assert got.input_mode == expected.input_mode
-    assert got.settings == expected.settings and got.clusters == expected.clusters
-    assert got.exprs == expected.exprs
-
-
-class TestRunStepsBitIdentical:
-    @pytest.mark.parametrize("k,family,seed", CHAIN_CASES)
-    @pytest.mark.parametrize("mode", [0, 3])
-    def test_programs(self, k, family, seed, mode):
-        rng = chain_rng(k, family, seed, salt=1)
-        settings = chain_settings(rng, k, family)
-        clusters = random_clusters(rng, k)
-        inputs = offset_input(mode, *rng.normal(size=2))
-        assert_outputs_equal(run_steps(inputs, clusters, settings),
-                             reference_run_steps(inputs, clusters, settings))
-
-    @pytest.mark.parametrize("beta_0", [1e-6, 1.0, 3.0, 1e6, 1e12])
-    def test_fixed_beta_0(self, beta_0):
-        rng = np.random.default_rng(int(math.log10(beta_0)) + 20)
-        settings = chain_settings(rng, 8, "realistic", beta_0)
-        clusters = random_clusters(rng, 8)
-        inputs = offset_input(0, 0.7, -0.4)
-        assert_outputs_equal(run_steps(inputs, clusters, settings),
-                             reference_run_steps(inputs, clusters, settings))
-
-    GOOD = TwoNodeCluster.from_y_variances(0.05, 0.05)
-    LOOSE = TwoNodeCluster.from_y_variances(0.2, 0.2)  # nullifier sum 0.8
-    FINE = HomodyneSetting(0.9, 0.2)
-    FLAT = HomodyneSetting(0.4, 0.4)
-
-    @pytest.mark.parametrize("clusters,settings", [
-        ((GOOD, GOOD, GOOD), (FINE, FLAT, FINE)),
-        ((GOOD, LOOSE, GOOD), (FINE, FINE, FINE)),
-        # the earlier step's fault is reported first, whichever kind it is
-        ((LOOSE, GOOD), (FINE, FLAT)),
-        ((GOOD, LOOSE), (FLAT, FINE)),
-        ((GOOD,), (FINE, FINE)),
-        ((), ()),
-    ], ids=["degenerate", "unentangled", "unentangled-first", "degenerate-first",
-            "count", "empty"])
-    def test_error_paths(self, clusters, settings):
-        inputs = (x_quad(0), y_quad(0))
-        expected = outcome(reference_run_steps, inputs, clusters, settings)
-        assert expected[0] == "raised"
-        assert outcome(run_steps, inputs, clusters, settings) == expected
-
-    def test_unentangled_warnings(self):
-        inputs = (x_quad(2), y_quad(2))
-        clusters = (self.LOOSE, self.GOOD, self.LOOSE)
-        settings = (self.FINE,) * 3
-        results = []
-        for fn in (reference_run_steps, run_steps):
-            with warnings.catch_warnings(record=True) as log:
-                warnings.simplefilter("always")
-                out = fn(inputs, clusters, settings, allow_unentangled=True)
-            results.append((out, [(w.category, str(w.message), w.filename) for w in log]))
-        (ref, ref_log), (new, new_log) = results
-        assert len(ref_log) == 2 and new_log == ref_log
-        assert ref_log[0][2] == __file__  # stacklevel points at the caller
-        assert_outputs_equal(new, ref)

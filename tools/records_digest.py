@@ -1,8 +1,8 @@
 """Digest of everything the CLI writes for the benchmark's generated configs.
 
-    PYTHONPATH=src python tools/records_digest.py [--seeds 0-40]
+    PYTHONPATH=src python tools/records_digest.py
 
-For each seed, writes the INI text of ``perfbench/cli_cold.make_config``
+For each seed 0-40, writes the INI text of ``perfbench/cli_cold.make_config``
 (all seven kinds, sampling on for gate, compose and pipeline) and runs
 every kind in-process through ``cvmbqc.runner.main``, in a fresh output
 directory under a temporary working directory.  Prints one line per run:
@@ -19,7 +19,6 @@ between runs under two values of PYTHONHASHSEED.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -34,15 +33,12 @@ from metrics import KINDS  # noqa: E402
 
 from cvmbqc.runner import main as cli_main  # noqa: E402
 
+#: ``make_config`` seeds digested.
+SEEDS = range(41)
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def seed_range(text: str) -> range:
-    """``A-B`` (inclusive) or a single seed."""
-    first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
 
 
 def digest_seed(seed: int) -> list:
@@ -67,16 +63,12 @@ def digest_seed(seed: int) -> list:
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=seed_range, default=seed_range("0-40"),
-                        help="seed range A-B, inclusive (default 0-40)")
-    args = parser.parse_args(argv)
+def main() -> int:
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for seed in args.seeds:
+            for seed in SEEDS:
                 for line in digest_seed(seed):
                     print(line)
         finally:
