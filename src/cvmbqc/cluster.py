@@ -18,10 +18,13 @@ column (x_i is 2i, y_j is 2j + 1), without expression arithmetic.
 
 A graph is immutable: its adjacency is a read-only copy of the caller's
 array.  So the parts that depend on the graph alone, the Q-free map
-(I + iA)(I + A^2)^(-1/2) and the nullifier tuple, are computed once per
-graph object, on first use, and returned shared: the map as a read-only
-array.  A sweep over source variances on one graph pays for them once;
-what depends on the variances or on a given Q is computed on every call.
+(I + iA)(I + A^2)^(-1/2), the nullifier tuple, the edge tuple and the
+minimum edge threshold, are computed once per graph object, on first use,
+and kept: the map is returned as a read-only array, the nullifiers as the
+kept tuple, the edges as a new list on each call.  An edgeless graph keeps
+no threshold; asking for it raises on every call.  A sweep over source
+variances on one graph pays for them once; what depends on the variances
+or on a given Q is computed on every call.
 
 Q = None means the identity, and the product with it is skipped.  The
 output bits are fixed by a few operations, kept as they are: the
@@ -89,9 +92,25 @@ class ClusterGraph:
         return int(self.adjacency[node].sum())
 
     def edges(self):
-        """Edges (i, j) with i < j as Python ints, in row-major order."""
+        """Edges (i, j) with i < j as Python ints, in row-major order.
+
+        The edges are kept per graph; each call returns a new list of them.
+        """
+        return list(self._edges)
+
+    @cached_property
+    def _edges(self) -> tuple:
         rows, cols = np.nonzero(np.triu(self.adjacency, 1))
-        return list(zip(rows.tolist(), cols.tolist()))
+        return tuple(zip(rows.tolist(), cols.tolist()))
+
+    @cached_property
+    def _min_squeezing_threshold(self) -> float:
+        """Kept once computed; an edgeless graph raises and keeps nothing."""
+        if not self._edges:
+            raise ValueError("threshold undefined: the graph has no edges")
+        rows, cols = np.array(self._edges).T
+        deg = self.adjacency.sum(axis=1)
+        return float(np.min(1.0 / (2 + deg[rows] + deg[cols])))
 
     @cached_property
     def _entangling_map(self) -> np.ndarray:
@@ -128,8 +147,13 @@ class ClusterGraph:
         rows = [r.strip() for r in text.replace(";", "\n").splitlines() if r.strip()]
         if not rows:
             raise ValueError("empty adjacency text")
-        adj = np.array([[int(tok) for tok in row.split()] for row in rows])
-        return cls(adj)
+        try:
+            adj = [[int(tok) for tok in row.split()] for row in rows]
+        except ValueError:
+            raise ValueError("adjacency entries must be the integers 0 or 1") from None
+        if len({len(row) for row in adj}) > 1:
+            raise ValueError("adjacency rows have unequal length")
+        return cls(np.array(adj))
 
     @classmethod
     def two_node(cls) -> "ClusterGraph":
@@ -230,12 +254,12 @@ def nullifiers(graph: ClusterGraph) -> tuple:
 
 
 def min_squeezing_threshold(graph: ClusterGraph) -> float:
-    """Largest admissible source y variance: min over edges of 1/(2 + deg_i + deg_j)."""
-    rows, cols = np.nonzero(np.triu(graph.adjacency, 1))
-    if rows.size == 0:
-        raise ValueError("threshold undefined: the graph has no edges")
-    deg = graph.adjacency.sum(axis=1)
-    return float(np.min(1.0 / (2 + deg[rows] + deg[cols])))
+    """Largest admissible source y variance: min over edges of 1/(2 + deg_i + deg_j).
+
+    The value is kept per graph.  A graph without edges has no threshold:
+    every call raises ValueError.
+    """
+    return graph._min_squeezing_threshold
 
 
 def generate_cluster(source_y_variances: Sequence[float],
@@ -275,7 +299,7 @@ def generate_cluster(source_y_variances: Sequence[float],
     return GaussianState(np.zeros(2 * n), (S * d) @ S.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VlfResult:
     """Two-node inseparability check: nullifier-variance sum and verdict."""
 
@@ -296,7 +320,8 @@ def vlf_two_node_check(state: GaussianState, node_pair=(0, 1)) -> VlfResult:
         i, j = operator.index(i), operator.index(j)
     except TypeError:
         raise ValueError("invalid node pair") from None
-    if not (0 <= i < state.n_modes and 0 <= j < state.n_modes) or i == j:
+    n = state.cov.shape[0] // 2
+    if not (0 <= i < n and 0 <= j < n) or i == j:
         raise ValueError("invalid node pair")
     # the two nullifier variances from six covariance entries, each summed
     # in the order of the rows (0, 1, -1, 0) and (-1, 0, 0, 1) applied to

@@ -365,14 +365,16 @@ def _run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
 def _run_cluster_check(cfg: ExperimentConfig) -> ResultRecord:
     p = cfg.params
     graph_text = p.get_str("graph", "0 1; 1 0")
-    graph = clus.ClusterGraph.from_text(graph_text)
+    try:
+        graph = clus.ClusterGraph.from_text(graph_text)
+        # defined only on a graph with an edge, so with at least two nodes
+        threshold = clus.min_squeezing_threshold(graph)
+    except ValueError as exc:
+        raise ConfigError(f"[cluster-check] graph = {graph_text!r}: {exc}") from None
     variances = p.get_floats("y_variance", required=True)
-    if graph.n_nodes < 2:
-        raise ConfigError("[cluster-check] graph needs at least two nodes")
     if not variances:
         raise ConfigError("[cluster-check] y_variance needs at least one value")
 
-    threshold = clus.min_squeezing_threshold(graph)
     pairwise = graph.n_nodes == 2  # the inseparability sum applies to pairs
     exprs = clus.nullifiers(graph)
     rows = {"y_variance": [], "nullifier_sum": [], "verdict": []}

@@ -1,5 +1,7 @@
 """Tests for cluster construction, nullifiers, and the inseparability check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,16 @@ class TestGraphValidation:
         g2 = ClusterGraph.from_text("0 1; 1 0")
         np.testing.assert_array_equal(g1.adjacency, g2.adjacency)
 
+    @pytest.mark.parametrize("text", ["0 1; 1", "0 1; 1 0 0", "0; 1 0"])
+    def test_from_text_rejects_ragged_rows(self, text):
+        with pytest.raises(ValueError, match="rows have unequal length"):
+            ClusterGraph.from_text(text)
+
+    @pytest.mark.parametrize("text", ["0 a; a 0", "0 1.0; 1 0", "0 1; 1 0x"])
+    def test_from_text_rejects_non_integer_entries(self, text):
+        with pytest.raises(ValueError, match="entries must be the integers 0 or 1"):
+            ClusterGraph.from_text(text)
+
 
 class TestSharedResults:
     """A graph cannot change, so what it keeps can be handed out shared."""
@@ -88,6 +100,30 @@ class TestSharedResults:
     def test_nullifiers_are_shared(self):
         graph = ClusterGraph.chain(3)
         assert nullifiers(graph) is nullifiers(graph)
+
+    def test_edges_are_a_new_list_on_each_call(self):
+        graph = ClusterGraph.chain(3)
+        edges = graph.edges()
+        edges[0] = (0, 2)
+        edges.append((1, 2))
+        assert graph.edges() == [(0, 1), (1, 2)]
+        assert graph.edges() is not graph.edges()
+
+    def test_edgeless_graph_raises_on_every_call_and_keeps_nothing(self):
+        graph = ClusterGraph(np.zeros((3, 3), dtype=int))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no edges"):
+                min_squeezing_threshold(graph)
+        assert "_min_squeezing_threshold" not in vars(graph)
+        assert graph.edges() == []
+
+    def test_pair_check_result_refuses_assignment(self):
+        res = vlf_two_node_check(generate_cluster([0.05, 0.05], ClusterGraph.two_node()))
+        for name, value in (("nullifier_sum", 0.0), ("entangled", False)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(res, name, value)
+        assert res.entangled is True
+        assert not hasattr(res, "__dict__")
 
     def test_graphs_compare_and_hash_by_identity(self):
         # each graph object keeps its own caches, so equality is identity
@@ -269,10 +305,10 @@ class TestGenerateCluster:
 
     def test_vlf_rejects_bad_pair(self):
         state = generate_cluster([0.1, 0.1], ClusterGraph.two_node())
-        with pytest.raises(ValueError, match="node pair"):
-            vlf_two_node_check(state, (0, 0))
-        with pytest.raises(ValueError, match="node pair"):
-            vlf_two_node_check(state, (0, 5))
+        # (0, 2) names a covariance row of the state but no third node
+        for pair in ((0, 0), (0, 5), (0, 2), (-1, 0)):
+            with pytest.raises(ValueError, match="node pair"):
+                vlf_two_node_check(state, pair)
 
     @pytest.mark.parametrize("pair", [(0.5, 1), (0, 1.0), (0, "1"), (None, 1)])
     def test_vlf_rejects_non_integer_pair(self, pair):
@@ -446,6 +482,22 @@ class TestArrayPathMatchesReference:
 
     # the graphs are shared by the parameter sets, so each test that checks
     # a first call rebuilds its graph from the adjacency
+
+    def test_edges_on_first_and_second_call(self, graph):
+        graph = ClusterGraph(graph.adjacency)
+        want = reference_edges(graph)
+        for _ in range(2):
+            got = graph.edges()
+            assert got == want
+            assert all(type(i) is int and type(j) is int for i, j in got)
+
+    def test_threshold_on_first_and_second_call(self, graph):
+        graph = ClusterGraph(graph.adjacency)
+        want = reference_threshold(graph)
+        for _ in range(2):
+            got = min_squeezing_threshold(graph)
+            assert type(got) is float
+            assert got == want
 
     def test_nullifiers(self, graph):
         graph = ClusterGraph(graph.adjacency)

@@ -450,8 +450,19 @@ class TestBadInputExitCode:
          "[compose] target = '1,' is not a number matrix"),
         ("cz", "[cz]\na = 1, x; 0, 1\nb = 1, 0; 0, 1\n",
          "[cz] a = '1, x; 0, 1' is not a number matrix"),
+        ("cluster-check", "[cluster-check]\ngraph = 0 1; 1\ny_variance = 0.1\n",
+         "[cluster-check] graph = '0 1; 1': adjacency rows have unequal length"),
+        ("cluster-check", "[cluster-check]\ngraph = 0 a; a 0\ny_variance = 0.1\n",
+         "[cluster-check] graph = '0 a; a 0': adjacency entries must be the integers 0 or 1"),
+        ("cluster-check", "[cluster-check]\ngraph = 0 0; 0 0\ny_variance = 0.1\n",
+         "[cluster-check] graph = '0 0; 0 0': threshold undefined: the graph has no edges"),
+        ("cluster-check", "[cluster-check]\ngraph = 0\ny_variance = 0.1\n",
+         "[cluster-check] graph = '0': threshold undefined: the graph has no edges"),
+        ("cluster-check", "[cluster-check]\ngraph = 0 1; 0 0\ny_variance = 0.1\n",
+         "[cluster-check] graph = '0 1; 0 0': adjacency must be symmetric"),
     ], ids=["ragged-cz-block", "ragged-target", "period-overflow", "empty-target-entry",
-            "non-number-cz-entry"])
+            "non-number-cz-entry", "ragged-graph", "non-integer-graph-entry",
+            "edgeless-graph", "one-node-graph", "asymmetric-graph"])
     def test_message_names_the_inputs(self, tmp_path, capsys, kind, text, message):
         cfg = write_config(tmp_path, text)
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -5,10 +5,13 @@
 For each seed 0-40, writes the INI text of ``perfbench/cli_cold.make_config``
 (all seven kinds, sampling on for gate, compose and pipeline) and runs
 every kind in-process through ``cvmbqc.runner.main``, in a fresh output
-directory under a temporary working directory.  Prints one line per run:
-seed, kind, exit code, the sha256 of stdout and of stderr, then the
-relative path and sha256 of every file written.  The cvmbqc on the path
-is the one digested, so two checkouts compare with ``diff``:
+directory under a temporary working directory.  Then runs ``cluster-check``
+on the multi-node graphs of ``GRAPHS``: a 50-node chain and a 50-node star,
+each swept over several source variances, and a 3-node chain swept over
+0.01 and 0.25 (exit 1).  Prints one line per run: seed or graph, kind,
+exit code, the sha256 of stdout and of stderr, then the relative path and
+sha256 of every file written.  The cvmbqc on the path is the one digested,
+so two checkouts compare with ``diff``:
 
     PYTHONPATH=src python tools/records_digest.py > change.txt
     PYTHONPATH=../parent/src python tools/records_digest.py > parent.txt
@@ -37,30 +40,57 @@ from cvmbqc.runner import main as cli_main  # noqa: E402
 SEEDS = range(41)
 
 
+def _chain(n: int) -> list:
+    return [[int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+
+
+def _star(n: int) -> list:
+    return [[int((i == 0) != (j == 0)) for j in range(n)] for i in range(n)]
+
+
+#: multi-node ``cluster-check`` runs: name -> (adjacency rows, y_variance list).
+#: The 50-node star's edge threshold is 1/52, so its last two variances fail.
+GRAPHS = {
+    "chain50": (_chain(50), "0.001, 0.01, 0.05, 0.1, 0.16"),
+    "star50": (_star(50), "0.001, 0.005, 0.019, 0.02, 0.05"),
+    "chain3": (_chain(3), "0.01, 0.25"),
+}
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def digest_run(label: str, kind: str, out: Path, extra: list) -> str:
+    """Runs ``kind`` on ``config.ini`` in the cwd, writing to ``out``; one line."""
+    args = [kind, "--config", "config.ini", "--out", str(out)] + extra
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(args)
+    files = sorted(p for p in out.rglob("*") if p.is_file()) if out.exists() else []
+    return " ".join(
+        [label, kind, f"exit={code}",
+         f"stdout={sha(stdout.getvalue().encode())}",
+         f"stderr={sha(stderr.getvalue().encode())}"]
+        + [f"{p.relative_to(out).as_posix()}={sha(p.read_bytes())}" for p in files])
 
 
 def digest_seed(seed: int) -> list:
     """One line per kind for the config of ``seed``; runs in the cwd."""
     text, seeds = make_config(seed)
     Path("config.ini").write_text(text)
-    lines = []
-    for kind in KINDS:
-        out = Path(f"out{seed}") / kind
-        args = [kind, "--config", "config.ini", "--out", str(out)]
-        if kind in seeds:
-            args += ["--seed", str(seeds[kind])]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli_main(args)
-        files = sorted(p for p in out.rglob("*") if p.is_file()) if out.exists() else []
-        lines.append(" ".join(
-            [f"seed={seed}", kind, f"exit={code}",
-             f"stdout={sha(stdout.getvalue().encode())}",
-             f"stderr={sha(stderr.getvalue().encode())}"]
-            + [f"{p.relative_to(out).as_posix()}={sha(p.read_bytes())}" for p in files]))
-    return lines
+    return [digest_run(f"seed={seed}", kind, Path(f"out{seed}") / kind,
+                       ["--seed", str(seeds[kind])] if kind in seeds else [])
+            for kind in KINDS]
+
+
+def digest_graph(name: str) -> str:
+    """The ``cluster-check`` line for the graph ``name`` of ``GRAPHS``; runs in the cwd."""
+    rows, variances = GRAPHS[name]
+    graph = "; ".join(" ".join(map(str, row)) for row in rows)
+    Path("config.ini").write_text(
+        f"[cluster-check]\ngraph = {graph}\ny_variance = {variances}\n")
+    return digest_run(f"graph={name}", "cluster-check", Path(f"out-{name}"), [])
 
 
 def main() -> int:
@@ -71,6 +101,8 @@ def main() -> int:
             for seed in SEEDS:
                 for line in digest_seed(seed):
                     print(line)
+            for name in GRAPHS:
+                print(digest_graph(name))
         finally:
             os.chdir(start)
     return 0
