@@ -78,7 +78,6 @@ from .gates import (
 from .multiplex import (
     DelaySpec,
     DelayedVlf,
-    LaneAssignment,
     LaneCollisionError,
     PipelineResult,
     SwitchSchedule,

@@ -2,9 +2,14 @@
 
 A loop interferometer with a switchable phase (0 or pi) routes pulses either
 straight through or into a delay arm, so consecutive cluster pairs can serve
-independent computations.  With n lanes the lower-arm delay is n * T0 and
-lane l consumes clusters l, l + n, l + 2n, ...; pulses of different lanes
-never meet on a beam splitter, which is what makes the lanes independent.
+independent computations.  Slot m is the m-th pulse period and carries the
+cluster emitted in it.  With n lanes the lower-arm delay is n * T0, and one
+slot rule (:func:`lane_slot`) times every lane: lane l injects in slot l,
+measures step s in slot l + s * n with that slot's cluster, and ejects in
+slot l + steps * n.  So lane l consumes clusters l, l + n, l + 2n, ..., and
+pulses of different lanes never meet on a beam splitter, which is what
+makes the lanes independent.  The switch program, the event log and the
+cluster pick all read this rule.
 
 Delaying one node of a cluster by tau keeps the pair entangled exactly at
 the frequencies w_k = 2 pi k / tau, where the delayed inseparability
@@ -21,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -124,56 +128,43 @@ class SwitchSchedule:
             prev_end = iv.end
 
 
-@dataclass(frozen=True)
-class LaneAssignment:
-    """Which lane owns each input and each cluster pulse."""
+def lane_slot(lane: int, step: int, n_lanes: int) -> int:
+    """Slot of step ``step`` of lane ``lane`` under the slot rule.
 
-    lane_of_input: dict
-    lane_of_cluster_pulse: dict  # (cluster index, node) -> lane
-
-    def lanes(self) -> tuple:
-        return tuple(sorted(set(self.lane_of_input.values())))
+    Step 0's slot is also the lane's inject slot, and the step one past a
+    lane's last step gives its eject slot.
+    """
+    return lane + step * n_lanes
 
 
-def schedule_lanes(period: float, gap: float, n_lanes: int, n_clusters: int):
-    """Delay, switch program, and lane assignment for parallel computation.
+def _switch_slots(n_lanes: int, steps: int) -> list:
+    """(slot, lane, action) of every inject and eject, by the slot rule."""
+    return [(lane_slot(lane, step, n_lanes), lane, action)
+            for lane in range(n_lanes)
+            for step, action in ((0, "inject"), (steps, "eject"))]
+
+
+def schedule_lanes(period: float, gap: float, n_lanes: int, steps: int):
+    """Loop delay and switch program of ``n_lanes`` lanes of ``steps`` steps.
 
     ``period`` is the cluster repetition period (T + T0) and ``gap`` the
-    inter-pulse dark time T0.  The loop delay is n_lanes * T0; cluster m
-    belongs to lane m mod n_lanes; the switch is set to pi during slots that
-    inject a fresh input or eject a finished output and 0 while a lane's
-    intermediate pulse circulates.
+    inter-pulse dark time T0.  The loop delay is n_lanes * T0.  The switch
+    is pi in every inject and eject slot of the slot rule (:func:`lane_slot`)
+    and 0 while a lane's intermediate pulse circulates.
     """
     if n_lanes < 1:
         raise ValueError("need at least one lane")
-    if n_clusters < n_lanes:
-        raise ValueError("need at least one cluster per lane")
+    if steps < 1:
+        raise ValueError("need at least one step per lane")
     if period <= 0 or gap <= 0 or gap >= period:
         raise ValueError("need 0 < gap < period")
 
-    delay = DelaySpec(n_lanes * gap, period)
-    lane_of_input = {lane: lane for lane in range(n_lanes)}
-    lane_of_cluster = {}
-    steps_per_lane = {}
-    for m in range(n_clusters):
-        lane = m % n_lanes
-        lane_of_cluster[(m, 0)] = lane
-        lane_of_cluster[(m, 1)] = lane
-        steps_per_lane[lane] = steps_per_lane.get(lane, 0) + 1
-
-    # slot m covers [m*period, (m+1)*period); lane l injects in slot l and
-    # ejects in the slot after its last measurement
-    inject_slots = set(range(n_lanes))
-    eject_slots = set()
-    for lane, steps in steps_per_lane.items():
-        eject_slots.add(lane + (steps - 1) * n_lanes + 1)
-    n_slots = max(eject_slots) + 1
-    intervals = []
-    for slot in range(n_slots):
-        phase = math.pi if (slot in inject_slots or slot in eject_slots) else 0.0
-        intervals.append(SwitchInterval(slot * period, (slot + 1) * period, phase))
-    schedule = SwitchSchedule(tuple(intervals))
-    return delay, schedule, LaneAssignment(lane_of_input, lane_of_cluster)
+    pi_slots = {slot for slot, _, _ in _switch_slots(n_lanes, steps)}
+    schedule = SwitchSchedule(tuple(
+        SwitchInterval(slot * period, (slot + 1) * period,
+                       math.pi if slot in pi_slots else 0.0)
+        for slot in range(max(pi_slots) + 1)))
+    return DelaySpec(n_lanes * gap, period), schedule
 
 
 @dataclass(frozen=True)
@@ -200,8 +191,6 @@ class PipelineResult:
     outputs: tuple  # one GateOutput per lane
     events: tuple
     delay: DelaySpec
-    schedule: SwitchSchedule
-    assignment: LaneAssignment
 
     def collisions(self) -> int:
         """Number of (element, tick) pairs visited by more than one lane."""
@@ -237,10 +226,12 @@ def simulate_pipeline(duration: float, gap: float,
     """Event-driven run of the multiplexed computation.
 
     ``inputs`` is one (x, y) expression pair per lane; ``gate_settings`` one
-    setting list per lane; ``clusters`` are consumed in emission order and
-    assigned round-robin, so lane l's steps use clusters l, l + n_lanes, ...
-    Event times live on an integer tick grid (tick = gap / ticks_per_gap) so
-    collisions are detected exactly; a lane collision is a hard
+    setting list per lane; ``clusters`` one cluster per emission slot.  The
+    slot rule (:func:`lane_slot`) places every event and picks each step's
+    cluster, and the switch events sit in the pi slots of the
+    :func:`schedule_lanes` program.  Event times live on an integer tick
+    grid (tick = gap / ticks_per_gap) so collisions are detected exactly;
+    if :meth:`PipelineResult.collisions` counts any, the run raises
     :class:`LaneCollisionError`, never silent.
 
     Every lane's modes are numbered lane-locally (sources allocated after
@@ -265,49 +256,37 @@ def simulate_pipeline(duration: float, gap: float,
     if not math.isfinite(period):
         raise ValueError(f"pulse period duration + gap = {duration:g} + {gap:g} "
                          "is not finite")
-    delay, schedule, assignment = schedule_lanes(period, gap, n_lanes, n_lanes * steps)
+    delay, _ = schedule_lanes(period, gap, n_lanes, steps)
     tick = gap / ticks_per_gap
-    gap_ticks = ticks_per_gap
     duration_ticks = _to_ticks(duration, tick, "pulse duration")
-    period_ticks = duration_ticks + gap_ticks
+    period_ticks = duration_ticks + ticks_per_gap
 
     events = []
-    bs_owner = {}
 
     def emit(tick_count, element, lane, action):
         events.append(PipelineEvent(tick_count, tick_count * tick, element, lane, action))
 
-    def claim(element, tick_count, lane):
-        key = (element, tick_count)
-        owner = bs_owner.setdefault(key, lane)
-        if owner != lane:
-            raise LaneCollisionError(
-                f"lanes {owner} and {lane} meet at {element} at tick {tick_count}")
-
+    for slot, lane, action in _switch_slots(n_lanes, steps):
+        emit(slot * period_ticks, "switch", lane, action)
     outputs = []
     for lane in range(n_lanes):
-        emit(lane * gap_ticks, "input", lane, "arrive")
-        emit(lane * period_ticks, "switch", lane, "inject")
-        for step in range(steps):
-            slot = lane + step * n_lanes
+        emit(lane * ticks_per_gap, "input", lane, "arrive")
+        slots = [lane_slot(lane, step, n_lanes) for step in range(steps)]
+        for step, slot in enumerate(slots):
             t_slot = slot * period_ticks
-            for element in ("bs_gate", "hd_in", "hd_1"):
-                claim(element, t_slot, lane)
             emit(t_slot, "bs_gate", lane, f"mix step {step + 1}")
             emit(t_slot, "hd_in", lane, f"measure step {step + 1}")
             emit(t_slot, "hd_1", lane, f"measure step {step + 1}")
             if step + 1 < steps:
                 emit(t_slot + duration_ticks, "delay", lane, "circulate")
-        lane_clusters = [clusters[lane + step * n_lanes] for step in range(steps)]
-        outputs.append(run_steps(inputs[lane], lane_clusters, gate_settings[lane],
-                                 allow_unentangled=allow_unentangled))
-        emit((lane + steps * n_lanes) * period_ticks, "switch", lane, "eject")
-
-    # exactly one inject and one eject per lane
-    counts = Counter((ev.lane, ev.action) for ev in events)
-    for lane in range(n_lanes):
-        if counts[lane, "inject"] != 1 or counts[lane, "eject"] != 1:
-            raise LaneCollisionError(f"lane {lane} scheduling is inconsistent")
+        outputs.append(run_steps(inputs[lane], [clusters[slot] for slot in slots],
+                                 gate_settings[lane], allow_unentangled=allow_unentangled))
 
     events.sort(key=lambda ev: (ev.tick, ev.lane, ev.element))
-    return PipelineResult(tuple(outputs), tuple(events), delay, schedule, assignment)
+    result = PipelineResult(tuple(outputs), tuple(events), delay)
+    clashes = result.collisions()
+    if clashes:
+        raise LaneCollisionError(
+            f"{clashes} lane collisions at the beam splitter or the homodyne "
+            "detectors; the slot rule gave two lanes one slot")
+    return result

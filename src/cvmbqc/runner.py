@@ -704,9 +704,12 @@ def _run_pipeline(cfg: ExperimentConfig) -> ResultRecord:
     cluster = _cluster_from(p)
     clusters = [cluster] * (lanes * steps)
     inputs = [(x_quad(0), y_quad(0)) for _ in range(lanes)]
-    result = multiplex.simulate_pipeline(duration, gap, inputs, clusters, settings,
-                                         ticks_per_gap=ticks,
-                                         allow_unentangled=allow)
+    try:
+        result = multiplex.simulate_pipeline(duration, gap, inputs, clusters, settings,
+                                             ticks_per_gap=ticks,
+                                             allow_unentangled=allow)
+    except multiplex.LaneCollisionError as exc:
+        raise ConfigError(f"[pipeline] {exc}") from None
 
     cov_in = _input_cov(p)
     isolation = 0.0

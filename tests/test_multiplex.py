@@ -12,8 +12,10 @@ from cvmbqc.gates import (
     output_covariance,
     run_steps,
 )
+from cvmbqc import multiplex
 from cvmbqc.multiplex import (
     DelaySpec,
+    LaneCollisionError,
     admissible_frequencies,
     delayed_vlf,
     events_to_jsonl,
@@ -99,39 +101,107 @@ class TestDelaySpec:
         assert not spec.aligned and spec.multiple is None
 
 
+def _slot_clusters(n_lanes, steps):
+    """One distinct cluster per emission slot, so a mis-assignment shows."""
+    return [TwoNodeCluster.from_y_variances(0.01 + 0.002 * m, 0.03 - 0.001 * m)
+            for m in range(n_lanes * steps)]
+
+
+def _lane_settings(n_lanes, steps):
+    return [[HomodyneSetting(0.9 + 0.1 * lane + 0.05 * step, 0.2 + 0.07 * step)
+             for step in range(steps)] for lane in range(n_lanes)]
+
+
+def _assert_round_robin(n_lanes, steps):
+    """Lane l's output is run_steps on clusters[l::n_lanes], bit for bit."""
+    inputs = [(x_quad(0), y_quad(0))] * n_lanes
+    clusters = _slot_clusters(n_lanes, steps)
+    settings = _lane_settings(n_lanes, steps)
+    result = simulate_pipeline(5.0, 1.0, inputs, clusters, settings)
+    for lane, out in enumerate(result.outputs):
+        direct = run_steps(inputs[lane], clusters[lane::n_lanes], settings[lane])
+        assert out.clusters == direct.clusters
+        for name in ("signal_matrix", "noise", "classical", "offset", "measured_rows"):
+            assert np.array_equal(getattr(out, name), getattr(direct, name)), name
+    return result
+
+
 class TestScheduleLanes:
     def test_single_lane_sequence(self):
-        delay, schedule, assignment = schedule_lanes(6.0, 1.0, 1, 2)
+        delay, schedule = schedule_lanes(6.0, 1.0, 1, 2)
         assert delay.tau == 1.0  # one lane: loop delay equals the gap
         phases = [iv.phase for iv in schedule.intervals]
         assert phases == [math.pi, 0.0, math.pi]  # inject, circulate, eject
-        assert assignment.lane_of_cluster_pulse[(0, 0)] == 0
-        assert assignment.lane_of_cluster_pulse[(1, 1)] == 0
 
     def test_two_lanes_interleave(self):
-        delay, schedule, assignment = schedule_lanes(6.0, 1.0, 2, 4)
+        delay, schedule = schedule_lanes(6.0, 1.0, 2, 2)
         assert delay.tau == 2.0
-        assert assignment.lane_of_cluster_pulse[(0, 0)] == 0
-        assert assignment.lane_of_cluster_pulse[(1, 0)] == 1
-        assert assignment.lane_of_cluster_pulse[(2, 0)] == 0
-        assert assignment.lane_of_cluster_pulse[(3, 0)] == 1
+        phases = [iv.phase for iv in schedule.intervals]
+        assert phases == [math.pi, math.pi, 0.0, 0.0, math.pi, math.pi]
+        _assert_round_robin(2, 2)
 
     def test_equal_counts_pigeonhole(self):
-        _, _, assignment = schedule_lanes(6.0, 1.0, 3, 3)
-        lanes = [assignment.lane_of_cluster_pulse[(m, 0)] for m in range(3)]
-        assert sorted(lanes) == [0, 1, 2]
+        # one step per lane: each lane takes exactly the cluster of its own slot
+        result = _assert_round_robin(3, 1)
+        assert [out.clusters for out in result.outputs] == [
+            (c,) for c in _slot_clusters(3, 1)]
 
     def test_infeasible_counts_rejected(self):
-        with pytest.raises(ValueError):
-            schedule_lanes(6.0, 1.0, 3, 2)
+        with pytest.raises(ValueError, match="step"):
+            schedule_lanes(6.0, 1.0, 3, 0)
+        with pytest.raises(ValueError, match="lane"):
+            schedule_lanes(6.0, 1.0, 0, 2)
+        with pytest.raises(ValueError, match="gap"):
+            schedule_lanes(6.0, 6.0, 2, 2)
 
     def test_schedule_is_valid(self):
-        _, schedule, _ = schedule_lanes(6.0, 1.0, 2, 6)
+        _, schedule = schedule_lanes(6.0, 1.0, 2, 3)
         prev_end = -1.0
         for iv in schedule.intervals:
             assert iv.start >= prev_end
             assert iv.phase in (0.0, math.pi)
             prev_end = iv.end
+
+    @pytest.mark.parametrize("n_lanes,steps", [(1, 1), (1, 4), (2, 3), (4, 2), (5, 5)])
+    def test_round_robin_through_the_pipeline(self, n_lanes, steps):
+        _assert_round_robin(n_lanes, steps)
+
+    def test_swapping_clusters_of_two_lanes_changes_both(self):
+        # GateOutput.noise holds source coefficients, which do not depend on
+        # the source variances; the clusters reach a lane's output covariance
+        inputs = [(x_quad(0), y_quad(0))] * 2
+        settings = _lane_settings(2, 2)
+        clusters = _slot_clusters(2, 2)
+        swapped = [clusters[1], clusters[0]] + clusters[2:]
+        fwd = simulate_pipeline(5.0, 1.0, inputs, clusters, settings)
+        rev = simulate_pipeline(5.0, 1.0, inputs, swapped, settings)
+        cov_in = {0: np.diag([0.25, 0.25])}
+        for a, b in zip(fwd.outputs, rev.outputs):
+            assert a.clusters != b.clusters
+            assert not np.array_equal(output_covariance(a, cov_in),
+                                      output_covariance(b, cov_in))
+
+    @pytest.mark.parametrize("n_lanes", [1, 2, 3, 7])
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    def test_switch_program_and_event_log_agree(self, n_lanes, steps):
+        duration, gap = 2.5, 0.5
+        result = simulate_pipeline(duration, gap, [(x_quad(0), y_quad(0))] * n_lanes,
+                                   _slot_clusters(n_lanes, steps),
+                                   _lane_settings(n_lanes, steps), ticks_per_gap=7)
+        _, schedule = schedule_lanes(duration + gap, gap, n_lanes, steps)
+        period_ticks = 6 * 7
+        switches = [ev for ev in result.events if ev.element == "switch"]
+        assert {ev.action for ev in switches} == {"inject", "eject"}
+        assert all(ev.tick % period_ticks == 0 for ev in switches)
+        slots = sorted(ev.tick // period_ticks for ev in switches)
+        pi_slots = [m for m, iv in enumerate(schedule.intervals) if iv.phase == math.pi]
+        assert slots == pi_slots  # one switch event in each pi slot, none elsewhere
+
+    def test_shared_slot_raises_lane_collision(self, monkeypatch):
+        monkeypatch.setattr(multiplex, "lane_slot", lambda lane, step, n_lanes: step)
+        with pytest.raises(LaneCollisionError, match="collision"):
+            simulate_pipeline(5.0, 1.0, [(x_quad(0), y_quad(0))] * 2,
+                              _slot_clusters(2, 2), _lane_settings(2, 2))
 
 
 def _pipeline_fixture(n_lanes=2, v=0.05):

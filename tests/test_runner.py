@@ -13,7 +13,7 @@ import pytest
 
 import cvmbqc
 from cvmbqc import cluster as clus
-from cvmbqc import gates, laser, runner
+from cvmbqc import gates, laser, multiplex, runner
 from cvmbqc.quadrature import LinearQuadratureExpr, expr_covariance
 from cvmbqc.runner import ConfigError, main, parse_angle
 
@@ -364,6 +364,17 @@ class TestPipeline:
         events = (tmp_path / "o" / "events.jsonl").read_text().splitlines()
         assert all(set(json.loads(line)) == {"t", "tick", "element", "lane", "action"}
                    for line in events)
+
+    def test_lane_collision_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # a slot rule that puts both lanes' steps in one slot
+        monkeypatch.setattr(multiplex, "lane_slot", lambda lane, step, n_lanes: step)
+        cfg = write_config(tmp_path, self.BODY)
+        code = main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [pipeline] ")
+        assert "collision" in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_sampling_pipeline(self, tmp_path):
         cfg = write_config(tmp_path, self.BODY + "sampling = true\n")

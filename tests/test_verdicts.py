@@ -4,6 +4,12 @@ Each case names a verdict, the kind and config that emit it, and a fault:
 a monkeypatched library function, never an edit of the runner's
 comparison.  The config passes as written; with the fault in place the
 run exits 1 and the record marks that verdict false.
+
+``phase_solver_residual`` has no case: it holds by construction for any
+finite residual.  ``gates.solve_phases`` raises ``PhaseSolveError`` above
+the same ``PHASE_RESIDUAL_TOL`` that the verdict compares with, and the
+``compose`` runner turns that error into a config error (exit 2), so a
+fault in the solver never reaches the verdict.
 """
 
 import json
@@ -43,6 +49,11 @@ def y_variance_plus_vacuum(real):
     return lambda omega, kappa: real(omega, kappa) + VACUUM_VARIANCE
 
 
+def x_variance_scaled_down(real):
+    """The anti-squeezed spectrum times 0.05, so min x_var*y_var is 0.03125 < 1/16."""
+    return lambda omega, kappa, model: 0.05 * real(omega, kappa, model)
+
+
 def frequencies_off_grid(real):
     """Admissible frequencies off the grid by a relative 1e-6."""
     return lambda tau, k_range: real(tau, k_range) * (1.0 + 1e-6)
@@ -71,6 +82,8 @@ CASES = {
         "spectrum", SPECTRUM, laser, "y_spectral_variance", y_variance_scaled),
     "squeezed_below_vacuum": (
         "spectrum", SPECTRUM, laser, "y_spectral_variance", y_variance_plus_vacuum),
+    "uncertainty_product": (
+        "spectrum", SPECTRUM, laser, "x_spectral_variance", x_variance_scaled_down),
     "grid_reduction_exact": (
         "delayed-check", DELAYED_CHECK, multiplex, "admissible_frequencies",
         frequencies_off_grid),

@@ -8,8 +8,10 @@ every kind in-process through ``cvmbqc.runner.main``, in a fresh output
 directory under a temporary working directory.  Then runs ``cluster-check``
 on the multi-node graphs of ``GRAPHS``: a 50-node chain and a 50-node star,
 each swept over several source variances, and a 3-node chain swept over
-0.01 and 0.25 (exit 1).  Prints one line per run: seed or graph, kind,
-exit code, the sha256 of stdout and of stderr, then the relative path and
+0.01 and 0.25 (exit 1), and ``pipeline`` on the sampled shapes of
+``PIPELINES``: 1 lane of 1 step, 3 lanes of 3 steps, and 2 lanes of 4 steps
+on a finer tick grid.  Prints one line per run: seed, graph or pipeline
+shape, kind, exit code, the sha256 of stdout and of stderr, then the relative path and
 sha256 of every file written.  The cvmbqc on the path is the one digested,
 so two checkouts compare with ``diff``:
 
@@ -57,6 +59,17 @@ GRAPHS = {
 }
 
 
+#: sampled ``pipeline`` runs beyond ``make_config``'s 4 lanes of 2 steps:
+#: name -> (lanes, steps, timing keys).
+PIPELINES = {
+    "1x1": (1, 1, "duration = 5.0\ngap = 1.0\n"),
+    "3x3": (3, 3, "duration = 5.0\ngap = 1.0\n"),
+    "2x4-fine": (2, 4, "duration = 2.5\ngap = 0.5\nticks_per_gap = 7\n"),
+}
+#: ``--seed`` of the ``PIPELINES`` runs.
+PIPELINE_SEED = 7
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -93,6 +106,21 @@ def digest_graph(name: str) -> str:
     return digest_run(f"graph={name}", "cluster-check", Path(f"out-{name}"), [])
 
 
+def digest_pipeline(name: str) -> str:
+    """The ``pipeline`` line for the shape ``name`` of ``PIPELINES``; runs in the cwd."""
+    lanes, steps, timing = PIPELINES[name]
+    settings = "".join(
+        f"settings_lane{lane} = " + "; ".join(
+            f"{0.9 + 0.1 * lane + 0.05 * step!r}, {0.2 + 0.07 * step!r}"
+            for step in range(steps)) + "\n"
+        for lane in range(lanes))
+    Path("config.ini").write_text(
+        f"[pipeline]\n{timing}lanes = {lanes}\n{settings}"
+        "y_variance = 0.05\nexcess_factor = 10\nsampling = true\n")
+    return digest_run(f"pipeline={name}", "pipeline", Path(f"out-pipeline-{name}"),
+                      ["--seed", str(PIPELINE_SEED)])
+
+
 def main() -> int:
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -103,6 +131,8 @@ def main() -> int:
                     print(line)
             for name in GRAPHS:
                 print(digest_graph(name))
+            for name in PIPELINES:
+                print(digest_pipeline(name))
         finally:
             os.chdir(start)
     return 0
