@@ -81,6 +81,7 @@ from .quadrature import (
     GaussianState,
     LinearQuadratureExpr,
     _check_symmetric,
+    _mode_column,
     embed,
     x_quad,
     y_quad,
@@ -110,7 +111,8 @@ class PhaseSolveError(RuntimeError):
 class HomodyneSetting:
     """Local-oscillator phases and amplitude for one measurement step.
 
-    Slotted: pipelines hold one per lane and step.
+    Slotted: pipelines hold one per lane and step.  Every field must be
+    finite, and the amplitude positive.
     """
 
     theta_in: float
@@ -118,6 +120,10 @@ class HomodyneSetting:
     beta_0: float = DEFAULT_BETA_0
 
     def __post_init__(self):
+        for name in ("theta_in", "theta_1", "beta_0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.beta_0 <= 0:
             raise ValueError("local-oscillator amplitude must be positive")
 
@@ -166,14 +172,21 @@ class TwoNodeCluster:
         return self.vlf_sum() < VLF_BOUND
 
 
-def gate_matrix(theta_plus: float, theta_minus: float) -> np.ndarray:
-    """Determinant-one gate matrix realized by one measurement step."""
+def _gate_entries(theta_plus: float, theta_minus: float) -> tuple:
+    """sin(theta_minus) and the entries of M(theta_plus, theta_minus) in row
+    order, in Python floats; degenerate phases raise."""
     s = math.sin(theta_minus)
     if abs(s) <= DEGENERACY_TOL:
         raise DegenerateHomodynePhasesError(
             f"degenerate homodyne phases: |sin(theta_minus)| = {abs(s):.2e}")
     cp, cm, sp = math.cos(theta_plus), math.cos(theta_minus), math.sin(theta_plus)
-    return np.array([[cp + cm, sp], [-sp, cp - cm]]) / s
+    return s, (cp + cm) / s, sp / s, -sp / s, (cp - cm) / s
+
+
+def gate_matrix(theta_plus: float, theta_minus: float) -> np.ndarray:
+    """Determinant-one gate matrix realized by one measurement step."""
+    _, m00, m01, m10, m11 = _gate_entries(theta_plus, theta_minus)
+    return np.array([[m00, m01], [m10, m11]])
 
 
 def cluster_node_exprs(sources: tuple) -> tuple:
@@ -215,7 +228,8 @@ class GateOutput:
 
     ``exprs`` is the (X_out, Y_out) expression view of the output rows,
     built once when the output is made; pass ``exprs=None`` to
-    :func:`dataclasses.replace` to rebuild it from changed arrays.
+    :func:`dataclasses.replace` to rebuild it from changed arrays.  The
+    column variances are kept once per output, on first use.
     """
 
     signal_matrix: np.ndarray
@@ -240,11 +254,19 @@ class GateOutput:
         """Quantum part of the output pair over all quadrature columns."""
         return np.hstack([self.signal_matrix, self.noise])
 
+    @functools.cached_property
+    def _column_variances(self) -> np.ndarray:
+        """Diagonal of the column covariance with zeros for the input pair:
+        read-only, and kept for the output's life."""
+        variances = np.array([0.0, 0.0] + [v for c in self.clusters
+                                           for v in (c.x_variances[0], c.y_variances[0],
+                                                     c.x_variances[1], c.y_variances[1])])
+        variances.setflags(write=False)
+        return variances
+
     def source_variances(self) -> np.ndarray:
         """Variances of the source quadratures, in column order."""
-        return np.array([v for c in self.clusters
-                         for v in (c.x_variances[0], c.y_variances[0],
-                                   c.x_variances[1], c.y_variances[1])])
+        return self._column_variances[2:].copy()
 
     def column_cov(self, input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
         """Covariance of the quadrature columns: the input mode's block
@@ -253,23 +275,25 @@ class GateOutput:
                            dtype=float)
         if block.shape != (2, 2):
             raise ValueError("the input covariance block must be 2x2")
-        cov = np.diag(np.concatenate([np.zeros(2), self.source_variances()]))
+        cov = np.diag(self._column_variances)
         cov[:2, :2] = block
         return cov
 
     def noise_covariance(self) -> np.ndarray:
         """Covariance of the noise the steps add to the output pair."""
-        return (self.noise * self.source_variances()) @ self.noise.T
+        return (self.noise * self._column_variances[2:]) @ self.noise.T
 
 
 def _row_exprs(quad_rows, first_column, current_rows, names, offsets) -> tuple:
-    """Expression view of array rows; array column c is covariance column
-    ``first_column`` + c."""
-    cols = np.flatnonzero(np.any(quad_rows != 0.0, axis=0))
-    keys = (cols + first_column).tolist()
-    return tuple(LinearQuadratureExpr(dict(zip(keys, row)), dict(zip(names, cur)), off)
-                 for row, cur, off in zip(quad_rows[:, cols].tolist(),
-                                          current_rows.tolist(), offsets.tolist()))
+    """Expression view of float array rows; array column c is covariance
+    column ``first_column`` + c.  Zero entries are left out, as the
+    expression constructor leaves them out."""
+    first = int(first_column)  # Python-int keys whatever the input mode's type
+    return tuple(LinearQuadratureExpr._from_clean(
+        {first + c: v for c, v in enumerate(row) if v},
+        {name: v for name, v in zip(names, cur) if v}, off)
+        for row, cur, off in zip(quad_rows.tolist(), current_rows.tolist(),
+                                 offsets.tolist()))
 
 
 def _input_mode(input_exprs: tuple) -> tuple:
@@ -278,7 +302,8 @@ def _input_mode(input_exprs: tuple) -> tuple:
         raise ValueError("input expressions carry photocurrent symbols; feed forward "
                          "first, or run all steps in one run_steps call")
     mode = min((col for e in input_exprs for col in e.coeffs), default=0) // 2
-    if [e.coeffs for e in input_exprs] != [x_quad(mode).coeffs, y_quad(mode).coeffs]:
+    column = _mode_column(mode)
+    if [e.coeffs for e in input_exprs] != [{column: 1.0}, {column + 1: 1.0}]:
         raise ValueError("the input must be the (x, y) pair of one mode m with "
                          "optional numeric offsets, (x_m + a, y_m + b)")
     return mode, np.array([e.offset for e in input_exprs])
@@ -294,6 +319,14 @@ _STEP_NOISE = np.array([[0.0, -_SQRT2, 0.0, 0.0], [0.0, 0.0, 0.0, -_SQRT2]])
 
 #: diag(-1, 1) as a row-sign column: turns (cos, sin) rows into D sqrt(2).
 _PORT_SIGN = np.array([[-1.0], [1.0]])
+
+
+@functools.lru_cache(maxsize=64)
+def _current_names(k: int) -> tuple:
+    """Photocurrent names of a k-step program, in time order."""
+    if k == 1:
+        return ("i_in", "i_1")
+    return tuple(name for j in range(1, k + 1) for name in (f"i_in[{j}]", f"i_1[{j}]"))
 
 
 def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
@@ -318,9 +351,8 @@ def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
     if len(clusters) != k or not k:
         raise ValueError("need one cluster per setting, at least one step")
     input_mode, input_offset = _input_mode(input_exprs)
-    labels = [""] if k == 1 else [f"[{j + 1}]" for j in range(k)]
-    names, matrices, trig, gains = [], [], [], []
-    for cluster, setting, label in zip(clusters, settings, labels):
+    matrices, trig, gains = [], [], []
+    for cluster, setting in zip(clusters, settings):
         if cluster.vlf_sum() >= VLF_BOUND:
             if not allow_unentangled:
                 raise ValueError(
@@ -328,22 +360,24 @@ def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
                     f"{cluster.vlf_sum():g} >= {VLF_BOUND}); pass allow_unentangled=True to force")
             warnings.warn("running a measurement step on an unentangled cluster resource",
                           stacklevel=2)
-        matrices.append(gate_matrix(setting.theta_plus, setting.theta_minus))  # validates phases
-        names += [f"i_in{label}", f"i_1{label}"]
+        s, *entries = _gate_entries(setting.theta_plus, setting.theta_minus)
         cin, sin_ = math.cos(setting.theta_in), math.sin(setting.theta_in)
         c1, s1 = math.cos(setting.theta_1), math.sin(setting.theta_1)
-        pref = 1.0 / (setting.beta_0 * _SQRT2 * math.sin(setting.theta_minus))
-        trig.append(((cin, sin_), (c1, s1)))
-        gains.append(((pref * c1, -pref * cin), (-pref * s1, pref * sin_)))
-    trig = np.array(trig)
+        pref = 1.0 / (setting.beta_0 * _SQRT2 * s)
+        matrices += entries
+        trig += (cin, sin_, c1, s1)
+        gains += (pref * c1, -pref * cin, -pref * s1, pref * sin_)
+    # step j's gate matrix M_j, trig rows T_j and current gains, each (k, 2, 2)
+    matrices, trig, gains = (np.array(a).reshape(k, 2, 2) for a in (matrices, trig, gains))
 
-    # row pair j over (step, 4 sources): node 1 of cluster j on the diagonal,
-    # node 2 of cluster j - 1 below it
-    sources = np.zeros((k, 2, k, 4))
+    # row pair j over (step, 4 sources), written through a view of the
+    # source columns: node 1 of cluster j on the diagonal, node 2 of
+    # cluster j - 1 below it
+    measured_rows = np.zeros((2 * k, 2 + 4 * k))
+    sources = measured_rows[:, 2:].reshape(k, 2, k, 4)
     steps = np.arange(k)
     sources[steps, :, steps] = 0.5 * (trig @ _NODE_1)
     sources[steps[1:], :, steps[:-1]] = 0.5 * ((_PORT_SIGN * trig[1:]) @ _NODE_2)
-    measured_rows = np.hstack([np.zeros((2 * k, 2)), sources.reshape(2 * k, 4 * k)])
     measured_offset = np.zeros(2 * k)
     D0 = _PORT_SIGN * trig[0]
     measured_rows[:2, :2] = D0 / _SQRT2
@@ -357,11 +391,11 @@ def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
     return GateOutput(
         signal_matrix=signal,
         noise=(suffix @ _STEP_NOISE).transpose(1, 0, 2).reshape(2, 4 * k),
-        classical=(suffix @ np.array(gains)).transpose(1, 0, 2).reshape(2, 2 * k),
+        classical=(suffix @ gains).transpose(1, 0, 2).reshape(2, 2 * k),
         offset=signal @ input_offset,
         measured_rows=measured_rows,
         measured_offset=measured_offset,
-        current_names=tuple(names),
+        current_names=_current_names(k),
         input_mode=input_mode,
         settings=tuple(settings),
         clusters=tuple(clusters),
@@ -388,7 +422,8 @@ def feed_forward(output: GateOutput, currents: Mapping[str, float] | None = None
         missing = [s for s in e.symbols if s not in currents]
         if missing:
             raise ValueError(f"missing measured currents for feed-forward: {missing}")
-    cleaned = tuple(LinearQuadratureExpr(e.coeffs) for e in output.exprs)
+    cleaned = tuple(LinearQuadratureExpr._from_clean(dict(e.coeffs), {}, 0.0)
+                    for e in output.exprs)
     return replace(output, classical=np.zeros_like(output.classical),
                    offset=np.zeros(2), exprs=cleaned)
 

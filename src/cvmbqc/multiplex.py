@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -144,6 +144,18 @@ def _switch_slots(n_lanes: int, steps: int) -> list:
             for step, action in ((0, "inject"), (steps, "eject"))]
 
 
+def _loop_delay(period: float, gap: float, n_lanes: int, steps: int) -> DelaySpec:
+    """Loop delay n_lanes * T0 of ``n_lanes`` lanes of ``steps`` steps, after
+    checking the timing arguments of :func:`schedule_lanes`."""
+    if n_lanes < 1:
+        raise ValueError("need at least one lane")
+    if steps < 1:
+        raise ValueError("need at least one step per lane")
+    if period <= 0 or gap <= 0 or gap >= period:
+        raise ValueError("need 0 < gap < period")
+    return DelaySpec(n_lanes * gap, period)
+
+
 def schedule_lanes(period: float, gap: float, n_lanes: int, steps: int):
     """Loop delay and switch program of ``n_lanes`` lanes of ``steps`` steps.
 
@@ -152,22 +164,16 @@ def schedule_lanes(period: float, gap: float, n_lanes: int, steps: int):
     is pi in every inject and eject slot of the slot rule (:func:`lane_slot`)
     and 0 while a lane's intermediate pulse circulates.
     """
-    if n_lanes < 1:
-        raise ValueError("need at least one lane")
-    if steps < 1:
-        raise ValueError("need at least one step per lane")
-    if period <= 0 or gap <= 0 or gap >= period:
-        raise ValueError("need 0 < gap < period")
-
+    delay = _loop_delay(period, gap, n_lanes, steps)
     pi_slots = {slot for slot, _, _ in _switch_slots(n_lanes, steps)}
     schedule = SwitchSchedule(tuple(
         SwitchInterval(slot * period, (slot + 1) * period,
                        math.pi if slot in pi_slots else 0.0)
         for slot in range(max(pi_slots) + 1)))
-    return DelaySpec(n_lanes * gap, period), schedule
+    return delay, schedule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PipelineEvent:
     tick: int
     t: float
@@ -186,23 +192,40 @@ def events_to_jsonl(events: Sequence[PipelineEvent]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _count_collisions(events: Sequence[PipelineEvent]) -> int:
+    """Number of (element, tick) pairs visited by more than one lane."""
+    seen = {}
+    clashes = 0
+    for ev in events:
+        if ev.element in ("bs_gate", "hd_in", "hd_1"):
+            key = (ev.element, ev.tick)
+            if key in seen and seen[key] != ev.lane:
+                clashes += 1
+            seen[key] = ev.lane
+    return clashes
+
+
 @dataclass(frozen=True)
 class PipelineResult:
+    """Per-lane outputs, the event log and the loop delay of one pipeline.
+
+    The log is held as a tuple and scanned for collisions once, when the
+    result is made; :meth:`collisions` returns that count.
+    """
+
     outputs: tuple  # one GateOutput per lane
     events: tuple
     delay: DelaySpec
+    _collisions: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        events = tuple(self.events)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "_collisions", _count_collisions(events))
 
     def collisions(self) -> int:
         """Number of (element, tick) pairs visited by more than one lane."""
-        seen = {}
-        clashes = 0
-        for ev in self.events:
-            if ev.element in ("bs_gate", "hd_in", "hd_1"):
-                key = (ev.element, ev.tick)
-                if key in seen and seen[key] != ev.lane:
-                    clashes += 1
-                seen[key] = ev.lane
-        return clashes
+        return self._collisions
 
 
 def _to_ticks(value: float, tick: float, what: str) -> int:
@@ -229,10 +252,11 @@ def simulate_pipeline(duration: float, gap: float,
     setting list per lane; ``clusters`` one cluster per emission slot.  The
     slot rule (:func:`lane_slot`) places every event and picks each step's
     cluster, and the switch events sit in the pi slots of the
-    :func:`schedule_lanes` program.  Event times live on an integer tick
-    grid (tick = gap / ticks_per_gap) so collisions are detected exactly;
-    if :meth:`PipelineResult.collisions` counts any, the run raises
-    :class:`LaneCollisionError`, never silent.
+    :func:`schedule_lanes` program; the timing arguments are checked as
+    that function checks them, but the program itself is not built.  Event
+    times live on an integer tick grid (tick = gap / ticks_per_gap) so
+    collisions are detected exactly; if :meth:`PipelineResult.collisions`
+    counts any, the run raises :class:`LaneCollisionError`, never silent.
 
     Every lane's modes are numbered lane-locally (sources allocated after
     its own input), and the per-lane gate chain is the same computation as
@@ -256,34 +280,33 @@ def simulate_pipeline(duration: float, gap: float,
     if not math.isfinite(period):
         raise ValueError(f"pulse period duration + gap = {duration:g} + {gap:g} "
                          "is not finite")
-    delay, _ = schedule_lanes(period, gap, n_lanes, steps)
+    delay = _loop_delay(period, gap, n_lanes, steps)
     tick = gap / ticks_per_gap
     duration_ticks = _to_ticks(duration, tick, "pulse duration")
     period_ticks = duration_ticks + ticks_per_gap
 
-    events = []
-
-    def emit(tick_count, element, lane, action):
-        events.append(PipelineEvent(tick_count, tick_count * tick, element, lane, action))
-
-    for slot, lane, action in _switch_slots(n_lanes, steps):
-        emit(slot * period_ticks, "switch", lane, action)
+    # (tick, lane, element, action): (tick, lane, element) is unique per
+    # event, so sorting the tuples orders the log by (tick, lane, element)
+    log = [(slot * period_ticks, lane, "switch", action)
+           for slot, lane, action in _switch_slots(n_lanes, steps)]
     outputs = []
     for lane in range(n_lanes):
-        emit(lane * ticks_per_gap, "input", lane, "arrive")
+        log.append((lane * ticks_per_gap, lane, "input", "arrive"))
         slots = [lane_slot(lane, step, n_lanes) for step in range(steps)]
         for step, slot in enumerate(slots):
             t_slot = slot * period_ticks
-            emit(t_slot, "bs_gate", lane, f"mix step {step + 1}")
-            emit(t_slot, "hd_in", lane, f"measure step {step + 1}")
-            emit(t_slot, "hd_1", lane, f"measure step {step + 1}")
+            measure = f"measure step {step + 1}"
+            log += [(t_slot, lane, "bs_gate", f"mix step {step + 1}"),
+                    (t_slot, lane, "hd_in", measure), (t_slot, lane, "hd_1", measure)]
             if step + 1 < steps:
-                emit(t_slot + duration_ticks, "delay", lane, "circulate")
+                log.append((t_slot + duration_ticks, lane, "delay", "circulate"))
         outputs.append(run_steps(inputs[lane], [clusters[slot] for slot in slots],
                                  gate_settings[lane], allow_unentangled=allow_unentangled))
 
-    events.sort(key=lambda ev: (ev.tick, ev.lane, ev.element))
-    result = PipelineResult(tuple(outputs), tuple(events), delay)
+    log.sort()
+    events = tuple(PipelineEvent(t_count, t_count * tick, element, lane, action)
+                   for t_count, lane, element, action in log)
+    result = PipelineResult(tuple(outputs), events, delay)
     clashes = result.collisions()
     if clashes:
         raise LaneCollisionError(

@@ -66,6 +66,15 @@ class LinearQuadratureExpr:
         self.symbols = {k: float(v) for k, v in (symbols or {}).items() if v != 0.0}
         self.offset = float(offset)
 
+    @classmethod
+    def _from_clean(cls, coeffs: dict, symbols: dict, offset: float) -> "LinearQuadratureExpr":
+        """Wrap dicts and an offset already as the constructor leaves them:
+        nonzero Python-float values and a Python-float offset.  Nothing is
+        copied or checked, so callers hand over fresh dicts."""
+        expr = object.__new__(cls)
+        expr.coeffs, expr.symbols, expr.offset = coeffs, symbols, offset
+        return expr
+
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "LinearQuadratureExpr") -> "LinearQuadratureExpr":

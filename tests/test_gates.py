@@ -263,6 +263,22 @@ class TestSingleStep:
         with pytest.raises(DegenerateHomodynePhasesError):
             run_steps((x_quad(0), y_quad(0)), (cluster,), (HomodyneSetting(0.7, 0.7),))
 
+    @pytest.mark.parametrize("args,field", [
+        ((math.nan, 0.2), "theta_in"),  # once an all-NaN gate matrix
+        ((math.inf, 0.2), "theta_in"),  # once "math domain error"
+        ((0.9, -math.inf), "theta_1"),
+        ((0.9, 0.2, math.nan), "beta_0"),  # once NaN classical coefficients
+        ((0.9, 0.2, math.inf), "beta_0"),
+    ])
+    def test_non_finite_setting_rejected(self, args, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            HomodyneSetting(*args)
+
+    @pytest.mark.parametrize("beta_0", [0.0, -1.0])
+    def test_non_positive_amplitude_rejected(self, beta_0):
+        with pytest.raises(ValueError, match="amplitude must be positive"):
+            HomodyneSetting(0.9, 0.2, beta_0)
+
     GOOD = TwoNodeCluster.from_y_variances(0.05, 0.05)
     LOOSE = TwoNodeCluster.from_y_variances(0.2, 0.2)  # nullifier sum 0.8
     FINE = HomodyneSetting(0.9, 0.2)

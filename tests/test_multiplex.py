@@ -16,6 +16,8 @@ from cvmbqc import multiplex
 from cvmbqc.multiplex import (
     DelaySpec,
     LaneCollisionError,
+    PipelineEvent,
+    PipelineResult,
     admissible_frequencies,
     delayed_vlf,
     events_to_jsonl,
@@ -196,6 +198,20 @@ class TestScheduleLanes:
         slots = sorted(ev.tick // period_ticks for ev in switches)
         pi_slots = [m for m, iv in enumerate(schedule.intervals) if iv.phase == math.pi]
         assert slots == pi_slots  # one switch event in each pi slot, none elsewhere
+
+    def test_kept_collision_count_matches_a_fresh_scan(self):
+        # lanes 0 and 1 share a beam-splitter tick (1 clash) and alternate on
+        # one detector tick (2 clashes); one lane twice, and shared ticks of
+        # the delay and the switch, are no clash
+        log = [(0, "bs_gate", 0), (0, "bs_gate", 1), (0, "hd_in", 0), (0, "hd_in", 1),
+               (0, "hd_in", 0), (5, "hd_1", 0), (5, "hd_1", 0), (5, "delay", 0),
+               (5, "delay", 1), (0, "switch", 0), (0, "switch", 1)]
+        events = [PipelineEvent(tick, float(tick), element, lane, "test")
+                  for tick, element, lane in log]
+        result = PipelineResult((), events, DelaySpec(2.0, 6.0))
+        assert result.events == tuple(events)
+        events.clear()  # the result holds its own tuple
+        assert result.collisions() == multiplex._count_collisions(result.events) == 3
 
     def test_shared_slot_raises_lane_collision(self, monkeypatch):
         monkeypatch.setattr(multiplex, "lane_slot", lambda lane, step, n_lanes: step)
