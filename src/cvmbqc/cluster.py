@@ -55,6 +55,10 @@ VLF_BOUND = 0.5
 #: on the threshold.
 VLF_GUARD = 1e-12
 
+#: The bound a two-node nullifier sum must stay strictly below to count as
+#: entangled: VLF_BOUND less VLF_GUARD.
+VLF_GUARDED_BOUND = VLF_BOUND - VLF_GUARD
+
 _UNITARY_TOL = 1e-12
 _ORTHOGONAL_TOL = 1e-12
 
@@ -330,4 +334,4 @@ def vlf_two_node_check(state: GaussianState, node_pair=(0, 1)) -> VlfResult:
     c = state.cov.item
     total = (((c(yi, yi) - c(xj, yi)) - (c(yi, xj) - c(xj, xj)))
              + ((c(yj, yj) - c(xi, yj)) - (c(yj, xi) - c(xi, xi))))
-    return VlfResult(total, total < VLF_BOUND - VLF_GUARD)
+    return VlfResult(total, total < VLF_GUARDED_BOUND)

@@ -204,7 +204,7 @@ def cluster_node_exprs(sources: tuple) -> tuple:
     return (X1, Y1), (X2, Y2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateOutput:
     """Output of one or more chained measurement steps, as dense arrays.
 
@@ -229,7 +229,8 @@ class GateOutput:
     ``exprs`` is the (X_out, Y_out) expression view of the output rows,
     built once when the output is made; pass ``exprs=None`` to
     :func:`dataclasses.replace` to rebuild it from changed arrays.  The
-    column variances are kept once per output, on first use.
+    column variances are kept once per output, on first use.  Outputs
+    compare and hash by identity, as ``ClusterGraph`` does.
     """
 
     signal_matrix: np.ndarray

@@ -47,7 +47,7 @@ class LaneCollisionError(RuntimeError):
 
 @dataclass(frozen=True)
 class DelaySpec:
-    """A lossless delay tau against the pulse period; grid-aligned when tau = n * period."""
+    """A lossless delay tau against the pulse period."""
 
     tau: float
     period: float
@@ -57,17 +57,6 @@ class DelaySpec:
             raise ValueError("delay must be nonnegative")
         if self.period <= 0:
             raise ValueError("period must be positive")
-
-    @property
-    def multiple(self) -> int | None:
-        n = round(self.tau / self.period)
-        if abs(self.tau - n * self.period) <= 1e-9 * max(self.period, 1.0):
-            return int(n)
-        return None
-
-    @property
-    def aligned(self) -> bool:
-        return self.multiple is not None
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ file, runs the experiment, writes a JSON record (and CSV series) into the
 output directory, prints one line per verdict, and exits 0 only if every
 verdict passed (1 on a failed verdict, 2 on usage or config errors).
 
-Every verdict carries the named constant it was judged against, and all
+Every verdict carries the named constant it was judged against and passes
+exactly when its recorded comparison holds on the unrounded numbers.  All
 floating output uses 12 significant digits with '.' as the decimal
 separator, so records are byte-reproducible for a fixed config and seed.
 """
@@ -17,6 +18,7 @@ import argparse
 import configparser
 import json
 import math
+import operator
 import re
 import sys
 from contextlib import contextmanager
@@ -40,8 +42,7 @@ EXPERIMENT_KINDS = ("spectrum", "cluster-check", "delayed-check", "gate",
                     "compose", "cz", "pipeline")
 
 # Named verdict thresholds.  Each is documented by the inequality it encodes.
-#: Inseparability of a two-node cluster: nullifier-variance sum below 1/2.
-VLF_BOUND = clus.VLF_BOUND
+# (The two-node inseparability bound is cluster.VLF_GUARDED_BOUND.)
 #: Closed-form spectrum vs numeric Fourier oracle, relative.
 ORACLE_REL_TOL = 1e-6
 #: Gate-matrix determinant distance from 1.
@@ -73,14 +74,25 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-@dataclass
+#: The comparisons a verdict can record, each read as ``value OP threshold``.
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
 class Verdict:
+    """One acceptance check, ``value comparison threshold``; it passes when
+    that comparison holds on the unrounded numbers, so the printed line and
+    the pass/fail state are one rule."""
+
     name: str
-    passed: bool
     value: float
     threshold: float
-    comparison: str  # e.g. "<", "<=", "=="
+    comparison: str  # a key of _COMPARISONS
     constant: str    # name of the threshold constant
+
+    @property
+    def passed(self) -> bool:
+        return bool(_COMPARISONS[self.comparison](self.value, self.threshold))
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -350,14 +362,14 @@ def _run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
                           "four_y_var": list(map(float, 4.0 * y))}},
     )
     record.verdicts = [
-        Verdict("boundary_value_at_kappa", at_kappa == 0.5, at_kappa, 0.5, "==",
+        Verdict("boundary_value_at_kappa", at_kappa, 0.5, "==",
                 "VLF_BOUND (4*y_var at omega = kappa sits on the bound)"),
-        Verdict("squeezed_below_vacuum", bool(np.all(y < VACUUM_VARIANCE)),
-                float(np.max(y)), VACUUM_VARIANCE, "<", "VACUUM_VARIANCE"),
-        Verdict("uncertainty_product", uncert >= 1.0 / 16.0, uncert, 1.0 / 16.0,
-                ">=", "minimum uncertainty product x_var*y_var >= 1/16"),
-        Verdict("oracle_agreement", oracle_rel <= ORACLE_REL_TOL, oracle_rel,
-                ORACLE_REL_TOL, "<=", "ORACLE_REL_TOL"),
+        Verdict("squeezed_below_vacuum", float(np.max(y)), VACUUM_VARIANCE, "<",
+                "VACUUM_VARIANCE"),
+        Verdict("uncertainty_product", uncert, 1.0 / 16.0, ">=",
+                "minimum uncertainty product x_var*y_var >= 1/16"),
+        Verdict("oracle_agreement", float(oracle_rel), ORACLE_REL_TOL, "<=",
+                "ORACLE_REL_TOL"),
     ]
     return record
 
@@ -374,6 +386,9 @@ def _run_cluster_check(cfg: ExperimentConfig) -> ResultRecord:
     variances = p.get_floats("y_variance", required=True)
     if not variances:
         raise ConfigError("[cluster-check] y_variance needs at least one value")
+    for i, v in enumerate(variances):
+        if v in variances[:i]:  # each value names a verdict
+            raise ConfigError(f"[cluster-check] y_variance repeats the value {v!r}")
 
     pairwise = graph.n_nodes == 2  # the inseparability sum applies to pairs
     exprs = clus.nullifiers(graph)
@@ -382,23 +397,19 @@ def _run_cluster_check(cfg: ExperimentConfig) -> ResultRecord:
     for v in variances:
         state = clus.generate_cluster([v] * graph.n_nodes, graph)
         if pairwise:
-            res = clus.vlf_two_node_check(state, (0, 1))
-            nullifier_sum = res.nullifier_sum
-            passed = res.entangled
-            verdicts.append(Verdict(
-                f"entangled[v={v:g}]", passed, nullifier_sum, VLF_BOUND,
-                "<", "VLF_BOUND"))
+            nullifier_sum = clus.vlf_two_node_check(state, (0, 1)).nullifier_sum
+            verdict = Verdict(f"entangled[v={v!r}]", nullifier_sum,
+                              clus.VLF_GUARDED_BOUND, "<", "VLF_BOUND - VLF_GUARD")
         else:
             # larger graphs: evaluate the nullifier variances directly and
             # check the source squeezing against the edge threshold
             nullifier_sum = float(np.trace(expr_covariance(exprs, state.cov)))
-            passed = v < threshold
-            verdicts.append(Verdict(
-                f"below_edge_threshold[v={v:g}]", passed, float(v), threshold,
-                "<", "min_squeezing_threshold(graph)"))
+            verdict = Verdict(f"below_edge_threshold[v={v!r}]", float(v), threshold,
+                              "<", "min_squeezing_threshold(graph)")
+        verdicts.append(verdict)
         rows["y_variance"].append(float(v))
         rows["nullifier_sum"].append(nullifier_sum)
-        rows["verdict"].append(passed)
+        rows["verdict"].append(verdict.passed)
     record = ResultRecord(
         kind="cluster-check",
         inputs={"graph": graph.adjacency.tolist(), "y_variance": variances},
@@ -463,10 +474,10 @@ def _run_delayed_check(cfg: ExperimentConfig) -> ResultRecord:
         series={"grid": rows},
     )
     record.verdicts = [
-        Verdict("grid_reduction_exact", all_reduced, float(all_reduced), 1.0, "==",
+        Verdict("grid_reduction_exact", float(all_reduced), 1.0, "==",
                 "on-grid frequencies reduce to 4*y_var exactly"),
-        Verdict("offgrid_fails", not probe.entangled, probe.lhs,
-                multiplex.DELAYED_VLF_BOUND, ">=", "DELAYED_VLF_BOUND"),
+        Verdict("offgrid_fails", probe.lhs, multiplex.DELAYED_VLF_BOUND, ">=",
+                "DELAYED_VLF_BOUND"),
     ]
     return record
 
@@ -511,15 +522,18 @@ def _sample_and_feed_forward(cfg: ExperimentConfig, outputs: list,
 
     Returns one record block per output (the currents, the shifts they put
     on the output offsets, the corrected offsets and symbol counts) and the
-    feed_forward_offsets_zero verdict over all outputs.
+    feed_forward_offsets_zero verdict over all outputs, whose value is the
+    largest classical term left: an offset or a symbol coefficient.
     """
     if cfg.seed is None:
         raise ConfigError(f"[{cfg.kind}] sampling mode needs --seed")
     rng = np.random.default_rng(cfg.seed)
     blocks = []
+    leftover = []
     for out in outputs:
         currents = gates.sample_currents(out, input_blocks, rng)
         corrected = gates.feed_forward(out, currents)
+        leftover += [t for e in corrected.exprs for t in (e.offset, *e.symbols.values())]
         blocks.append({
             "currents": {k: _round12(v) for k, v in sorted(currents.items())},
             "feed_forward_shifts": [_round12(e.substitute(currents).offset)
@@ -527,12 +541,9 @@ def _sample_and_feed_forward(cfg: ExperimentConfig, outputs: list,
             "corrected_offsets": [e.offset for e in corrected.exprs],
             "corrected_symbol_count": [len(e.symbols) for e in corrected.exprs],
         })
-    offsets = [o for b in blocks for o in b["corrected_offsets"]]
-    ok = (all(o == 0.0 for o in offsets)
-          and not any(c for b in blocks for c in b["corrected_symbol_count"]))
-    verdict = Verdict("feed_forward_offsets_zero", ok,
-                      float(max(abs(o) for o in offsets)), 0.0, "==",
-                      "feed-forward leaves no classical values")
+    # np.max, unlike max, keeps a NaN term
+    verdict = Verdict("feed_forward_offsets_zero", float(np.max(np.abs(leftover))),
+                      0.0, "==", "feed-forward leaves no classical values")
     return blocks, verdict
 
 
@@ -567,10 +578,8 @@ def _run_gate(cfg: ExperimentConfig) -> ResultRecord:
                  "residuals": {"det_minus_one": det_err, "oracle": oracle_err}},
     )
     record.verdicts = [
-        Verdict("gate_determinant", det_err <= GATE_DET_TOL, det_err,
-                GATE_DET_TOL, "<=", "GATE_DET_TOL"),
-        Verdict("oracle_agreement", oracle_err <= STEP_ORACLE_TOL, oracle_err,
-                STEP_ORACLE_TOL, "<=", "STEP_ORACLE_TOL"),
+        Verdict("gate_determinant", det_err, GATE_DET_TOL, "<=", "GATE_DET_TOL"),
+        Verdict("oracle_agreement", oracle_err, STEP_ORACLE_TOL, "<=", "STEP_ORACLE_TOL"),
     ]
     if p.get_bool("sampling", False):
         [record.scalars["sampling"]], verdict = _sample_and_feed_forward(
@@ -623,16 +632,15 @@ def _run_compose(cfg: ExperimentConfig) -> ResultRecord:
                  "residuals": {"det_minus_one": det_err, "oracle": oracle_err}},
     )
     record.verdicts = [
-        Verdict("net_determinant", det_err <= 1e-9, det_err, 1e-9, "<=",
+        Verdict("net_determinant", det_err, 1e-9, "<=",
                 "composed gate stays determinant-one"),
-        Verdict("oracle_agreement", oracle_err <= STEP_ORACLE_TOL, oracle_err,
-                STEP_ORACLE_TOL, "<=", "STEP_ORACLE_TOL"),
+        Verdict("oracle_agreement", oracle_err, STEP_ORACLE_TOL, "<=", "STEP_ORACLE_TOL"),
     ]
     if solver_residual is not None:
         record.scalars["solver_residual"] = solver_residual
         record.verdicts.append(Verdict(
-            "phase_solver_residual", solver_residual <= PHASE_RESIDUAL_TOL,
-            solver_residual, PHASE_RESIDUAL_TOL, "<=", "PHASE_RESIDUAL_TOL"))
+            "phase_solver_residual", solver_residual, PHASE_RESIDUAL_TOL, "<=",
+            "PHASE_RESIDUAL_TOL"))
     if p.get_bool("sampling", False):
         [record.scalars["sampling"]], verdict = _sample_and_feed_forward(
             cfg, [out], {0: cov_in})
@@ -656,13 +664,12 @@ def _run_cz(cfg: ExperimentConfig) -> ResultRecord:
         scalars={"matrix": matrix.tolist(), "symplectic_residual": sympl_err},
     )
     record.verdicts = [
-        Verdict("symplectic", sympl_err < SYMPLECTIC_TOL, sympl_err,
-                SYMPLECTIC_TOL, "<", "SYMPLECTIC_TOL"),
+        Verdict("symplectic", sympl_err, SYMPLECTIC_TOL, "<", "SYMPLECTIC_TOL"),
     ]
     if canonical:
         exact = bool(np.array_equal(matrix, gates.CZ_MATRIX))
         record.verdicts.append(Verdict(
-            "matches_entangling_target", exact, float(exact), 1.0, "==",
+            "matches_entangling_target", float(exact), 1.0, "==",
             "canonical blocks reproduce the entangling matrix exactly"))
     return record
 
@@ -740,10 +747,9 @@ def _run_pipeline(cfg: ExperimentConfig) -> ResultRecord:
                  "lanes_detail": lane_rows},
     )
     record.verdicts = [
-        Verdict("no_collisions", collisions == 0, float(collisions), 0.0, "==",
+        Verdict("no_collisions", float(collisions), 0.0, "==",
                 "lanes never share a beam-splitter event"),
-        Verdict("lane_isolation", isolation <= LANE_ISOLATION_TOL, isolation,
-                LANE_ISOLATION_TOL, "<=", "LANE_ISOLATION_TOL"),
+        Verdict("lane_isolation", isolation, LANE_ISOLATION_TOL, "<=", "LANE_ISOLATION_TOL"),
     ]
     if p.get_bool("sampling", False):
         _, verdict = _sample_and_feed_forward(cfg, result.outputs, {0: cov_in})

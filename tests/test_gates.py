@@ -127,6 +127,17 @@ class TestSingleStep:
             assert np.max(np.abs(full - ref)) <= 1e-12
             assert not np.any(out.measured_offset) and not np.any(out.offset)
 
+    def test_outputs_compare_by_identity(self):
+        # the ndarray fields make field-wise equality ambiguous
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.07)
+        settings = [HomodyneSetting(0.9 + 0.1 * j, 0.3) for j in range(4)]
+        first, second = (run_steps((x_quad(0), y_quad(0)), [cluster] * 4, settings)
+                         for _ in range(2))
+        assert np.array_equal(first.signal_matrix, second.signal_matrix)
+        assert first != second and not first == second
+        assert first == first
+        assert hash(first) == hash(first) and len({first, second}) == 2
+
     @staticmethod
     def assert_rows_follow_the_nodes(out, settings):
         """Step j measures the difference and sum ports of (its input,

@@ -93,16 +93,6 @@ class TestAdmissibleFrequencies:
             admissible_frequencies(0.0, [1])
 
 
-class TestDelaySpec:
-    def test_aligned_multiple(self):
-        spec = DelaySpec(12.0, 6.0)
-        assert spec.aligned and spec.multiple == 2
-
-    def test_off_grid(self):
-        spec = DelaySpec(7.0, 6.0)
-        assert not spec.aligned and spec.multiple is None
-
-
 def _slot_clusters(n_lanes, steps):
     """One distinct cluster per emission slot, so a mis-assignment shows."""
     return [TwoNodeCluster.from_y_variances(0.01 + 0.002 * m, 0.03 - 0.001 * m)

@@ -164,6 +164,31 @@ class TestClusterCheck:
                             ("below_edge_threshold[v=0.25]", False)]
         assert record["passed"] is False
 
+    def test_guard_band_fails_against_the_bound_it_prints(self, tmp_path, capsys):
+        # three sums that print as 0.5 or just below it; names keep every digit
+        cfg = write_config(tmp_path, "[cluster-check]\ny_variance = "
+                                     "0.1249999999999999, 0.12499999999995, 0.124999999999\n")
+        assert main(["cluster-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        bound = "0.499999999999 (VLF_BOUND - VLF_GUARD)"
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            f"[FAIL] entangled[v=0.1249999999999999]: value 0.5 < {bound}",
+            f"[FAIL] entangled[v=0.12499999999995]: value 0.5 < {bound}",
+            f"[PASS] entangled[v=0.124999999999]: value 0.499999999996 < {bound}"]
+        record = json.loads((tmp_path / "o" / "cluster-check.json").read_text())
+        assert record["series"]["checks"]["verdict"] == [False, False, True]
+        assert {v["threshold"] for v in record["verdicts"]} == {0.499999999999}
+        assert clus.VLF_GUARDED_BOUND == clus.VLF_BOUND - clus.VLF_GUARD
+
+    @pytest.mark.parametrize("variances,value", [
+        ("0.05, 0.05", "0.05"), ("0.01, 0.1, 0.010", "0.01"), ("0, -0.0", "-0.0")])
+    def test_repeated_variance_is_a_config_error(self, tmp_path, capsys, variances, value):
+        # each variance names a verdict, and names must be unique
+        cfg = write_config(tmp_path, f"[cluster-check]\ny_variance = {variances}\n")
+        assert main(["cluster-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: [cluster-check] y_variance repeats the value {value}"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestDelayedCheck:
     def test_grid_reduction(self, tmp_path):
@@ -325,6 +350,20 @@ class TestFeedForwardVerdictCanFail:
         record = json.loads((tmp_path / "bad" / f"{kind}.json").read_text())
         verdicts = {v["name"]: v for v in record["verdicts"]}
         assert verdicts["feed_forward_offsets_zero"]["value"] == 2e-3
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("comparison,holds", [
+        ("<", [True, True, False, False, False]), ("<=", [True, True, True, False, False]),
+        ("==", [False, False, True, False, False]), (">=", [False, False, True, True, False])])
+    def test_passed_is_the_recorded_comparison(self, comparison, holds):
+        # on the unrounded numbers: 0.5 - 1e-15 prints as 0.5 but is below it
+        assert [runner.Verdict("v", value, 0.5, comparison, "C").passed
+                for value in (0.25, 0.5 - 1e-15, 0.5, 0.75, math.nan)] == holds
+
+    def test_takes_no_pass_flag(self):
+        with pytest.raises(TypeError):
+            runner.Verdict("v", True, 0.25, 0.5, "<", "C")
 
 
 class TestCz:

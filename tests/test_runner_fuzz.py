@@ -2,10 +2,13 @@
 
 Whatever the numbers in a section of any of the seven kinds, a run ends
 with exit code 0 (all verdicts pass), 1 (a verdict fails) or 2 (a config
-error), and never with a traceback.
+error), and never with a traceback.  A run that ends 0 or 1 writes a
+record whose verdict names are unique and whose ``passed`` is the AND of
+its verdicts'.
 """
 
 import io
+import json
 import os
 import tempfile
 import traceback
@@ -113,26 +116,38 @@ FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
 def run_cli(kind, text):
-    """Exit code and stderr of ``runner.main`` on one config, in-process."""
+    """Exit code, stderr and parsed record (None if none was written) of
+    ``runner.main`` on one config, in-process."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "exp.ini")
         with open(path, "w") as fh:
             fh.write(text)
-        argv = [kind, "--config", path, "--out", os.path.join(tmp, "out"), "--seed", "3"]
+        out = os.path.join(tmp, "out")
+        argv = [kind, "--config", path, "--out", out, "--seed", "3"]
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             try:
                 code = main(argv)
             except Exception:  # what would reach the user as a traceback
                 traceback.print_exc()
                 code = None
-    return code, err.getvalue()
+        record_path = os.path.join(out, f"{kind}.json")
+        record = None
+        if os.path.exists(record_path):
+            with open(record_path) as fh:
+                record = json.load(fh)
+    return code, err.getvalue(), record
 
 
 def check_contract(kind, text):
-    code, err = run_cli(kind, text)
+    code, err, record = run_cli(kind, text)
     assert "Traceback" not in err, f"{text}\n{err}"
     assert code in (0, 1, 2), f"{text}\nexit {code}\n{err}"
+    if code in (0, 1):
+        names = [v["name"] for v in record["verdicts"]]
+        assert len(set(names)) == len(names), f"{text}\nrepeated name in {names}"
+        assert record["passed"] is all(v["passed"] for v in record["verdicts"]), text
+        assert code == (0 if record["passed"] else 1), text
 
 
 @FUZZ

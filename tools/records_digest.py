@@ -6,9 +6,10 @@ For each seed 0-40, writes the INI text of ``perfbench/cli_cold.make_config``
 (all seven kinds, sampling on for gate, compose and pipeline) and runs
 every kind in-process through ``cvmbqc.runner.main``, in a fresh output
 directory under a temporary working directory.  Then runs ``cluster-check``
-on the multi-node graphs of ``GRAPHS``: a 50-node chain and a 50-node star,
-each swept over several source variances, and a 3-node chain swept over
-0.01 and 0.25 (exit 1), and ``pipeline`` on the sampled shapes of
+on the graphs of ``GRAPHS``: a 50-node chain and a 50-node star, each
+swept over several source variances, a 3-node chain swept over 0.01 and
+0.25 (exit 1), and a two-node pair swept across the guard band of its
+inseparability bound (exit 1), and ``pipeline`` on the sampled shapes of
 ``PIPELINES``: 1 lane of 1 step, 3 lanes of 3 steps, and 2 lanes of 4 steps
 on a finer tick grid.  Prints one line per run: seed, graph or pipeline
 shape, kind, exit code, the sha256 of stdout and of stderr, then the relative path and
@@ -50,12 +51,17 @@ def _star(n: int) -> list:
     return [[int((i == 0) != (j == 0)) for j in range(n)] for i in range(n)]
 
 
-#: multi-node ``cluster-check`` runs: name -> (adjacency rows, y_variance list).
+#: ``cluster-check`` runs: name -> (adjacency rows, y_variance list).
 #: The 50-node star's edge threshold is 1/52, so its last two variances fail.
+#: The pair straddles the guard band below its bound of 1/2: the sums at
+#: 0.1249999999999999, 0.12499999999995 and 0.125 lie below 1/2 but within
+#: VLF_GUARD of it and fail, 0.124999999999 passes, and 0.13 is above 1/2.
 GRAPHS = {
     "chain50": (_chain(50), "0.001, 0.01, 0.05, 0.1, 0.16"),
     "star50": (_star(50), "0.001, 0.005, 0.019, 0.02, 0.05"),
     "chain3": (_chain(3), "0.01, 0.25"),
+    "pair-guard": (_chain(2), "0.1249999999999999, 0.12499999999995, 0.124999999999, "
+                              "0.125, 0.13"),
 }
 
 
