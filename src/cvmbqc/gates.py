@@ -70,7 +70,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -97,6 +97,14 @@ DEFAULT_BETA_0 = 1e6
 
 #: Residual bound for the two-step phase solver.
 PHASE_RESIDUAL_TOL = 1e-6
+
+#: Entrywise tolerance, absolute and relative, of the positive-semidefinite
+#: check on the photocurrent covariance: numpy's ``multivariate_normal`` default.
+PSD_TOL = 1e-8
+
+#: The vacuum covariance block of an input mode with no block given.
+_VACUUM_BLOCK = VACUUM_VARIANCE * np.eye(2)
+_VACUUM_BLOCK.setflags(write=False)
 
 
 class DegenerateHomodynePhasesError(ValueError):
@@ -229,8 +237,11 @@ class GateOutput:
     ``exprs`` is the (X_out, Y_out) expression view of the output rows,
     built once when the output is made; pass ``exprs=None`` to
     :func:`dataclasses.replace` to rebuild it from changed arrays.  The
-    column variances are kept once per output, on first use.  Outputs
-    compare and hash by identity, as ``ClusterGraph`` does.
+    quadrature rows ``[signal_matrix | noise]`` are stacked once, when the
+    output is made, into one read-only array that the expression view and
+    :func:`output_covariance` read; :meth:`quadrature_rows` hands out a
+    writable copy.  The column variances are kept once per output, on first
+    use.  Outputs compare and hash by identity, as ``ClusterGraph`` does.
     """
 
     signal_matrix: np.ndarray
@@ -244,16 +255,20 @@ class GateOutput:
     settings: tuple
     clusters: tuple
     exprs: tuple | None = None
+    _quad_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        rows = np.hstack([self.signal_matrix, self.noise])
+        rows.setflags(write=False)
+        object.__setattr__(self, "_quad_rows", rows)
         if self.exprs is None:
             object.__setattr__(self, "exprs", _row_exprs(
-                self.quadrature_rows(), 2 * self.input_mode, self.classical,
-                self.current_names, self.offset))
+                rows, 2 * self.input_mode, self.classical, self.current_names,
+                self.offset))
 
     def quadrature_rows(self) -> np.ndarray:
         """Quantum part of the output pair over all quadrature columns."""
-        return np.hstack([self.signal_matrix, self.noise])
+        return self._quad_rows.copy()
 
     @functools.cached_property
     def _column_variances(self) -> np.ndarray:
@@ -272,8 +287,7 @@ class GateOutput:
     def column_cov(self, input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
         """Covariance of the quadrature columns: the input mode's block
         (vacuum when none is given) and the uncorrelated cluster sources."""
-        block = np.asarray(input_blocks.get(self.input_mode, VACUUM_VARIANCE * np.eye(2)),
-                           dtype=float)
+        block = np.asarray(input_blocks.get(self.input_mode, _VACUUM_BLOCK), dtype=float)
         if block.shape != (2, 2):
             raise ValueError("the input covariance block must be 2x2")
         cov = np.diag(self._column_variances)
@@ -330,6 +344,22 @@ def _current_names(k: int) -> tuple:
     return tuple(name for j in range(1, k + 1) for name in (f"i_in[{j}]", f"i_1[{j}]"))
 
 
+@functools.lru_cache(maxsize=64)
+def _node_positions(k: int) -> tuple:
+    """Flat positions in the (2k, 2 + 4k) measured rows of the node-1 block
+    of each step j (rows 2j, 2j + 1 over the sources of cluster j) and of
+    the node-2 block of each step j >= 1 (over the sources of cluster
+    j - 1), each in the C order of the (step, 2, 4) blocks."""
+    positions = np.arange(2 * k * (2 + 4 * k)).reshape(2 * k, 2 + 4 * k)
+    sources = positions[:, 2:].reshape(k, 2, k, 4)
+    steps = np.arange(k)
+    node_1 = sources[steps, :, steps].ravel()
+    node_2 = sources[steps[1:], :, steps[:-1]].ravel()
+    node_1.setflags(write=False)
+    node_2.setflags(write=False)
+    return node_1, node_2
+
+
 def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
               settings: Sequence[HomodyneSetting], *,
               allow_unentangled: bool = False) -> GateOutput:
@@ -352,7 +382,7 @@ def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
     if len(clusters) != k or not k:
         raise ValueError("need one cluster per setting, at least one step")
     input_mode, input_offset = _input_mode(input_exprs)
-    matrices, trig, gains = [], [], []
+    entries, trig, gains = [], [], []
     for cluster, setting in zip(clusters, settings):
         if cluster.vlf_sum() >= VLF_BOUND:
             if not allow_unentangled:
@@ -361,24 +391,23 @@ def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
                     f"{cluster.vlf_sum():g} >= {VLF_BOUND}); pass allow_unentangled=True to force")
             warnings.warn("running a measurement step on an unentangled cluster resource",
                           stacklevel=2)
-        s, *entries = _gate_entries(setting.theta_plus, setting.theta_minus)
+        s, *step_entries = _gate_entries(setting.theta_plus, setting.theta_minus)
         cin, sin_ = math.cos(setting.theta_in), math.sin(setting.theta_in)
         c1, s1 = math.cos(setting.theta_1), math.sin(setting.theta_1)
         pref = 1.0 / (setting.beta_0 * _SQRT2 * s)
-        matrices += entries
+        entries += step_entries
         trig += (cin, sin_, c1, s1)
         gains += (pref * c1, -pref * cin, -pref * s1, pref * sin_)
     # step j's gate matrix M_j, trig rows T_j and current gains, each (k, 2, 2)
-    matrices, trig, gains = (np.array(a).reshape(k, 2, 2) for a in (matrices, trig, gains))
+    matrices, trig, gains = np.array(entries + trig + gains).reshape(3, k, 2, 2)
 
-    # row pair j over (step, 4 sources), written through a view of the
-    # source columns: node 1 of cluster j on the diagonal, node 2 of
-    # cluster j - 1 below it
+    # row pair j over (step, 4 sources): node 1 of cluster j on the
+    # diagonal, node 2 of cluster j - 1 below it, placed by flat index
     measured_rows = np.zeros((2 * k, 2 + 4 * k))
-    sources = measured_rows[:, 2:].reshape(k, 2, k, 4)
-    steps = np.arange(k)
-    sources[steps, :, steps] = 0.5 * (trig @ _NODE_1)
-    sources[steps[1:], :, steps[:-1]] = 0.5 * ((_PORT_SIGN * trig[1:]) @ _NODE_2)
+    node_1, node_2 = _node_positions(k)
+    flat = measured_rows.reshape(-1)
+    flat[node_1] = (0.5 * (trig @ _NODE_1)).reshape(-1)
+    flat[node_2] = (0.5 * ((_PORT_SIGN * trig[1:]) @ _NODE_2)).reshape(-1)
     measured_offset = np.zeros(2 * k)
     D0 = _PORT_SIGN * trig[0]
     measured_rows[:2, :2] = D0 / _SQRT2
@@ -407,7 +436,7 @@ def output_covariance(output: GateOutput,
                       input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
     """Quantum covariance Q Sigma Q^T of the output pair over the input and
     source modes (vacuum input when ``input_blocks`` has no block for it)."""
-    Q = output.quadrature_rows()
+    Q = output._quad_rows
     return Q @ output.column_cov(input_blocks) @ Q.T
 
 
@@ -416,17 +445,41 @@ def feed_forward(output: GateOutput, currents: Mapping[str, float] | None = None
 
     After feed-forward both expressions carry a classical offset of exactly
     zero and no photocurrent symbols; the quantum parts are untouched.
-    Applying it again is a no-op.
+    Applying it again is a no-op.  The corrected output shares every other
+    field, and the rows and variances kept with it, with ``output``: it is
+    copied field by field, not rebuilt through ``GateOutput.__init__``.
     """
     currents = dict(currents or {})
     for e in output.exprs:
         missing = [s for s in e.symbols if s not in currents]
         if missing:
             raise ValueError(f"missing measured currents for feed-forward: {missing}")
-    cleaned = tuple(LinearQuadratureExpr._from_clean(dict(e.coeffs), {}, 0.0)
-                    for e in output.exprs)
-    return replace(output, classical=np.zeros_like(output.classical),
-                   offset=np.zeros(2), exprs=cleaned)
+    corrected = object.__new__(GateOutput)
+    corrected.__dict__.update(
+        output.__dict__, classical=np.zeros_like(output.classical), offset=np.zeros(2),
+        exprs=tuple(LinearQuadratureExpr._from_clean(dict(e.coeffs), {}, 0.0)
+                    for e in output.exprs))
+    return corrected
+
+
+def _svd_draw(mean: np.ndarray, sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw of N(mean, sigma) by the operations of numpy's
+    ``Generator.multivariate_normal`` with ``method="svd"`` and
+    ``check_valid="raise"``, in its order.
+
+    One standard normal x per entry, the SVD u s vh of ``sigma``, the check
+    that (vh^T s) vh matches ``sigma`` entrywise within
+    ``PSD_TOL + PSD_TOL * |entry|``, and mean + x (u sqrt(s))^T.  So a seed
+    draws what numpy's sampler draws, bit for bit, and a covariance it
+    rejects raises its error: ``ValueError`` on a failed check, ``LinAlgError``
+    on an SVD that does not converge.  Left out are the sampler's input
+    copies and its generic ``np.allclose``.
+    """
+    x = rng.standard_normal(mean.size)
+    u, s, vh = np.linalg.svd(sigma)
+    if not (np.abs((vh.T * s) @ vh - sigma) <= PSD_TOL + PSD_TOL * np.abs(sigma)).all():
+        raise ValueError("covariance is not symmetric positive-semidefinite.")
+    return mean + x @ (u * np.sqrt(s)).T
 
 
 def sample_currents(output: GateOutput, input_blocks: Mapping[int, np.ndarray],
@@ -434,18 +487,20 @@ def sample_currents(output: GateOutput, input_blocks: Mapping[int, np.ndarray],
     """Draw photocurrent records from their joint Gaussian law.
 
     The measured quadratures have mean r0 and covariance R Sigma R^T over
-    the measured rows R; currents are scaled by 2 beta0.  numpy's check that
-    the covariance is positive semidefinite uses an absolute tolerance of
-    1e-8, so variances far from unit scale fail it (in a two-step chain,
-    source variances of 1e8 or 1e-9); that raises ValueError rather than
+    the measured rows R; currents are scaled by 2 beta0.  The draw factors
+    that covariance by one SVD, as numpy's ``multivariate_normal`` does with
+    ``method="svd"``, and applies its positive-semidefinite check
+    (:func:`_svd_draw`), so a seed gives numpy's records bit for bit.  The
+    check's absolute tolerance ``PSD_TOL`` fails variances far from unit
+    scale (in a two-step chain, source variances of 1e8 or 1e-9); a failed
+    check, or an SVD that does not converge, raises ValueError rather than
     sampling.
     """
     R = output.measured_rows
     sigma = R @ output.column_cov(input_blocks) @ R.T
     try:
-        draws = rng.multivariate_normal(output.measured_offset, sigma, method="svd",
-                                        check_valid="raise")
-    except ValueError:
+        draws = _svd_draw(output.measured_offset, sigma, rng)
+    except ValueError:  # LinAlgError is one
         raise ValueError(
             "cannot sample the photocurrents: their covariance, with variances "
             f"up to {float(np.max(np.diag(sigma))):.3g}, fails numpy's "

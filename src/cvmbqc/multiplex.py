@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -162,8 +162,15 @@ def schedule_lanes(period: float, gap: float, n_lanes: int, steps: int):
     return delay, schedule
 
 
-@dataclass(frozen=True, slots=True)
-class PipelineEvent:
+class PipelineEvent(NamedTuple):
+    """One entry of a pipeline's event log: at integer tick ``tick`` (time
+    ``t``), lane ``lane`` does ``action`` at optical element ``element``.
+
+    A named tuple, so a log of many lanes costs one tuple per event: a
+    64-lane pipeline of 4 steps logs 1 152 events.  Events compare as
+    tuples, field by field in this order.
+    """
+
     tick: int
     t: float
     element: str
@@ -185,12 +192,12 @@ def _count_collisions(events: Sequence[PipelineEvent]) -> int:
     """Number of (element, tick) pairs visited by more than one lane."""
     seen = {}
     clashes = 0
-    for ev in events:
-        if ev.element in ("bs_gate", "hd_in", "hd_1"):
-            key = (ev.element, ev.tick)
-            if key in seen and seen[key] != ev.lane:
+    for tick, _, element, lane, _ in events:
+        if element in ("bs_gate", "hd_in", "hd_1"):
+            key = (element, tick)
+            if key in seen and seen[key] != lane:
                 clashes += 1
-            seen[key] = ev.lane
+            seen[key] = lane
     return clashes
 
 
@@ -278,23 +285,25 @@ def simulate_pipeline(duration: float, gap: float,
     # event, so sorting the tuples orders the log by (tick, lane, element)
     log = [(slot * period_ticks, lane, "switch", action)
            for slot, lane, action in _switch_slots(n_lanes, steps)]
+    # the (mix, measure) actions of each step, named once for every lane
+    actions = [(f"mix step {step}", f"measure step {step}") for step in range(1, steps + 1)]
     outputs = []
     for lane in range(n_lanes):
         log.append((lane * ticks_per_gap, lane, "input", "arrive"))
         slots = [lane_slot(lane, step, n_lanes) for step in range(steps)]
-        for step, slot in enumerate(slots):
+        for slot, (mix, measure) in zip(slots, actions):
             t_slot = slot * period_ticks
-            measure = f"measure step {step + 1}"
-            log += [(t_slot, lane, "bs_gate", f"mix step {step + 1}"),
-                    (t_slot, lane, "hd_in", measure), (t_slot, lane, "hd_1", measure)]
-            if step + 1 < steps:
-                log.append((t_slot + duration_ticks, lane, "delay", "circulate"))
+            log += ((t_slot, lane, "bs_gate", mix), (t_slot, lane, "hd_in", measure),
+                    (t_slot, lane, "hd_1", measure))
+        # every step but the last sends its output pulse round the loop
+        log += [(slot * period_ticks + duration_ticks, lane, "delay", "circulate")
+                for slot in slots[:-1]]
         outputs.append(run_steps(inputs[lane], [clusters[slot] for slot in slots],
                                  gate_settings[lane], allow_unentangled=allow_unentangled))
 
     log.sort()
-    events = tuple(PipelineEvent(t_count, t_count * tick, element, lane, action)
-                   for t_count, lane, element, action in log)
+    events = tuple([PipelineEvent(t_count, t_count * tick, element, lane, action)
+                    for t_count, lane, element, action in log])
     result = PipelineResult(tuple(outputs), events, delay)
     clashes = result.collisions()
     if clashes:

@@ -94,10 +94,26 @@ class Verdict:
     def passed(self) -> bool:
         return bool(_COMPARISONS[self.comparison](self.value, self.threshold))
 
+    @property
+    def tied_in_print(self) -> bool:
+        """Whether value and threshold are different numbers (their ``repr``
+        differs) that print alike in 12 digits, so the 12-digit record could
+        not show which way the comparison went."""
+        return (_fmt(self.value) == _fmt(self.threshold)
+                and repr(float(self.value)) != repr(float(self.threshold)))
+
+    def printed(self) -> tuple:
+        """Value and threshold as the record prints them: 12 significant
+        digits, or both with ``repr`` when they are tied in print."""
+        if self.tied_in_print:
+            return repr(float(self.value)), repr(float(self.threshold))
+        return _fmt(self.value), _fmt(self.threshold)
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return (f"[{status}] {self.name}: value {_fmt(self.value)} "
-                f"{self.comparison} {_fmt(self.threshold)} ({self.constant})")
+        value, threshold = self.printed()
+        return (f"[{status}] {self.name}: value {value} "
+                f"{self.comparison} {threshold} ({self.constant})")
 
 
 @dataclass
@@ -134,10 +150,12 @@ class ResultRecord:
             "inputs": clean(self.inputs),
             "scalars": clean(self.scalars),
             "series": clean(self.series),
+            # a verdict tied in print keeps its value and threshold unrounded
             "verdicts": [
-                {"name": v.name, "passed": bool(v.passed), "value": clean(v.value),
-                 "threshold": clean(v.threshold), "comparison": v.comparison,
-                 "constant": v.constant}
+                {"name": v.name, "passed": bool(v.passed),
+                 "value": float(v.value) if v.tied_in_print else clean(v.value),
+                 "threshold": float(v.threshold) if v.tied_in_print else clean(v.threshold),
+                 "comparison": v.comparison, "constant": v.constant}
                 for v in self.verdicts
             ],
             "passed": bool(self.passed),
@@ -315,6 +333,13 @@ def _float_range(kind: str, inputs: str):
             f"[{kind}] {inputs} leave the floating-point range ({exc})") from None
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a NaN-free array, ascending: ``np.unique``'s
+    result, without its import of ``numpy.ma`` on a cold run."""
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
 def _run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
     p = cfg.params
     kappa = p.get_float("kappa", required=True)
@@ -338,12 +363,12 @@ def _run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
     model = laser.XNoiseModel(factor)
     with _float_range("spectrum", f"kappa = {kappa:g}, omega from {lo:g} to {hi:g} "
                                   f"and excess_factor = {factor:g}"):
-        omegas = np.unique(np.concatenate([
+        omegas = _sorted_unique(np.concatenate([
             np.logspace(math.log10(lo), math.log10(hi), points), [kappa]]))
         y = laser.y_spectral_variance(omegas, kappa)
         x = laser.x_spectral_variance(omegas, kappa, model)
 
-    oracle_idx = np.unique(np.linspace(0, omegas.size - 1, n_oracle).astype(int))
+    oracle_idx = sorted(set(np.linspace(0, omegas.size - 1, n_oracle).astype(int).tolist()))
     oracle_rel = 0.0
     for i in oracle_idx:
         ref = laser.y_spectral_variance_oracle(float(omegas[i]), kappa, mu)
@@ -788,8 +813,8 @@ def write_outputs(record: ResultRecord, cfg: ExperimentConfig) -> list:
         csv_path = out / f"{record.kind}.csv"
         lines = ["name,value,threshold,comparison,passed"]
         for v in record.verdicts:
-            lines.append(f"{v.name},{_fmt(v.value)},{_fmt(v.threshold)},"
-                         f"{v.comparison},{int(v.passed)}")
+            value, threshold = v.printed()
+            lines.append(f"{v.name},{value},{threshold},{v.comparison},{int(v.passed)}")
         csv_path.write_text("\n".join(lines) + "\n")
         written.append(csv_path)
     for name in record.series:

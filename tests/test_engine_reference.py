@@ -3,14 +3,20 @@
 The references below are the earlier code, kept verbatim: ``run_steps``
 with its per-step ``gate_matrix`` calls, the input parse through
 ``x_quad``/``y_quad``, the expression view built by filtering through the
-public ``LinearQuadratureExpr`` constructor, ``feed_forward``, the column
-covariances read from ``source_variances``, and the pipeline's event log
-built as ``PipelineEvent`` objects and sorted by key.  The engine now
-evaluates each step in Python floats, builds its arrays once per call and
-the expressions from clean dicts, and the pipeline sorts plain tuples; the
-float operations that fix an output bit are the same, so every array must
-be equal with equal signbits, every expression, name and log byte the same,
-and every error must keep its type and message.
+public ``LinearQuadratureExpr`` constructor, ``feed_forward`` through
+``dataclasses.replace``, ``sample_currents`` through numpy's
+``multivariate_normal``, the column covariances read from
+``source_variances``, and the pipeline's event log built as frozen
+``PipelineEvent`` dataclasses and sorted by key.  The engine now evaluates
+each step in Python floats, builds its arrays once per call (placing the
+measured rows by flat index) and the expressions from clean dicts, copies
+an output's fields to feed forward, draws through its own SVD factor, and
+the pipeline sorts plain tuples into named tuples; the float operations
+that fix an output bit are the same, so every array and draw must be equal
+with equal signbits, every expression, name and log byte the same, and
+every error must keep its type and message.
+The draw is also held against numpy's sampler itself, so a numpy release
+that changes that sampler fails here rather than moving sampled records.
 """
 
 import json
@@ -28,10 +34,12 @@ from cvmbqc.gates import (
     GateOutput,
     HomodyneSetting,
     TwoNodeCluster,
+    _svd_draw,
     feed_forward,
     gate_matrix,
     output_covariance,
     run_steps,
+    sample_currents,
 )
 from cvmbqc.multiplex import DelaySpec, events_to_jsonl, simulate_pipeline
 from cvmbqc.quadrature import LinearQuadratureExpr, x_quad, y_quad
@@ -140,6 +148,21 @@ def reference_feed_forward(output, currents=None):
     cleaned = tuple(LinearQuadratureExpr(e.coeffs) for e in output.exprs)
     return replace(output, classical=np.zeros_like(output.classical),
                    offset=np.zeros(2), exprs=cleaned)
+
+
+def reference_sample_currents(output, input_blocks, rng):
+    R = output.measured_rows
+    sigma = R @ reference_column_cov(output, input_blocks) @ R.T
+    try:
+        draws = rng.multivariate_normal(output.measured_offset, sigma, method="svd",
+                                        check_valid="raise")
+    except ValueError:
+        raise ValueError(
+            "cannot sample the photocurrents: their covariance, with variances "
+            f"up to {float(np.max(np.diag(sigma))):.3g}, fails numpy's "
+            "positive-semidefinite check") from None
+    two_beta = 2.0 * np.repeat([s.beta_0 for s in output.settings], 2)
+    return dict(zip(output.current_names, (two_beta * draws).tolist()))
 
 
 def reference_source_variances(output):
@@ -254,6 +277,17 @@ def assert_outputs_equal(got, expected):
     assert got.input_mode == expected.input_mode
     assert type(got.input_mode) is type(expected.input_mode)
     assert got.settings == expected.settings and got.clusters == expected.clusters
+
+
+def assert_draws_equal(got, expected):
+    """Two ``outcome`` results of a sampler: the same error, or the same
+    currents in the same order with equal bits."""
+    assert got[0] == expected[0] and got[-1] == expected[-1]
+    if expected[0] == "raised":
+        assert got == expected
+        return
+    assert list(got[1]) == list(expected[1])
+    assert_bits_equal(list(got[1].values()), list(expected[1].values()))
 
 
 #: Phases that put exact zeros (of either sign) into the trig rows.
@@ -424,12 +458,108 @@ class TestEngineBitIdentical:
             assert expected[0] == "raised"
             assert outcome(run_steps, exprs, (self.GOOD,), (self.FINE,)) == expected
 
+    def test_quadrature_rows_is_a_fresh_writable_copy(self):
+        out = run_steps(self.PAIR, (self.GOOD, self.GOOD), (self.FINE, self.FINE))
+        rows = out.quadrature_rows()
+        assert rows.flags.writeable
+        assert not np.shares_memory(rows, out.quadrature_rows())
+        rows[:] = 0.0
+        assert_bits_equal(out.quadrature_rows(), np.hstack([out.signal_matrix, out.noise]))
+        assert_bits_equal(output_covariance(out, {}),
+                          np.hstack([out.signal_matrix, out.noise])
+                          @ reference_column_cov(out, {})
+                          @ np.hstack([out.signal_matrix, out.noise]).T)
+
     def test_feed_forward_missing_currents(self):
         out = run_steps(self.PAIR, (self.GOOD, self.GOOD), (self.FINE, self.FINE))
         currents = {"i_in[1]": 0.1, "i_1[2]": 0.2}
         expected = outcome(reference_feed_forward, out, currents)
         assert expected[0] == "raised"
         assert outcome(feed_forward, out, currents) == expected
+
+
+# ---------------------------------------------------------------------------
+# The photocurrent draw against numpy's sampler
+# ---------------------------------------------------------------------------
+
+def random_covariance(rng, n):
+    """A PSD n x n covariance at a scale of 1e-3..1e3, and its rank: full
+    rank, or of rank 1..n-1 (exact zero eigenvalues, which rounding leaves as
+    tiny ones of either sign), or banded as the measured rows of a chain
+    make it."""
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    kind = rng.integers(0, 3)
+    rank = int(rng.integers(1, n)) if kind == 1 else n
+    if kind == 2:
+        a = np.triu(np.tril(rng.normal(size=(n, n)), 2), -2)
+    else:
+        a = rng.normal(size=(n, rank))
+    return scale * (a @ a.T), rank
+
+
+class TestSamplerMatchesNumpy:
+    @staticmethod
+    def both(mean, sigma, seed):
+        """The draw and numpy's, each as an ``outcome`` with the generator
+        state left behind, from the same seed."""
+        results = []
+        for draw in (_svd_draw, lambda m, c, g: g.multivariate_normal(
+                m, c, method="svd", check_valid="raise")):
+            gen = np.random.default_rng(seed)
+            results.append((outcome(draw, mean, sigma, gen), gen.bit_generator.state))
+        return results
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_covariances(self, seed):
+        rng = np.random.default_rng([19, seed])
+        deficient = 0
+        for n in range(2, 101):
+            sigma, rank = random_covariance(rng, n)
+            deficient += rank < n
+            mean = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            (got, got_state), (expected, expected_state) = self.both(
+                mean, sigma, int(rng.integers(2 ** 32)))
+            assert expected[0] == "ok"
+            assert got[0] == "ok" and got[2] == expected[2]
+            assert_bits_equal(got[1], expected[1])
+            assert got_state == expected_state
+        assert deficient >= 10  # the rank-deficient covariances are drawn
+
+    @pytest.mark.parametrize("sigma", [
+        np.array([[1.0, 2.0], [2.0, 1.0]]),                  # indefinite
+        np.array([[1.0, 0.5], [-0.5, 1.0]]),                 # not symmetric
+        np.diag([1.0, -1e-7]),                               # slightly negative
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),               # SVD does not converge
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    ], ids=["indefinite", "asymmetric", "negative", "nan", "inf"])
+    def test_rejected_covariances_raise_numpy_error(self, sigma):
+        (got, got_state), (expected, expected_state) = self.both(np.zeros(2), sigma, 4)
+        assert expected[0] == "raised"
+        assert got == expected and got_state == expected_state
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_chains_sample_as_before(self, seed):
+        rng = np.random.default_rng([20, seed])
+        for _ in range(50):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                out = run_steps(*random_chain(rng), allow_unentangled=True)
+            draw_seed = int(rng.integers(2 ** 32))
+            for input_blocks in ({out.input_mode: np.array([[0.7, 0.1], [0.1, 0.4]])}, {}):
+                assert_draws_equal(
+                    outcome(sample_currents, out, input_blocks,
+                            np.random.default_rng(draw_seed)),
+                    outcome(reference_sample_currents, out, input_blocks,
+                            np.random.default_rng(draw_seed)))
+
+    def test_sampling_error_names_the_variances(self):
+        # source variances far below unit scale fail the absolute tolerance
+        tight = TwoNodeCluster.from_y_variances(1e-12, 1e-12)
+        out = run_steps((x_quad(0), y_quad(0)), (tight, tight),
+                        (HomodyneSetting(0.9, 0.2), HomodyneSetting(0.4, 1.1)))
+        expected = outcome(reference_sample_currents, out, {}, np.random.default_rng(3))
+        assert expected[0] == "raised"
+        assert outcome(sample_currents, out, {}, np.random.default_rng(3)) == expected
 
 
 # ---------------------------------------------------------------------------

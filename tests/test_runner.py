@@ -365,6 +365,37 @@ class TestVerdict:
         with pytest.raises(TypeError):
             runner.Verdict("v", True, 0.25, 0.5, "<", "C")
 
+    @pytest.mark.parametrize("value,threshold,printed,tied", [
+        (0.5 - 1e-15, 0.5, ("0.499999999999999", "0.5"), True),
+        (0.4999999999996, 0.5, ("0.4999999999996", "0.5"), True),
+        (0.5, 0.5, ("0.5", "0.5"), False),
+        (0.0, 0.0, ("0", "0"), False),
+        (0.25, 0.5, ("0.25", "0.5"), False),
+        (math.nan, math.nan, ("nan", "nan"), False)])
+    def test_ties_in_print_show_every_digit(self, value, threshold, printed, tied):
+        # only a tie of two different numbers changes the print, so the
+        # passing 0 == 0 of feed_forward_offsets_zero still reads 0
+        verdict = runner.Verdict("v", value, threshold, "<", "C")
+        assert verdict.tied_in_print is tied
+        assert verdict.printed() == printed
+        assert verdict.line().endswith(f"value {printed[0]} < {printed[1]} (C)")
+
+    def test_tie_on_the_edge_threshold_reads_as_it_was_judged(self, tmp_path, capsys):
+        # 0.19999999999999998 prints as 0.2 in 12 digits, and the 3-node
+        # chain's edge threshold is exactly 0.2
+        cfg = write_config(tmp_path, "[cluster-check]\ngraph = 0 1 0; 1 0 1; 0 1 0\n"
+                                     "y_variance = 0.19999999999999998\n")
+        out = tmp_path / "o"
+        assert main(["cluster-check", "--config", cfg, "--out", str(out),
+                     "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "[PASS] below_edge_threshold[v=0.19999999999999998]: "
+            "value 0.19999999999999998 < 0.2 (min_squeezing_threshold(graph))")
+        [verdict] = json.loads((out / "cluster-check.json").read_text())["verdicts"]
+        assert (verdict["value"], verdict["threshold"]) == (0.19999999999999998, 0.2)
+        assert (out / "cluster-check.csv").read_text().splitlines()[1] == (
+            "below_edge_threshold[v=0.19999999999999998],0.19999999999999998,0.2,<,1")
+
 
 class TestCz:
     def test_default_blocks_hit_target(self, tmp_path):
@@ -590,7 +621,19 @@ class TestNumericEdgesExitCode:
 
 
 class TestColdPath:
-    """No import and no experiment kind loads scipy."""
+    """No import and no experiment kind loads scipy, and spectrum loads no
+    numpy.ma."""
+
+    def test_spectrum_loads_no_numpy_ma(self, tmp_path):
+        cfg = write_config(tmp_path, "[spectrum]\nkappa = 1.3\npoints = 40\n")
+        script = (
+            "import sys\n"
+            "from cvmbqc.runner import main\n"
+            f"assert main(['spectrum', '--config', {cfg!r}, '--out', 'o']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+        proc = run_python(["-c", script], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"
 
     def test_import_loads_no_scipy(self, tmp_path):
         proc = run_python(["-c", "import sys, cvmbqc; "

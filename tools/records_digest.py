@@ -10,8 +10,9 @@ on the graphs of ``GRAPHS``: a 50-node chain and a 50-node star, each
 swept over several source variances, a 3-node chain swept over 0.01 and
 0.25 (exit 1), and a two-node pair swept across the guard band of its
 inseparability bound (exit 1), and ``pipeline`` on the sampled shapes of
-``PIPELINES``: 1 lane of 1 step, 3 lanes of 3 steps, and 2 lanes of 4 steps
-on a finer tick grid.  Prints one line per run: seed, graph or pipeline
+``PIPELINES``: 1 lane of 1 step, 3 lanes of 3 steps, 2 lanes of 4 steps
+on a finer tick grid, and 16 lanes of 4 steps, the shape of the benchmark's
+``pipeline-wide`` ops.  Prints one line per run: seed, graph or pipeline
 shape, kind, exit code, the sha256 of stdout and of stderr, then the relative path and
 sha256 of every file written.  The cvmbqc on the path is the one digested,
 so two checkouts compare with ``diff``:
@@ -71,6 +72,7 @@ PIPELINES = {
     "1x1": (1, 1, "duration = 5.0\ngap = 1.0\n"),
     "3x3": (3, 3, "duration = 5.0\ngap = 1.0\n"),
     "2x4-fine": (2, 4, "duration = 2.5\ngap = 0.5\nticks_per_gap = 7\n"),
+    "16x4": (16, 4, "duration = 5.0\ngap = 1.0\n"),
 }
 #: ``--seed`` of the ``PIPELINES`` runs.
 PIPELINE_SEED = 7
