@@ -53,7 +53,7 @@ settings = [
     [HomodyneSetting(1.0, 0.30), HomodyneSetting(1.2, 0.5)],
 ]
 result = simulate_pipeline(duration, gap, inputs, [cluster] * 4, settings)
-print(f"loop delay {result.delay.tau:g} (= lanes x gap), "
+print(f"loop delay {result.delay:g} (= lanes x gap), "
       f"collisions: {result.collisions()}")
 
 cov_in = {0: np.diag([0.25, 0.25])}

@@ -76,7 +76,6 @@ from .gates import (
     solve_phases,
 )
 from .multiplex import (
-    DelaySpec,
     DelayedVlf,
     LaneCollisionError,
     PipelineResult,

@@ -83,8 +83,6 @@ from .quadrature import (
     _check_symmetric,
     _mode_column,
     embed,
-    x_quad,
-    y_quad,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -197,21 +195,6 @@ def gate_matrix(theta_plus: float, theta_minus: float) -> np.ndarray:
     return np.array([[m00, m01], [m10, m11]])
 
 
-def cluster_node_exprs(sources: tuple) -> tuple:
-    """Cluster-node quadratures over the two squeezed source modes.
-
-    Returns ((X1, Y1), (X2, Y2)) for sources (m1, m2) entangled through
-    U = (1/sqrt 2)[[1, -i], [i, -1]].
-    """
-    m1, m2 = sources
-    h = 1.0 / _SQRT2
-    X1 = h * (x_quad(m1) + y_quad(m2))
-    Y1 = h * (y_quad(m1) - x_quad(m2))
-    X2 = (-h) * (x_quad(m2) + y_quad(m1))
-    Y2 = h * (x_quad(m1) - y_quad(m2))
-    return (X1, Y1), (X2, Y2)
-
-
 @dataclass(frozen=True, eq=False)
 class GateOutput:
     """Output of one or more chained measurement steps, as dense arrays.
@@ -280,10 +263,6 @@ class GateOutput:
         variances.setflags(write=False)
         return variances
 
-    def source_variances(self) -> np.ndarray:
-        """Variances of the source quadratures, in column order."""
-        return self._column_variances[2:].copy()
-
     def column_cov(self, input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
         """Covariance of the quadrature columns: the input mode's block
         (vacuum when none is given) and the uncorrelated cluster sources."""
@@ -325,7 +304,9 @@ def _input_mode(input_exprs: tuple) -> tuple:
 
 
 #: sqrt(2) (X, Y) of node 1 and of node 2 over the cluster's sources
-#: (x_m1, y_m1, x_m2, y_m2), as in :func:`cluster_node_exprs`.
+#: (x_m1, y_m1, x_m2, y_m2), entangled through U = (1/sqrt 2)[[1, -i], [i, -1]]:
+#: sqrt(2) X1 = x_m1 + y_m2, sqrt(2) Y1 = y_m1 - x_m2,
+#: sqrt(2) X2 = -(x_m2 + y_m1), sqrt(2) Y2 = x_m1 - y_m2.
 _NODE_1 = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]])
 _NODE_2 = np.array([[0.0, -1.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
 
@@ -636,10 +617,14 @@ _KEPT_NODE = np.array([4, 5])
 
 
 def _joint_cov(input_cov: np.ndarray, cluster: TwoNodeCluster) -> np.ndarray:
-    """Covariance S J S^T of :func:`step_joint_state`, checked as a state's is.
+    """Covariance S J S^T of the three modes after cluster generation and
+    the mixing beam splitter, checked as a state's is.
 
-    J holds the 2x2 input block and the uncorrelated source variances; the
-    result must pass the relative symmetry check of :class:`GaussianState`.
+    Mode 0 is the difference port, mode 1 the sum port, mode 2 the surviving
+    cluster node.  J holds the 2x2 input block and the uncorrelated source
+    variances; S is built entirely from symplectic matrix maps, so this is
+    the path independent of the gate engine's arrays.  The result must pass
+    the relative symmetry check of :class:`GaussianState`.
     """
     input_cov = np.asarray(input_cov, dtype=float)
     if input_cov.shape != (2, 2):
@@ -653,17 +638,6 @@ def _joint_cov(input_cov: np.ndarray, cluster: TwoNodeCluster) -> np.ndarray:
     cov = S @ joint @ S.T
     _check_symmetric(cov)
     return cov
-
-
-def step_joint_state(input_cov: np.ndarray, cluster: TwoNodeCluster) -> GaussianState:
-    """Three-mode state after cluster generation and the mixing beam splitter.
-
-    Mode 0 is the difference port, mode 1 the sum port, mode 2 the surviving
-    cluster node.  Built entirely from symplectic matrix maps; this is the
-    path independent of the gate engine's arrays.  The covariance comes
-    from the same builder that the covariance oracle conditions directly.
-    """
-    return GaussianState(np.zeros(6), _joint_cov(input_cov, cluster))
 
 
 def protocol_gains(setting: HomodyneSetting) -> np.ndarray:
@@ -680,7 +654,7 @@ def single_step_covariance_oracle(input_cov: np.ndarray, cluster: TwoNodeCluster
                                   setting: HomodyneSetting) -> np.ndarray:
     """Output covariance of one step, via conditioning instead of gate algebra.
 
-    Conditions the joint covariance of :func:`step_joint_state` on the two
+    Conditions the joint covariance of :func:`_joint_cov` on the two
     homodyne results (Schur complement), then restores the outcome scatter
     left by the fixed feed-forward gains (law of total covariance):
 
@@ -714,7 +688,6 @@ class PhaseSolution:
     setting_1: HomodyneSetting
     setting_2: HomodyneSetting
     residual: float
-    matrix: np.ndarray
 
 
 def _det_and_is_one(m: np.ndarray) -> tuple[float, bool]:
@@ -781,7 +754,7 @@ def solve_phases(target: np.ndarray, tol: float = PHASE_RESIDUAL_TOL,
     if residual > tol:
         raise PhaseSolveError(
             f"target not reached: residual {residual:.3e} exceeds {tol:g}")
-    return PhaseSolution(q1, q2, residual, M)
+    return PhaseSolution(q1, q2, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -46,20 +46,6 @@ class LaneCollisionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DelaySpec:
-    """A lossless delay tau against the pulse period."""
-
-    tau: float
-    period: float
-
-    def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("delay must be nonnegative")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-
-
-@dataclass(frozen=True)
 class DelayedVlf:
     lhs: float
     entangled: bool
@@ -133,7 +119,7 @@ def _switch_slots(n_lanes: int, steps: int) -> list:
             for step, action in ((0, "inject"), (steps, "eject"))]
 
 
-def _loop_delay(period: float, gap: float, n_lanes: int, steps: int) -> DelaySpec:
+def _loop_delay(period: float, gap: float, n_lanes: int, steps: int) -> float:
     """Loop delay n_lanes * T0 of ``n_lanes`` lanes of ``steps`` steps, after
     checking the timing arguments of :func:`schedule_lanes`."""
     if n_lanes < 1:
@@ -142,16 +128,16 @@ def _loop_delay(period: float, gap: float, n_lanes: int, steps: int) -> DelaySpe
         raise ValueError("need at least one step per lane")
     if period <= 0 or gap <= 0 or gap >= period:
         raise ValueError("need 0 < gap < period")
-    return DelaySpec(n_lanes * gap, period)
+    return n_lanes * gap
 
 
 def schedule_lanes(period: float, gap: float, n_lanes: int, steps: int):
     """Loop delay and switch program of ``n_lanes`` lanes of ``steps`` steps.
 
     ``period`` is the cluster repetition period (T + T0) and ``gap`` the
-    inter-pulse dark time T0.  The loop delay is n_lanes * T0.  The switch
-    is pi in every inject and eject slot of the slot rule (:func:`lane_slot`)
-    and 0 while a lane's intermediate pulse circulates.
+    inter-pulse dark time T0.  The loop delay is the float n_lanes * T0.
+    The switch is pi in every inject and eject slot of the slot rule
+    (:func:`lane_slot`) and 0 while a lane's intermediate pulse circulates.
     """
     delay = _loop_delay(period, gap, n_lanes, steps)
     pi_slots = {slot for slot, _, _ in _switch_slots(n_lanes, steps)}
@@ -211,7 +197,7 @@ class PipelineResult:
 
     outputs: tuple  # one GateOutput per lane
     events: tuple
-    delay: DelaySpec
+    delay: float
     _collisions: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

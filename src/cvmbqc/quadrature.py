@@ -207,13 +207,6 @@ def is_symplectic(S: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
     return symplectic_residual(S) < tol
 
 
-def assert_symplectic(S: np.ndarray, tol: float = SYMPLECTIC_TOL) -> np.ndarray:
-    S = np.asarray(S, dtype=float)
-    if not is_symplectic(S, tol):
-        raise ValueError("matrix is not symplectic within tolerance")
-    return S
-
-
 def phase_rotation(angle: float) -> np.ndarray:
     """Single-mode phase rotation: x + i*y -> (x + i*y) * exp(i*angle)."""
     c, s = math.cos(angle), math.sin(angle)
@@ -313,7 +306,8 @@ def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
     S = np.asarray(S, dtype=float)
     if S.shape != (state.mean.size, state.mean.size):
         raise ValueError("symplectic map dimension does not match the state")
-    assert_symplectic(S)
+    if not is_symplectic(S):
+        raise ValueError("matrix is not symplectic within tolerance")
     return GaussianState(S @ state.mean, S @ state.cov @ S.T)
 
 

@@ -55,10 +55,11 @@ PHASE_RESIDUAL_TOL = gates.PHASE_RESIDUAL_TOL
 SYMPLECTIC_TOL = quadrature.SYMPLECTIC_TOL
 #: Pipeline outputs vs stand-alone per-lane runs, absolute.
 LANE_ISOLATION_TOL = 1e-12
-#: Largest magnitude of an input_cov, target or cz block entry, and of the
-#: delayed-check x_variance; products of a few such numbers, as the engine,
-#: the oracle and determinants form them, stay inside the floating-point
-#: range.
+#: Largest magnitude of an input_cov, target or cz block entry, of the
+#: delayed-check x_variance and of the pipeline ticks_per_gap, as the config
+#: rule (Params._read) checks them; products of a few such numbers, as the
+#: engine, the oracle and determinants form them, stay inside the
+#: floating-point range.
 MAX_CONFIG_ENTRY = 1e50
 
 
@@ -203,93 +204,113 @@ def parse_angle(text: str) -> float:
     return angle
 
 
-def _parse_floats(text: str) -> list:
+def _number_list(text: str) -> list:
+    """Numbers split by ',' or ';'; empty entries are skipped."""
     return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
-def _parse_matrix(p: Params, key: str) -> np.ndarray:
-    text = p.get_str(key)
+def _integer_list(text: str) -> list:
+    """A number list whose entries are all integral, as ints: '2', '1.0'
+    and '6.3e16' are integers, '1.9' is not."""
+    values = _number_list(text)
+    if not all(v.is_integer() for v in values):
+        raise ValueError(f"{text!r} holds a number that is not an integer")
+    return [int(v) for v in values]
+
+
+def _number_rows(text: str) -> list:
+    """Rows split by ';', entries by ','."""
+    return [[float(tok) for tok in r.split(",")] for r in text.split(";") if r.strip()]
+
+
+def _angle_pairs(text: str) -> list:
+    """Semicolon-separated 'theta_in, theta_1' pairs of angles."""
+    pairs = [[parse_angle(tok) for tok in pair.split(",") if tok.strip()]
+             for pair in text.split(";")]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"{text!r} has a step without two angles")
+    return pairs
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _boolean(text: str) -> bool:
     try:
-        rows = [[float(tok) for tok in r.split(",")] for r in text.split(";") if r.strip()]
-    except ValueError:
-        raise ConfigError(f"[{p.kind}] {key} = {text!r} is not a number matrix") from None
-    if len({len(r) for r in rows}) > 1:
-        raise ConfigError(f"[{p.kind}] {key} = {text!r} has rows of unequal length")
-    m = np.array(rows)
-    if not np.all(np.isfinite(m)):
-        raise ConfigError(f"matrix {text!r} has a value that is not finite")
-    if np.any(np.abs(m) > MAX_CONFIG_ENTRY):
-        raise ConfigError(f"matrix {text!r} has an entry above {MAX_CONFIG_ENTRY:g} "
-                          "in magnitude (MAX_CONFIG_ENTRY)")
-    return m
+        return _BOOLEANS[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not a boolean") from None
+
+
+def _flat(value) -> list:
+    """The entries of a parsed value: a number, a list or a list of rows."""
+    if not isinstance(value, list):
+        return [value]
+    return [v for item in value for v in _flat(item)]
 
 
 class Params:
-    """Section of the config file with field-level error messages."""
+    """Section of the config file.  Every typed value is read through one
+    rule, :meth:`_read`, so every config error names ``[kind] key``."""
 
     def __init__(self, kind: str, data: dict):
         self.kind = kind
         self.data = dict(data)
 
-    def _raw(self, key, default=None, required=False):
-        if key in self.data:
-            return self.data[key]
-        if required:
-            raise ConfigError(f"[{self.kind}] missing required key {key!r}")
-        return default
+    def _read(self, key, parse, what, default=None, required=False, bounded=False):
+        """The value of ``key`` as ``parse`` reads its text.
 
-    def get_float(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
-        if raw is None or isinstance(raw, float):
-            return raw
+        An absent key gives ``default``, or a missing-key error when
+        ``required``.  Text that ``parse`` rejects with a ValueError, a
+        float entry that is not finite and, when ``bounded``, an entry above
+        ``MAX_CONFIG_ENTRY`` in magnitude each raise a ConfigError naming
+        ``[kind] key = 'text'``; ``what`` names the kind of value expected.
+        """
+        if key not in self.data:
+            if required:
+                raise ConfigError(f"[{self.kind}] missing required key {key!r}")
+            return default
+        text = self.data[key]
+        name = f"[{self.kind}] {key} = {text!r}"
         try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.kind}] {key} = {raw!r} is not a number") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"[{self.kind}] {key} = {raw!r} is not finite")
+            value = parse(text)
+        except ValueError:  # parse_angle's ConfigError is one
+            raise ConfigError(f"{name} is not {what}") from None
+        entries = _flat(value)
+        if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
+            raise ConfigError(f"{name} has a value that is not finite")
+        if bounded and any(abs(v) > MAX_CONFIG_ENTRY for v in entries):
+            raise ConfigError(f"{name} has a value above {MAX_CONFIG_ENTRY:g} "
+                              "in magnitude (MAX_CONFIG_ENTRY)")
         return value
 
-    def get_int(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
-        if raw is None or isinstance(raw, int):
-            return raw
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.kind}] {key} = {raw!r} is not an integer") from None
+    def get_float(self, key, default=None, required=False, bounded=False):
+        return self._read(key, float, "a number", default, required, bounded)
+
+    def get_int(self, key, default=None, required=False, bounded=False):
+        return self._read(key, int, "an integer", default, required, bounded)
 
     def get_bool(self, key, default=False):
-        raw = self._raw(key, default)
-        if isinstance(raw, bool):
-            return raw
-        if str(raw).strip().lower() in ("1", "true", "yes", "on"):
-            return True
-        if str(raw).strip().lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{self.kind}] {key} = {raw!r} is not a boolean")
+        return self._read(key, _boolean, "a boolean", default)
 
-    def get_floats(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
-        if raw is None or isinstance(raw, list):
-            return raw
-        try:
-            values = _parse_floats(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.kind}] {key} = {raw!r} is not a number list") from None
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"[{self.kind}] {key} = {raw!r} has a value that is not finite")
-        return values
+    def get_floats(self, key, default=None, required=False, bounded=False):
+        return self._read(key, _number_list, "a number list", default, required, bounded)
 
     def get_angle(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
-        if raw is None or isinstance(raw, float):
-            return raw
-        return parse_angle(str(raw))
+        return self._read(key, parse_angle, "an angle", default, required)
+
+    def get_matrix(self, key) -> np.ndarray:
+        """A required number matrix, rows split by ';' and entries by ','."""
+        rows = self._read(key, _number_rows, "a number matrix", required=True,
+                          bounded=True)
+        if len({len(r) for r in rows}) > 1:
+            raise ConfigError(f"[{self.kind}] {key} = {self.data[key]!r} "
+                              "has rows of unequal length")
+        return np.array(rows)
 
     def get_str(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
-        return raw if raw is None else str(raw)
+        return self._read(key, str, "text", default, required)
 
     def keys(self):
         return self.data.keys()
@@ -450,16 +471,14 @@ def _run_delayed_check(cfg: ExperimentConfig) -> ResultRecord:
     kappa = p.get_float("kappa", required=True)
     duration = p.get_float("duration", required=True)
     gap = p.get_float("gap", required=True)
-    multiples = [int(n) for n in p.get_floats("multiples", [1, 2, 5, 50])]
-    k_values = [int(k) for k in p.get_floats("k_values", [-3, -2, -1, 0, 1, 2, 3])]
-    x_probe = p.get_float("x_variance", 10.0)
+    multiples = p._read("multiples", _integer_list, "an integer list", [1, 2, 5, 50])
+    k_values = p._read("k_values", _integer_list, "an integer list",
+                       [-3, -2, -1, 0, 1, 2, 3])
+    x_probe = p.get_float("x_variance", 10.0, bounded=True)
     if duration <= 0 or gap <= 0:
         raise ConfigError("[delayed-check] duration and gap must be positive")
     if not multiples or min(multiples) < 1 or not k_values:
         raise ConfigError("[delayed-check] need multiples >= 1 and at least one k value")
-    if abs(x_probe) > MAX_CONFIG_ENTRY:
-        raise ConfigError(f"[delayed-check] x_variance is above {MAX_CONFIG_ENTRY:g} "
-                          "in magnitude (MAX_CONFIG_ENTRY)")
     period = duration + gap
 
     rows = {"n": [], "k": [], "omega": [], "lhs": [], "four_y_var": [],
@@ -508,12 +527,9 @@ def _run_delayed_check(cfg: ExperimentConfig) -> ResultRecord:
 
 
 def _input_cov(p: Params) -> np.ndarray:
-    vals = p.get_floats("input_cov", [VACUUM_VARIANCE, 0.0, VACUUM_VARIANCE])
+    vals = p.get_floats("input_cov", [VACUUM_VARIANCE, 0.0, VACUUM_VARIANCE], bounded=True)
     if len(vals) != 3:
         raise ConfigError(f"[{p.kind}] input_cov needs 3 numbers: xx, xy, yy")
-    if max(map(abs, vals)) > MAX_CONFIG_ENTRY:
-        raise ConfigError(f"[{p.kind}] input_cov has an entry above "
-                          f"{MAX_CONFIG_ENTRY:g} in magnitude (MAX_CONFIG_ENTRY)")
     cov = np.array([[vals[0], vals[1]], [vals[1], vals[2]]])
     if not (vals[0] > 0 and vals[2] > 0):
         raise ConfigError(f"[{p.kind}] input_cov needs positive variances xx and yy")
@@ -624,7 +640,7 @@ def _run_compose(cfg: ExperimentConfig) -> ResultRecord:
 
     solver_residual = None
     if "target" in p.keys():
-        target = _parse_matrix(p, "target")
+        target = p.get_matrix("target")
         try:
             solution = gates.solve_phases(target, beta_0=beta0)
         except gates.PhaseSolveError as exc:
@@ -679,7 +695,7 @@ def _run_cz(cfg: ExperimentConfig) -> ResultRecord:
         raise ConfigError("[cz] provide both blocks a and b, or neither")
     canonical = "a" not in p.keys()
     coeffs = (gates.canonical_cz_coefficients() if canonical
-              else gates.TwoModeCoefficients(_parse_matrix(p, "a"), _parse_matrix(p, "b")))
+              else gates.TwoModeCoefficients(p.get_matrix("a"), p.get_matrix("b")))
     matrix = gates.cz_transform(coeffs)
     sympl_err = symplectic_residual(matrix)
     record = ResultRecord(
@@ -706,29 +722,17 @@ def _run_pipeline(cfg: ExperimentConfig) -> ResultRecord:
     lanes = p.get_int("lanes", required=True)
     if lanes < 1:
         raise ConfigError("[pipeline] lanes must be at least 1")
-    ticks = p.get_int("ticks_per_gap", 100)
+    ticks = p.get_int("ticks_per_gap", 100, bounded=True)
     if ticks < 1:
         raise ConfigError("[pipeline] ticks_per_gap must be at least 1")
-    if ticks > MAX_CONFIG_ENTRY:
-        raise ConfigError(f"[pipeline] ticks_per_gap is above {MAX_CONFIG_ENTRY:g} "
-                          "(MAX_CONFIG_ENTRY)")
     beta0 = _beta_0(p)
     allow = p.get_bool("allow_unentangled", False)
 
-    settings = []
-    for lane in range(lanes):
-        key = f"settings_lane{lane}"
-        text = p.get_str(key)
-        if text is None:
-            raise ConfigError(f"[pipeline] missing {key!r} "
-                              "(semicolon-separated 'theta_in, theta_1' pairs)")
-        lane_settings = []
-        for pair in text.split(";"):
-            angles = [parse_angle(tok) for tok in pair.split(",") if tok.strip()]
-            if len(angles) != 2:
-                raise ConfigError(f"[pipeline] {key}: each step needs two angles")
-            lane_settings.append(gates.HomodyneSetting(angles[0], angles[1], beta0))
-        settings.append(lane_settings)
+    lane_angles = [p._read(f"settings_lane{lane}", _angle_pairs,
+                           "a list of 'theta_in, theta_1' pairs split by ';'", required=True)
+                   for lane in range(lanes)]
+    settings = [[gates.HomodyneSetting(theta_in, theta_1, beta0) for theta_in, theta_1 in pairs]
+                for pairs in lane_angles]
     steps = len(settings[0])
     if any(len(s) != steps for s in settings):
         raise ConfigError("[pipeline] all lanes need the same number of steps")
@@ -764,7 +768,7 @@ def _run_pipeline(cfg: ExperimentConfig) -> ResultRecord:
         kind="pipeline",
         inputs={"duration": duration, "gap": gap, "lanes": lanes,
                 "steps": steps, "ticks_per_gap": ticks},
-        scalars={"delay": result.delay.tau,
+        scalars={"delay": result.delay,
                  "delay_multiple_of_gap": lanes,
                  "collisions": collisions,
                  "lane_isolation_residual": isolation,
@@ -829,6 +833,17 @@ def write_outputs(record: ResultRecord, cfg: ExperimentConfig) -> list:
     return written
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"need a non-negative integer, got {text!r}")
+    return seed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cvmbqc",
@@ -839,7 +854,7 @@ def main(argv=None) -> int:
         k = sub.add_parser(kind, help=f"run the {kind} experiment")
         k.add_argument("--config", required=True, help="INI config file")
         k.add_argument("--out", default="out", help="output directory")
-        k.add_argument("--seed", type=int, default=None, help="sampling seed")
+        k.add_argument("--seed", type=_seed, default=None, help="sampling seed")
         k.add_argument("--format", choices=("csv", "json"), default="json",
                        dest="fmt", help="main record format")
     args = parser.parse_args(argv)
@@ -851,7 +866,12 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a ConfigError, or a library input check
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    paths = write_outputs(record, cfg)
+    try:
+        paths = write_outputs(record, cfg)
+    except OSError as exc:  # --out under a file, or naming one
+        print(f"output error: cannot write {exc.filename or str(cfg.out_dir)!r}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
     for v in record.verdicts:
         print(v.line())
     for path in paths:

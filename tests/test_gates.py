@@ -17,8 +17,8 @@ from cvmbqc.gates import (
     PhaseSolveError,
     TwoModeCoefficients,
     TwoNodeCluster,
+    _joint_cov,
     canonical_cz_coefficients,
-    cluster_node_exprs,
     condition_homodyne,
     cz_transform,
     feed_forward,
@@ -29,7 +29,6 @@ from cvmbqc.gates import (
     sample_currents,
     single_step_covariance_oracle,
     solve_phases,
-    step_joint_state,
 )
 from cvmbqc.runner import STEP_ORACLE_TOL
 from cvmbqc.quadrature import (
@@ -72,6 +71,28 @@ def assert_columns(out, m, k):
     assert out.quadrature_rows().shape == (2, 4 * k + 2)
     for e in out.exprs:
         assert all(2 * m <= c < 2 * m + 4 * k + 2 for c in e.coeffs)
+
+
+def cluster_node_exprs(sources: tuple) -> tuple:
+    """Cluster-node quadratures over the two squeezed source modes.
+
+    Returns ((X1, Y1), (X2, Y2)) for sources (m1, m2) entangled through
+    U = (1/sqrt 2)[[1, -i], [i, -1]]: the node identity that the engine's
+    measured rows and outputs must follow.
+    """
+    m1, m2 = sources
+    h = 1.0 / math.sqrt(2.0)
+    X1 = h * (x_quad(m1) + y_quad(m2))
+    Y1 = h * (y_quad(m1) - x_quad(m2))
+    X2 = (-h) * (x_quad(m2) + y_quad(m1))
+    Y2 = h * (x_quad(m1) - y_quad(m2))
+    return (X1, Y1), (X2, Y2)
+
+
+def joint_state(input_cov, cluster):
+    """The oracle's three-mode joint state: difference port, sum port and
+    surviving node after cluster generation and the mixing beam splitter."""
+    return GaussianState(np.zeros(6), _joint_cov(input_cov, cluster))
 
 
 class TestGateMatrix:
@@ -446,8 +467,8 @@ class TestConditioningOracle:
 
     def test_joint_state_is_valid(self):
         from cvmbqc.quadrature import check_uncertainty
-        state = step_joint_state(np.diag([0.25, 0.25]),
-                                 TwoNodeCluster.from_y_variances(0.05, 0.05))
+        state = joint_state(np.diag([0.25, 0.25]),
+                            TwoNodeCluster.from_y_variances(0.05, 0.05))
         assert check_uncertainty(state.cov).satisfied
 
 
@@ -573,7 +594,7 @@ class TestConditioningAgainstReference:
             setting = random_setting(rng)
             cluster = TwoNodeCluster.from_y_variances(
                 *rng.uniform(0.005, 0.12, 2), rng.uniform(1.0, 20.0))
-            state = step_joint_state(random_input_cov(rng), cluster)
+            state = joint_state(random_input_cov(rng), cluster)
             self.assert_matches(state, {0: setting.theta_in, 1: setting.theta_1})
 
     @staticmethod

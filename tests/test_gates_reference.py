@@ -22,10 +22,9 @@ from cvmbqc.gates import (
     TwoNodeCluster,
     protocol_gains,
     single_step_covariance_oracle,
-    step_joint_state,
 )
 from cvmbqc.quadrature import GaussianState
-from test_gates import reference_condition_eigh
+from test_gates import joint_state, reference_condition_eigh
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +32,7 @@ from test_gates import reference_condition_eigh
 # ---------------------------------------------------------------------------
 
 def reference_joint_state(input_cov, cluster):
-    """``step_joint_state`` before the shared covariance builder."""
+    """``step_joint_state`` (since removed) before the shared covariance builder."""
     input_cov = np.asarray(input_cov, dtype=float)
     if input_cov.shape != (2, 2):
         raise ValueError("input covariance must be 2x2")
@@ -148,7 +147,7 @@ class TestOracleBitIdentical:
         rng = np.random.default_rng(seed)
         for cluster in random_clusters(rng, 20):
             cov = random_input_cov(rng)
-            ref, new = reference_joint_state(cov, cluster), step_joint_state(cov, cluster)
+            ref, new = reference_joint_state(cov, cluster), joint_state(cov, cluster)
             assert np.array_equal(new.cov, ref.cov) and np.array_equal(new.mean, ref.mean)
 
     TINY = TwoNodeCluster((1e-16, 1e-16), (1e-16, 1e-16))

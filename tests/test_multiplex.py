@@ -14,7 +14,6 @@ from cvmbqc.gates import (
 )
 from cvmbqc import multiplex
 from cvmbqc.multiplex import (
-    DelaySpec,
     LaneCollisionError,
     PipelineEvent,
     PipelineResult,
@@ -121,16 +120,24 @@ def _assert_round_robin(n_lanes, steps):
 class TestScheduleLanes:
     def test_single_lane_sequence(self):
         delay, schedule = schedule_lanes(6.0, 1.0, 1, 2)
-        assert delay.tau == 1.0  # one lane: loop delay equals the gap
+        assert delay == 1.0  # one lane: loop delay equals the gap
         phases = [iv.phase for iv in schedule.intervals]
         assert phases == [math.pi, 0.0, math.pi]  # inject, circulate, eject
 
     def test_two_lanes_interleave(self):
         delay, schedule = schedule_lanes(6.0, 1.0, 2, 2)
-        assert delay.tau == 2.0
+        assert delay == 2.0
         phases = [iv.phase for iv in schedule.intervals]
         assert phases == [math.pi, math.pi, 0.0, 0.0, math.pi, math.pi]
         _assert_round_robin(2, 2)
+
+    @pytest.mark.parametrize("n_lanes,gap", [(1, 1.0), (3, 0.5), (7, 0.1)])
+    def test_delay_is_the_float_lanes_times_gap(self, n_lanes, gap):
+        delay, _ = schedule_lanes(5.0 + gap, gap, n_lanes, 2)
+        result = simulate_pipeline(5.0, gap, [(x_quad(0), y_quad(0))] * n_lanes,
+                                   _slot_clusters(n_lanes, 2), _lane_settings(n_lanes, 2))
+        for got in (delay, result.delay):
+            assert type(got) is float and got == n_lanes * gap
 
     def test_equal_counts_pigeonhole(self):
         # one step per lane: each lane takes exactly the cluster of its own slot
@@ -198,7 +205,7 @@ class TestScheduleLanes:
                (5, "delay", 1), (0, "switch", 0), (0, "switch", 1)]
         events = [PipelineEvent(tick, float(tick), element, lane, "test")
                   for tick, element, lane in log]
-        result = PipelineResult((), events, DelaySpec(2.0, 6.0))
+        result = PipelineResult((), events, 2.0)
         assert result.events == tuple(events)
         events.clear()  # the result holds its own tuple
         assert result.collisions() == multiplex._count_collisions(result.events) == 3

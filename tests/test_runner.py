@@ -501,6 +501,10 @@ class TestBadInputExitCode:
                      "settings_lane0 = 0.9, 0.35\n"),
         ("pipeline", "[pipeline]\nduration = 5\ngap = 5e-324\nticks_per_gap = 10\nlanes = 1\n"
                      "settings_lane0 = 0.9, 0.35\n"),
+        # once truncated to [1] and [0, 1], and run
+        ("delayed-check", "[delayed-check]\nkappa = 1\nduration = 5\ngap = 1\nmultiples = 1.9\n"),
+        ("delayed-check", "[delayed-check]\nkappa = 1\nduration = 5\ngap = 1\n"
+                          "k_values = 0.5, 1.5\n"),
     ], ids=["degenerate-phases", "target-det", "ticks-per-gap", "cluster-variance",
             "gate-variance", "no-lanes", "no-section-header", "bad-interpolation",
             "zero-delay", "zero-period",
@@ -510,7 +514,8 @@ class TestBadInputExitCode:
             "empty-y-variance", "cluster-variance-underflow", "gate-zero-variance",
             "angle-over-zero", "nan-angle", "inf-variance", "nan-target",
             "unreachable-target", "inf-multiple", "huge-beta-0", "subnormal-beta-0",
-            "tick-count-overflow", "tick-underflow"])
+            "tick-count-overflow", "tick-underflow", "fractional-multiple",
+            "fractional-k-values"])
     def test_exits_2_without_traceback(self, tmp_path, kind, text):
         cfg = write_config(tmp_path, text)
         proc = run_python(["-m", "cvmbqc", kind, "--config", cfg, "--out", "o"],
@@ -541,14 +546,41 @@ class TestBadInputExitCode:
          "[cluster-check] graph = '0': threshold undefined: the graph has no edges"),
         ("cluster-check", "[cluster-check]\ngraph = 0 1; 0 0\ny_variance = 0.1\n",
          "[cluster-check] graph = '0 1; 0 0': adjacency must be symmetric"),
+        ("gate", "[gate]\ntheta_in = abc\ntheta_1 = 0.35\n",
+         "[gate] theta_in = 'abc' is not an angle"),
+        ("pipeline", "[pipeline]\nduration = 5.0\ngap = 1.0\nlanes = 2\n"
+                     "settings_lane0 = 0.9, abc\nsettings_lane1 = 1.0, 0.3\n",
+         "[pipeline] settings_lane0 = '0.9, abc' is not a list of 'theta_in, theta_1' pairs"),
+        ("compose", "[compose]\ntarget = nan, 0; 0, 1\n",
+         "[compose] target = 'nan, 0; 0, 1' has a value that is not finite"),
+        ("compose", "[compose]\ntarget = 1e60, 0; 0, 1e-60\n",
+         "[compose] target = '1e60, 0; 0, 1e-60' has a value above 1e+50 in magnitude "
+         "(MAX_CONFIG_ENTRY)"),
+        ("delayed-check", "[delayed-check]\nkappa = 1\nduration = 5\ngap = 1\nmultiples = 1.9\n",
+         "[delayed-check] multiples = '1.9' is not an integer list"),
     ], ids=["ragged-cz-block", "ragged-target", "period-overflow", "empty-target-entry",
             "non-number-cz-entry", "ragged-graph", "non-integer-graph-entry",
-            "edgeless-graph", "one-node-graph", "asymmetric-graph"])
+            "edgeless-graph", "one-node-graph", "asymmetric-graph", "unparsed-angle",
+            "unparsed-lane-angle", "nan-target", "oversized-target", "fractional-multiple"])
     def test_message_names_the_inputs(self, tmp_path, capsys, kind, text, message):
         cfg = write_config(tmp_path, text)
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("args,named", [
+        (["--out", "taken/o"], "'taken/o'"),
+        (["--out", "taken"], "'taken'"),
+        (["--out", "o", "--seed", "-1"], "--seed"),
+    ], ids=["out-under-a-file", "out-names-a-file", "negative-seed"])
+    def test_usage_errors_exit_2_without_traceback(self, tmp_path, args, named):
+        (tmp_path / "taken").write_text("")
+        cfg = write_config(tmp_path, "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\n")
+        proc = run_python(["-m", "cvmbqc", "gate", "--config", cfg, *args], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert named in proc.stderr.splitlines()[-1]
+        assert not proc.stdout  # no verdict is reported for a run it could not write
 
 
 class TestNumericEdgesExitCode:
