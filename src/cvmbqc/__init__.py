@@ -20,7 +20,6 @@ from .quadrature import (
     LinearQuadratureExpr,
     UncertaintyReport,
     VACUUM_VARIANCE,
-    apply_symplectic,
     check_uncertainty,
     db_to_variance,
     embed,
@@ -65,7 +64,6 @@ from .gates import (
     TwoModeCoefficients,
     TwoNodeCluster,
     canonical_cz_coefficients,
-    condition_homodyne,
     cz_transform,
     feed_forward,
     gate_matrix,

@@ -54,7 +54,7 @@ is built from the arrays once per output.  The covariance oracle below
 conditions dense symplectic covariances instead and shares none of this
 code: one step builds the 6x6 joint covariance S J S^T of the input, the
 two sources and the mixing beam splitter, and passes it straight to the
-array-level Schur core that :func:`condition_homodyne` also wraps.  The
+array-level Schur core, the package's one homodyne conditioning.  The
 core conditions on both homodyne results with one eigendecomposition of
 the 2x2 measured block; no state object is built on the way.
 
@@ -75,10 +75,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cluster import VLF_BOUND, ClusterGraph, _real_form, cluster_unitary, default_two_node_q
+from .cluster import (VLF_GUARDED_BOUND, ClusterGraph, _real_form, cluster_unitary,
+                      default_two_node_q)
 from .quadrature import (
     VACUUM_VARIANCE,
-    GaussianState,
     LinearQuadratureExpr,
     _check_symmetric,
     _mode_column,
@@ -175,7 +175,8 @@ class TwoNodeCluster:
 
     @property
     def entangled(self) -> bool:
-        return self.vlf_sum() < VLF_BOUND
+        """The pair criterion of :func:`cluster.vlf_two_node_check`."""
+        return self.vlf_sum() < VLF_GUARDED_BOUND
 
 
 def _gate_entries(theta_plus: float, theta_minus: float) -> tuple:
@@ -365,11 +366,12 @@ def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
     input_mode, input_offset = _input_mode(input_exprs)
     entries, trig, gains = [], [], []
     for cluster, setting in zip(clusters, settings):
-        if cluster.vlf_sum() >= VLF_BOUND:
+        if not cluster.entangled:
             if not allow_unentangled:
                 raise ValueError(
-                    "cluster resource is not entangled (nullifier sum "
-                    f"{cluster.vlf_sum():g} >= {VLF_BOUND}); pass allow_unentangled=True to force")
+                    f"cluster resource is not entangled (nullifier sum {cluster.vlf_sum()!r} "
+                    f">= VLF_GUARDED_BOUND = {VLF_GUARDED_BOUND!r}); "
+                    "pass allow_unentangled=True to force")
             warnings.warn("running a measurement step on an unentangled cluster resource",
                           stacklevel=2)
         s, *step_entries = _gate_entries(setting.theta_plus, setting.theta_minus)
@@ -494,23 +496,6 @@ def sample_currents(output: GateOutput, input_blocks: Mapping[int, np.ndarray],
 # Homodyne conditioning (Schur complement) and the covariance oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConditionedGaussian:
-    """Result of conditioning a Gaussian state on homodyne outcomes.
-
-    state: conditional state of the kept modes (mean uses the supplied
-    outcomes, or the prior mean when none are given); bayes_gain maps
-    measured-quadrature deviations to conditional-mean shifts of the kept
-    quadratures; measured_cov is the covariance of the measured quadratures.
-    """
-
-    state: GaussianState
-    kept_modes: tuple
-    measured_modes: tuple
-    bayes_gain: np.ndarray
-    measured_cov: np.ndarray
-
-
 #: Smallest eigenvalue of the measured covariance accepted by conditioning.
 MEASURED_EIG_MIN = 1e-14
 
@@ -520,12 +505,13 @@ PINV_RCOND = 1e-15
 
 
 def _schur_condition(cov: np.ndarray, P: np.ndarray, kept_idx) -> tuple:
-    """Array-level Schur core shared by every homodyne conditioning.
+    """Condition a covariance on homodyne results (Schur complement).
 
     ``P`` holds one measured quadrature per row over the columns of
     ``cov``, and ``kept_idx`` the kept columns.  Returns the gain
     Sigma_km pinv(Sigma_mm), the symmetrised conditioned block
-    Sigma_kk - gain Sigma_km^T and Sigma_mm = P cov P^T.
+    Sigma_kk - gain Sigma_km^T and Sigma_mm = P cov P^T.  Given outcomes,
+    the kept mean moves by gain (outcomes - P mean).
 
     One eigendecomposition Sigma_mm = V diag(w) V^T serves both the screen
     and the inverse: a smallest eigenvalue below ``MEASURED_EIG_MIN`` is
@@ -548,50 +534,6 @@ def _schur_condition(cov: np.ndarray, P: np.ndarray, kept_idx) -> tuple:
     gain = sigma_km @ (V @ (inv_w[:, None] * V.T))
     cov_cond = cov_kept.take(kept_idx, axis=1) - gain @ sigma_km.T
     return gain, 0.5 * (cov_cond + cov_cond.T), sigma_mm
-
-
-def condition_homodyne(state: GaussianState, measured_angles: Mapping[int, float],
-                       outcomes: Mapping[int, float] | None = None) -> ConditionedGaussian:
-    """Condition a Gaussian state on homodyne results via the Schur complement.
-
-    ``measured_angles`` maps mode -> local-oscillator angle; the measured
-    quadrature of each mode is cos(angle) x + sin(angle) y.  Measured modes
-    must be disjoint from the kept modes (every mode is either measured or
-    kept).  The conditional covariance of the kept block is
-
-        Sigma_kk - Sigma_km pinv(Sigma_mm) Sigma_km^T.
-
-    This builds the measured rows P and the kept columns from the modes and
-    hands the covariance to the array-level Schur core that the covariance
-    oracle calls directly: one eigendecomposition of Sigma_mm, a smallest
-    eigenvalue below 1e-14 rejected as ill-conditioned, and the inverse in
-    numpy ``pinv``'s order with its 1e-15 relative cutoff.  With outcomes,
-    the kept mean moves by the gain times the measured deviations.
-    """
-    n = state.n_modes
-    measured_modes = tuple(sorted(measured_angles))
-    if not measured_modes:
-        raise ValueError("no measured modes given")
-    if any(not 0 <= m < n for m in measured_modes):
-        raise ValueError("measured mode out of range")
-    kept_modes = tuple(m for m in range(n) if m not in measured_angles)
-    if not kept_modes:
-        raise ValueError("no kept modes remain")
-
-    P = np.zeros((len(measured_modes), 2 * n))
-    for row, mode in enumerate(measured_modes):
-        angle = float(measured_angles[mode])
-        P[row, 2 * mode] = math.cos(angle)
-        P[row, 2 * mode + 1] = math.sin(angle)
-    kept_idx = [i for m in kept_modes for i in (2 * m, 2 * m + 1)]
-    gain, cov_cond, sigma_mm = _schur_condition(state.cov, P, kept_idx)
-
-    mean_kept = state.mean.take(kept_idx)
-    if outcomes is not None:
-        m_vals = np.array([float(outcomes[m]) for m in measured_modes])
-        mean_kept = mean_kept + gain @ (m_vals - P @ state.mean)
-    return ConditionedGaussian(GaussianState(mean_kept, cov_cond),
-                               kept_modes, measured_modes, gain, sigma_mm)
 
 
 @functools.cache

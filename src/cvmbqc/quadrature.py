@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -285,30 +285,6 @@ class GaussianState:
     @property
     def n_modes(self) -> int:
         return self.mean.size // 2
-
-    @classmethod
-    def vacuum(cls, n_modes: int) -> "GaussianState":
-        return cls(np.zeros(2 * n_modes), VACUUM_VARIANCE * np.eye(2 * n_modes))
-
-    @classmethod
-    def squeezed_vacuum(cls, variances: Iterable[tuple]) -> "GaussianState":
-        """Product state with per-mode quadrature variances (var_x, var_y)."""
-        diag = []
-        for vx, vy in variances:
-            if vx <= 0 or vy <= 0:
-                raise ValueError("quadrature variances must be positive")
-            diag += [vx, vy]
-        return cls(np.zeros(len(diag)), np.diag(diag))
-
-
-def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
-    """Heisenberg update: mean -> S mean, cov -> S cov S^T."""
-    S = np.asarray(S, dtype=float)
-    if S.shape != (state.mean.size, state.mean.size):
-        raise ValueError("symplectic map dimension does not match the state")
-    if not is_symplectic(S):
-        raise ValueError("matrix is not symplectic within tolerance")
-    return GaussianState(S @ state.mean, S @ state.cov @ S.T)
 
 
 def expr_covariance(exprs: Sequence[LinearQuadratureExpr],

@@ -61,6 +61,10 @@ LANE_ISOLATION_TOL = 1e-12
 #: engine, the oracle and determinants form them, stay inside the
 #: floating-point range.
 MAX_CONFIG_ENTRY = 1e50
+#: Largest spectrum ``points`` and ``oracle_points``: each point is an
+#: array entry and a record row, so a larger count is a memory error, not
+#: a sweep.
+_MAX_SWEEP_POINTS = 10**6
 
 
 class ConfigError(ValueError):
@@ -209,13 +213,21 @@ def _number_list(text: str) -> list:
     return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
+def _integer(text: str) -> int:
+    """An integer literal, read exactly, or an integral float spelling:
+    '12', '1e3' and '1.0' are integers; '1.9', 'nan' and 'inf' are not."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+        if not value.is_integer():
+            raise ValueError(f"{text!r} is not an integer") from None
+        return int(value)
+
+
 def _integer_list(text: str) -> list:
-    """A number list whose entries are all integral, as ints: '2', '1.0'
-    and '6.3e16' are integers, '1.9' is not."""
-    values = _number_list(text)
-    if not all(v.is_integer() for v in values):
-        raise ValueError(f"{text!r} holds a number that is not an integer")
-    return [int(v) for v in values]
+    """Integers split by ',' or ';'; empty entries are skipped."""
+    return [_integer(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
 def _number_rows(text: str) -> list:
@@ -252,11 +264,15 @@ def _flat(value) -> list:
 
 class Params:
     """Section of the config file.  Every typed value is read through one
-    rule, :meth:`_read`, so every config error names ``[kind] key``."""
+    rule, :meth:`_read`, so every config error names ``[kind] key``; the
+    rule notes each key it reads, for :meth:`unread`.  ``inherited`` are
+    the keys of ``[DEFAULT]``, which a run may leave unread."""
 
-    def __init__(self, kind: str, data: dict):
+    def __init__(self, kind: str, data: dict, inherited=()):
         self.kind = kind
         self.data = dict(data)
+        self.inherited = frozenset(inherited)
+        self.read = set()
 
     def _read(self, key, parse, what, default=None, required=False, bounded=False):
         """The value of ``key`` as ``parse`` reads its text.
@@ -267,6 +283,7 @@ class Params:
         ``MAX_CONFIG_ENTRY`` in magnitude each raise a ConfigError naming
         ``[kind] key = 'text'``; ``what`` names the kind of value expected.
         """
+        self.read.add(key)
         if key not in self.data:
             if required:
                 raise ConfigError(f"[{self.kind}] missing required key {key!r}")
@@ -289,7 +306,7 @@ class Params:
         return self._read(key, float, "a number", default, required, bounded)
 
     def get_int(self, key, default=None, required=False, bounded=False):
-        return self._read(key, int, "an integer", default, required, bounded)
+        return self._read(key, _integer, "an integer", default, required, bounded)
 
     def get_bool(self, key, default=False):
         return self._read(key, _boolean, "a boolean", default)
@@ -315,6 +332,10 @@ class Params:
     def keys(self):
         return self.data.keys()
 
+    def unread(self) -> list:
+        """The section's own keys that no read has asked for, in file order."""
+        return [k for k in self.data if k not in self.read and k not in self.inherited]
+
 
 @dataclass
 class ExperimentConfig:
@@ -333,7 +354,7 @@ def load_params(path: str, kind: str) -> Params:
             raise ConfigError(f"config file {path!r} not found or unreadable")
         if not parser.has_section(kind):
             raise ConfigError(f"config file {path!r} has no [{kind}] section")
-        return Params(kind, dict(parser.items(kind)))
+        return Params(kind, dict(parser.items(kind)), parser.defaults())
     except configparser.Error as exc:
         raise ConfigError(f"config file {path!r} is malformed: {exc}") from None
 
@@ -376,6 +397,9 @@ def _run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
         raise ConfigError("[spectrum] need 0 < omega_min < omega_max and points >= 2")
     if n_oracle < 2:
         raise ConfigError("[spectrum] oracle_points must be at least 2")
+    if max(points, n_oracle) > _MAX_SWEEP_POINTS:
+        raise ConfigError(f"[spectrum] points and oracle_points must be at most "
+                          f"{_MAX_SWEEP_POINTS}")
     if mu != 0.0:
         raise ConfigError(
             "[spectrum] the closed-form spectrum holds at mu = 0 only; for "
@@ -799,38 +823,44 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> ResultRecord:
-    """Run one experiment; deterministic for a fixed config and seed."""
+    """Run one experiment; deterministic for a fixed config and seed.
+
+    A key of the kind's section that the run never read, such as a
+    misspelt ``samplng`` or a ``settings_lane1`` beyond ``lanes = 1``, is a
+    config error: the run did not do what the section asks.
+    """
     if cfg.kind not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
-    return _RUNNERS[cfg.kind](cfg)
+    record = _RUNNERS[cfg.kind](cfg)
+    unread = cfg.params.unread()
+    if unread:
+        raise ConfigError("; ".join(f"[{cfg.kind}] {key} is set but never read"
+                                    for key in unread))
+    return record
 
 
 def write_outputs(record: ResultRecord, cfg: ExperimentConfig) -> list:
-    """Write the JSON record, CSV series, and event log; return the paths."""
+    """Write the CSV series and the event log, then the verdict files: the
+    JSON record and, with ``--format csv``, the verdict CSV.  Written last,
+    so an output error part way leaves no record that says it passed.
+    Returns the paths, verdict files first."""
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    record_path = out / f"{record.kind}.json"
-    record_path.write_text(record.to_json())
-    written.append(record_path)
+    verdict_files = {out / f"{record.kind}.json": record.to_json()}
     if cfg.fmt == "csv":
-        csv_path = out / f"{record.kind}.csv"
         lines = ["name,value,threshold,comparison,passed"]
         for v in record.verdicts:
             value, threshold = v.printed()
             lines.append(f"{v.name},{value},{threshold},{v.comparison},{int(v.passed)}")
-        csv_path.write_text("\n".join(lines) + "\n")
-        written.append(csv_path)
-    for name in record.series:
-        path = out / f"{record.kind}_{name}.csv"
-        path.write_text(record.series_csv(name))
-        written.append(path)
+        verdict_files[out / f"{record.kind}.csv"] = "\n".join(lines) + "\n"
+    data_files = {out / f"{record.kind}_{name}.csv": record.series_csv(name)
+                  for name in record.series}
     events = getattr(record, "events", None)
     if events:
-        path = out / "events.jsonl"
-        path.write_text(multiplex.events_to_jsonl(events))
-        written.append(path)
-    return written
+        data_files[out / "events.jsonl"] = multiplex.events_to_jsonl(events)
+    for path, text in (*data_files.items(), *verdict_files.items()):
+        path.write_text(text)
+    return [*verdict_files, *data_files]
 
 
 def _seed(text: str) -> int:

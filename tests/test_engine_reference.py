@@ -7,7 +7,9 @@ public ``LinearQuadratureExpr`` constructor, ``feed_forward`` through
 ``dataclasses.replace``, ``sample_currents`` through numpy's
 ``multivariate_normal``, the column covariances read from
 ``source_variances``, and the pipeline's event log built as frozen
-``PipelineEvent`` dataclasses and sorted by key.  The engine now evaluates
+``PipelineEvent`` dataclasses and sorted by key.  The one change to them
+is the unentangled screen of ``reference_run_steps``, which applies
+``VLF_GUARDED_BOUND`` as the engine's does.  The engine now evaluates
 each step in Python floats, builds its arrays once per call (placing the
 measured rows by flat index) and the expressions from clean dicts, copies
 an output's fields to feed forward, draws through its own SVD factor, and
@@ -28,8 +30,8 @@ import numpy as np
 import pytest
 
 from cvmbqc import multiplex
+from cvmbqc.cluster import VLF_GUARDED_BOUND
 from cvmbqc.gates import (
-    VLF_BOUND,
     DegenerateHomodynePhasesError,
     GateOutput,
     HomodyneSetting,
@@ -95,11 +97,12 @@ def reference_run_steps(input_exprs, clusters, settings, *, allow_unentangled=Fa
     labels = [""] if k == 1 else [f"[{j + 1}]" for j in range(k)]
     names, matrices, trig, gains = [], [], [], []
     for cluster, setting, label in zip(clusters, settings, labels):
-        if cluster.vlf_sum() >= VLF_BOUND:
+        if cluster.vlf_sum() >= VLF_GUARDED_BOUND:
             if not allow_unentangled:
                 raise ValueError(
-                    "cluster resource is not entangled (nullifier sum "
-                    f"{cluster.vlf_sum():g} >= {VLF_BOUND}); pass allow_unentangled=True to force")
+                    f"cluster resource is not entangled (nullifier sum {cluster.vlf_sum()!r} "
+                    f">= VLF_GUARDED_BOUND = {VLF_GUARDED_BOUND!r}); "
+                    "pass allow_unentangled=True to force")
             warnings.warn("running a measurement step on an unentangled cluster resource",
                           stacklevel=2)
         matrices.append(reference_gate_matrix(setting.theta_plus, setting.theta_minus))
@@ -384,7 +387,7 @@ class TestEngineBitIdentical:
         # expression view leaves out
         rng = np.random.default_rng([16, 0])
         chains = [random_chain(rng) for _ in range(50)]
-        assert any(c.vlf_sum() >= VLF_BOUND for _, cs, _ in chains for c in cs)
+        assert any(c.vlf_sum() >= VLF_GUARDED_BOUND for _, cs, _ in chains for c in cs)
         assert any(math.copysign(1.0, inp[0].offset) < 0 for inp, _, _ in chains)
         assert {next(iter(inp[0].coeffs)) // 2 for inp, _, _ in chains} == set(range(5))
         assert max(len(s) for _, _, s in chains) >= 40

@@ -18,8 +18,8 @@ from cvmbqc.gates import (
     TwoModeCoefficients,
     TwoNodeCluster,
     _joint_cov,
+    _schur_condition,
     canonical_cz_coefficients,
-    condition_homodyne,
     cz_transform,
     feed_forward,
     gate_matrix,
@@ -93,6 +93,32 @@ def joint_state(input_cov, cluster):
     """The oracle's three-mode joint state: difference port, sum port and
     surviving node after cluster generation and the mixing beam splitter."""
     return GaussianState(np.zeros(6), _joint_cov(input_cov, cluster))
+
+
+def schur_condition(state, measured_angles, outcomes=None):
+    """Condition ``state`` on homodyne results through ``_schur_condition``.
+
+    ``measured_angles`` maps each measured mode to its local-oscillator
+    angle, the row cos(angle) x + sin(angle) y of P; every other mode is
+    kept.  With ``outcomes`` the kept mean moves by gain (outcomes - P mean).
+    Returns what the references below return: the conditioned state, the
+    kept and measured modes, the gain and Sigma_mm.
+    """
+    n = state.n_modes
+    measured_modes = tuple(sorted(measured_angles))
+    kept_modes = tuple(m for m in range(n) if m not in measured_angles)
+    P = np.zeros((len(measured_modes), 2 * n))
+    for row, mode in enumerate(measured_modes):
+        angle = float(measured_angles[mode])
+        P[row, 2 * mode] = math.cos(angle)
+        P[row, 2 * mode + 1] = math.sin(angle)
+    kept_idx = [i for m in kept_modes for i in (2 * m, 2 * m + 1)]
+    gain, cov_cond, sigma_mm = _schur_condition(state.cov, P, kept_idx)
+    mean_kept = state.mean.take(kept_idx)
+    if outcomes is not None:
+        m_vals = np.array([float(outcomes[m]) for m in measured_modes])
+        mean_kept = mean_kept + gain @ (m_vals - P @ state.mean)
+    return GaussianState(mean_kept, cov_cond), kept_modes, measured_modes, gain, sigma_mm
 
 
 class TestGateMatrix:
@@ -412,9 +438,9 @@ class TestSingleStep:
 
 class TestConditioningOracle:
     def test_uncorrelated_vacuum_leaves_kept_unchanged(self):
-        state = GaussianState.squeezed_vacuum([(0.25, 0.25), (0.7, 0.09)])
-        cond = condition_homodyne(state, {0: 0.3})
-        np.testing.assert_allclose(cond.state.cov, np.diag([0.7, 0.09]), atol=1e-14)
+        state = GaussianState(np.zeros(4), np.diag([0.25, 0.25, 0.7, 0.09]))
+        cond, *_ = schur_condition(state, {0: 0.3})
+        np.testing.assert_allclose(cond.cov, np.diag([0.7, 0.09]), atol=1e-14)
 
     def test_ideal_cluster_nullifier_determinism(self):
         # measuring X of node 1 pins Y of node 2 when the sources are
@@ -422,26 +448,21 @@ class TestConditioningOracle:
         from cvmbqc.cluster import ClusterGraph, generate_cluster
         v = 1e-10
         state = generate_cluster([v, v], ClusterGraph.two_node())
-        cond = condition_homodyne(state, {0: 0.0})  # angle 0: measure X
-        var_y2 = cond.state.cov[1, 1]
+        cond, *_ = schur_condition(state, {0: 0.0})  # angle 0: measure X
+        var_y2 = cond.cov[1, 1]
         assert var_y2 < 1e-8
 
     def test_rejects_bad_inputs(self):
-        state = GaussianState.vacuum(2)
-        with pytest.raises(ValueError, match="no measured"):
-            condition_homodyne(state, {})
-        with pytest.raises(ValueError, match="no kept"):
-            condition_homodyne(state, {0: 0.0, 1: 0.0})
         zero_var = GaussianState(np.zeros(4), np.diag([0.25, 0.25, 0.0, 0.25]))
         with pytest.raises(ValueError, match="ill-conditioned"):
-            condition_homodyne(zero_var, {1: 0.0})
+            schur_condition(zero_var, {1: 0.0})
 
     def test_outcome_shifts_mean(self):
         from cvmbqc.cluster import ClusterGraph, generate_cluster
         state = generate_cluster([0.01, 0.01], ClusterGraph.two_node())
-        cond = condition_homodyne(state, {0: 0.0}, outcomes={0: 0.5})
-        assert cond.state.mean.shape == (2,)
-        assert abs(cond.state.mean[1]) > 0  # correlated quadrature moved
+        cond, *_ = schur_condition(state, {0: 0.0}, outcomes={0: 0.5})
+        assert cond.mean.shape == (2,)
+        assert abs(cond.mean[1]) > 0  # correlated quadrature moved
 
     def test_engine_matches_oracle_random(self):
         rng = np.random.default_rng(5)
@@ -563,16 +584,16 @@ class TestConditioningAgainstReference:
     def assert_matches(self, state, angles, outcomes=None):
         ref_state, kept, measured, ref_gain, ref_mm = reference_condition_homodyne(
             state, angles, outcomes)
-        cond = condition_homodyne(state, angles, outcomes)
-        assert cond.kept_modes == kept and cond.measured_modes == measured
-        assert_rel_close(cond.state.cov, ref_state.cov)
-        assert_rel_close(cond.state.mean, ref_state.mean)
-        assert_rel_close(cond.bayes_gain, ref_gain)
-        assert_rel_close(cond.measured_cov, ref_mm)
+        cond, kept_modes, measured_modes, gain, sigma_mm = schur_condition(
+            state, angles, outcomes)
+        assert kept_modes == kept and measured_modes == measured
+        assert_rel_close(cond.cov, ref_state.cov)
+        assert_rel_close(cond.mean, ref_state.mean)
+        assert_rel_close(gain, ref_gain)
+        assert_rel_close(sigma_mm, ref_mm)
         eigh_state, _, _, eigh_gain, eigh_mm = reference_condition_eigh(state, angles, outcomes)
-        for got, expected in ((cond.state.cov, eigh_state.cov),
-                              (cond.state.mean, eigh_state.mean),
-                              (cond.bayes_gain, eigh_gain), (cond.measured_cov, eigh_mm)):
+        for got, expected in ((cond.cov, eigh_state.cov), (cond.mean, eigh_state.mean),
+                              (gain, eigh_gain), (sigma_mm, eigh_mm)):
             assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -611,7 +632,7 @@ class TestConditioningAgainstReference:
         state = self.diagonal_block_state(small)
         angles = {0: 0.0, 1: 0.0}
         verdicts = []
-        for fn in (reference_condition_homodyne, reference_condition_eigh, condition_homodyne):
+        for fn in (reference_condition_homodyne, reference_condition_eigh, schur_condition):
             try:
                 fn(state, angles)
                 verdicts.append(False)
@@ -628,13 +649,13 @@ class TestConditioningAgainstReference:
         # where a plain inverse would give it a gain of 1e-14 / 5e-14
         state = self.diagonal_block_state(5e-14, large=100.0, coupling=1e-14)
         angles = {0: 0.0, 1: 0.0}
-        cond = condition_homodyne(state, angles)
-        assert np.all(cond.bayes_gain[:, 1] == 0.0)
+        gain = schur_condition(state, angles)[3]
+        assert np.all(gain[:, 1] == 0.0)
         self.assert_matches(state, angles, outcomes={0: 0.3, 1: -2.0})
         # just above the cutoff the direction is inverted, by both
         state = self.diagonal_block_state(2e-13, large=100.0, coupling=1e-14)
-        cond = condition_homodyne(state, angles)
-        assert cond.bayes_gain[0, 1] == pytest.approx(0.05, rel=1e-12)
+        gain = schur_condition(state, angles)[3]
+        assert gain[0, 1] == pytest.approx(0.05, rel=1e-12)
         self.assert_matches(state, angles)
 
 

@@ -3,8 +3,8 @@
 The references below are the earlier code, kept verbatim: the oracle as
 ``step_joint_state`` -> ``condition_homodyne`` -> ``protocol_gains`` over
 ``GaussianState`` objects.  The earlier ``condition_homodyne`` is
-``test_gates.reference_condition_eigh``, which checks the library's
-``condition_homodyne`` bit for bit too.  The oracle now builds the joint
+``test_gates.reference_condition_eigh``, which checks the array-level
+``gates._schur_condition`` bit for bit too.  The oracle now builds the joint
 covariance and conditions it through one array-level Schur core, with the
 same float operations in the same order, so every output must be equal bit
 for bit, and every error must keep its type and message.

@@ -203,6 +203,16 @@ class TestDelayedCheck:
         grid = record["series"]["grid"]
         assert all(grid["reduced_exactly"])
 
+    def test_integer_literals_read_exactly(self, tmp_path):
+        # 2**53 + 1 is no float: read through one it became 2**53
+        cfg = write_config(tmp_path, (
+            "[delayed-check]\nkappa = 1.0\nduration = 5.0\ngap = 1.0\n"
+            "multiples = 9007199254740993\nk_values = 0, 1.0\n"))
+        assert main(["delayed-check", "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 1)
+        record = json.loads((tmp_path / "o" / "delayed-check.json").read_text())
+        assert record["inputs"]["multiples"] == [2**53 + 1]
+        assert record["inputs"]["k_values"] == [0, 1]
+
 
 class TestGate:
     def test_record_and_verdicts(self, tmp_path):
@@ -241,6 +251,19 @@ class TestGate:
         assert list(record["scalars"]["sampling"]["currents"]) == ["i_1", "i_in"]
         main(["gate", "--config", cfg, "--out", str(tmp_path / "c"), "--seed", "8"])
         assert (tmp_path / "c" / "gate.json").read_bytes() != first
+
+    def test_screen_applies_the_guarded_two_node_bound(self, tmp_path, capsys):
+        # nullifier sum 0.4999999999998: below 1/2 but within VLF_GUARD of it,
+        # so cluster-check's entangled verdict fails at this variance
+        v = 0.12499999999995
+        assert not gates.TwoNodeCluster.from_y_variances(v, v).entangled
+        body = f"[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\ny_variance = {v!r}\n"
+        cfg = write_config(tmp_path, body)
+        assert main(["gate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "VLF_GUARDED_BOUND" in capsys.readouterr().err
+        cfg = write_config(tmp_path, body + "allow_unentangled = true\n")
+        with pytest.warns(UserWarning, match="unentangled"):
+            assert main(["gate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 class TestCompose:
@@ -460,6 +483,26 @@ class TestPipeline:
         table = (tmp_path / "o" / "pipeline.csv").read_text().splitlines()
         assert table[0] == "name,value,threshold,comparison,passed"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_output_error_leaves_no_verdict_file(self, tmp_path, capsys, fmt):
+        # the verdict files are written last, so a failed write of the event
+        # log leaves no record that says the run passed
+        (tmp_path / "o" / "events.jsonl").mkdir(parents=True)
+        cfg = write_config(tmp_path, self.BODY)
+        code = main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--format", fmt])
+        assert code == 2
+        assert "events.jsonl" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "pipeline.json").exists()
+        assert not (tmp_path / "o" / "pipeline.csv").exists()
+
+    def test_integral_spellings_are_integers(self, tmp_path):
+        cfg = write_config(tmp_path, self.BODY.replace("lanes = 2", "lanes = 2.0")
+                           + "ticks_per_gap = 1e3\n")
+        assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        record = json.loads((tmp_path / "o" / "pipeline.json").read_text())
+        assert record["inputs"]["lanes"] == 2 and record["inputs"]["ticks_per_gap"] == 1000
+
 
 class TestBadInputExitCode:
     """Inputs rejected by the runner or inside the library exit 2 with a
@@ -558,15 +601,37 @@ class TestBadInputExitCode:
          "(MAX_CONFIG_ENTRY)"),
         ("delayed-check", "[delayed-check]\nkappa = 1\nduration = 5\ngap = 1\nmultiples = 1.9\n",
          "[delayed-check] multiples = '1.9' is not an integer list"),
+        ("pipeline", TestPipeline.BODY + "ticks_per_gap = 1e-3\n",
+         "[pipeline] ticks_per_gap = '1e-3' is not an integer"),
+        ("pipeline", TestPipeline.BODY.replace("lanes = 2", "lanes = nan"),
+         "[pipeline] lanes = 'nan' is not an integer"),
+        ("delayed-check", "[delayed-check]\nkappa = 1\nduration = 5\ngap = 1\n"
+                          "k_values = 0, inf\n",
+         "[delayed-check] k_values = '0, inf' is not an integer list"),
+        # keys no read asks for: the run would ignore them and pass
+        ("gate", "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\nsamplng = true\ny_varience = 0.3\n",
+         "[gate] samplng is set but never read; [gate] y_varience is set but never read"),
+        ("pipeline", TestPipeline.BODY.replace("lanes = 2", "lanes = 1"),
+         "[pipeline] settings_lane1 is set but never read"),
+        ("compose", "[compose]\ntarget = 1, 0.5; 0, 1\ntheta_in_1 = 0.9\n",
+         "[compose] theta_in_1 is set but never read"),
     ], ids=["ragged-cz-block", "ragged-target", "period-overflow", "empty-target-entry",
             "non-number-cz-entry", "ragged-graph", "non-integer-graph-entry",
             "edgeless-graph", "one-node-graph", "asymmetric-graph", "unparsed-angle",
-            "unparsed-lane-angle", "nan-target", "oversized-target", "fractional-multiple"])
+            "unparsed-lane-angle", "nan-target", "oversized-target", "fractional-multiple",
+            "fractional-tick-count", "nan-lanes", "inf-k-value", "misspelt-keys",
+            "lane-beyond-lanes", "target-and-angles"])
     def test_message_names_the_inputs(self, tmp_path, capsys, kind, text, message):
         cfg = write_config(tmp_path, text)
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+
+    def test_keys_from_default_may_go_unread(self, tmp_path):
+        # [DEFAULT] feeds every section, so no one kind need read all of it
+        cfg = write_config(tmp_path, "[DEFAULT]\nkappa = 1\nsamplng = true\n"
+                                     "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\n")
+        assert main(["gate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("args,named", [
         (["--out", "taken/o"], "'taken/o'"),
@@ -598,9 +663,13 @@ class TestNumericEdgesExitCode:
         "kappa = 1\nexcess_factor = 1e308\n",
         "kappa = 1\noracle_points = 1\n",
         "kappa = 1\noracle_points = 0\n",
+        # an allocation of 71 PiB
+        "kappa = 1\npoints = 10000000000000000\n",
+        "kappa = 1\noracle_points = 1e16\n",
     ], ids=["kappa-1e200", "kappa-1e300", "kappa-1e308", "kappa-1e-300",
             "kappa-1e-200", "omega-max-1e300", "omega-min-1e-160",
-            "excess-factor-1e308", "one-oracle-point", "no-oracle-point"])
+            "excess-factor-1e308", "one-oracle-point", "no-oracle-point",
+            "points-1e16", "oracle-points-1e16"])
     def test_spectrum(self, tmp_path, text):
         cfg = write_config(tmp_path, "[spectrum]\n" + text)
         proc = run_python(["-m", "cvmbqc", "spectrum", "--config", cfg, "--out", "o"],
