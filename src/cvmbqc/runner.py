@@ -24,6 +24,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,9 +38,6 @@ from .quadrature import (
     x_quad,
     y_quad,
 )
-
-EXPERIMENT_KINDS = ("spectrum", "cluster-check", "delayed-check", "gate",
-                    "compose", "cz", "pipeline")
 
 # Named verdict thresholds.  Each is documented by the inequality it encodes.
 # (The two-node inseparability bound is cluster.VLF_GUARDED_BOUND.)
@@ -56,8 +54,8 @@ SYMPLECTIC_TOL = quadrature.SYMPLECTIC_TOL
 #: Pipeline outputs vs stand-alone per-lane runs, absolute.
 LANE_ISOLATION_TOL = 1e-12
 #: Largest magnitude of an input_cov, target or cz block entry, of the
-#: delayed-check x_variance and of the pipeline ticks_per_gap, as the config
-#: rule (Params._read) checks them; products of a few such numbers, as the
+#: delayed-check x_variance and of the pipeline ticks_per_gap, as their rows
+#: of KEYS bound them; products of a few such numbers, as the
 #: engine, the oracle and determinants form them, stay inside the
 #: floating-point range.
 MAX_CONFIG_ENTRY = 1e50
@@ -79,8 +77,10 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-#: The comparisons a verdict can record, each read as ``value OP threshold``.
-_COMPARISONS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge}
+#: The comparisons a verdict can record and a key's lower bound applies,
+#: each read as ``value OP threshold``.
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge,
+                ">": operator.gt}
 
 
 @dataclass(frozen=True)
@@ -198,19 +198,10 @@ def parse_angle(text: str) -> float:
             num = m.group(1)
             factor = 1.0 if num in ("", "+") else (-1.0 if num == "-" else float(num))
             div = float(m.group(2)) if m.group(2) else 1.0
-            angle = factor * math.pi / div
-        else:
-            angle = float(t)
+            return factor * math.pi / div
+        return float(t)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"cannot parse angle {text!r}") from None
-    if not math.isfinite(angle):
-        raise ConfigError(f"angle {text!r} is not finite")
-    return angle
-
-
-def _number_list(text: str) -> list:
-    """Numbers split by ',' or ';'; empty entries are skipped."""
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
 def _integer(text: str) -> int:
@@ -225,138 +216,205 @@ def _integer(text: str) -> int:
         return int(value)
 
 
-def _integer_list(text: str) -> list:
-    """Integers split by ',' or ';'; empty entries are skipped."""
-    return [_integer(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+def _entries(text: str, parse) -> list:
+    """Entries split by ',' or ';', each read by ``parse``; empty entries
+    are skipped."""
+    return [parse(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
-def _number_rows(text: str) -> list:
-    """Rows split by ';', entries by ','."""
-    return [[float(tok) for tok in r.split(",")] for r in text.split(";") if r.strip()]
+def _matrix(text: str) -> np.ndarray:
+    """Rows split by ';', entries by ','; numpy refuses rows of unequal
+    length with a ValueError."""
+    return np.array([[float(tok) for tok in r.split(",")] for r in text.split(";") if r.strip()])
 
 
 def _angle_pairs(text: str) -> list:
     """Semicolon-separated 'theta_in, theta_1' pairs of angles."""
-    pairs = [[parse_angle(tok) for tok in pair.split(",") if tok.strip()]
-             for pair in text.split(";")]
+    pairs = [_entries(pair, parse_angle) for pair in text.split(";")]
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError(f"{text!r} has a step without two angles")
     return pairs
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
-
-def _boolean(text: str) -> bool:
-    try:
-        return _BOOLEANS[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"{text!r} is not a boolean") from None
-
-
 def _flat(value) -> list:
-    """The entries of a parsed value: a number, a list or a list of rows."""
-    if not isinstance(value, list):
+    """The entries of a parsed value: a number, a list or a matrix."""
+    if not isinstance(value, (list, np.ndarray)):
         return [value]
     return [v for item in value for v in _flat(item)]
 
 
-class Params:
-    """Section of the config file.  Every typed value is read through one
-    rule, :meth:`_read`, so every config error names ``[kind] key``; the
-    rule notes each key it reads, for :meth:`unread`.  ``inherited`` are
-    the keys of ``[DEFAULT]``, which a run may leave unread."""
+# The kinds of value a key can hold: (parser, what its text must be).  A
+# parser raises a ValueError, or a LookupError, on text of another kind.
+NUMBER = (float, "a number")
+INTEGER = (_integer, "an integer")
+BOOLEAN = (lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()], "a boolean")
+NUMBER_LIST = (lambda text: _entries(text, float), "a number list")
+INTEGER_LIST = (lambda text: _entries(text, _integer), "an integer list")
+ANGLE = (parse_angle, "an angle")
+MATRIX = (_matrix, "a number matrix with rows of equal length")
+TEXT = (str, "text")
+LANE_ANGLES = (_angle_pairs, "a list of 'theta_in, theta_1' pairs split by ';'")
 
-    def __init__(self, kind: str, data: dict, inherited=()):
-        self.kind = kind
-        self.data = dict(data)
-        self.inherited = frozenset(inherited)
-        self.read = set()
+#: The default of a key that must be set.
+REQUIRED = object()
 
-    def _read(self, key, parse, what, default=None, required=False, bounded=False):
-        """The value of ``key`` as ``parse`` reads its text.
 
-        An absent key gives ``default``, or a missing-key error when
-        ``required``.  Text that ``parse`` rejects with a ValueError, a
-        float entry that is not finite and, when ``bounded``, an entry above
-        ``MAX_CONFIG_ENTRY`` in magnitude each raise a ConfigError naming
-        ``[kind] key = 'text'``; ``what`` names the kind of value expected.
-        """
-        self.read.add(key)
-        if key not in self.data:
-            if required:
-                raise ConfigError(f"[{self.kind}] missing required key {key!r}")
-            return default
-        text = self.data[key]
-        name = f"[{self.kind}] {key} = {text!r}"
-        try:
-            value = parse(text)
-        except ValueError:  # parse_angle's ConfigError is one
-            raise ConfigError(f"{name} is not {what}") from None
-        entries = _flat(value)
-        if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
-            raise ConfigError(f"{name} has a value that is not finite")
-        if bounded and any(abs(v) > MAX_CONFIG_ENTRY for v in entries):
-            raise ConfigError(f"{name} has a value above {MAX_CONFIG_ENTRY:g} "
-                              "in magnitude (MAX_CONFIG_ENTRY)")
-        return value
+class Fallback(str):
+    """The default of a key that takes the value of another key of its kind."""
 
-    def get_float(self, key, default=None, required=False, bounded=False):
-        return self._read(key, float, "a number", default, required, bounded)
 
-    def get_int(self, key, default=None, required=False, bounded=False):
-        return self._read(key, _integer, "an integer", default, required, bounded)
+class Key(NamedTuple):
+    """One config key: its kind of value; its default, ``REQUIRED`` or a
+    ``Fallback``; the ``(comparison, bound)`` each entry meets; the largest
+    magnitude of an entry; and the key beside which it has no effect."""
 
-    def get_bool(self, key, default=False):
-        return self._read(key, _boolean, "a boolean", default)
+    value: tuple
+    default: object = None
+    lower: tuple | None = None
+    magnitude: float | None = None
+    unless: str | None = None
 
-    def get_floats(self, key, default=None, required=False, bounded=False):
-        return self._read(key, _number_list, "a number list", default, required, bounded)
 
-    def get_angle(self, key, default=None, required=False):
-        return self._read(key, parse_angle, "an angle", default, required)
+#: The two-node clusters and the input mode of the engine kinds.
+_STEP_KEYS = {
+    "beta_0": Key(NUMBER, gates.DEFAULT_BETA_0),
+    "y_variance": Key(NUMBER, 0.05),
+    **{f"y_variance_{node}": Key(NUMBER, Fallback("y_variance")) for node in (1, 2)},
+    "excess_factor": Key(NUMBER, 10.0),
+    "input_cov": Key(NUMBER_LIST, (VACUUM_VARIANCE, 0.0, VACUUM_VARIANCE),
+                     magnitude=MAX_CONFIG_ENTRY),
+    **dict.fromkeys(("allow_unentangled", "sampling"), Key(BOOLEAN, False)),
+}
 
-    def get_matrix(self, key) -> np.ndarray:
-        """A required number matrix, rows split by ';' and entries by ','."""
-        rows = self._read(key, _number_rows, "a number matrix", required=True,
-                          bounded=True)
-        if len({len(r) for r in rows}) > 1:
-            raise ConfigError(f"[{self.kind}] {key} = {self.data[key]!r} "
-                              "has rows of unequal length")
-        return np.array(rows)
+#: Every key of every kind.  ``settings_lane<n>`` stands for one required
+#: key per lane n < ``lanes``.  A value of ``None`` is an absent key that
+#: the runner gives its meaning.
+KEYS = {
+    "spectrum": {
+        "kappa": Key(NUMBER, REQUIRED, (">", 0)),
+        **dict.fromkeys(("omega_min", "omega_max"), Key(NUMBER)),
+        "points": Key(INTEGER, 200, (">=", 2), _MAX_SWEEP_POINTS),
+        "excess_factor": Key(NUMBER, 10.0),
+        "mu": Key(NUMBER, 0.0),
+        "oracle_points": Key(INTEGER, 9, (">=", 2), _MAX_SWEEP_POINTS),
+    },
+    "cluster-check": {
+        "graph": Key(TEXT, "0 1; 1 0"),
+        "y_variance": Key(NUMBER_LIST, REQUIRED),
+    },
+    "delayed-check": {
+        "kappa": Key(NUMBER, REQUIRED),
+        **dict.fromkeys(("duration", "gap"), Key(NUMBER, REQUIRED, (">", 0))),
+        "multiples": Key(INTEGER_LIST, (1, 2, 5, 50), (">=", 1)),
+        "k_values": Key(INTEGER_LIST, (-3, -2, -1, 0, 1, 2, 3)),
+        "x_variance": Key(NUMBER, 10.0, magnitude=MAX_CONFIG_ENTRY),
+    },
+    "gate": {
+        **dict.fromkeys(("theta_in", "theta_1"), Key(ANGLE, REQUIRED)),
+        **_STEP_KEYS,
+    },
+    "compose": {
+        "target": Key(MATRIX, magnitude=MAX_CONFIG_ENTRY),
+        **{f"theta_{node}_{step}": Key(ANGLE, REQUIRED, unless="target")
+           for step in (1, 2) for node in ("in", "1")},
+        **_STEP_KEYS,
+        **{f"y_variance_{node}_step{step}": Key(NUMBER, Fallback(f"y_variance_{node}"))
+           for step in (1, 2) for node in (1, 2)},
+    },
+    "cz": dict.fromkeys(("a", "b"), Key(MATRIX, magnitude=MAX_CONFIG_ENTRY)),
+    "pipeline": {
+        **dict.fromkeys(("duration", "gap"), Key(NUMBER, REQUIRED)),
+        "lanes": Key(INTEGER, REQUIRED, (">=", 1)),
+        "ticks_per_gap": Key(INTEGER, 100, (">=", 1), MAX_CONFIG_ENTRY),
+        "settings_lane<n>": Key(LANE_ANGLES, REQUIRED),
+        **_STEP_KEYS,
+    },
+}
 
-    def get_str(self, key, default=None, required=False):
-        return self._read(key, str, "text", default, required)
 
-    def keys(self):
-        return self.data.keys()
+def _value(kind: str, key: str, row: Key, text: dict, values: dict):
+    """The typed value of ``key`` by its row: parse, then finite, then
+    bounds, each failure a ConfigError naming ``[kind] key = 'text'``."""
+    if row.unless in text:
+        return None
+    if key not in text:
+        if row.default is REQUIRED:
+            raise ConfigError(f"[{kind}] missing required key {key!r}")
+        return values[row.default] if isinstance(row.default, Fallback) else row.default
+    name = f"[{kind}] {key} = {text[key]!r}"
+    parse, what = row.value
+    try:
+        value = parse(text[key])
+    except (ValueError, LookupError):  # parse_angle's ConfigError is a ValueError
+        raise ConfigError(f"{name} is not {what}") from None
+    entries = _flat(value)
+    if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
+        raise ConfigError(f"{name} has a value that is not finite")
+    if row.lower and not all(_COMPARISONS[row.lower[0]](v, row.lower[1]) for v in entries):
+        raise ConfigError(f"{name} has a value that is not {row.lower[0]} {row.lower[1]:g}")
+    if row.magnitude and any(abs(v) > row.magnitude for v in entries):
+        named = " (MAX_CONFIG_ENTRY)" if row.magnitude == MAX_CONFIG_ENTRY else ""
+        raise ConfigError(f"{name} has a value above {row.magnitude:g} in magnitude{named}")
+    return value
 
-    def unread(self) -> list:
-        """The section's own keys that no read has asked for, in file order."""
-        return [k for k in self.data if k not in self.read and k not in self.inherited]
+
+def _typed(kind: str, own: dict, shared: dict) -> dict:
+    """The values of the kind's keys, by ``KEYS``: the section's ``own``
+    text over the ``shared`` text of ``[DEFAULT]``.  A key of its own that
+    has no effect is a config error: one the kind does not have, one beside
+    the key that excludes it, or a fallback whose every dependent is set."""
+    text = {**shared, **own}
+    rows, values = {}, {}
+    for key, row in KEYS[kind].items():
+        # lazily: a lane past the last one set is a missing key
+        for name in ((key.replace("<n>", str(n)) for n in range(values["lanes"]))
+                     if "<n>" in key else [key]):
+            rows[name] = row
+            values[name] = _value(kind, name, row, text, values)
+
+    def shadowed(key):  # every key that falls back to it is set or shadowed
+        deps = [k for k, r in rows.items() if isinstance(r.default, Fallback) and r.default == key]
+        return bool(deps) and all(k in text or shadowed(k) for k in deps)
+
+    idle = [key for key in own
+            if key not in rows or rows[key].unless in text or shadowed(key)]
+    if idle:
+        raise ConfigError("; ".join(f"[{kind}] {key} is set but never read" for key in idle))
+    return values
+
+
+#: The experiment kinds, each a subcommand.
+EXPERIMENT_KINDS = tuple(KEYS)
 
 
 @dataclass
 class ExperimentConfig:
     kind: str
-    params: Params
+    params: dict  # the typed values load_params returns
     seed: int | None
     out_dir: Path
     fmt: str
 
 
-def load_params(path: str, kind: str) -> Params:
-    parser = configparser.ConfigParser()
+def load_params(path: str, kind: str) -> dict:
+    """The typed values of the ``[kind]`` section of the config file
+    ``path``, checked by ``KEYS`` before any run; a ``[DEFAULT]`` key the
+    kind has applies where the section does not set it."""
+    if kind not in KEYS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    # no header can spell a line break, so [DEFAULT] parses as a section of
+    # its own and feeds no other section's interpolation
+    parser = configparser.ConfigParser(default_section="\n")
     try:
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise ConfigError(f"config file {path!r} not found or unreadable")
         if not parser.has_section(kind):
             raise ConfigError(f"config file {path!r} has no [{kind}] section")
-        return Params(kind, dict(parser.items(kind)), parser.defaults())
+        own = dict(parser.items(kind))
+        shared = dict(parser.items("DEFAULT")) if parser.has_section("DEFAULT") else {}
     except configparser.Error as exc:
         raise ConfigError(f"config file {path!r} is malformed: {exc}") from None
+    return _typed(kind, own, shared)
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +442,11 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 
 def _run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
     p = cfg.params
-    kappa = p.get_float("kappa", required=True)
-    if kappa <= 0:
-        raise ConfigError("[spectrum] kappa must be positive")
-    lo = p.get_float("omega_min", 1e-3 * kappa)
-    hi = p.get_float("omega_max", 1e3 * kappa)
-    points = p.get_int("points", 200)
-    factor = p.get_float("excess_factor", 10.0)
-    mu = p.get_float("mu", 0.0)
-    n_oracle = p.get_int("oracle_points", 9)
-    if not (0 < lo < hi) or points < 2:
-        raise ConfigError("[spectrum] need 0 < omega_min < omega_max and points >= 2")
-    if n_oracle < 2:
-        raise ConfigError("[spectrum] oracle_points must be at least 2")
-    if max(points, n_oracle) > _MAX_SWEEP_POINTS:
-        raise ConfigError(f"[spectrum] points and oracle_points must be at most "
-                          f"{_MAX_SWEEP_POINTS}")
+    kappa, points, factor, mu = p["kappa"], p["points"], p["excess_factor"], p["mu"]
+    lo = 1e-3 * kappa if p["omega_min"] is None else p["omega_min"]
+    hi = 1e3 * kappa if p["omega_max"] is None else p["omega_max"]
+    if not 0 < lo < hi:
+        raise ConfigError("[spectrum] need 0 < omega_min < omega_max")
     if mu != 0.0:
         raise ConfigError(
             "[spectrum] the closed-form spectrum holds at mu = 0 only; for "
@@ -413,7 +460,8 @@ def _run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
         y = laser.y_spectral_variance(omegas, kappa)
         x = laser.x_spectral_variance(omegas, kappa, model)
 
-    oracle_idx = sorted(set(np.linspace(0, omegas.size - 1, n_oracle).astype(int).tolist()))
+    oracle_idx = sorted(set(
+        np.linspace(0, omegas.size - 1, p["oracle_points"]).astype(int).tolist()))
     oracle_rel = 0.0
     for i in oracle_idx:
         ref = laser.y_spectral_variance_oracle(float(omegas[i]), kappa, mu)
@@ -445,15 +493,14 @@ def _run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
 
 
 def _run_cluster_check(cfg: ExperimentConfig) -> ResultRecord:
-    p = cfg.params
-    graph_text = p.get_str("graph", "0 1; 1 0")
+    graph_text = cfg.params["graph"]
     try:
         graph = clus.ClusterGraph.from_text(graph_text)
         # defined only on a graph with an edge, so with at least two nodes
         threshold = clus.min_squeezing_threshold(graph)
     except ValueError as exc:
         raise ConfigError(f"[cluster-check] graph = {graph_text!r}: {exc}") from None
-    variances = p.get_floats("y_variance", required=True)
+    variances = cfg.params["y_variance"]
     if not variances:
         raise ConfigError("[cluster-check] y_variance needs at least one value")
     for i, v in enumerate(variances):
@@ -492,17 +539,10 @@ def _run_cluster_check(cfg: ExperimentConfig) -> ResultRecord:
 
 def _run_delayed_check(cfg: ExperimentConfig) -> ResultRecord:
     p = cfg.params
-    kappa = p.get_float("kappa", required=True)
-    duration = p.get_float("duration", required=True)
-    gap = p.get_float("gap", required=True)
-    multiples = p._read("multiples", _integer_list, "an integer list", [1, 2, 5, 50])
-    k_values = p._read("k_values", _integer_list, "an integer list",
-                       [-3, -2, -1, 0, 1, 2, 3])
-    x_probe = p.get_float("x_variance", 10.0, bounded=True)
-    if duration <= 0 or gap <= 0:
-        raise ConfigError("[delayed-check] duration and gap must be positive")
-    if not multiples or min(multiples) < 1 or not k_values:
-        raise ConfigError("[delayed-check] need multiples >= 1 and at least one k value")
+    kappa, duration, gap = p["kappa"], p["duration"], p["gap"]
+    multiples, k_values, x_probe = p["multiples"], p["k_values"], p["x_variance"]
+    if not multiples or not k_values:
+        raise ConfigError("[delayed-check] need at least one multiple and one k value")
     period = duration + gap
 
     rows = {"n": [], "k": [], "omega": [], "lhs": [], "four_y_var": [],
@@ -550,34 +590,32 @@ def _run_delayed_check(cfg: ExperimentConfig) -> ResultRecord:
     return record
 
 
-def _input_cov(p: Params) -> np.ndarray:
-    vals = p.get_floats("input_cov", [VACUUM_VARIANCE, 0.0, VACUUM_VARIANCE], bounded=True)
+def _input_cov(cfg: ExperimentConfig) -> np.ndarray:
+    vals = cfg.params["input_cov"]
     if len(vals) != 3:
-        raise ConfigError(f"[{p.kind}] input_cov needs 3 numbers: xx, xy, yy")
+        raise ConfigError(f"[{cfg.kind}] input_cov needs 3 numbers: xx, xy, yy")
     cov = np.array([[vals[0], vals[1]], [vals[1], vals[2]]])
     if not (vals[0] > 0 and vals[2] > 0):
-        raise ConfigError(f"[{p.kind}] input_cov needs positive variances xx and yy")
+        raise ConfigError(f"[{cfg.kind}] input_cov needs positive variances xx and yy")
     if not check_uncertainty(cov):
-        raise ConfigError(f"[{p.kind}] input_cov breaks the uncertainty bound "
+        raise ConfigError(f"[{cfg.kind}] input_cov breaks the uncertainty bound "
                           "xx*yy - xy^2 >= 1/16")
     return cov
 
 
-def _beta_0(p: Params) -> float:
-    beta0 = p.get_float("beta_0", gates.DEFAULT_BETA_0)
+def _beta_0(cfg: ExperimentConfig) -> float:
+    beta0 = cfg.params["beta_0"]
     # nonpositive values are left to the library's own check
     if not (beta0 <= 0 or 1.0 / MAX_CONFIG_ENTRY <= beta0 <= MAX_CONFIG_ENTRY):
-        raise ConfigError(f"[{p.kind}] beta_0 = {beta0:g} is outside "
+        raise ConfigError(f"[{cfg.kind}] beta_0 = {beta0:g} is outside "
                           f"[{1.0 / MAX_CONFIG_ENTRY:g}, {MAX_CONFIG_ENTRY:g}] "
                           "(1/MAX_CONFIG_ENTRY to MAX_CONFIG_ENTRY)")
     return beta0
 
 
-def _cluster_from(p: Params, suffix: str = "") -> gates.TwoNodeCluster:
-    v1 = p.get_float(f"y_variance_1{suffix}", p.get_float("y_variance", 0.05))
-    v2 = p.get_float(f"y_variance_2{suffix}", p.get_float("y_variance", 0.05))
-    factor = p.get_float("excess_factor", 10.0)
-    return gates.TwoNodeCluster.from_y_variances(v1, v2, factor)
+def _cluster(p: dict, suffix: str = "") -> gates.TwoNodeCluster:
+    return gates.TwoNodeCluster.from_y_variances(
+        p[f"y_variance_1{suffix}"], p[f"y_variance_2{suffix}"], p["excess_factor"])
 
 
 def _sample_and_feed_forward(cfg: ExperimentConfig, outputs: list,
@@ -590,8 +628,6 @@ def _sample_and_feed_forward(cfg: ExperimentConfig, outputs: list,
     feed_forward_offsets_zero verdict over all outputs, whose value is the
     largest classical term left: an offset or a symbol coefficient.
     """
-    if cfg.seed is None:
-        raise ConfigError(f"[{cfg.kind}] sampling mode needs --seed")
     rng = np.random.default_rng(cfg.seed)
     blocks = []
     leftover = []
@@ -614,17 +650,13 @@ def _sample_and_feed_forward(cfg: ExperimentConfig, outputs: list,
 
 def _run_gate(cfg: ExperimentConfig) -> ResultRecord:
     p = cfg.params
-    setting = gates.HomodyneSetting(
-        p.get_angle("theta_in", required=True),
-        p.get_angle("theta_1", required=True),
-        _beta_0(p))
-    cluster = _cluster_from(p)
-    cov_in = _input_cov(p)
-    allow = p.get_bool("allow_unentangled", False)
+    setting = gates.HomodyneSetting(p["theta_in"], p["theta_1"], _beta_0(cfg))
+    cluster = _cluster(p)
+    cov_in = _input_cov(cfg)
 
     M = gates.gate_matrix(setting.theta_plus, setting.theta_minus)
     out = gates.run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,),
-                          allow_unentangled=allow)
+                          allow_unentangled=p["allow_unentangled"])
     engine_cov = gates.output_covariance(out, {0: cov_in})
     oracle_cov = gates.single_step_covariance_oracle(cov_in, cluster, setting)
     noise_cov = out.noise_covariance()
@@ -646,7 +678,7 @@ def _run_gate(cfg: ExperimentConfig) -> ResultRecord:
         Verdict("gate_determinant", det_err, GATE_DET_TOL, "<=", "GATE_DET_TOL"),
         Verdict("oracle_agreement", oracle_err, STEP_ORACLE_TOL, "<=", "STEP_ORACLE_TOL"),
     ]
-    if p.get_bool("sampling", False):
+    if p["sampling"]:
         [record.scalars["sampling"]], verdict = _sample_and_feed_forward(
             cfg, [out], {0: cov_in})
         record.verdicts.append(verdict)
@@ -655,30 +687,24 @@ def _run_gate(cfg: ExperimentConfig) -> ResultRecord:
 
 def _run_compose(cfg: ExperimentConfig) -> ResultRecord:
     p = cfg.params
-    beta0 = _beta_0(p)
-    cov_in = _input_cov(p)
-    cluster_1, cluster_2 = (
-        _cluster_from(p, s) if {f"y_variance_1{s}", f"y_variance_2{s}"} & p.keys()
-        else _cluster_from(p) for s in ("_step1", "_step2"))
-    allow = p.get_bool("allow_unentangled", False)
+    beta0 = _beta_0(cfg)
+    cov_in = _input_cov(cfg)
+    cluster_1, cluster_2 = (_cluster(p, s) for s in ("_step1", "_step2"))
 
     solver_residual = None
-    if "target" in p.keys():
-        target = p.get_matrix("target")
+    if p["target"] is not None:
         try:
-            solution = gates.solve_phases(target, beta_0=beta0)
+            solution = gates.solve_phases(p["target"], beta_0=beta0)
         except gates.PhaseSolveError as exc:
             raise ConfigError(f"[compose] {exc}") from None
         s1, s2 = solution.setting_1, solution.setting_2
         solver_residual = solution.residual
     else:
-        s1 = gates.HomodyneSetting(p.get_angle("theta_in_1", required=True),
-                                   p.get_angle("theta_1_1", required=True), beta0)
-        s2 = gates.HomodyneSetting(p.get_angle("theta_in_2", required=True),
-                                   p.get_angle("theta_1_2", required=True), beta0)
+        s1 = gates.HomodyneSetting(p["theta_in_1"], p["theta_1_1"], beta0)
+        s2 = gates.HomodyneSetting(p["theta_in_2"], p["theta_1_2"], beta0)
 
     out = gates.run_steps((x_quad(0), y_quad(0)), (cluster_1, cluster_2), (s1, s2),
-                          allow_unentangled=allow)
+                          allow_unentangled=p["allow_unentangled"])
     engine_cov = gates.output_covariance(out, {0: cov_in})
     mid = gates.single_step_covariance_oracle(cov_in, cluster_1, s1)
     oracle_cov = gates.single_step_covariance_oracle(mid, cluster_2, s2)
@@ -706,7 +732,7 @@ def _run_compose(cfg: ExperimentConfig) -> ResultRecord:
         record.verdicts.append(Verdict(
             "phase_solver_residual", solver_residual, PHASE_RESIDUAL_TOL, "<=",
             "PHASE_RESIDUAL_TOL"))
-    if p.get_bool("sampling", False):
+    if p["sampling"]:
         [record.scalars["sampling"]], verdict = _sample_and_feed_forward(
             cfg, [out], {0: cov_in})
         record.verdicts.append(verdict)
@@ -714,12 +740,11 @@ def _run_compose(cfg: ExperimentConfig) -> ResultRecord:
 
 
 def _run_cz(cfg: ExperimentConfig) -> ResultRecord:
-    p = cfg.params
-    if ("a" in p.keys()) != ("b" in p.keys()):
+    a, b = cfg.params["a"], cfg.params["b"]
+    if (a is None) != (b is None):
         raise ConfigError("[cz] provide both blocks a and b, or neither")
-    canonical = "a" not in p.keys()
-    coeffs = (gates.canonical_cz_coefficients() if canonical
-              else gates.TwoModeCoefficients(p.get_matrix("a"), p.get_matrix("b")))
+    canonical = a is None
+    coeffs = gates.canonical_cz_coefficients() if canonical else gates.TwoModeCoefficients(a, b)
     matrix = gates.cz_transform(coeffs)
     sympl_err = symplectic_residual(matrix)
     record = ResultRecord(
@@ -741,27 +766,17 @@ def _run_cz(cfg: ExperimentConfig) -> ResultRecord:
 
 def _run_pipeline(cfg: ExperimentConfig) -> ResultRecord:
     p = cfg.params
-    duration = p.get_float("duration", required=True)
-    gap = p.get_float("gap", required=True)
-    lanes = p.get_int("lanes", required=True)
-    if lanes < 1:
-        raise ConfigError("[pipeline] lanes must be at least 1")
-    ticks = p.get_int("ticks_per_gap", 100, bounded=True)
-    if ticks < 1:
-        raise ConfigError("[pipeline] ticks_per_gap must be at least 1")
-    beta0 = _beta_0(p)
-    allow = p.get_bool("allow_unentangled", False)
-
-    lane_angles = [p._read(f"settings_lane{lane}", _angle_pairs,
-                           "a list of 'theta_in, theta_1' pairs split by ';'", required=True)
-                   for lane in range(lanes)]
-    settings = [[gates.HomodyneSetting(theta_in, theta_1, beta0) for theta_in, theta_1 in pairs]
-                for pairs in lane_angles]
+    duration, gap, lanes, ticks = p["duration"], p["gap"], p["lanes"], p["ticks_per_gap"]
+    beta0 = _beta_0(cfg)
+    allow = p["allow_unentangled"]
+    settings = [[gates.HomodyneSetting(theta_in, theta_1, beta0)
+                 for theta_in, theta_1 in p[f"settings_lane{lane}"]] for lane in range(lanes)]
     steps = len(settings[0])
     if any(len(s) != steps for s in settings):
         raise ConfigError("[pipeline] all lanes need the same number of steps")
 
-    cluster = _cluster_from(p)
+    cluster = _cluster(p)
+    cov_in = _input_cov(cfg)
     clusters = [cluster] * (lanes * steps)
     inputs = [(x_quad(0), y_quad(0)) for _ in range(lanes)]
     try:
@@ -771,7 +786,6 @@ def _run_pipeline(cfg: ExperimentConfig) -> ResultRecord:
     except multiplex.LaneCollisionError as exc:
         raise ConfigError(f"[pipeline] {exc}") from None
 
-    cov_in = _input_cov(p)
     isolation = 0.0
     lane_rows = {"lane": [], "signal": [], "covariance": []}
     for lane, out in enumerate(result.outputs):
@@ -804,7 +818,7 @@ def _run_pipeline(cfg: ExperimentConfig) -> ResultRecord:
                 "lanes never share a beam-splitter event"),
         Verdict("lane_isolation", isolation, LANE_ISOLATION_TOL, "<=", "LANE_ISOLATION_TOL"),
     ]
-    if p.get_bool("sampling", False):
+    if p["sampling"]:
         _, verdict = _sample_and_feed_forward(cfg, result.outputs, {0: cov_in})
         record.verdicts.append(verdict)
     record.events = result.events
@@ -823,20 +837,11 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> ResultRecord:
-    """Run one experiment; deterministic for a fixed config and seed.
-
-    A key of the kind's section that the run never read, such as a
-    misspelt ``samplng`` or a ``settings_lane1`` beyond ``lanes = 1``, is a
-    config error: the run did not do what the section asks.
-    """
-    if cfg.kind not in _RUNNERS:
-        raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
-    record = _RUNNERS[cfg.kind](cfg)
-    unread = cfg.params.unread()
-    if unread:
-        raise ConfigError("; ".join(f"[{cfg.kind}] {key} is set but never read"
-                                    for key in unread))
-    return record
+    """Run one experiment on the values ``load_params`` checked;
+    deterministic for a fixed config and seed."""
+    if cfg.params.get("sampling") and cfg.seed is None:
+        raise ConfigError(f"[{cfg.kind}] sampling mode needs --seed")
+    return _RUNNERS[cfg.kind](cfg)
 
 
 def write_outputs(record: ResultRecord, cfg: ExperimentConfig) -> list:
@@ -855,9 +860,8 @@ def write_outputs(record: ResultRecord, cfg: ExperimentConfig) -> list:
         verdict_files[out / f"{record.kind}.csv"] = "\n".join(lines) + "\n"
     data_files = {out / f"{record.kind}_{name}.csv": record.series_csv(name)
                   for name in record.series}
-    events = getattr(record, "events", None)
-    if events:
-        data_files[out / "events.jsonl"] = multiplex.events_to_jsonl(events)
+    if record.events:
+        data_files[out / "events.jsonl"] = multiplex.events_to_jsonl(record.events)
     for path, text in (*data_files.items(), *verdict_files.items()):
         path.write_text(text)
     return [*verdict_files, *data_files]

@@ -302,6 +302,15 @@ class TestCompose:
         record = json.loads((tmp_path / "o" / "compose.json").read_text())
         assert record["inputs"]["y_variances"] == [[0.05, 0.1], [0.05, 0.05]]
 
+    def test_source_variances_fall_back_key_by_key(self, tmp_path):
+        # y_variance_<i>_step<s>, then y_variance_<i>, then y_variance, then 0.05
+        cfg = write_config(tmp_path, (
+            "[compose]\ntarget = 1, 0.5; 0, 1\ny_variance_1 = 0.03\n"
+            "y_variance_2_step1 = 0.1\n"))
+        assert main(["compose", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        record = json.loads((tmp_path / "o" / "compose.json").read_text())
+        assert record["inputs"]["y_variances"] == [[0.03, 0.1], [0.03, 0.05]]
+
 
 class TestOracleVerdictCanFail:
     """A wrong feed-forward gain in the oracle must fail the agreement verdict."""
@@ -349,6 +358,17 @@ class TestFeedForwardVerdictCanFail:
         cfg = write_config(tmp_path, self.BODIES[kind] + "sampling = true\n")
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"[{kind}] sampling mode needs --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(BODIES))
+    def test_seed_is_checked_before_any_compute(self, tmp_path, monkeypatch, capsys, kind):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("the engine ran before the seed was checked")
+
+        monkeypatch.setattr(gates, "run_steps", no_compute)
+        monkeypatch.setattr(multiplex, "simulate_pipeline", no_compute)
+        cfg = write_config(tmp_path, self.BODIES[kind] + "sampling = true\n")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: [{kind}] sampling mode needs --seed\n"
 
     @pytest.mark.parametrize("kind", sorted(BODIES))
     def test_leftover_offset_in_the_last_output_exits_1(self, tmp_path, monkeypatch,
@@ -569,9 +589,9 @@ class TestBadInputExitCode:
 
     @pytest.mark.parametrize("kind,text,message", [
         ("cz", "[cz]\na = 1, 0; 0\nb = 1, 0; 0, 1\n",
-         "[cz] a = '1, 0; 0' has rows of unequal length"),
+         "[cz] a = '1, 0; 0' is not a number matrix with rows of equal length"),
         ("compose", "[compose]\ntarget = 1, 0.5; 0\n",
-         "[compose] target = '1, 0.5; 0' has rows of unequal length"),
+         "[compose] target = '1, 0.5; 0' is not a number matrix with rows of equal length"),
         ("pipeline", "[pipeline]\nduration = 1e308\ngap = 1e308\nlanes = 1\n"
                      "settings_lane0 = 0.9, 0.35\n",
          "duration + gap = 1e+308 + 1e+308 is not finite"),
@@ -615,12 +635,39 @@ class TestBadInputExitCode:
          "[pipeline] settings_lane1 is set but never read"),
         ("compose", "[compose]\ntarget = 1, 0.5; 0, 1\ntheta_in_1 = 0.9\n",
          "[compose] theta_in_1 is set but never read"),
+        # a fallback whose every dependent key is set has no effect
+        ("gate", "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\ny_variance_1 = 0.05\n"
+                 "y_variance_2 = 0.05\ny_variance = 0.3\n",
+         "[gate] y_variance is set but never read"),
+        ("compose", "[compose]\ntarget = 1, 0.5; 0, 1\ny_variance = 0.3\n"
+                    "y_variance_1 = 0.05\ny_variance_2_step1 = 0.05\n"
+                    "y_variance_2_step2 = 0.05\n",
+         "[compose] y_variance is set but never read"),
+        # the section's own key, also when [DEFAULT] sets it too
+        ("gate", "[DEFAULT]\nsamplng = 1\n[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\n"
+                 "samplng = true\n",
+         "[gate] samplng is set but never read"),
+        # the lane keys are read one by one: a huge lane count stops at the
+        # first lane without settings
+        ("pipeline", "[pipeline]\nduration = 5\ngap = 1\nlanes = 1e16\n"
+                     "settings_lane0 = 0.9, 0.35\n",
+         "[pipeline] missing required key 'settings_lane1'"),
+        # single-key bounds, as rows of runner.KEYS
+        ("spectrum", "[spectrum]\nkappa = 0\n",
+         "[spectrum] kappa = '0' has a value that is not > 0"),
+        ("spectrum", "[spectrum]\nkappa = 1\npoints = 1e16\n",
+         "[spectrum] points = '1e16' has a value above 1e+06 in magnitude"),
+        ("delayed-check", "[delayed-check]\nkappa = 1\nduration = 5\ngap = 1\n"
+                          "multiples = 2, 0\n",
+         "[delayed-check] multiples = '2, 0' has a value that is not >= 1"),
     ], ids=["ragged-cz-block", "ragged-target", "period-overflow", "empty-target-entry",
             "non-number-cz-entry", "ragged-graph", "non-integer-graph-entry",
             "edgeless-graph", "one-node-graph", "asymmetric-graph", "unparsed-angle",
             "unparsed-lane-angle", "nan-target", "oversized-target", "fractional-multiple",
             "fractional-tick-count", "nan-lanes", "inf-k-value", "misspelt-keys",
-            "lane-beyond-lanes", "target-and-angles"])
+            "lane-beyond-lanes", "target-and-angles", "variance-beside-both-sources",
+            "variance-beside-every-step-source", "misspelt-key-also-in-default",
+            "lanes-beyond-the-settings", "kappa-not-positive", "points-above-sweep-bound", "multiple-below-one"])
     def test_message_names_the_inputs(self, tmp_path, capsys, kind, text, message):
         cfg = write_config(tmp_path, text)
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -632,6 +679,32 @@ class TestBadInputExitCode:
         cfg = write_config(tmp_path, "[DEFAULT]\nkappa = 1\nsamplng = true\n"
                                      "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\n")
         assert main(["gate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_section_keys_override_default_keys_the_kind_has(self, tmp_path):
+        # pins kept behaviour: [DEFAULT] fills what the section leaves unset
+        cfg = write_config(tmp_path, "[DEFAULT]\ny_variance = 0.07\ntheta_in = 0.2\n"
+                                     "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\n")
+        assert main(["gate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        record = json.loads((tmp_path / "o" / "gate.json").read_text())
+        assert record["inputs"]["theta_in"] == 0.9
+        assert record["inputs"]["y_variances"] == [0.07, 0.07]
+
+    def test_default_values_are_not_interpolated_into_a_section(self, tmp_path, capsys):
+        # [DEFAULT] parses as a section of its own
+        cfg = write_config(tmp_path, "[DEFAULT]\nv = 0.05\n[gate]\ntheta_in = 0.9\n"
+                                     "theta_1 = 0.35\ny_variance = %(v)s\n")
+        assert main(["gate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "is malformed" in capsys.readouterr().err
+
+    def test_keys_are_checked_before_any_compute(self, tmp_path, monkeypatch, capsys):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("the pipeline ran before its keys were checked")
+
+        monkeypatch.setattr(multiplex, "simulate_pipeline", no_compute)
+        cfg = write_config(tmp_path, TestPipeline.BODY + "samplng = true\n")
+        assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [pipeline] samplng is set but never read\n")
 
     @pytest.mark.parametrize("args,named", [
         (["--out", "taken/o"], "'taken/o'"),

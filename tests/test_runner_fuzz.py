@@ -20,6 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from cvmbqc import runner  # noqa: E402
 from cvmbqc.runner import main  # noqa: E402
 
 #: Numbers as they could appear in a config: edge values, non-finite
@@ -37,8 +38,13 @@ GRAPH = st.sampled_from(["0 1; 1 0", "0 1 0; 1 0 1; 0 1 0",
 BOOL = st.sampled_from(["true", "false"])
 
 
+#: kind -> every key its strategies draw
+DRAWN = {}
+
+
 def section(kind, keys, required=None):
     """Config text of one section: every key of ``required``, any subset of ``keys``."""
+    DRAWN.setdefault(kind, set()).update(keys, required or {})
     return st.fixed_dictionaries(required or {}, optional=keys).map(
         lambda drawn: f"[{kind}]\n" + "".join(f"{k} = {v}\n" for k, v in drawn.items()))
 
@@ -80,8 +86,9 @@ STEP_KEYS = {
     "excess_factor": mostly(["1", "10", "2.5"]),
     "input_cov": mostly(["0.25, 0, 0.25", "0.5, 0.1, 0.2", "1, -0.3, 0.5"], NUMBER_LIST),
     "allow_unentangled": BOOL, "sampling": BOOL,
+    "y_variance_1": VARIANCE, "y_variance_2": VARIANCE,
 }
-GATE = section("gate", {**STEP_KEYS, "y_variance_1": VARIANCE, "y_variance_2": VARIANCE},
+GATE = section("gate", STEP_KEYS,
                required={"theta_in": mostly(["0.9", "pi/2", "-0.4", "2.5"]),
                          "theta_1": mostly(["0.35", "0", "1.2"])})
 # compose either from four explicit angles or from a target the phase
@@ -107,12 +114,20 @@ LANE = mostly(["0.9, 0.35; 1.4, 0.6", "1.0, 0.3; 1.2, 0.5", "pi/2, 0; -0.4, 1.2"
                         st.lists(NUMBER, min_size=2, max_size=2).map(", ".join)))
 PIPELINE = section(
     "pipeline",
-    {**STEP_KEYS, "y_variance_1": VARIANCE, "y_variance_2": VARIANCE,
+    {**STEP_KEYS,
      "ticks_per_gap": mostly(["100", "1", "7", "1" + "0" * 60]),
      "settings_lane1": LANE, "settings_lane2": LANE},
     required={"duration": mostly(["5.0", "1", "2.5"]), "gap": mostly(["1.0", "0.5", "1"]),
               "lanes": mostly(["1", "2", "3"]), "settings_lane0": LANE})
 FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+def test_strategies_draw_exactly_the_keys_of_each_table():
+    # settings_lane<n> is drawn for the lanes 0..2 that ``lanes`` can name
+    for kind, rows in runner.KEYS.items():
+        expected = {name for key in rows for name in (
+            [key.replace("<n>", str(n)) for n in range(3)] if "<n>" in key else [key])}
+        assert DRAWN[kind] == expected, kind
 
 
 def run_cli(kind, text):
