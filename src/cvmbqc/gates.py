@@ -48,8 +48,11 @@ with every current replaced by its defining operator (current = 2 beta0
 quadrature); they carry no current columns and need no solve.  The output
 rows over the source quadratures and over the 2k currents come from the
 suffix products M_k ... M_{j+1} of the 2x2 gates, so a chain costs O(k).
-The output and photocurrent covariances are Q Sigma Q^T and R Sigma R^T,
-so sampling factors one 2k x 2k matrix.  The expression view ``exprs``
+The output covariance is Q Sigma Q^T.  Sampling draws the columns q
+themselves, the input pair through the 2x2 Cholesky factor of its block
+and each independent source quadrature through its standard deviation,
+and applies R, so the currents follow R Sigma R^T without that 2k x 2k
+matrix being formed.  The expression view ``exprs``
 is built from the arrays once per output.  The covariance oracle below
 conditions dense symplectic covariances instead and shares none of this
 code: one step builds the 6x6 joint covariance S J S^T of the input, the
@@ -95,10 +98,6 @@ DEFAULT_BETA_0 = 1e6
 
 #: Residual bound for the two-step phase solver.
 PHASE_RESIDUAL_TOL = 1e-6
-
-#: Entrywise tolerance, absolute and relative, of the positive-semidefinite
-#: check on the photocurrent covariance: numpy's ``multivariate_normal`` default.
-PSD_TOL = 1e-8
 
 #: The vacuum covariance block of an input mode with no block given.
 _VACUUM_BLOCK = VACUUM_VARIANCE * np.eye(2)
@@ -264,14 +263,18 @@ class GateOutput:
         variances.setflags(write=False)
         return variances
 
-    def column_cov(self, input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Covariance of the quadrature columns: the input mode's block
-        (vacuum when none is given) and the uncorrelated cluster sources."""
+    def _input_block(self, input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
+        """The input mode's 2x2 covariance block, vacuum when none is given."""
         block = np.asarray(input_blocks.get(self.input_mode, _VACUUM_BLOCK), dtype=float)
         if block.shape != (2, 2):
             raise ValueError("the input covariance block must be 2x2")
+        return block
+
+    def column_cov(self, input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Covariance of the quadrature columns: the input mode's block
+        (vacuum when none is given) and the uncorrelated cluster sources."""
         cov = np.diag(self._column_variances)
-        cov[:2, :2] = block
+        cov[:2, :2] = self._input_block(input_blocks)
         return cov
 
     def noise_covariance(self) -> np.ndarray:
@@ -445,51 +448,34 @@ def feed_forward(output: GateOutput, currents: Mapping[str, float] | None = None
     return corrected
 
 
-def _svd_draw(mean: np.ndarray, sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw of N(mean, sigma) by the operations of numpy's
-    ``Generator.multivariate_normal`` with ``method="svd"`` and
-    ``check_valid="raise"``, in its order.
-
-    One standard normal x per entry, the SVD u s vh of ``sigma``, the check
-    that (vh^T s) vh matches ``sigma`` entrywise within
-    ``PSD_TOL + PSD_TOL * |entry|``, and mean + x (u sqrt(s))^T.  So a seed
-    draws what numpy's sampler draws, bit for bit, and a covariance it
-    rejects raises its error: ``ValueError`` on a failed check, ``LinAlgError``
-    on an SVD that does not converge.  Left out are the sampler's input
-    copies and its generic ``np.allclose``.
-    """
-    x = rng.standard_normal(mean.size)
-    u, s, vh = np.linalg.svd(sigma)
-    if not (np.abs((vh.T * s) @ vh - sigma) <= PSD_TOL + PSD_TOL * np.abs(sigma)).all():
-        raise ValueError("covariance is not symmetric positive-semidefinite.")
-    return mean + x @ (u * np.sqrt(s)).T
-
-
 def sample_currents(output: GateOutput, input_blocks: Mapping[int, np.ndarray],
                     rng: np.random.Generator) -> dict:
     """Draw photocurrent records from their joint Gaussian law.
 
-    The measured quadratures have mean r0 and covariance R Sigma R^T over
-    the measured rows R; currents are scaled by 2 beta0.  The draw factors
-    that covariance by one SVD, as numpy's ``multivariate_normal`` does with
-    ``method="svd"``, and applies its positive-semidefinite check
-    (:func:`_svd_draw`), so a seed gives numpy's records bit for bit.  The
-    check's absolute tolerance ``PSD_TOL`` fails variances far from unit
-    scale (in a two-step chain, source variances of 1e8 or 1e-9); a failed
-    check, or an SVD that does not converge, raises ValueError rather than
-    sampling.
+    The measured quadratures are R q + r0 over the quadrature columns q,
+    which are independent apart from the input pair.  So one draw takes
+    2 + 4k standard normals z and sets q to L z over the input pair, L the
+    Cholesky factor of its block, and to the source standard deviations
+    times z over the rest; R q + r0 then has covariance R Sigma R^T by
+    construction.  Currents are 2 beta0 times the measured quadratures.
+    An input block that is not finite, symmetric and positive definite
+    raises ValueError.
     """
-    R = output.measured_rows
-    sigma = R @ output.column_cov(input_blocks) @ R.T
+    block = output._input_block(input_blocks)
     try:
-        draws = _svd_draw(output.measured_offset, sigma, rng)
-    except ValueError:  # LinAlgError is one
-        raise ValueError(
-            "cannot sample the photocurrents: their covariance, with variances "
-            f"up to {float(np.max(np.diag(sigma))):.3g}, fails numpy's "
-            "positive-semidefinite check") from None
+        L = np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        L = None
+    # cholesky reads the lower triangle only, and passes NaN and inf through
+    if L is None or block[0, 1] != block[1, 0] or not np.isfinite(L).all():
+        raise ValueError(f"the input covariance block {block.tolist()} is not a finite, "
+                         "symmetric positive-definite matrix")
+    variances = output._column_variances
+    z = rng.standard_normal(variances.size)
+    q = np.concatenate([L @ z[:2], np.sqrt(variances[2:]) * z[2:]])
+    measured = output.measured_offset + output.measured_rows @ q
     two_beta = 2.0 * np.repeat([s.beta_0 for s in output.settings], 2)
-    return dict(zip(output.current_names, (two_beta * draws).tolist()))
+    return dict(zip(output.current_names, (two_beta * measured).tolist()))
 
 
 # ---------------------------------------------------------------------------

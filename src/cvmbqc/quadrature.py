@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,19 +123,6 @@ class LinearQuadratureExpr:
 
     def __hash__(self):
         return hash(self.canonical())
-
-    # -- classical bookkeeping -------------------------------------------
-
-    def substitute(self, values: Mapping[str, float]) -> "LinearQuadratureExpr":
-        """Replace classical symbols by numeric values, folding into the offset."""
-        offset = self.offset
-        symbols = {}
-        for name, c in self.symbols.items():
-            if name in values:
-                offset += c * float(values[name])
-            else:
-                symbols[name] = c
-        return LinearQuadratureExpr(self.coeffs, symbols, offset)
 
     def __repr__(self):
         parts = [f"{c:+g}*{_label(col)}" for col, c in sorted(self.coeffs.items())]

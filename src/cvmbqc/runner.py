@@ -637,8 +637,8 @@ def _sample_and_feed_forward(cfg: ExperimentConfig, outputs: list,
         leftover += [t for e in corrected.exprs for t in (e.offset, *e.symbols.values())]
         blocks.append({
             "currents": {k: _round12(v) for k, v in sorted(currents.items())},
-            "feed_forward_shifts": [_round12(e.substitute(currents).offset)
-                                    for e in out.exprs],
+            "feed_forward_shifts": [_round12(v) for v in (
+                out.offset + out.classical @ [currents[n] for n in out.current_names])],
             "corrected_offsets": [e.offset for e in corrected.exprs],
             "corrected_symbol_count": [len(e.symbols) for e in corrected.exprs],
         })

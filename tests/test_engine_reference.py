@@ -4,21 +4,22 @@ The references below are the earlier code, kept verbatim: ``run_steps``
 with its per-step ``gate_matrix`` calls, the input parse through
 ``x_quad``/``y_quad``, the expression view built by filtering through the
 public ``LinearQuadratureExpr`` constructor, ``feed_forward`` through
-``dataclasses.replace``, ``sample_currents`` through numpy's
-``multivariate_normal``, the column covariances read from
+``dataclasses.replace``, the column covariances read from
 ``source_variances``, and the pipeline's event log built as frozen
 ``PipelineEvent`` dataclasses and sorted by key.  The one change to them
 is the unentangled screen of ``reference_run_steps``, which applies
 ``VLF_GUARDED_BOUND`` as the engine's does.  The engine now evaluates
 each step in Python floats, builds its arrays once per call (placing the
 measured rows by flat index) and the expressions from clean dicts, copies
-an output's fields to feed forward, draws through its own SVD factor, and
-the pipeline sorts plain tuples into named tuples; the float operations
-that fix an output bit are the same, so every array and draw must be equal
-with equal signbits, every expression, name and log byte the same, and
-every error must keep its type and message.
-The draw is also held against numpy's sampler itself, so a numpy release
-that changes that sampler fails here rather than moving sampled records.
+an output's fields to feed forward, and the pipeline sorts plain tuples
+into named tuples; the float operations that fix an output bit are the
+same, so every array must be equal with equal signbits, every expression,
+name and log byte the same, and every error must keep its type and
+message.
+
+The photocurrent draw is held to its definition instead: the currents are
+2 beta0 (r0 + R q), with q built from the generator's own 2 + 4k standard
+normals through the reference column covariance.
 """
 
 import json
@@ -36,7 +37,6 @@ from cvmbqc.gates import (
     GateOutput,
     HomodyneSetting,
     TwoNodeCluster,
-    _svd_draw,
     feed_forward,
     gate_matrix,
     output_covariance,
@@ -153,21 +153,6 @@ def reference_feed_forward(output, currents=None):
                    offset=np.zeros(2), exprs=cleaned)
 
 
-def reference_sample_currents(output, input_blocks, rng):
-    R = output.measured_rows
-    sigma = R @ reference_column_cov(output, input_blocks) @ R.T
-    try:
-        draws = rng.multivariate_normal(output.measured_offset, sigma, method="svd",
-                                        check_valid="raise")
-    except ValueError:
-        raise ValueError(
-            "cannot sample the photocurrents: their covariance, with variances "
-            f"up to {float(np.max(np.diag(sigma))):.3g}, fails numpy's "
-            "positive-semidefinite check") from None
-    two_beta = 2.0 * np.repeat([s.beta_0 for s in output.settings], 2)
-    return dict(zip(output.current_names, (two_beta * draws).tolist()))
-
-
 def reference_source_variances(output):
     return np.array([v for c in output.clusters
                      for v in (c.x_variances[0], c.y_variances[0],
@@ -280,17 +265,6 @@ def assert_outputs_equal(got, expected):
     assert got.input_mode == expected.input_mode
     assert type(got.input_mode) is type(expected.input_mode)
     assert got.settings == expected.settings and got.clusters == expected.clusters
-
-
-def assert_draws_equal(got, expected):
-    """Two ``outcome`` results of a sampler: the same error, or the same
-    currents in the same order with equal bits."""
-    assert got[0] == expected[0] and got[-1] == expected[-1]
-    if expected[0] == "raised":
-        assert got == expected
-        return
-    assert list(got[1]) == list(expected[1])
-    assert_bits_equal(list(got[1].values()), list(expected[1].values()))
 
 
 #: Phases that put exact zeros (of either sign) into the trig rows.
@@ -482,87 +456,38 @@ class TestEngineBitIdentical:
 
 
 # ---------------------------------------------------------------------------
-# The photocurrent draw against numpy's sampler
+# The photocurrent draw
 # ---------------------------------------------------------------------------
 
-def random_covariance(rng, n):
-    """A PSD n x n covariance at a scale of 1e-3..1e3, and its rank: full
-    rank, or of rank 1..n-1 (exact zero eigenvalues, which rounding leaves as
-    tiny ones of either sign), or banded as the measured rows of a chain
-    make it."""
-    scale = 10.0 ** rng.uniform(-3.0, 3.0)
-    kind = rng.integers(0, 3)
-    rank = int(rng.integers(1, n)) if kind == 1 else n
-    if kind == 2:
-        a = np.triu(np.tril(rng.normal(size=(n, n)), 2), -2)
-    else:
-        a = rng.normal(size=(n, rank))
-    return scale * (a @ a.T), rank
+def reference_draw(output, input_blocks, z):
+    """2 beta0 (r0 + R q) with q the input block's Cholesky factor times
+    z[:2] and the source standard deviations times z[2:]."""
+    cov = reference_column_cov(output, input_blocks)
+    q = np.concatenate([np.linalg.cholesky(cov[:2, :2]) @ z[:2],
+                        np.sqrt(np.diag(cov)[2:]) * z[2:]])
+    measured = output.measured_offset + output.measured_rows @ q
+    return 2.0 * np.repeat([s.beta_0 for s in output.settings], 2) * measured
 
 
-class TestSamplerMatchesNumpy:
-    @staticmethod
-    def both(mean, sigma, seed):
-        """The draw and numpy's, each as an ``outcome`` with the generator
-        state left behind, from the same seed."""
-        results = []
-        for draw in (_svd_draw, lambda m, c, g: g.multivariate_normal(
-                m, c, method="svd", check_valid="raise")):
-            gen = np.random.default_rng(seed)
-            results.append((outcome(draw, mean, sigma, gen), gen.bit_generator.state))
-        return results
-
+class TestDrawFromSources:
     @pytest.mark.parametrize("seed", range(3))
-    def test_random_covariances(self, seed):
-        rng = np.random.default_rng([19, seed])
-        deficient = 0
-        for n in range(2, 101):
-            sigma, rank = random_covariance(rng, n)
-            deficient += rank < n
-            mean = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
-            (got, got_state), (expected, expected_state) = self.both(
-                mean, sigma, int(rng.integers(2 ** 32)))
-            assert expected[0] == "ok"
-            assert got[0] == "ok" and got[2] == expected[2]
-            assert_bits_equal(got[1], expected[1])
-            assert got_state == expected_state
-        assert deficient >= 10  # the rank-deficient covariances are drawn
-
-    @pytest.mark.parametrize("sigma", [
-        np.array([[1.0, 2.0], [2.0, 1.0]]),                  # indefinite
-        np.array([[1.0, 0.5], [-0.5, 1.0]]),                 # not symmetric
-        np.diag([1.0, -1e-7]),                               # slightly negative
-        np.array([[np.nan, 0.0], [0.0, 1.0]]),               # SVD does not converge
-        np.array([[np.inf, 0.0], [0.0, 1.0]]),
-    ], ids=["indefinite", "asymmetric", "negative", "nan", "inf"])
-    def test_rejected_covariances_raise_numpy_error(self, sigma):
-        (got, got_state), (expected, expected_state) = self.both(np.zeros(2), sigma, 4)
-        assert expected[0] == "raised"
-        assert got == expected and got_state == expected_state
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_random_chains_sample_as_before(self, seed):
-        rng = np.random.default_rng([20, seed])
+    def test_random_chains_draw_r_q_plus_r0(self, seed):
+        rng = np.random.default_rng([22, seed])
         for _ in range(50):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 out = run_steps(*random_chain(rng), allow_unentangled=True)
             draw_seed = int(rng.integers(2 ** 32))
             for input_blocks in ({out.input_mode: np.array([[0.7, 0.1], [0.1, 0.4]])}, {}):
-                assert_draws_equal(
-                    outcome(sample_currents, out, input_blocks,
-                            np.random.default_rng(draw_seed)),
-                    outcome(reference_sample_currents, out, input_blocks,
-                            np.random.default_rng(draw_seed)))
-
-    def test_sampling_error_names_the_variances(self):
-        # source variances far below unit scale fail the absolute tolerance
-        tight = TwoNodeCluster.from_y_variances(1e-12, 1e-12)
-        out = run_steps((x_quad(0), y_quad(0)), (tight, tight),
-                        (HomodyneSetting(0.9, 0.2), HomodyneSetting(0.4, 1.1)))
-        expected = outcome(reference_sample_currents, out, {}, np.random.default_rng(3))
-        assert expected[0] == "raised"
-        assert outcome(sample_currents, out, {}, np.random.default_rng(3)) == expected
+                gen = np.random.default_rng(draw_seed)
+                currents = sample_currents(out, input_blocks, gen)
+                # the draw takes exactly 2 + 4k normals from the generator
+                twin = np.random.default_rng(draw_seed)
+                z = twin.standard_normal(2 + 2 * len(out.current_names))
+                assert gen.bit_generator.state == twin.bit_generator.state
+                assert list(currents) == list(out.current_names)
+                assert_bits_equal(list(currents.values()),
+                                  reference_draw(out, input_blocks, z))
 
 
 # ---------------------------------------------------------------------------

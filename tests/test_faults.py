@@ -23,6 +23,13 @@ COMPOSE = ("compose", "[compose]\ntarget = 1, 0.5; 0, 1\ny_variance = 0.05\nsamp
 PIPELINE = ("pipeline", "[pipeline]\nduration = 5.0\ngap = 1.0\nlanes = 2\ny_variance = 0.05\n"
                         "settings_lane0 = 0.9, 0.35; 1.4, 0.6\n"
                         "settings_lane1 = 1.0, 0.3; 1.2, 0.5\nsampling = true\n")
+# the two nodes of each cluster differ, so a fault that trades one source
+# mode for another changes the noise
+GATE_NODES = ("gate", "[gate]\ntheta_in = 0.9\ntheta_1 = 0.2\ny_variance_1 = 0.03\n"
+                      "y_variance_2 = 0.08\nsampling = true\n")
+COMPOSE_NODES = ("compose", "[compose]\ntheta_in_1 = 0.9\ntheta_1_1 = 0.2\n"
+                            "theta_in_2 = 1.4\ntheta_1_2 = 0.6\ny_variance_1 = 0.03\n"
+                            "y_variance_2 = 0.08\nsampling = true\n")
 CHAIN3 = ("cluster-check", "[cluster-check]\ngraph = 0 1 0; 1 0 1; 0 1 0\n"
                            "y_variance = 0.01, 0.1\n")
 # blocks whose sandwich misses CZ_MATRIX by 2.0 yet is symplectic
@@ -88,6 +95,70 @@ def halved_source_variances(monkeypatch):
     monkeypatch.setattr(gates.GateOutput, "_column_variances", property(halved))
 
 
+def transposed_gate(monkeypatch):
+    """_gate_entries returns M with m01 and m10 swapped, that is M^T."""
+    real = gates._gate_entries
+
+    def transposed(theta_plus, theta_minus):
+        s, m00, m01, m10, m11 = real(theta_plus, theta_minus)
+        return s, m00, m10, m01, m11
+
+    monkeypatch.setattr(gates, "_gate_entries", transposed)
+
+
+def shifted_source_modes(monkeypatch):
+    """The column covariance gives each source mode the variances of the
+    next one (the last takes the first's): source modes off by one."""
+    real = gates.GateOutput._column_variances.func
+
+    def shifted(self):
+        variances = real(self).copy()
+        variances[2:] = np.roll(variances[2:], -2)
+        return variances
+
+    monkeypatch.setattr(gates.GateOutput, "_column_variances", property(shifted))
+
+
+def swapped_lane_clusters(monkeypatch):
+    """The pipeline runs lanes 0 and 1 each on the other's clusters."""
+    real = multiplex.simulate_pipeline
+
+    def swapped(duration, gap, inputs, clusters, settings, **kwargs):
+        clusters = list(clusters)
+        for step in range(len(settings[0])):
+            a, b = (multiplex.lane_slot(lane, step, len(inputs)) for lane in (0, 1))
+            clusters[a], clusters[b] = clusters[b], clusters[a]
+        return real(duration, gap, inputs, clusters, settings, **kwargs)
+
+    monkeypatch.setattr(multiplex, "simulate_pipeline", swapped)
+
+
+def overlapping_switch(monkeypatch):
+    """The switch program opens lane 1's inject window in lane 0's slot."""
+    real = multiplex._switch_slots
+
+    def overlapping(n_lanes, steps):
+        return [(0 if (lane, action) == (1, "inject") else slot, lane, action)
+                for slot, lane, action in real(n_lanes, steps)]
+
+    monkeypatch.setattr(multiplex, "_switch_slots", overlapping)
+
+
+def swapped_sampled_variances(monkeypatch):
+    """sample_currents draws every source quadrature with the variance of
+    its partner: x with the y variance and y with the x variance."""
+    real = gates.sample_currents
+
+    def swapped(output, blocks, rng):
+        variances = output._column_variances.copy()
+        variances[2:] = variances[2:].reshape(-1, 2)[:, ::-1].ravel()
+        twin = object.__new__(gates.GateOutput)
+        twin.__dict__.update(output.__dict__, _column_variances=variances)
+        return real(twin, blocks, rng)
+
+    monkeypatch.setattr(gates, "sample_currents", swapped)
+
+
 def survivor(item):
     return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"ROADMAP item {item}")
 
@@ -98,11 +169,23 @@ FAULTS = [
     # the pipeline compares each lane with a rerun of the same engine only
     pytest.param(halved_source_variances, [PIPELINE], id="halved-source-variances-pipeline",
                  marks=survivor(6)),
+    pytest.param(transposed_gate, [GATE, COMPOSE_NODES], id="transposed-gate-matrix"),
+    pytest.param(shifted_source_modes, [GATE_NODES, COMPOSE_NODES],
+                 id="off-by-one-source-mode"),
     pytest.param(vacuum_clusters, [CHAIN3], id="a-vacuum-cluster", marks=survivor(3)),
     pytest.param(swapped_phases, [GATE], id="b-swapped-phases", marks=survivor(4)),
     pytest.param(zero_currents, [GATE, PIPELINE], id="c-zero-currents", marks=survivor(4)),
     pytest.param(short_loop_delay, [PIPELINE], id="d-short-loop-delay", marks=survivor(6)),
     pytest.param(None, [WRONG_CZ], id="e-wrong-cz-blocks", marks=survivor(5)),
+    # the runner passes one cluster to every slot, so a swap changes nothing
+    pytest.param(swapped_lane_clusters, [PIPELINE], id="swapped-lane-clusters",
+                 marks=survivor(6)),
+    # no verdict reads the switch events of the log
+    pytest.param(overlapping_switch, [PIPELINE], id="overlapping-switch-interval",
+                 marks=survivor(6)),
+    # no verdict reads the values of the currents
+    pytest.param(swapped_sampled_variances, [GATE, COMPOSE, PIPELINE],
+                 id="swapped-sampled-variances", marks=survivor(4)),
 ]
 
 

@@ -855,21 +855,55 @@ class TestSampling:
         assert a != c
 
     def test_sample_mean_within_standard_error(self):
-        # 10^4 draws of each current: sample mean within 4 sigma / 100
-        cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
-        setting = HomodyneSetting(0.9, 0.2, beta_0=1.0)
-        out = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
-        blocks = {0: np.diag([0.25, 0.25])}
+        # 10^4 draws of a 1-step and a 3-step chain over a correlated input
+        # block, on a fixed seed: each measured quadrature's sample mean lies
+        # within 4 standard errors of r0 = 0, and each entry of the sample
+        # covariance within 5 standard errors sqrt((s_ii s_jj + s_ij^2) / n)
+        # of R Sigma R^T
+        n = 10_000
+        blocks = {0: np.array([[0.5, 0.2], [0.2, 0.3]])}
         rng = np.random.default_rng(11)
-        draws = {name: [] for name in out.current_names}
-        for _ in range(10_000):
-            for name, val in sample_currents(out, blocks, rng).items():
-                draws[name].append(val)
-        R = out.measured_rows
-        cov = R @ out.column_cov(blocks) @ R.T
-        for i, name in enumerate(out.current_names):
-            sigma = 2.0 * setting.beta_0 * math.sqrt(cov[i, i])
-            assert abs(np.mean(draws[name])) < 4.0 * sigma / 100.0
+        for k in (1, 3):
+            clusters = [TwoNodeCluster.from_y_variances(0.05 + 0.01 * j, 0.08, 3.0)
+                        for j in range(k)]
+            settings = [HomodyneSetting(0.9 + 0.3 * j, 0.2 - 0.4 * j, beta_0=0.5)
+                        for j in range(k)]
+            out = run_steps((x_quad(0), y_quad(0)), clusters, settings)
+            # beta_0 = 0.5 makes each current its measured quadrature
+            draws = np.array([list(sample_currents(out, blocks, rng).values())
+                              for _ in range(n)])
+            R = out.measured_rows
+            sigma = R @ out.column_cov(blocks) @ R.T
+            var = np.diag(sigma)
+            assert (np.abs(draws.mean(axis=0)) < 4.0 * np.sqrt(var / n)).all()
+            bound = 5.0 * np.sqrt((np.outer(var, var) + sigma ** 2) / n)
+            assert (np.abs(np.cov(draws, rowvar=False) - sigma) <= bound).all()
+
+    @pytest.mark.parametrize("y_variance", [1e-9, 1e-12])
+    def test_two_step_chain_far_from_unit_scale_samples(self, y_variance):
+        # x variances of 6.25e8 and more beside these y variances once failed
+        # an absolute positive-semidefinite tolerance on R Sigma R^T
+        cluster = TwoNodeCluster.from_y_variances(y_variance, y_variance, 10.0)
+        out = run_steps((x_quad(0), y_quad(0)), (cluster, cluster),
+                        (HomodyneSetting(0.9, 0.2), HomodyneSetting(1.4, 0.6)))
+        currents = sample_currents(out, {}, np.random.default_rng(3))
+        assert list(currents) == list(out.current_names)
+        assert all(math.isfinite(v) for v in currents.values())
+
+    @pytest.mark.parametrize("block", [
+        [[1.0, 2.0], [2.0, 1.0]],
+        [[1.0, 0.5], [-0.5, 1.0]],
+        [[1.0, 0.0], [0.0, -1e-7]],
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+    ], ids=["indefinite", "asymmetric", "negative", "singular", "nan", "inf"])
+    def test_input_block_that_is_no_covariance_raises(self, block):
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
+        out = run_steps((x_quad(0), y_quad(0)), (cluster,), (HomodyneSetting(0.9, 0.2),))
+        with pytest.raises(ValueError, match="the input covariance block .* is not a finite, "
+                                             "symmetric positive-definite matrix"):
+            sample_currents(out, {0: np.array(block)}, np.random.default_rng(0))
 
     def test_feed_forward_after_sampling(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)

@@ -137,12 +137,6 @@ class TestExprAlgebra:
         zero = e - e
         assert not zero.coeffs and zero.offset == 0.0
 
-    def test_symbol_bookkeeping(self):
-        e = x_quad(0) + LinearQuadratureExpr(symbols={"i": 0.5}, offset=1.0)
-        sub = e.substitute({"i": 4.0})
-        assert sub.offset == 3.0 and not sub.symbols
-        assert sub.coeffs == x_quad(0).coeffs
-
     def test_vacuum_variance(self):
         cov = expr_covariance([x_quad(0)], VACUUM_VARIANCE * np.eye(2))
         assert cov[0, 0] == pytest.approx(0.25, abs=1e-15)

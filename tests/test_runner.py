@@ -252,6 +252,20 @@ class TestGate:
         main(["gate", "--config", cfg, "--out", str(tmp_path / "c"), "--seed", "8"])
         assert (tmp_path / "c" / "gate.json").read_bytes() != first
 
+    def test_sampled_currents_are_pinned(self, tmp_path):
+        # the draw itself, on a correlated input block: a change to it moves
+        # these numbers, and must say so
+        cfg = write_config(tmp_path, (
+            "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\ny_variance = 0.05\n"
+            "input_cov = 0.5, 0.1, 0.3\nsampling = true\n"))
+        assert main(["gate", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", "7"]) == 0
+        sampling = json.loads((tmp_path / "o" / "gate.json").read_text())["scalars"]["sampling"]
+        assert sampling["currents"] == pytest.approx(
+            {"i_1": -557935.255378, "i_in": 186814.808471}, rel=1e-12)
+        assert sampling["feed_forward_shifts"] == pytest.approx(
+            [0.706592193055, -0.677908467635], rel=1e-12)
+
     def test_screen_applies_the_guarded_two_node_bound(self, tmp_path, capsys):
         # nullifier sum 0.4999999999998: below 1/2 but within VLF_GUARD of it,
         # so cluster-check's entangled verdict fails at this variance
@@ -393,6 +407,32 @@ class TestFeedForwardVerdictCanFail:
         record = json.loads((tmp_path / "bad" / f"{kind}.json").read_text())
         verdicts = {v["name"]: v for v in record["verdicts"]}
         assert verdicts["feed_forward_offsets_zero"]["value"] == 2e-3
+
+
+class TestSamplingChangesOnlyItsOwnFields:
+    """Sampling adds the ``sampling`` block and the feed-forward verdict to a
+    record, and changes nothing else in it."""
+
+    @staticmethod
+    def run(tmp_path, kind, sampling):
+        """The record of one run, and the bytes of every other file it writes."""
+        out = tmp_path / sampling
+        cfg = write_config(tmp_path, TestFeedForwardVerdictCanFail.BODIES[kind]
+                           + f"sampling = {sampling}\n")
+        assert main([kind, "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        return json.loads(files.pop(f"{kind}.json")), files
+
+    @pytest.mark.parametrize("kind", sorted(TestFeedForwardVerdictCanFail.BODIES))
+    def test_record_equals_the_unsampled_one(self, tmp_path, kind):
+        unsampled, unsampled_files = self.run(tmp_path, kind, "false")
+        sampled, sampled_files = self.run(tmp_path, kind, "true")
+        assert sampled_files == unsampled_files
+        # a pipeline judges its samples without recording them
+        assert ("sampling" in sampled["scalars"]) == (kind != "pipeline")
+        sampled["scalars"].pop("sampling", None)
+        assert sampled["verdicts"].pop()["name"] == "feed_forward_offsets_zero"
+        assert sampled == unsampled
 
 
 class TestVerdict:
@@ -723,7 +763,8 @@ class TestBadInputExitCode:
 
 class TestNumericEdgesExitCode:
     """Valid but huge or tiny numbers that once reached numpy unchecked:
-    each exits 2 with a config error line and no numpy RuntimeWarning."""
+    each exits 2 with a config error line and no numpy RuntimeWarning, or
+    runs to its verdicts."""
 
     @pytest.mark.parametrize("text", [
         "kappa = 1e200\n",
@@ -766,32 +807,43 @@ class TestNumericEdgesExitCode:
         [line] = proc.stderr.splitlines()
         assert line.startswith("config error: [delayed-check] ")
 
-    @pytest.mark.parametrize("kind,text,message", [
-        # a source variance near 1e16 (or an x variance near 1e12) fails the
-        # sampler's positive-semidefinite check
+    @pytest.mark.parametrize("kind,text,code,message", [
+        # source variances near 1e16, or of 1e-12 beside x variances of
+        # 6.25e11: these sample, and only the absolute STEP_ORACLE_TOL fails
+        # (ROADMAP item 8)
         ("compose", "[compose]\ntarget = 1, 0.5; 0, 1\nsampling = true\n"
                     "allow_unentangled = true\ny_variance_1_step1 = 4.8e16\n",
-         "cannot sample the photocurrents"),
+         1, "oracle_agreement"),
         ("compose", "[compose]\ntarget = 1, 0.5; 0, 1\nsampling = true\n"
-                    "y_variance = 1e-12\n", "cannot sample the photocurrents"),
+                    "y_variance = 1e-12\n", 1, "oracle_agreement"),
         # overflowed in the output covariance
         ("gate", "[gate]\ntheta_in = 0.9\ntheta_1 = 0.35\n"
-                 "input_cov = 4.6e-209, 8.5e48, 1e308\n", "MAX_CONFIG_ENTRY"),
+                 "input_cov = 4.6e-209, 8.5e48, 1e308\n", 2, "MAX_CONFIG_ENTRY"),
         ("compose", "[compose]\ntarget = 1, 0.5; 0, 1\n"
-                    "input_cov = 4.6e-209, 8.5e48, 1e308\n", "MAX_CONFIG_ENTRY"),
+                    "input_cov = 4.6e-209, 8.5e48, 1e308\n", 2, "MAX_CONFIG_ENTRY"),
         # overflowed in the determinant
-        ("compose", "[compose]\ntarget = 1e160, 1e160; 1e160, 1e160\n", "MAX_CONFIG_ENTRY"),
-        ("compose", "[compose]\ntarget = 1e160, 0; 0, 1e-160\n", "MAX_CONFIG_ENTRY"),
+        ("compose", "[compose]\ntarget = 1e160, 1e160; 1e160, 1e160\n", 2,
+         "MAX_CONFIG_ENTRY"),
+        ("compose", "[compose]\ntarget = 1e160, 0; 0, 1e-160\n", 2, "MAX_CONFIG_ENTRY"),
     ], ids=["sampling-source-1e16", "sampling-source-1e-12", "gate-input-cov-1e308",
             "compose-input-cov-1e308", "target-1e160", "target-diag-1e160"])
-    def test_engine_kinds(self, tmp_path, kind, text, message):
+    def test_engine_kinds(self, tmp_path, kind, text, code, message):
+        """Exit 2 names ``message`` in the one config error line; exit 1
+        fails the one verdict ``message`` and records finite currents."""
         cfg = write_config(tmp_path, text)
         proc = run_python(["-W", "error::RuntimeWarning", "-m", "cvmbqc", kind,
                            "--config", cfg, "--out", "o", "--seed", "3"], tmp_path)
-        assert proc.returncode == 2, proc.stderr
+        assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if line.startswith("config error: ")]
-        assert len(errors) == 1 and message in errors[0]
+        if code == 2:
+            assert len(errors) == 1 and message in errors[0]
+            return
+        assert not errors
+        record = json.loads((tmp_path / "o" / f"{kind}.json").read_text())
+        assert [v["name"] for v in record["verdicts"] if not v["passed"]] == [message]
+        currents = record["scalars"]["sampling"]["currents"]
+        assert len(currents) == 4 and all(map(math.isfinite, currents.values()))
 
 
 class TestColdPath:

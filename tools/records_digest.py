@@ -12,9 +12,11 @@ swept over several source variances, a 3-node chain swept over 0.01 and
 inseparability bound (exit 1), and ``pipeline`` on the sampled shapes of
 ``PIPELINES``: 1 lane of 1 step, 3 lanes of 3 steps, 2 lanes of 4 steps
 on a finer tick grid, and 16 lanes of 4 steps, the shape of the benchmark's
-``pipeline-wide`` ops.  Prints one line per run: seed, graph or pipeline
-shape, kind, exit code, the sha256 of stdout and of stderr, then the relative path and
-sha256 of every file written.  The cvmbqc on the path is the one digested,
+``pipeline-wide`` ops.  Then runs ``gate`` and ``compose`` unsampled on
+the configs of ``UNSAMPLED``, whose lines a change to the photocurrent
+draw must leave alone.  Prints one line per run: seed, graph, pipeline
+shape or unsampled config, kind, exit code, the sha256 of stdout and of
+stderr, then the relative path and sha256 of every file written.  The cvmbqc on the path is the one digested,
 so two checkouts compare with ``diff``:
 
     PYTHONPATH=src python tools/records_digest.py > change.txt
@@ -77,6 +79,17 @@ PIPELINES = {
 #: ``--seed`` of the ``PIPELINES`` runs.
 PIPELINE_SEED = 7
 
+#: unsampled engine runs: name -> (kind, config body).
+UNSAMPLED = {
+    "gate-angles": ("gate", "theta_in = 0.9\ntheta_1 = 0.35\n"),
+    "gate-input": ("gate", "theta_in = -1.2\ntheta_1 = 0.4\ny_variance = 0.02\n"
+                           "input_cov = 0.5, 0.1, 0.3\n"),
+    "compose-angles": ("compose", "theta_in_1 = 0.9\ntheta_1_1 = 0.2\n"
+                                  "theta_in_2 = 1.4\ntheta_1_2 = 0.6\n"),
+    "compose-target": ("compose", "target = 2, 0.5; -1, 0.25\ny_variance = 0.03\n"
+                                  "input_cov = 0.3, -0.05, 0.25\n"),
+}
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -129,6 +142,13 @@ def digest_pipeline(name: str) -> str:
                       ["--seed", str(PIPELINE_SEED)])
 
 
+def digest_unsampled(name: str) -> str:
+    """The line for the run ``name`` of ``UNSAMPLED``; runs in the cwd."""
+    kind, body = UNSAMPLED[name]
+    Path("config.ini").write_text(f"[{kind}]\n{body}excess_factor = 10\n")
+    return digest_run(f"unsampled={name}", kind, Path(f"out-unsampled-{name}"), [])
+
+
 def main() -> int:
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -141,6 +161,8 @@ def main() -> int:
                 print(digest_graph(name))
             for name in PIPELINES:
                 print(digest_pipeline(name))
+            for name in UNSAMPLED:
+                print(digest_unsampled(name))
         finally:
             os.chdir(start)
     return 0
