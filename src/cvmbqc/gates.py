@@ -30,13 +30,16 @@ exactly):
   on the sum port, both measuring cos(theta) x + sin(theta) y;
 * balanced detection yields i = 2 * beta0 * (measured quadrature).
 
-:func:`run_steps` is the engine's one entry point, for one step or many.
-Its input is the (x, y) pair of one mode m, with optional numeric offsets;
-the sources of step j are modes m + 1 + 2j and m + 2 + 2j, so the column
-layout is fixed by m and the step count.  Every step is affine in the
-quadratures and currents, so the engine holds a chain of k steps as small
-dense arrays (:class:`GateOutput`), built in one pass from the cluster-node
-identities.  Step j homodynes its input against node 1 of cluster j, and
+:func:`run_steps` is the engine's entry point, for one step or many.  It
+is the engine core with one lane: the core runs a stack of chains of one
+length in one pass, on a leading lane axis, and
+:func:`cvmbqc.multiplex.simulate_pipeline` runs all its lanes through it
+at once.  A chain's input is the (x, y) pair of one mode m, with optional
+numeric offsets; the sources of step j are modes m + 1 + 2j and
+m + 2 + 2j, so the column layout is fixed by m and the step count.  Every
+step is affine in the quadratures and currents, so the engine holds a
+chain of k steps as small dense arrays (:class:`GateOutput`), built in one
+pass from the cluster-node identities.  Step j homodynes its input against node 1 of cluster j, and
 its input is node 2 of cluster j - 1 (the chain input for j = 0), so each
 measured quadrature is a fixed row over the sources of two steps:
 
@@ -241,7 +244,7 @@ class GateOutput:
     _quad_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = np.hstack([self.signal_matrix, self.noise])
+        rows = np.concatenate((self.signal_matrix, self.noise), axis=1)
         rows.setflags(write=False)
         object.__setattr__(self, "_quad_rows", rows)
         if self.exprs is None:
@@ -264,10 +267,20 @@ class GateOutput:
         return variances
 
     def _input_block(self, input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
-        """The input mode's 2x2 covariance block, vacuum when none is given."""
+        """The input mode's 2x2 covariance block, vacuum when none is given.
+
+        The block [[a, b], [c, d]] must be finite, symmetric and positive
+        definite, which is checked in Python floats through its Cholesky
+        pivots: a > 0 and d - l10^2 > 0 with l10 = b / sqrt(a).
+        """
         block = np.asarray(input_blocks.get(self.input_mode, _VACUUM_BLOCK), dtype=float)
         if block.shape != (2, 2):
             raise ValueError("the input covariance block must be 2x2")
+        (a, b), (c, d) = entries = block.tolist()
+        l10 = b / math.sqrt(a) if 0.0 < a < math.inf else math.nan
+        if not (b == c and math.isfinite(b) and math.isfinite(d) and d - l10 * l10 > 0.0):
+            raise ValueError(f"the input covariance block {entries} is not a finite, "
+                             "symmetric positive-definite matrix")
         return block
 
     def column_cov(self, input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
@@ -295,7 +308,7 @@ def _row_exprs(quad_rows, first_column, current_rows, names, offsets) -> tuple:
 
 
 def _input_mode(input_exprs: tuple) -> tuple:
-    """Mode m and offsets (a, b) of an input pair (x_m + a, y_m + b)."""
+    """Mode m and offsets [a, b] of an input pair (x_m + a, y_m + b)."""
     if any(e.symbols for e in input_exprs):
         raise ValueError("input expressions carry photocurrent symbols; feed forward "
                          "first, or run all steps in one run_steps call")
@@ -304,7 +317,7 @@ def _input_mode(input_exprs: tuple) -> tuple:
     if [e.coeffs for e in input_exprs] != [{column: 1.0}, {column + 1: 1.0}]:
         raise ValueError("the input must be the (x, y) pair of one mode m with "
                          "optional numeric offsets, (x_m + a, y_m + b)")
-    return mode, np.array([e.offset for e in input_exprs])
+    return mode, [e.offset for e in input_exprs]
 
 
 #: sqrt(2) (X, Y) of node 1 and of node 2 over the cluster's sources
@@ -316,6 +329,10 @@ _NODE_2 = np.array([[0.0, -1.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
 
 #: The -sqrt(2) (y_m1, y_m2) term a step adds to its output pair.
 _STEP_NOISE = np.array([[0.0, -_SQRT2, 0.0, 0.0], [0.0, 0.0, 0.0, -_SQRT2]])
+
+#: The empty product of gate matrices.
+_IDENTITY = np.eye(2)
+_IDENTITY.setflags(write=False)
 
 #: diag(-1, 1) as a row-sign column: turns (cos, sin) rows into D sqrt(2).
 _PORT_SIGN = np.array([[-1.0], [1.0]])
@@ -330,16 +347,18 @@ def _current_names(k: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _node_positions(k: int) -> tuple:
-    """Flat positions in the (2k, 2 + 4k) measured rows of the node-1 block
-    of each step j (rows 2j, 2j + 1 over the sources of cluster j) and of
-    the node-2 block of each step j >= 1 (over the sources of cluster
-    j - 1), each in the C order of the (step, 2, 4) blocks."""
-    positions = np.arange(2 * k * (2 + 4 * k)).reshape(2 * k, 2 + 4 * k)
-    sources = positions[:, 2:].reshape(k, 2, k, 4)
+def _node_positions(n: int, k: int) -> tuple:
+    """Flat positions in the (n, 2k, 2 + 4k) measured rows of n lanes of
+    the node-1 block of each step j (rows 2j, 2j + 1 over the sources of
+    cluster j) and of the node-2 block of each step j >= 1 (over the
+    sources of cluster j - 1), each in the C order of the (step, lane, 2, 4)
+    blocks."""
+    positions = np.arange(n * 2 * k * (2 + 4 * k)).reshape(n, 2 * k, 2 + 4 * k)
+    sources = positions[:, :, 2:].reshape(n, k, 2, k, 4)
     steps = np.arange(k)
-    node_1 = sources[steps, :, steps].ravel()
-    node_2 = sources[steps[1:], :, steps[:-1]].ravel()
+    # the two index arrays are split by a slice, so their step axis leads
+    node_1 = sources[:, steps, :, steps].ravel()
+    node_2 = sources[:, steps[1:], :, steps[:-1]].ravel()
     node_1.setflags(write=False)
     node_2.setflags(write=False)
     return node_1, node_2
@@ -362,60 +381,85 @@ def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
     T_j / sqrt(2) on node 1 of cluster j; its input is node 2 of cluster
     j - 1, or the chain input for j = 0.  The output carries each step's
     noise and current terms through the suffix product M_k ... M_{j+1}.
+    This is the engine core :func:`_run_lanes` with one lane.
     """
     k = len(settings)
     if len(clusters) != k or not k:
         raise ValueError("need one cluster per setting, at least one step")
-    input_mode, input_offset = _input_mode(input_exprs)
-    entries, trig, gains = [], [], []
-    for cluster, setting in zip(clusters, settings):
-        if not cluster.entangled:
-            if not allow_unentangled:
-                raise ValueError(
-                    f"cluster resource is not entangled (nullifier sum {cluster.vlf_sum()!r} "
-                    f">= VLF_GUARDED_BOUND = {VLF_GUARDED_BOUND!r}); "
-                    "pass allow_unentangled=True to force")
-            warnings.warn("running a measurement step on an unentangled cluster resource",
-                          stacklevel=2)
-        s, *step_entries = _gate_entries(setting.theta_plus, setting.theta_minus)
-        cin, sin_ = math.cos(setting.theta_in), math.sin(setting.theta_in)
-        c1, s1 = math.cos(setting.theta_1), math.sin(setting.theta_1)
-        pref = 1.0 / (setting.beta_0 * _SQRT2 * s)
-        entries += step_entries
-        trig += (cin, sin_, c1, s1)
-        gains += (pref * c1, -pref * cin, -pref * s1, pref * sin_)
-    # step j's gate matrix M_j, trig rows T_j and current gains, each (k, 2, 2)
-    matrices, trig, gains = np.array(entries + trig + gains).reshape(3, k, 2, 2)
+    return _run_lanes((input_exprs,), (clusters,), (settings,), allow_unentangled)[0]
+
+
+def _run_lanes(inputs: Sequence[tuple], clusters: Sequence[Sequence[TwoNodeCluster]],
+               settings: Sequence[Sequence[HomodyneSetting]],
+               allow_unentangled: bool) -> list:
+    """The engine core: lane l chains ``settings[l]`` on ``clusters[l]``
+    from ``inputs[l]``, all lanes in one pass; one :class:`GateOutput` per
+    lane.  Every lane has the same step count k >= 1, one cluster a step.
+
+    The lanes are screened in order, and each lane's input and then its
+    steps in order, evaluating every step in Python floats; so the first bad
+    lane raises what :func:`run_steps` raises for it, after the warnings of
+    the lanes and steps before it.  The warnings point at the caller of
+    :func:`run_steps` or of :func:`cvmbqc.multiplex.simulate_pipeline`.  The
+    arrays are then built over a leading lane axis, once for all lanes: each
+    lane takes the same float operations on the same values as it would
+    alone, so every lane's output is bit-identical to its own run_steps call.
+    """
+    n, k = len(settings), len(settings[0])
+    modes, offsets, values = [], [], []
+    cos, sin = math.cos, math.sin
+    for lane_input, lane_clusters, lane_settings in zip(inputs, clusters, settings):
+        mode, offset = _input_mode(lane_input)
+        modes.append(mode)
+        offsets += offset
+        for cluster, setting in zip(lane_clusters, lane_settings):
+            if not cluster.entangled:
+                if not allow_unentangled:
+                    raise ValueError(
+                        f"cluster resource is not entangled (nullifier sum "
+                        f"{cluster.vlf_sum()!r} >= VLF_GUARDED_BOUND = "
+                        f"{VLF_GUARDED_BOUND!r}); pass allow_unentangled=True to force")
+                warnings.warn("running a measurement step on an unentangled cluster "
+                              "resource", stacklevel=3)
+            theta_in, theta_1 = setting.theta_in, setting.theta_1
+            s, m00, m01, m10, m11 = _gate_entries(theta_in + theta_1, theta_in - theta_1)
+            cin, sin_, c1, s1 = cos(theta_in), sin(theta_in), cos(theta_1), sin(theta_1)
+            pref = 1.0 / (setting.beta_0 * _SQRT2 * s)
+            values += (m00, m01, m10, m11, cin, sin_, c1, s1,
+                       pref * c1, -pref * cin, -pref * s1, pref * sin_)
+    # step j's gate matrix M_j, trig rows T_j and current gains in lane l,
+    # each (k, n, 2, 2), and the input offsets as an (n, 2, 1) column
+    matrices, trig, gains = np.array(values).reshape(n, k, 3, 2, 2).transpose(2, 1, 0, 3, 4)
+    offsets = np.array(offsets).reshape(n, 2, 1)
 
     # row pair j over (step, 4 sources): node 1 of cluster j on the
     # diagonal, node 2 of cluster j - 1 below it, placed by flat index
-    measured_rows = np.zeros((2 * k, 2 + 4 * k))
-    node_1, node_2 = _node_positions(k)
+    measured_rows = np.zeros((n, 2 * k, 2 + 4 * k))
+    node_1, node_2 = _node_positions(n, k)
     flat = measured_rows.reshape(-1)
     flat[node_1] = (0.5 * (trig @ _NODE_1)).reshape(-1)
     flat[node_2] = (0.5 * ((_PORT_SIGN * trig[1:]) @ _NODE_2)).reshape(-1)
-    measured_offset = np.zeros(2 * k)
+    measured_offset = np.zeros((n, 2 * k))
     D0 = _PORT_SIGN * trig[0]
-    measured_rows[:2, :2] = D0 / _SQRT2
-    measured_offset[:2] = D0 @ input_offset / _SQRT2
+    measured_rows[:, :2, :2] = D0 / _SQRT2
+    measured_offset[:, :2] = (D0 @ offsets)[..., 0] / _SQRT2
 
-    suffix = np.empty((k, 2, 2))
-    signal = np.eye(2)
+    suffix = np.empty((k, n, 2, 2))
+    signal = _IDENTITY
     for j in range(k - 1, -1, -1):
         suffix[j] = signal
         signal = signal @ matrices[j]
-    return GateOutput(
-        signal_matrix=signal,
-        noise=(suffix @ _STEP_NOISE).transpose(1, 0, 2).reshape(2, 4 * k),
-        classical=(suffix @ gains).transpose(1, 0, 2).reshape(2, 2 * k),
-        offset=signal @ input_offset,
-        measured_rows=measured_rows,
-        measured_offset=measured_offset,
-        current_names=_current_names(k),
-        input_mode=input_mode,
-        settings=tuple(settings),
-        clusters=tuple(clusters),
-    )
+    noise = (suffix @ _STEP_NOISE).transpose(1, 2, 0, 3).reshape(n, 2, 4 * k)
+    classical = (suffix @ gains).transpose(1, 2, 0, 3).reshape(n, 2, 2 * k)
+    offset = signal @ offsets
+    names = _current_names(k)
+    return [GateOutput(signal_matrix=signal[lane], noise=noise[lane],
+                       classical=classical[lane], offset=offset[lane, :, 0],
+                       measured_rows=measured_rows[lane],
+                       measured_offset=measured_offset[lane], current_names=names,
+                       input_mode=modes[lane], settings=tuple(settings[lane]),
+                       clusters=tuple(clusters[lane]))
+            for lane in range(n)]
 
 
 def output_covariance(output: GateOutput,
@@ -459,17 +503,9 @@ def sample_currents(output: GateOutput, input_blocks: Mapping[int, np.ndarray],
     times z over the rest; R q + r0 then has covariance R Sigma R^T by
     construction.  Currents are 2 beta0 times the measured quadratures.
     An input block that is not finite, symmetric and positive definite
-    raises ValueError.
+    raises ValueError, as it does in :func:`output_covariance`.
     """
-    block = output._input_block(input_blocks)
-    try:
-        L = np.linalg.cholesky(block)
-    except np.linalg.LinAlgError:
-        L = None
-    # cholesky reads the lower triangle only, and passes NaN and inf through
-    if L is None or block[0, 1] != block[1, 0] or not np.isfinite(L).all():
-        raise ValueError(f"the input covariance block {block.tolist()} is not a finite, "
-                         "symmetric positive-definite matrix")
+    L = np.linalg.cholesky(output._input_block(input_blocks))
     variances = output._column_variances
     z = rng.standard_normal(variances.size)
     q = np.concatenate([L @ z[:2], np.sqrt(variances[2:]) * z[2:]])

@@ -9,7 +9,11 @@ measures step s in slot l + s * n with that slot's cluster, and ejects in
 slot l + steps * n.  So lane l consumes clusters l, l + n, l + 2n, ..., and
 pulses of different lanes never meet on a beam splitter, which is what
 makes the lanes independent.  The switch program, the event log and the
-cluster pick all read this rule.
+cluster pick all read this rule.  The lanes' gate chains are one
+computation: :func:`simulate_pipeline` runs every lane through the gate
+engine's core in one pass, the core that :func:`cvmbqc.gates.run_steps` runs
+with one lane, and each lane's output is bit-identical to run_steps on that
+lane's own slot clusters.
 
 Delaying one node of a cluster by tau keeps the pair entangled exactly at
 the frequencies w_k = 2 pi k / tau, where the delayed inseparability
@@ -31,7 +35,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .gates import HomodyneSetting, TwoNodeCluster, run_steps
+from . import gates
+from .gates import HomodyneSetting, TwoNodeCluster
 
 #: Grid snap tolerance, in cycles: |w tau / (2 pi) - k| below this is treated
 #: as exactly on-grid, making the reduction to the undelayed criterion exact.
@@ -241,9 +246,13 @@ def simulate_pipeline(duration: float, gap: float,
     counts any, the run raises :class:`LaneCollisionError`, never silent.
 
     Every lane's modes are numbered lane-locally (sources allocated after
-    its own input), and the per-lane gate chain is the same computation as
-    :func:`cvmbqc.gates.run_steps`, so outputs are directly comparable with
-    stand-alone runs of the same steps.
+    its own input).  The per-lane gate chain is the same computation as
+    :func:`cvmbqc.gates.run_steps`: all lanes run through the engine core
+    in one call, which is run_steps with one lane, so each lane's output is
+    bit-identical to a stand-alone run_steps of that lane's input, slot
+    clusters and settings.  A bad lane raises what run_steps raises for it:
+    the first bad lane in lane order, after the unentangled-cluster warnings
+    of the lanes and steps before it.
     """
     n_lanes = len(inputs)
     if n_lanes < 1:
@@ -273,7 +282,7 @@ def simulate_pipeline(duration: float, gap: float,
            for slot, lane, action in _switch_slots(n_lanes, steps)]
     # the (mix, measure) actions of each step, named once for every lane
     actions = [(f"mix step {step}", f"measure step {step}") for step in range(1, steps + 1)]
-    outputs = []
+    lane_clusters = []
     for lane in range(n_lanes):
         log.append((lane * ticks_per_gap, lane, "input", "arrive"))
         slots = [lane_slot(lane, step, n_lanes) for step in range(steps)]
@@ -284,8 +293,8 @@ def simulate_pipeline(duration: float, gap: float,
         # every step but the last sends its output pulse round the loop
         log += [(slot * period_ticks + duration_ticks, lane, "delay", "circulate")
                 for slot in slots[:-1]]
-        outputs.append(run_steps(inputs[lane], [clusters[slot] for slot in slots],
-                                 gate_settings[lane], allow_unentangled=allow_unentangled))
+        lane_clusters.append([clusters[slot] for slot in slots])
+    outputs = gates._run_lanes(inputs, lane_clusters, gate_settings, allow_unentangled)
 
     log.sort()
     events = tuple([PipelineEvent(t_count, t_count * tick, element, lane, action)

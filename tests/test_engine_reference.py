@@ -9,13 +9,15 @@ public ``LinearQuadratureExpr`` constructor, ``feed_forward`` through
 ``PipelineEvent`` dataclasses and sorted by key.  The one change to them
 is the unentangled screen of ``reference_run_steps``, which applies
 ``VLF_GUARDED_BOUND`` as the engine's does.  The engine now evaluates
-each step in Python floats, builds its arrays once per call (placing the
-measured rows by flat index) and the expressions from clean dicts, copies
-an output's fields to feed forward, and the pipeline sorts plain tuples
-into named tuples; the float operations that fix an output bit are the
-same, so every array must be equal with equal signbits, every expression,
-name and log byte the same, and every error must keep its type and
-message.
+each step in Python floats, builds its arrays once per call for a stack of
+lanes (placing the measured rows by flat index) and the expressions from
+clean dicts, copies an output's fields to feed forward, and the pipeline
+runs all its lanes in one engine call and sorts plain tuples into named
+tuples; the float operations that fix an output bit are the same, so every
+array must be equal with equal signbits, every expression, name and log
+byte the same, and every error must keep its type and message.  A
+pipeline lane is held to the reference run on that lane's own slot
+clusters, and a bad lane to the first error of the lanes run one by one.
 
 The photocurrent draw is held to its definition instead: the currents are
 2 beta0 (r0 + R q), with q built from the generator's own 2 + 4k standard
@@ -520,3 +522,100 @@ class TestEventLogBitIdentical:
         got = outcome(simulate_pipeline, duration, gap, [(x_quad(0), y_quad(0))] * 2,
                       [CLUSTER] * 4, [[HomodyneSetting(0.9, 0.2)] * 2] * 2)
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# The pipeline's lanes
+# ---------------------------------------------------------------------------
+
+LOOSE = TwoNodeCluster.from_y_variances(0.2, 0.2)
+FLAT = HomodyneSetting(0.4, 0.4)
+
+
+def reference_lanes(inputs, lane_clusters, settings, allow_unentangled):
+    """Each lane as its own earlier run_steps call, in lane order."""
+    return [reference_run_steps(inp, clusters, lane_settings,
+                                allow_unentangled=allow_unentangled)
+            for inp, clusters, lane_settings in zip(inputs, lane_clusters, settings)]
+
+
+def random_pipeline(rng, n_lanes, steps):
+    """Random inputs and settings per lane and a distinct random cluster per
+    slot, two slots of which are unentangled: the last step of lane 0 and
+    the first of the last lane."""
+    inputs = [random_input(rng) for _ in range(n_lanes)]
+    clusters = [random_cluster(rng) for _ in range(n_lanes * steps)]
+    for lane, step in ((0, steps - 1), (n_lanes - 1, 0)):
+        clusters[reference_lane_slot(lane, step, n_lanes)] = LOOSE
+    settings = [[random_setting(rng) for _ in range(steps)] for _ in range(n_lanes)]
+    return inputs, clusters, settings
+
+
+def slot_clusters(clusters, n_lanes, steps):
+    """The clusters of each lane's steps, by the slot rule."""
+    return [[clusters[reference_lane_slot(lane, step, n_lanes)] for step in range(steps)]
+            for lane in range(n_lanes)]
+
+
+class TestPipelineLanesBitIdentical:
+    """Every lane of one pipeline is its own run_steps chain on its slot
+    clusters, bit for bit, with the warnings and the first error of the
+    lanes run one by one in lane order."""
+
+    @pytest.mark.parametrize("n_lanes,steps,ticks_per_gap", PIPELINE_SHAPES)
+    def test_each_lane_is_its_own_chain(self, n_lanes, steps, ticks_per_gap):
+        rng = np.random.default_rng([23, n_lanes, steps])
+        for _ in range(3):
+            inputs, clusters, settings = random_pipeline(rng, n_lanes, steps)
+            expected = outcome(reference_lanes, inputs,
+                               slot_clusters(clusters, n_lanes, steps), settings, True)
+            got = outcome(simulate_pipeline, 5.0, 1.0, inputs, clusters, settings,
+                          ticks_per_gap=ticks_per_gap, allow_unentangled=True)
+            assert expected[0] == got[0] == "ok"
+            assert len(expected[2]) >= 1 + (n_lanes > 1)
+            assert got[2] == expected[2]  # the unentangled warnings
+            assert len(got[1].outputs) == n_lanes
+            for new, ref in zip(got[1].outputs, expected[1]):
+                assert_outputs_equal(new, ref)
+
+    @pytest.mark.parametrize("fault,allow_unentangled", [
+        ("degenerate", True), ("degenerate", False), ("unentangled", False),
+        ("symbols", True), ("symbols", False)])
+    @pytest.mark.parametrize("n_lanes,steps,ticks_per_gap", PIPELINE_SHAPES)
+    def test_first_bad_lane_raises_its_error(self, n_lanes, steps, ticks_per_gap, fault,
+                                            allow_unentangled):
+        # lane `bad` (> 0 where there are two lanes or more) is faulty at its
+        # last step, or in its input; every later lane is degenerate at its
+        # first step and unentangled at its last, and the last lane's input
+        # is swapped.  Those later faults must not be what is reported.
+        # Without allow_unentangled, the lanes up to `bad` run on entangled
+        # clusters only.
+        rng = np.random.default_rng([23, n_lanes, steps, 1])
+        inputs, clusters, settings = random_pipeline(rng, n_lanes, steps)
+        if not allow_unentangled:
+            clusters = [c if c.vlf_sum() < VLF_GUARDED_BOUND else CLUSTER for c in clusters]
+        bad = n_lanes // 2
+        for lane in range(bad + 1, n_lanes):
+            settings[lane][0] = FLAT
+            clusters[reference_lane_slot(lane, steps - 1, n_lanes)] = LOOSE
+        if bad < n_lanes - 1:
+            inputs[-1] = (y_quad(0), x_quad(0))
+        if fault == "degenerate":
+            settings[bad][steps - 1] = FLAT
+        elif fault == "unentangled":
+            clusters[reference_lane_slot(bad, steps - 1, n_lanes)] = LOOSE
+        else:
+            inputs[bad] = (x_quad(0) + LinearQuadratureExpr(symbols={"i_in": 1.0}),
+                           y_quad(0))
+        lanes = slot_clusters(clusters, n_lanes, steps)
+        expected = outcome(reference_lanes, inputs, lanes, settings, allow_unentangled)
+        got = outcome(simulate_pipeline, 5.0, 1.0, inputs, clusters, settings,
+                      ticks_per_gap=ticks_per_gap, allow_unentangled=allow_unentangled)
+        assert expected[0] == "raised"
+        # lane 0 warns at its last step before a later lane raises
+        assert expected[3] or not (allow_unentangled and n_lanes > 1)
+        assert got == expected
+        # the error is the one run_steps raises for that lane alone
+        alone = outcome(run_steps, inputs[bad], lanes[bad], settings[bad],
+                        allow_unentangled=allow_unentangled)
+        assert got[:3] == alone[:3]

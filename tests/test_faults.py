@@ -10,6 +10,9 @@ catches today; the mark names the ROADMAP item that would catch it, and
 mark to go.  A row without a fault is a config that must exit 1 by itself.
 """
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -133,6 +136,21 @@ def swapped_lane_clusters(monkeypatch):
     monkeypatch.setattr(multiplex, "simulate_pipeline", swapped)
 
 
+def rotated_lane_arrays(monkeypatch):
+    """The engine core hands lane l the arrays of lane (l + 1) mod L; each
+    output keeps its own lane's settings, clusters and names."""
+    real = gates._run_lanes
+    arrays = ("signal_matrix", "noise", "classical", "offset", "measured_rows",
+              "measured_offset")
+
+    def rotated(*args):
+        outputs = real(*args)
+        return [replace(out, exprs=None, **{name: getattr(src, name) for name in arrays})
+                for out, src in zip(outputs, outputs[1:] + outputs[:1])]
+
+    monkeypatch.setattr(gates, "_run_lanes", rotated)
+
+
 def overlapping_switch(monkeypatch):
     """The switch program opens lane 1's inject window in lane 0's slot."""
     real = multiplex._switch_slots
@@ -180,6 +198,9 @@ FAULTS = [
     # the runner passes one cluster to every slot, so a swap changes nothing
     pytest.param(swapped_lane_clusters, [PIPELINE], id="swapped-lane-clusters",
                  marks=survivor(6)),
+    # a stand-alone run_steps is the core with one lane, which the rotation
+    # leaves alone, so the rerun sees each lane's own chain
+    pytest.param(rotated_lane_arrays, [PIPELINE], id="rotated-lane-arrays"),
     # no verdict reads the switch events of the log
     pytest.param(overlapping_switch, [PIPELINE], id="overlapping-switch-interval",
                  marks=survivor(6)),
@@ -203,3 +224,11 @@ def test_fault_fails_a_verdict(tmp_path, monkeypatch, capsys, fault, configs):
         fault(monkeypatch)
     codes = [run(tmp_path, f"fault{i}", kind, body) for i, (kind, body) in enumerate(configs)]
     assert codes == [1] * len(configs), capsys.readouterr().err
+
+
+def test_rotated_lane_arrays_fail_lane_isolation(tmp_path, monkeypatch):
+    rotated_lane_arrays(monkeypatch)
+    kind, body = PIPELINE
+    assert run(tmp_path, "rotated", kind, body) == 1
+    record = json.loads((tmp_path / "rotated" / f"{kind}.json").read_text())
+    assert [v["name"] for v in record["verdicts"] if not v["passed"]] == ["lane_isolation"]

@@ -842,6 +842,32 @@ class TestChainAgainstOracle:
         assert self.relative_gap(np.random.default_rng(seed), 32, wide=True) <= 1e-12
 
 
+#: Input blocks that are no covariance: not finite, not symmetric or not
+#: positive definite.
+NOT_COVARIANCES = [
+    [[1.0, 2.0], [2.0, 1.0]],
+    [[1.0, 0.5], [-0.5, 1.0]],
+    [[1.0, 0.0], [0.0, -1e-7]],
+    [[1.0, 0.0], [0.0, 0.0]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[0.0, 0.0], [0.0, 1.0]],
+    [[-1.0, 0.0], [0.0, 1.0]],
+    [[1.0, np.inf], [np.inf, 1.0]],
+    [[1.0, 0.0], [0.0, np.nan]],
+    # the second Cholesky pivot is 1e308 - 1e318
+    [[1e-320, 0.1], [0.1, 1e308]],
+]
+NOT_COVARIANCE_IDS = ["indefinite", "asymmetric", "negative", "singular", "nan", "inf",
+                      "zero-first-pivot", "negative-first-pivot", "inf-off-diagonal",
+                      "nan-last", "overflowing-pivot"]
+
+
+def not_covariance_message(block) -> str:
+    return (f"the input covariance block {np.array(block, dtype=float).tolist()} is not "
+            "a finite, symmetric positive-definite matrix")
+
+
 class TestSampling:
     def test_deterministic_per_seed(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
@@ -890,20 +916,44 @@ class TestSampling:
         assert list(currents) == list(out.current_names)
         assert all(math.isfinite(v) for v in currents.values())
 
-    @pytest.mark.parametrize("block", [
-        [[1.0, 2.0], [2.0, 1.0]],
-        [[1.0, 0.5], [-0.5, 1.0]],
-        [[1.0, 0.0], [0.0, -1e-7]],
-        [[1.0, 0.0], [0.0, 0.0]],
-        [[np.nan, 0.0], [0.0, 1.0]],
-        [[np.inf, 0.0], [0.0, 1.0]],
-    ], ids=["indefinite", "asymmetric", "negative", "singular", "nan", "inf"])
+    @pytest.mark.parametrize("block", NOT_COVARIANCES, ids=NOT_COVARIANCE_IDS)
     def test_input_block_that_is_no_covariance_raises(self, block):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
         out = run_steps((x_quad(0), y_quad(0)), (cluster,), (HomodyneSetting(0.9, 0.2),))
-        with pytest.raises(ValueError, match="the input covariance block .* is not a finite, "
-                                             "symmetric positive-definite matrix"):
+        with pytest.raises(ValueError) as info:
             sample_currents(out, {0: np.array(block)}, np.random.default_rng(0))
+        assert str(info.value) == not_covariance_message(block)
+
+    @pytest.mark.parametrize("use", [
+        output_covariance,
+        lambda out, blocks: out.column_cov(blocks),
+    ], ids=["output_covariance", "column_cov"])
+    @pytest.mark.parametrize("block", NOT_COVARIANCES, ids=NOT_COVARIANCE_IDS)
+    def test_covariance_paths_reject_the_blocks_the_sampler_rejects(self, block, use):
+        # one rule on every path that reads the input block: before it,
+        # [[1, 2], [2, 1]] gave an output covariance of negative determinant
+        # and [[1, 0.5], [-0.5, 1]] an asymmetric one
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
+        out = run_steps((x_quad(0), y_quad(0)), (cluster,), (HomodyneSetting(0.9, 0.2),))
+        with pytest.raises(ValueError) as info:
+            use(out, {0: np.array(block)})
+        assert str(info.value) == not_covariance_message(block)
+
+    @pytest.mark.parametrize("block", [
+        [[0.25, 0.0], [0.0, 0.25]],
+        [[2.0, 1.0], [1.0, 2.0]],
+        [[1.0, -0.999], [-0.999, 1.0]],
+        [[1e-300, 0.0], [0.0, 1e300]],
+    ], ids=["vacuum", "correlated", "nearly-singular", "wide-range"])
+    def test_input_block_that_is_a_covariance_is_read(self, block):
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
+        out = run_steps((x_quad(0), y_quad(0)), (cluster,), (HomodyneSetting(0.9, 0.2),))
+        blocks = {0: np.array(block)}
+        assert np.array_equal(out.column_cov(blocks)[:2, :2], block)
+        Q = out.quadrature_rows()
+        assert np.array_equal(output_covariance(out, blocks), Q @ out.column_cov(blocks) @ Q.T)
+        currents = sample_currents(out, blocks, np.random.default_rng(0))
+        assert all(math.isfinite(v) for v in currents.values())
 
     def test_feed_forward_after_sampling(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)

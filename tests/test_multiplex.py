@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,7 +251,7 @@ class TestPipeline:
             assert np.max(np.abs(pipe.signal_matrix - direct.signal_matrix)) == 0.0
             ca = output_covariance(pipe, {0: np.diag([0.25, 0.25])})
             cb = output_covariance(direct, {0: np.diag([0.25, 0.25])})
-            assert np.max(np.abs(ca - cb)) < 1e-12
+            assert np.array_equal(ca, cb)
 
     def test_swapping_lanes_swaps_outputs(self):
         inputs, clusters, settings = _pipeline_fixture(2)
@@ -295,3 +296,11 @@ class TestPipeline:
         for lane in range(3):
             direct = run_steps(inputs[lane], clusters[lane::3], settings[lane])
             assert result.outputs[lane].exprs == direct.exprs
+
+    def test_unentangled_warnings_point_at_the_caller(self):
+        inputs, _, settings = _pipeline_fixture(2)
+        loose = TwoNodeCluster.from_y_variances(0.2, 0.2)
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            simulate_pipeline(5.0, 1.0, inputs, [loose] * 4, settings, allow_unentangled=True)
+        assert [(w.category, w.filename) for w in log] == [(UserWarning, __file__)] * 4
