@@ -48,21 +48,24 @@ measured quadrature is a fixed row over the sources of two steps:
 
 These rows R, and the offset D_0 (input offset) of the first step, hold
 with every current replaced by its defining operator (current = 2 beta0
-quadrature); they carry no current columns and need no solve.  The output
-rows over the source quadratures and over the 2k currents come from the
-suffix products M_k ... M_{j+1} of the 2x2 gates, so a chain costs O(k).
-The output covariance is Q Sigma Q^T.  Sampling draws the columns q
-themselves, the input pair through the 2x2 Cholesky factor of its block
-and each independent source quadrature through its standard deviation,
-and applies R, so the currents follow R Sigma R^T without that 2k x 2k
-matrix being formed.  The expression view ``exprs``
-is built from the arrays once per output.  The covariance oracle below
+quadrature); they carry no current columns and need no solve.  Each entry
+of R is one signed, scaled trig value of a step, so R is gathered from the
+per-step values in one indexed pass.  The output rows over the source
+quadratures and over the 2k currents come from the suffix products M_k ...
+M_{j+1} of the 2x2 gates, so a chain costs O(k).  The output covariance is
+Q Sigma Q^T.  Sampling draws the columns q themselves, the input pair
+through the 2x2 Cholesky factor of its block (in Python floats, from the
+pivots that check the block) and each independent source quadrature
+through its standard deviation, and applies R, so the currents follow R
+Sigma R^T without that 2k x 2k matrix being formed.  The expression view
+``exprs`` is built from the arrays on first read, so an output never read
+as expressions costs only its arrays.  The covariance oracle below
 conditions dense symplectic covariances instead and shares none of this
 code: one step builds the 6x6 joint covariance S J S^T of the input, the
 two sources and the mixing beam splitter, and passes it straight to the
-array-level Schur core, the package's one homodyne conditioning.  The
-core conditions on both homodyne results with one eigendecomposition of
-the 2x2 measured block; no state object is built on the way.
+array-level Schur core, the package's one homodyne conditioning.  The core
+conditions on both homodyne results with one eigendecomposition of the 2x2
+measured block; no state object is built on the way.
 
 Two chained steps compose to M(tp', tm') M(tp, tm), which reaches every
 determinant-one real 2x2 matrix; :func:`solve_phases` inverts that map in
@@ -221,10 +224,12 @@ class GateOutput:
       row has at most 8 nonzero columns and carries no current.
 
     ``exprs`` is the (X_out, Y_out) expression view of the output rows,
-    built once when the output is made; pass ``exprs=None`` to
+    built from the arrays on first read and then kept; a view passed to the
+    constructor is kept as given.  Pass ``exprs=None`` to
     :func:`dataclasses.replace` to rebuild it from changed arrays.  The
     quadrature rows ``[signal_matrix | noise]`` are stacked once, when the
-    output is made, into one read-only array that the expression view and
+    output is made (the engine core stacks those of all its lanes at once),
+    into one read-only array that the expression view and
     :func:`output_covariance` read; :meth:`quadrature_rows` hands out a
     writable copy.  The column variances are kept once per output, on first
     use.  Outputs compare and hash by identity, as ``ClusterGraph`` does.
@@ -248,9 +253,9 @@ class GateOutput:
         rows.setflags(write=False)
         object.__setattr__(self, "_quad_rows", rows)
         if self.exprs is None:
-            object.__setattr__(self, "exprs", _row_exprs(
-                rows, 2 * self.input_mode, self.classical, self.current_names,
-                self.offset))
+            # __init__ stored None in the instance dict, where it would hide
+            # the view built on first read (installed under ``exprs`` below)
+            del self.__dict__["exprs"]
 
     def quadrature_rows(self) -> np.ndarray:
         """Quantum part of the output pair over all quadrature columns."""
@@ -266,33 +271,55 @@ class GateOutput:
         variances.setflags(write=False)
         return variances
 
-    def _input_block(self, input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
-        """The input mode's 2x2 covariance block, vacuum when none is given.
+    def _input_block(self, input_blocks: Mapping[int, np.ndarray]) -> tuple:
+        """The input mode's 2x2 covariance block, vacuum when none is given,
+        and its Cholesky factor L = [[l00, 0], [l10, l11]] as rows of Python
+        floats.
 
         The block [[a, b], [c, d]] must be finite, symmetric and positive
-        definite, which is checked in Python floats through its Cholesky
-        pivots: a > 0 and d - l10^2 > 0 with l10 = b / sqrt(a).
+        definite, which is checked through the pivots, taken in LAPACK's
+        order: l00 = sqrt(a) with a > 0, l10 = b * (1 / l00), and
+        l11 = sqrt(d - l10^2) with d - l10^2 > 0.  So L is
+        ``np.linalg.cholesky(block)`` bit for bit.
         """
         block = np.asarray(input_blocks.get(self.input_mode, _VACUUM_BLOCK), dtype=float)
         if block.shape != (2, 2):
             raise ValueError("the input covariance block must be 2x2")
         (a, b), (c, d) = entries = block.tolist()
-        l10 = b / math.sqrt(a) if 0.0 < a < math.inf else math.nan
-        if not (b == c and math.isfinite(b) and math.isfinite(d) and d - l10 * l10 > 0.0):
+        l00 = math.sqrt(a) if 0.0 < a < math.inf else math.nan
+        l10 = b * (1.0 / l00)
+        pivot = d - l10 * l10
+        if not (b == c and math.isfinite(b) and math.isfinite(d) and pivot > 0.0):
             raise ValueError(f"the input covariance block {entries} is not a finite, "
                              "symmetric positive-definite matrix")
-        return block
+        return block, ((l00, 0.0), (l10, math.sqrt(pivot)))
 
     def column_cov(self, input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
         """Covariance of the quadrature columns: the input mode's block
         (vacuum when none is given) and the uncorrelated cluster sources."""
         cov = np.diag(self._column_variances)
-        cov[:2, :2] = self._input_block(input_blocks)
+        cov[:2, :2] = self._input_block(input_blocks)[0]
         return cov
 
     def noise_covariance(self) -> np.ndarray:
         """Covariance of the noise the steps add to the output pair."""
         return (self.noise * self._column_variances[2:]) @ self.noise.T
+
+
+def _output_exprs(output: GateOutput) -> tuple:
+    """The (X_out, Y_out) expression view of an output's rows."""
+    return _row_exprs(output._quad_rows, 2 * output.input_mode, output.classical,
+                      output.current_names, output.offset)
+
+
+# ``exprs`` stays an init field, so dataclasses.replace passes a view on or
+# takes a new one.  A view given to __init__ sits in the instance dict; with
+# none given, this non-data descriptor builds it from the arrays on the first
+# read and keeps it there, so an output that is never read as expressions
+# costs only its arrays.  It is installed after the class is made because
+# the class attribute under a field's name is that field's default.
+GateOutput.exprs = functools.cached_property(_output_exprs)
+GateOutput.exprs.__set_name__(GateOutput, "exprs")
 
 
 def _row_exprs(quad_rows, first_column, current_rows, names, offsets) -> tuple:
@@ -337,6 +364,11 @@ _IDENTITY.setflags(write=False)
 #: diag(-1, 1) as a row-sign column: turns (cos, sin) rows into D sqrt(2).
 _PORT_SIGN = np.array([[-1.0], [1.0]])
 
+#: Each step's values in the engine core's flat ``values``: the four gate
+#: entries, the trig rows (cos, sin) of theta_in and theta_1 from index
+#: ``_TRIG_AT``, then the four current gains.
+_STEP_VALUES, _TRIG_AT = 12, 4
+
 
 @functools.lru_cache(maxsize=64)
 def _current_names(k: int) -> tuple:
@@ -346,22 +378,45 @@ def _current_names(k: int) -> tuple:
     return tuple(name for j in range(1, k + 1) for name in (f"i_in[{j}]", f"i_1[{j}]"))
 
 
+def _node_reads(node: np.ndarray) -> tuple:
+    """For each source column of a node's rows, the trig entry it reads
+    (the one nonzero of the column) and its sign."""
+    reads = np.abs(node).argmax(axis=0)
+    return reads, node[reads, np.arange(node.shape[1])]
+
+
 @functools.lru_cache(maxsize=64)
-def _node_positions(n: int, k: int) -> tuple:
-    """Flat positions in the (n, 2k, 2 + 4k) measured rows of n lanes of
-    the node-1 block of each step j (rows 2j, 2j + 1 over the sources of
-    cluster j) and of the node-2 block of each step j >= 1 (over the
-    sources of cluster j - 1), each in the C order of the (step, lane, 2, 4)
-    blocks."""
-    positions = np.arange(n * 2 * k * (2 + 4 * k)).reshape(n, 2 * k, 2 + 4 * k)
-    sources = positions[:, :, 2:].reshape(n, k, 2, k, 4)
-    steps = np.arange(k)
-    # the two index arrays are split by a slice, so their step axis leads
-    node_1 = sources[:, steps, :, steps].ravel()
-    node_2 = sources[:, steps[1:], :, steps[:-1]].ravel()
-    node_1.setflags(write=False)
-    node_2.setflags(write=False)
-    return node_1, node_2
+def _measured_map(n: int, k: int) -> tuple:
+    """Gather map of the measured rows of n lanes of k steps from the
+    engine core's flat ``values``.
+
+    For every entry the rows can hold: its flat position in the
+    (n, 2k, 2 + 4k) rows, its index in ``values``, its sign, its divisor
+    and a signed-zero term, so that the entry is
+    sign * values[index] / divisor + zero.  Row pair j holds
+    T_j _NODE_1 / 2 over cluster j, diag(-1, 1) T_j _NODE_2 / 2 over
+    cluster j - 1 (j >= 1) and D_0 = diag(-1, 1) T_0 / sqrt(2) over the
+    chain input; each node column reads one trig entry.  The zero term is
+    +0.0 for the node entries, as the matmuls that once built them summed
+    a zero product into +0.0, and -0.0, which keeps every sign, for D_0.
+    """
+    width = 2 + 4 * k
+    lane, step, row, col = np.ogrid[:n, :k, :2, :4]
+    first = (lane * 2 * k + 2 * step + row) * width  # row 2j + r of lane l
+    trig = (lane * k + step) * _STEP_VALUES + _TRIG_AT + 2 * row  # T_j row r
+    reads_1, signs_1 = _node_reads(_NODE_1)
+    reads_2, signs_2 = _node_reads(_NODE_2)
+    parts = [  # (position, index, sign, divisor, zero) of each block
+        (first + 2 + 4 * step + col, trig + reads_1[col], signs_1[col], 2.0, 0.0),
+        (first[:, 1:] + 2 + 4 * (step[:, 1:] - 1) + col, trig[:, 1:] + reads_2[col],
+         _PORT_SIGN[row, 0] * signs_2[col], 2.0, 0.0),
+        (first[:, :1] + col[..., :2], trig[:, :1] + col[..., :2],
+         _PORT_SIGN[row, 0], _SQRT2, -0.0)]
+    table = tuple(np.concatenate([a.ravel() for a in column])
+                  for column in zip(*(np.broadcast_arrays(*part) for part in parts)))
+    for column in table:
+        column.setflags(write=False)
+    return table
 
 
 def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
@@ -399,8 +454,10 @@ def _run_lanes(inputs: Sequence[tuple], clusters: Sequence[Sequence[TwoNodeClust
     The lanes are screened in order, and each lane's input and then its
     steps in order, evaluating every step in Python floats; so the first bad
     lane raises what :func:`run_steps` raises for it, after the warnings of
-    the lanes and steps before it.  The warnings point at the caller of
-    :func:`run_steps` or of :func:`cvmbqc.multiplex.simulate_pipeline`.  The
+    the lanes and steps before it.  An unentangled-cluster warning names the
+    step j, from 1 as in ``i_in[j]``, and the lane l (from 0) when more than
+    one lane runs; it points at the caller of :func:`run_steps` or of
+    :func:`cvmbqc.multiplex.simulate_pipeline`.  The
     arrays are then built over a leading lane axis, once for all lanes: each
     lane takes the same float operations on the same values as it would
     alone, so every lane's output is bit-identical to its own run_steps call.
@@ -408,18 +465,20 @@ def _run_lanes(inputs: Sequence[tuple], clusters: Sequence[Sequence[TwoNodeClust
     n, k = len(settings), len(settings[0])
     modes, offsets, values = [], [], []
     cos, sin = math.cos, math.sin
-    for lane_input, lane_clusters, lane_settings in zip(inputs, clusters, settings):
+    for lane, (lane_input, lane_clusters, lane_settings) in enumerate(
+            zip(inputs, clusters, settings)):
         mode, offset = _input_mode(lane_input)
         modes.append(mode)
         offsets += offset
-        for cluster, setting in zip(lane_clusters, lane_settings):
+        for step, (cluster, setting) in enumerate(zip(lane_clusters, lane_settings), 1):
             if not cluster.entangled:
                 if not allow_unentangled:
                     raise ValueError(
                         f"cluster resource is not entangled (nullifier sum "
                         f"{cluster.vlf_sum()!r} >= VLF_GUARDED_BOUND = "
                         f"{VLF_GUARDED_BOUND!r}); pass allow_unentangled=True to force")
-                warnings.warn("running a measurement step on an unentangled cluster "
+                where = f"step {step} of lane {lane}" if n > 1 else f"step {step}"
+                warnings.warn(f"running measurement {where} on an unentangled cluster "
                               "resource", stacklevel=3)
             theta_in, theta_1 = setting.theta_in, setting.theta_1
             s, m00, m01, m10, m11 = _gate_entries(theta_in + theta_1, theta_in - theta_1)
@@ -429,20 +488,18 @@ def _run_lanes(inputs: Sequence[tuple], clusters: Sequence[Sequence[TwoNodeClust
                        pref * c1, -pref * cin, -pref * s1, pref * sin_)
     # step j's gate matrix M_j, trig rows T_j and current gains in lane l,
     # each (k, n, 2, 2), and the input offsets as an (n, 2, 1) column
-    matrices, trig, gains = np.array(values).reshape(n, k, 3, 2, 2).transpose(2, 1, 0, 3, 4)
+    values = np.array(values)
+    matrices, trig, gains = values.reshape(n, k, 3, 2, 2).transpose(2, 1, 0, 3, 4)
     offsets = np.array(offsets).reshape(n, 2, 1)
 
     # row pair j over (step, 4 sources): node 1 of cluster j on the
-    # diagonal, node 2 of cluster j - 1 below it, placed by flat index
+    # diagonal, node 2 of cluster j - 1 below it and D_0 over the input,
+    # gathered from ``values`` and placed by flat index
     measured_rows = np.zeros((n, 2 * k, 2 + 4 * k))
-    node_1, node_2 = _node_positions(n, k)
-    flat = measured_rows.reshape(-1)
-    flat[node_1] = (0.5 * (trig @ _NODE_1)).reshape(-1)
-    flat[node_2] = (0.5 * ((_PORT_SIGN * trig[1:]) @ _NODE_2)).reshape(-1)
+    positions, indices, signs, divisors, zeros = _measured_map(n, k)
+    measured_rows.reshape(-1)[positions] = signs * values[indices] / divisors + zeros
     measured_offset = np.zeros((n, 2 * k))
-    D0 = _PORT_SIGN * trig[0]
-    measured_rows[:, :2, :2] = D0 / _SQRT2
-    measured_offset[:, :2] = (D0 @ offsets)[..., 0] / _SQRT2
+    measured_offset[:, :2] = ((_PORT_SIGN * trig[0]) @ offsets)[..., 0] / _SQRT2
 
     suffix = np.empty((k, n, 2, 2))
     signal = _IDENTITY
@@ -452,14 +509,25 @@ def _run_lanes(inputs: Sequence[tuple], clusters: Sequence[Sequence[TwoNodeClust
     noise = (suffix @ _STEP_NOISE).transpose(1, 2, 0, 3).reshape(n, 2, 4 * k)
     classical = (suffix @ gains).transpose(1, 2, 0, 3).reshape(n, 2, 2 * k)
     offset = signal @ offsets
+    quad_rows = np.concatenate((signal, noise), axis=2)
+    quad_rows.setflags(write=False)
     names = _current_names(k)
-    return [GateOutput(signal_matrix=signal[lane], noise=noise[lane],
-                       classical=classical[lane], offset=offset[lane, :, 0],
-                       measured_rows=measured_rows[lane],
-                       measured_offset=measured_offset[lane], current_names=names,
-                       input_mode=modes[lane], settings=tuple(settings[lane]),
-                       clusters=tuple(clusters[lane]))
-            for lane in range(n)]
+    return [_made_output({
+        "signal_matrix": signal[lane], "noise": noise[lane], "classical": classical[lane],
+        "offset": offset[lane, :, 0], "measured_rows": measured_rows[lane],
+        "measured_offset": measured_offset[lane], "current_names": names,
+        "input_mode": modes[lane], "settings": tuple(settings[lane]),
+        "clusters": tuple(clusters[lane]), "_quad_rows": quad_rows[lane]})
+        for lane in range(n)]
+
+
+def _made_output(fields: dict) -> GateOutput:
+    """A :class:`GateOutput` holding ``fields``, the read-only quadrature
+    rows among them, made without ``__init__``: the engine core stacks the
+    rows of all its lanes at once, and :func:`feed_forward` copies them."""
+    output = object.__new__(GateOutput)
+    output.__dict__.update(fields)
+    return output
 
 
 def output_covariance(output: GateOutput,
@@ -475,21 +543,24 @@ def feed_forward(output: GateOutput, currents: Mapping[str, float] | None = None
 
     After feed-forward both expressions carry a classical offset of exactly
     zero and no photocurrent symbols; the quantum parts are untouched.
-    Applying it again is a no-op.  The corrected output shares every other
-    field, and the rows and variances kept with it, with ``output``: it is
-    copied field by field, not rebuilt through ``GateOutput.__init__``.
+    Applying it again is a no-op.  The currents needed are those whose
+    ``classical`` column is nonzero; a missing one raises, naming each
+    missing current once, in ``current_names`` order.  The corrected output
+    shares every other field, and the rows and variances kept with it, with
+    ``output``: it is copied field by field, not rebuilt through
+    ``GateOutput.__init__``.  It drops any kept expression view, so its view
+    is built from the zeroed arrays on first read.
     """
-    currents = dict(currents or {})
-    for e in output.exprs:
-        missing = [s for s in e.symbols if s not in currents]
-        if missing:
-            raise ValueError(f"missing measured currents for feed-forward: {missing}")
-    corrected = object.__new__(GateOutput)
-    corrected.__dict__.update(
-        output.__dict__, classical=np.zeros_like(output.classical), offset=np.zeros(2),
-        exprs=tuple(LinearQuadratureExpr._from_clean(dict(e.coeffs), {}, 0.0)
-                    for e in output.exprs))
-    return corrected
+    currents = currents or {}
+    missing = [name for name, used in zip(output.current_names,
+                                          output.classical.any(axis=0).tolist())
+               if used and name not in currents]
+    if missing:
+        raise ValueError(f"missing measured currents for feed-forward: {missing}")
+    fields = {**output.__dict__, "classical": np.zeros_like(output.classical),
+              "offset": np.zeros(2)}
+    fields.pop("exprs", None)
+    return _made_output(fields)
 
 
 def sample_currents(output: GateOutput, input_blocks: Mapping[int, np.ndarray],
@@ -505,7 +576,7 @@ def sample_currents(output: GateOutput, input_blocks: Mapping[int, np.ndarray],
     An input block that is not finite, symmetric and positive definite
     raises ValueError, as it does in :func:`output_covariance`.
     """
-    L = np.linalg.cholesky(output._input_block(input_blocks))
+    L = np.array(output._input_block(input_blocks)[1])
     variances = output._column_variances
     z = rng.standard_normal(variances.size)
     q = np.concatenate([L @ z[:2], np.sqrt(variances[2:]) * z[2:]])

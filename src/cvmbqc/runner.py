@@ -623,29 +623,33 @@ def _sample_and_feed_forward(cfg: ExperimentConfig, outputs: list,
     """Sample each output's photocurrents from one seeded generator, in
     order, feed them forward, and judge the corrected offsets.
 
-    Returns one record block per output (the currents, the shifts they put
-    on the output offsets, the corrected offsets and symbol counts) and the
+    Returns the currents and the corrected output of each output, and the
     feed_forward_offsets_zero verdict over all outputs, whose value is the
     largest classical term left: an offset or a symbol coefficient.
     """
     rng = np.random.default_rng(cfg.seed)
-    blocks = []
-    leftover = []
+    currents, corrected = [], []
     for out in outputs:
-        currents = gates.sample_currents(out, input_blocks, rng)
-        corrected = gates.feed_forward(out, currents)
-        leftover += [t for e in corrected.exprs for t in (e.offset, *e.symbols.values())]
-        blocks.append({
-            "currents": {k: _round12(v) for k, v in sorted(currents.items())},
-            "feed_forward_shifts": [_round12(v) for v in (
-                out.offset + out.classical @ [currents[n] for n in out.current_names])],
-            "corrected_offsets": [e.offset for e in corrected.exprs],
-            "corrected_symbol_count": [len(e.symbols) for e in corrected.exprs],
-        })
+        currents.append(gates.sample_currents(out, input_blocks, rng))
+        corrected.append(gates.feed_forward(out, currents[-1]))
+    leftover = [t for c in corrected for e in c.exprs for t in (e.offset, *e.symbols.values())]
     # np.max, unlike max, keeps a NaN term
     verdict = Verdict("feed_forward_offsets_zero", float(np.max(np.abs(leftover))),
                       0.0, "==", "feed-forward leaves no classical values")
-    return blocks, verdict
+    return currents, corrected, verdict
+
+
+def _sampling_block(out: gates.GateOutput, currents: dict,
+                    corrected: gates.GateOutput) -> dict:
+    """The record block of one sampled output: the currents, the shifts they
+    put on the output offsets, the corrected offsets and symbol counts."""
+    return {
+        "currents": {k: _round12(v) for k, v in sorted(currents.items())},
+        "feed_forward_shifts": [_round12(v) for v in (
+            out.offset + out.classical @ [currents[n] for n in out.current_names])],
+        "corrected_offsets": [e.offset for e in corrected.exprs],
+        "corrected_symbol_count": [len(e.symbols) for e in corrected.exprs],
+    }
 
 
 def _run_gate(cfg: ExperimentConfig) -> ResultRecord:
@@ -679,8 +683,8 @@ def _run_gate(cfg: ExperimentConfig) -> ResultRecord:
         Verdict("oracle_agreement", oracle_err, STEP_ORACLE_TOL, "<=", "STEP_ORACLE_TOL"),
     ]
     if p["sampling"]:
-        [record.scalars["sampling"]], verdict = _sample_and_feed_forward(
-            cfg, [out], {0: cov_in})
+        [currents], [corrected], verdict = _sample_and_feed_forward(cfg, [out], {0: cov_in})
+        record.scalars["sampling"] = _sampling_block(out, currents, corrected)
         record.verdicts.append(verdict)
     return record
 
@@ -733,8 +737,8 @@ def _run_compose(cfg: ExperimentConfig) -> ResultRecord:
             "phase_solver_residual", solver_residual, PHASE_RESIDUAL_TOL, "<=",
             "PHASE_RESIDUAL_TOL"))
     if p["sampling"]:
-        [record.scalars["sampling"]], verdict = _sample_and_feed_forward(
-            cfg, [out], {0: cov_in})
+        [currents], [corrected], verdict = _sample_and_feed_forward(cfg, [out], {0: cov_in})
+        record.scalars["sampling"] = _sampling_block(out, currents, corrected)
         record.verdicts.append(verdict)
     return record
 
@@ -819,7 +823,8 @@ def _run_pipeline(cfg: ExperimentConfig) -> ResultRecord:
         Verdict("lane_isolation", isolation, LANE_ISOLATION_TOL, "<=", "LANE_ISOLATION_TOL"),
     ]
     if p["sampling"]:
-        _, verdict = _sample_and_feed_forward(cfg, result.outputs, {0: cov_in})
+        # the record keeps no per-lane sampling block, only the verdict
+        *_, verdict = _sample_and_feed_forward(cfg, result.outputs, {0: cov_in})
         record.verdicts.append(verdict)
     record.events = result.events
     return record

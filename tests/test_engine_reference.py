@@ -1,23 +1,27 @@
 """Bit-identity of the gate engine and the pipeline log against their earlier form.
 
-The references below are the earlier code, kept verbatim: ``run_steps``
-with its per-step ``gate_matrix`` calls, the input parse through
+The references below are the earlier code, kept verbatim: ``run_steps`` with
+its per-step ``gate_matrix`` calls, the input parse through
 ``x_quad``/``y_quad``, the expression view built by filtering through the
 public ``LinearQuadratureExpr`` constructor, ``feed_forward`` through
 ``dataclasses.replace``, the column covariances read from
 ``source_variances``, and the pipeline's event log built as frozen
-``PipelineEvent`` dataclasses and sorted by key.  The one change to them
-is the unentangled screen of ``reference_run_steps``, which applies
-``VLF_GUARDED_BOUND`` as the engine's does.  The engine now evaluates
+``PipelineEvent`` dataclasses and sorted by key.  The one change to them is
+the unentangled screen of ``reference_run_steps``, which applies
+``VLF_GUARDED_BOUND`` as the engine's does and whose warning names the step
+and, in a pipeline of more than one lane, the lane.  The engine now evaluates
 each step in Python floats, builds its arrays once per call for a stack of
-lanes (placing the measured rows by flat index) and the expressions from
-clean dicts, copies an output's fields to feed forward, and the pipeline
-runs all its lanes in one engine call and sorts plain tuples into named
-tuples; the float operations that fix an output bit are the same, so every
-array must be equal with equal signbits, every expression, name and log
-byte the same, and every error must keep its type and message.  A
-pipeline lane is held to the reference run on that lane's own slot
-clusters, and a bad lane to the first error of the lanes run one by one.
+lanes (gathering the measured rows from the per-step values by flat index)
+and the expressions from clean dicts on first read, copies an output's
+fields to feed forward, and the pipeline runs all its lanes in one engine
+call and sorts plain tuples into named tuples; the float operations that fix
+an output bit are the same, so every array must be equal with equal
+signbits, every expression, name and log byte the same, and every error must
+keep its type and message (the feed-forward check now reads both rows of
+``classical``, so its missing-current message is the reference's wherever
+the first row carries every current, as in the case compared here).  A
+pipeline lane is held to the reference run on that lane's own slot clusters,
+and a bad lane to the first error of the lanes run one by one.
 
 The photocurrent draw is held to its definition instead: the currents are
 2 beta0 (r0 + R q), with q built from the generator's own 2 + 4k standard
@@ -91,21 +95,23 @@ _STEP_NOISE = np.array([[0.0, -_SQRT2, 0.0, 0.0], [0.0, 0.0, 0.0, -_SQRT2]])
 _PORT_SIGN = np.array([[-1.0], [1.0]])
 
 
-def reference_run_steps(input_exprs, clusters, settings, *, allow_unentangled=False):
+def reference_run_steps(input_exprs, clusters, settings, *, allow_unentangled=False,
+                        lane=None):
     k = len(settings)
     if len(clusters) != k or not k:
         raise ValueError("need one cluster per setting, at least one step")
     input_mode, input_offset = reference_input_mode(input_exprs)
     labels = [""] if k == 1 else [f"[{j + 1}]" for j in range(k)]
     names, matrices, trig, gains = [], [], [], []
-    for cluster, setting, label in zip(clusters, settings, labels):
+    for step, (cluster, setting, label) in enumerate(zip(clusters, settings, labels), 1):
         if cluster.vlf_sum() >= VLF_GUARDED_BOUND:
             if not allow_unentangled:
                 raise ValueError(
                     f"cluster resource is not entangled (nullifier sum {cluster.vlf_sum()!r} "
                     f">= VLF_GUARDED_BOUND = {VLF_GUARDED_BOUND!r}); "
                     "pass allow_unentangled=True to force")
-            warnings.warn("running a measurement step on an unentangled cluster resource",
+            where = f"step {step}" + ("" if lane is None else f" of lane {lane}")
+            warnings.warn(f"running measurement {where} on an unentangled cluster resource",
                           stacklevel=2)
         matrices.append(reference_gate_matrix(setting.theta_plus, setting.theta_minus))
         names += [f"i_in{label}", f"i_1{label}"]
@@ -533,10 +539,14 @@ FLAT = HomodyneSetting(0.4, 0.4)
 
 
 def reference_lanes(inputs, lane_clusters, settings, allow_unentangled):
-    """Each lane as its own earlier run_steps call, in lane order."""
+    """Each lane as its own earlier run_steps call, in lane order; the
+    warnings name the lane when there is more than one."""
+    named = len(inputs) > 1
     return [reference_run_steps(inp, clusters, lane_settings,
-                                allow_unentangled=allow_unentangled)
-            for inp, clusters, lane_settings in zip(inputs, lane_clusters, settings)]
+                                allow_unentangled=allow_unentangled,
+                                lane=lane if named else None)
+            for lane, (inp, clusters, lane_settings)
+            in enumerate(zip(inputs, lane_clusters, settings))]
 
 
 def random_pipeline(rng, n_lanes, steps):

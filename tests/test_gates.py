@@ -3,6 +3,7 @@ two-mode entangling construction."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cvmbqc.gates import (
     TwoModeCoefficients,
     TwoNodeCluster,
     _joint_cov,
+    _row_exprs,
     _schur_condition,
     canonical_cz_coefficients,
     cz_transform,
@@ -30,6 +32,7 @@ from cvmbqc.gates import (
     single_step_covariance_oracle,
     solve_phases,
 )
+from cvmbqc.multiplex import simulate_pipeline
 from cvmbqc.runner import STEP_ORACLE_TOL
 from cvmbqc.quadrature import (
     GaussianState,
@@ -364,6 +367,10 @@ class TestSingleStep:
             run_steps((x_quad(2), y_quad(2)), (self.LOOSE, self.GOOD, self.LOOSE),
                       (self.FINE,) * 3, allow_unentangled=True)
         assert [(w.category, w.filename) for w in log] == [(UserWarning, __file__)] * 2
+        # each warning names its step, from 1 as in i_in[j]; one lane, no lane named
+        assert [str(w.message) for w in log] == [
+            f"running measurement step {step} on an unentangled cluster resource"
+            for step in (1, 3)]
 
     def test_source_mode_allocation(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
@@ -693,6 +700,79 @@ class TestFeedForward:
         with pytest.raises(ValueError, match="missing measured currents"):
             feed_forward(out, {})
 
+    def test_missing_currents_are_named_once_in_time_order(self):
+        # step 2 has cos(theta+) + cos(theta-) == 0.0 exactly, so M_2 has a
+        # zero (0, 0) entry, and step 1 has theta_1 = 0.0: X_out then carries
+        # no i_in[1], which Y_out carries.  The check reads both rows, where
+        # reading only the first would leave i_in[1] out of the message.
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
+        out = run_steps((x_quad(0), y_quad(0)), (cluster, cluster),
+                        (HomodyneSetting(0.9, 0.0), HomodyneSetting(math.pi / 2, 0.58)))
+        x, y = out.exprs
+        assert "i_in[1]" not in x.symbols and "i_in[1]" in y.symbols
+        with pytest.raises(ValueError) as info:
+            feed_forward(out, {"i_in[2]": 0.1})
+        assert str(info.value) == ("missing measured currents for feed-forward: "
+                                   "['i_in[1]', 'i_1[1]', 'i_1[2]']")
+
+
+class TestExpressionView:
+    """``GateOutput.exprs`` is built from the arrays on first read, then kept."""
+
+    CLUSTER = TwoNodeCluster.from_y_variances(0.05, 0.05)
+    SETTINGS = (HomodyneSetting(0.9, 0.2), HomodyneSetting(1.4, 0.6))
+    SHIFTED = (x_quad(2) + LinearQuadratureExpr(offset=0.3),
+               y_quad(2) + LinearQuadratureExpr(offset=-1.1))
+
+    def _output(self):
+        return run_steps(self.SHIFTED, (self.CLUSTER,) * 2, self.SETTINGS)
+
+    @staticmethod
+    def _from_arrays(out):
+        return _row_exprs(np.hstack([out.signal_matrix, out.noise]), 2 * out.input_mode,
+                          out.classical, out.current_names, out.offset)
+
+    def test_no_view_is_built_until_read(self):
+        out = self._output()
+        inputs = [(x_quad(0), y_quad(0))] * 2
+        pipeline = simulate_pipeline(5.0, 1.0, inputs, [self.CLUSTER] * 4,
+                                     [list(self.SETTINGS)] * 2)
+        corrected = feed_forward(out, dict.fromkeys(out.current_names, 0.5))
+        for made in (out, *pipeline.outputs, corrected):
+            assert "exprs" not in made.__dict__
+
+    def test_first_read_builds_the_view_from_the_arrays_and_keeps_it(self):
+        out = self._output()
+        first = out.exprs
+        assert first == self._from_arrays(out)
+        assert [e.offset for e in first] == out.offset.tolist()
+        assert out.exprs is first and out.__dict__["exprs"] is first
+
+    def test_replace_keeps_a_given_view_or_rebuilds_one(self):
+        out = self._output()
+        given = (x_quad(0), y_quad(0))
+        assert replace(out, exprs=given).exprs is given
+        classical = 2.0 * out.classical
+        rebuilt = replace(out, classical=classical, exprs=None)
+        assert "exprs" not in rebuilt.__dict__
+        assert rebuilt.exprs == self._from_arrays(rebuilt)
+        assert [e.symbols for e in rebuilt.exprs] == [
+            {name: 2.0 * v for name, v in e.symbols.items()} for e in out.exprs]
+
+    @pytest.mark.parametrize("view", ["none", "read", "given"])
+    def test_feed_forward_builds_its_view_from_the_zeroed_arrays(self, view):
+        out = self._output()
+        if view == "read":
+            _ = out.exprs
+        elif view == "given":
+            out = replace(out, exprs=(x_quad(0), y_quad(0)))
+        corrected = feed_forward(out, dict.fromkeys(out.current_names, -1.5))
+        assert "exprs" not in corrected.__dict__
+        for e, coeffs in zip(corrected.exprs, (e.coeffs for e in self._from_arrays(out))):
+            assert e.coeffs == coeffs and e.symbols == {}
+            assert type(e.offset) is float and math.copysign(1.0, e.offset) == 1.0
+            assert e.offset == 0.0
+
 
 class TestCompose:
     def test_identity_twice(self):
@@ -954,6 +1034,35 @@ class TestSampling:
         assert np.array_equal(output_covariance(out, blocks), Q @ out.column_cov(blocks) @ Q.T)
         currents = sample_currents(out, blocks, np.random.default_rng(0))
         assert all(math.isfinite(v) for v in currents.values())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_input_factor_is_lapacks_bit_for_bit(self, seed):
+        # sample_currents factors the input block in Python floats; the
+        # factor must be np.linalg.cholesky's to the bit, and the blocks it
+        # rejects those LAPACK cannot factor.  Diagonal scales run over
+        # 1e-12..1e12 each, correlations up to |rho| = 1 - 1e-16.
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
+        out = run_steps((x_quad(0), y_quad(0)), (cluster,), (HomodyneSetting(0.9, 0.2),))
+        rng = np.random.default_rng([24, seed])
+        factored = rejected = 0
+        for _ in range(4000):
+            sx, sy = 10.0 ** rng.uniform(-6.0, 6.0, 2)
+            rho = rng.choice([-1.0, 1.0]) * (1.0 - 10.0 ** rng.uniform(-16.0, 0.0))
+            b = float(rho * sx * sy)
+            block = np.array([[sx * sx, b], [b, sy * sy]])
+            try:
+                rows = out._input_block({0: block})[1]
+            except ValueError:
+                rejected += 1
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.cholesky(block)
+                continue
+            factored += 1
+            expected = np.linalg.cholesky(block)
+            got = np.array(rows)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert factored > 3000 and rejected > 0
 
     def test_feed_forward_after_sampling(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)

@@ -1,0 +1,34 @@
+"""tools/layer_timeit.py: the layers it times and its usage errors."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("layer_timeit",
+                                               ROOT / "tools" / "layer_timeit.py")
+layer_timeit = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(layer_timeit)
+
+
+def test_times_every_layer():
+    timings = layer_timeit.layers(number=1)
+    assert list(timings) == [
+        "run_steps k=1", "run_steps k=4", "run_steps k=32", "sample_currents k=4",
+        "output_covariance k=4", "feed_forward k=4", "simulate_pipeline lanes=16",
+        "simulate_pipeline lanes=64"]
+    assert all(0.0 < t < math.inf for t in timings.values())
+
+
+@pytest.mark.parametrize("args", [
+    ["tools", "src"],  # no cvmbqc package under tools/
+    ["src", "src", "--rounds", "0"],
+    ["src", "src", "--number", "0"],
+])
+def test_usage_errors_exit_2(args, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    with pytest.raises(SystemExit) as info:
+        layer_timeit.main(args)
+    assert info.value.code == 2

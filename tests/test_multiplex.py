@@ -304,3 +304,7 @@ class TestPipeline:
             warnings.simplefilter("always")
             simulate_pipeline(5.0, 1.0, inputs, [loose] * 4, settings, allow_unentangled=True)
         assert [(w.category, w.filename) for w in log] == [(UserWarning, __file__)] * 4
+        # each warning names its step and, with two lanes, its lane
+        assert [str(w.message) for w in log] == [
+            f"running measurement step {step} of lane {lane} on an unentangled "
+            "cluster resource" for lane in (0, 1) for step in (1, 2)]

@@ -1,0 +1,114 @@
+"""Best-of timings of the gate engine's layers: parent source tree against change.
+
+    python tools/layer_timeit.py PARENT_SRC CHANGE_SRC [--rounds N] [--number N]
+
+Each ``*_SRC`` is a directory that holds the ``cvmbqc`` package (a
+checkout's ``src``).  The two trees are timed in alternating subprocesses,
+``--rounds`` of each, the side that starts switching every round, and BLAS
+on one thread in each.  A subprocess times every layer on fixed seeded
+inputs with ``timeit``: the best of 5 repeats of ``--number`` calls.  The
+tool prints one line per layer with the best time per call of each side
+over all its rounds, in microseconds, and change / parent.  Best-of timings
+on a shared host are rough; alternating the sides spreads the host's load
+over both.
+
+The layers: ``run_steps`` at k = 1, 4 and 32 steps; ``sample_currents``,
+``output_covariance`` and ``feed_forward`` on a 4-step output; and
+``simulate_pipeline`` with 16 and 64 lanes of 4 steps.  Inputs are those of
+the benchmark: clusters ``from_y_variances(0.05, 0.05, 10.0)``, a vacuum
+input, theta+ ~ U(-pi, pi) and theta- = pi/2 + U(-0.3, 0.3).
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import json
+import math
+import os
+import subprocess
+import sys
+import timeit
+
+#: Environment of each subprocess: BLAS on one thread.
+_ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                      "MKL_NUM_THREADS")}
+
+REPEATS = 5
+
+
+def layers(number: int) -> dict:
+    """Best seconds per call of each layer, from the ``cvmbqc`` on sys.path."""
+    import numpy as np
+
+    from cvmbqc import gates, multiplex
+    from cvmbqc.quadrature import x_quad, y_quad
+
+    cluster = gates.TwoNodeCluster.from_y_variances(0.05, 0.05, 10.0)
+    rng = np.random.default_rng(2024)
+
+    def settings(k):
+        tp = rng.uniform(-math.pi, math.pi, k)
+        tm = math.pi / 2 + rng.uniform(-0.3, 0.3, k)
+        return [gates.HomodyneSetting((p + m) / 2, (p - m) / 2)
+                for p, m in zip(tp.tolist(), tm.tolist())]
+
+    pair = (x_quad(0), y_quad(0))
+    vacuum = {0: 0.25 * np.eye(2)}
+    calls = {}
+    for k in (1, 4, 32):
+        calls[f"run_steps k={k}"] = functools.partial(gates.run_steps, pair, [cluster] * k,
+                                                       settings(k))
+    out = gates.run_steps(pair, [cluster] * 4, settings(4))
+    draws = np.random.default_rng(7)
+    calls["sample_currents k=4"] = lambda: gates.sample_currents(out, vacuum, draws)
+    calls["output_covariance k=4"] = lambda: gates.output_covariance(out, vacuum)
+    currents = gates.sample_currents(out, vacuum, draws)
+    calls["feed_forward k=4"] = lambda: gates.feed_forward(out, currents)
+    for lanes in (16, 64):
+        calls[f"simulate_pipeline lanes={lanes}"] = functools.partial(
+            multiplex.simulate_pipeline, 5.0, 1.0, [pair] * lanes,
+            [cluster] * (4 * lanes), [settings(4) for _ in range(lanes)])
+    return {name: min(timeit.repeat(call, number=number, repeat=REPEATS)) / number
+            for name, call in calls.items()}
+
+
+def _child(src: str, number: int) -> dict:
+    """One subprocess's timings of the tree ``src``."""
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "sys.path.insert(0, sys.argv[2]); import layer_timeit; "
+            "print(json.dumps(layer_timeit.layers(int(sys.argv[3]))))")
+    here = os.path.dirname(os.path.abspath(__file__))
+    done = subprocess.run([sys.executable, "-c", code, os.path.abspath(src), here,
+                           str(number)], env={**os.environ, **_ONE_THREAD},
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--rounds", type=int, default=4)
+    parser.add_argument("--number", type=int, default=200)
+    args = parser.parse_args(argv)
+    for src in (args.parent_src, args.change_src):
+        if not os.path.isdir(os.path.join(src, "cvmbqc")):
+            parser.error(f"{src} holds no cvmbqc package")
+    if args.rounds < 1 or args.number < 1:
+        parser.error("--rounds and --number must be at least 1")
+    best = {"parent": {}, "change": {}}
+    sides = [("parent", args.parent_src), ("change", args.change_src)]
+    for round_ in range(args.rounds):
+        for side, src in (sides if round_ % 2 == 0 else sides[::-1]):
+            for name, seconds in _child(src, args.number).items():
+                best[side][name] = min(seconds, best[side].get(name, math.inf))
+    print(f"{'layer':32s} {'parent us':>10s} {'change us':>10s} {'ratio':>6s}")
+    for name, parent in best["parent"].items():
+        change = best["change"][name]
+        print(f"{name:32s} {parent * 1e6:10.1f} {change * 1e6:10.1f} {change / parent:6.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
