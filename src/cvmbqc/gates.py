@@ -38,9 +38,13 @@ at once.  A chain's input is the (x, y) pair of one mode m, with optional
 numeric offsets; the sources of step j are modes m + 1 + 2j and
 m + 2 + 2j, so the column layout is fixed by m and the step count.  Every
 step is affine in the quadratures and currents, so the engine holds a
-chain of k steps as small dense arrays (:class:`GateOutput`), built in one
-pass from the cluster-node identities.  Step j homodynes its input against node 1 of cluster j, and
-its input is node 2 of cluster j - 1 (the chain input for j = 0), so each
+chain of k steps as small dense arrays (:class:`GateOutput`) built from the
+cluster-node identities.  One pass builds the arrays every reader needs,
+the signal and the noise; the measured rows, the current terms and the
+current scales, which only sampling and feed-forward read, are built from
+a record of that pass on the first read of any of them, for all its lanes
+at once.  Step j homodynes its input against node 1 of cluster j, and its
+input is node 2 of cluster j - 1 (the chain input for j = 0), so each
 measured quadrature is a fixed row over the sources of two steps:
 
     ports_j = D_j (input_j) + diag(-1, 1) D_j (X1_j, Y1_j),
@@ -223,6 +227,15 @@ class GateOutput:
       cluster j - 1 (the input for j = 0) and node 1 of cluster j, so every
       row has at most 8 nonzero columns and carries no current.
 
+    An output of the engine core holds ``signal_matrix`` and ``noise``
+    when it is made; ``classical``, ``offset``, ``measured_rows``,
+    ``measured_offset`` and the current scales 2 beta0 of sampling are
+    built on the first read of any of them, for every lane of the engine
+    pass at once (each lane's arrays are views into one stacked array), and
+    then kept.  So a covariance or a rerun that reads only the signal and
+    noise costs none of them.  An output made through the constructor, or
+    through :func:`dataclasses.replace`, holds every array as given.
+
     ``exprs`` is the (X_out, Y_out) expression view of the output rows,
     built from the arrays on first read and then kept; a view passed to the
     constructor is kept as given.  Pass ``exprs=None`` to
@@ -252,6 +265,8 @@ class GateOutput:
         rows = np.concatenate((self.signal_matrix, self.noise), axis=1)
         rows.setflags(write=False)
         object.__setattr__(self, "_quad_rows", rows)
+        object.__setattr__(self, "_current_scales",
+                           2.0 * np.repeat([s.beta_0 for s in self.settings], 2))
         if self.exprs is None:
             # __init__ stored None in the instance dict, where it would hide
             # the view built on first read (installed under ``exprs`` below)
@@ -322,6 +337,22 @@ GateOutput.exprs = functools.cached_property(_output_exprs)
 GateOutput.exprs.__set_name__(GateOutput, "exprs")
 
 
+def _lane_array(name: str) -> functools.cached_property:
+    """The non-data descriptor of an engine-built array: the first read of
+    any of ``_BUILT_ON_READ`` keeps all of the lane's arrays.  An engine
+    output holds none of them until then, and :func:`feed_forward` reads
+    them before it copies an output, so the read never replaces an array
+    the output holds."""
+    def read(output: GateOutput) -> np.ndarray:
+        fields = output.__dict__
+        fields.update(zip(_BUILT_ON_READ, output._pass.lane(output._lane)))
+        return fields[name]
+
+    view = functools.cached_property(read)
+    view.__set_name__(GateOutput, name)
+    return view
+
+
 def _row_exprs(quad_rows, first_column, current_rows, names, offsets) -> tuple:
     """Expression view of float array rows; array column c is covariance
     column ``first_column`` + c.  Zero entries are left out, as the
@@ -366,8 +397,9 @@ _PORT_SIGN = np.array([[-1.0], [1.0]])
 
 #: Each step's values in the engine core's flat ``values``: the four gate
 #: entries, the trig rows (cos, sin) of theta_in and theta_1 from index
-#: ``_TRIG_AT``, then the four current gains.
-_STEP_VALUES, _TRIG_AT = 12, 4
+#: ``_TRIG_AT``, the four current gains, then from ``_BETA_AT`` beta0 once
+#: for each of the step's two currents.
+_STEP_VALUES, _TRIG_AT, _BETA_AT = 14, 4, 12
 
 
 @functools.lru_cache(maxsize=64)
@@ -457,10 +489,14 @@ def _run_lanes(inputs: Sequence[tuple], clusters: Sequence[Sequence[TwoNodeClust
     the lanes and steps before it.  An unentangled-cluster warning names the
     step j, from 1 as in ``i_in[j]``, and the lane l (from 0) when more than
     one lane runs; it points at the caller of :func:`run_steps` or of
-    :func:`cvmbqc.multiplex.simulate_pipeline`.  The
-    arrays are then built over a leading lane axis, once for all lanes: each
-    lane takes the same float operations on the same values as it would
-    alone, so every lane's output is bit-identical to its own run_steps call.
+    :func:`cvmbqc.multiplex.simulate_pipeline`.  The arrays are then built
+    over a leading lane axis, once for all lanes: each lane takes the same
+    float operations on the same values as it would alone, so every lane's
+    output is bit-identical to its own run_steps call.  The pass builds only
+    what every reader needs, ``signal_matrix``, ``noise`` and the stacked
+    quadrature rows; the outputs share an :class:`_EnginePass` record, from
+    which the first read of a sampling or feed-forward array builds those
+    arrays of every lane.
     """
     n, k = len(settings), len(settings[0])
     modes, offsets, values = [], [], []
@@ -485,21 +521,11 @@ def _run_lanes(inputs: Sequence[tuple], clusters: Sequence[Sequence[TwoNodeClust
             cin, sin_, c1, s1 = cos(theta_in), sin(theta_in), cos(theta_1), sin(theta_1)
             pref = 1.0 / (setting.beta_0 * _SQRT2 * s)
             values += (m00, m01, m10, m11, cin, sin_, c1, s1,
-                       pref * c1, -pref * cin, -pref * s1, pref * sin_)
-    # step j's gate matrix M_j, trig rows T_j and current gains in lane l,
-    # each (k, n, 2, 2), and the input offsets as an (n, 2, 1) column
+                       pref * c1, -pref * cin, -pref * s1, pref * sin_,
+                       setting.beta_0, setting.beta_0)
+    # step j's gate matrix M_j in lane l, (k, n, 2, 2)
     values = np.array(values)
-    matrices, trig, gains = values.reshape(n, k, 3, 2, 2).transpose(2, 1, 0, 3, 4)
-    offsets = np.array(offsets).reshape(n, 2, 1)
-
-    # row pair j over (step, 4 sources): node 1 of cluster j on the
-    # diagonal, node 2 of cluster j - 1 below it and D_0 over the input,
-    # gathered from ``values`` and placed by flat index
-    measured_rows = np.zeros((n, 2 * k, 2 + 4 * k))
-    positions, indices, signs, divisors, zeros = _measured_map(n, k)
-    measured_rows.reshape(-1)[positions] = signs * values[indices] / divisors + zeros
-    measured_offset = np.zeros((n, 2 * k))
-    measured_offset[:, :2] = ((_PORT_SIGN * trig[0]) @ offsets)[..., 0] / _SQRT2
+    matrices = _step_arrays(values, n, k)[0]
 
     suffix = np.empty((k, n, 2, 2))
     signal = _IDENTITY
@@ -507,18 +533,80 @@ def _run_lanes(inputs: Sequence[tuple], clusters: Sequence[Sequence[TwoNodeClust
         suffix[j] = signal
         signal = signal @ matrices[j]
     noise = (suffix @ _STEP_NOISE).transpose(1, 2, 0, 3).reshape(n, 2, 4 * k)
-    classical = (suffix @ gains).transpose(1, 2, 0, 3).reshape(n, 2, 2 * k)
-    offset = signal @ offsets
     quad_rows = np.concatenate((signal, noise), axis=2)
     quad_rows.setflags(write=False)
     names = _current_names(k)
+    record = _EnginePass(values, offsets, suffix, signal)
     return [_made_output({
-        "signal_matrix": signal[lane], "noise": noise[lane], "classical": classical[lane],
-        "offset": offset[lane, :, 0], "measured_rows": measured_rows[lane],
-        "measured_offset": measured_offset[lane], "current_names": names,
+        "signal_matrix": signal[lane], "noise": noise[lane], "current_names": names,
         "input_mode": modes[lane], "settings": tuple(settings[lane]),
-        "clusters": tuple(clusters[lane]), "_quad_rows": quad_rows[lane]})
+        "clusters": tuple(clusters[lane]), "_quad_rows": quad_rows[lane],
+        "_pass": record, "_lane": lane})
         for lane in range(n)]
+
+
+def _step_arrays(values: np.ndarray, n: int, k: int) -> tuple:
+    """Step j's gate matrix M_j, trig rows T_j and current gains in lane l,
+    each (k, n, 2, 2), as views of the engine core's flat ``values``."""
+    steps = values.reshape(n, k, _STEP_VALUES)
+    return steps[..., :_BETA_AT].reshape(n, k, 3, 2, 2).transpose(2, 1, 0, 3, 4)
+
+
+class _EnginePass:
+    """What one engine pass keeps for the arrays its outputs build on read.
+
+    The pass's flat per-step ``values``, its input offsets (one Python
+    float pair per lane), the suffix products M_k ... M_{j+1} of every lane
+    and the signal matrices.  The first call of :meth:`lane` builds
+    ``classical``, ``offset``, ``measured_rows``, ``measured_offset`` and
+    the current scales of every lane at once, with the float operations the
+    engine once ran eagerly; each lane's arrays are views into those stacked
+    arrays.
+    """
+
+    __slots__ = ("values", "offsets", "suffix", "signal", "_lanes")
+
+    def __init__(self, values, offsets, suffix, signal):
+        self.values, self.offsets, self.suffix, self.signal = values, offsets, suffix, signal
+        self._lanes = None
+
+    def _stack(self) -> tuple:
+        """The built arrays of every lane, each with a leading lane axis."""
+        n, k = self.signal.shape[0], self.suffix.shape[0]
+        values = self.values
+        _, trig, gains = _step_arrays(values, n, k)
+        offsets = np.array(self.offsets).reshape(n, 2, 1)
+        # row pair j over (step, 4 sources): node 1 of cluster j on the
+        # diagonal, node 2 of cluster j - 1 below it and D_0 over the input,
+        # gathered from ``values`` and placed by flat index
+        measured_rows = np.zeros((n, 2 * k, 2 + 4 * k))
+        positions, indices, signs, divisors, zeros = _measured_map(n, k)
+        measured_rows.reshape(-1)[positions] = signs * values[indices] / divisors + zeros
+        measured_offset = np.zeros((n, 2 * k))
+        measured_offset[:, :2] = ((_PORT_SIGN * trig[0]) @ offsets)[..., 0] / _SQRT2
+        classical = (self.suffix @ gains).transpose(1, 2, 0, 3).reshape(n, 2, 2 * k)
+        offset = (self.signal @ offsets)[..., 0]
+        scales = 2.0 * values.reshape(n, k, _STEP_VALUES)[..., _BETA_AT:].reshape(n, 2 * k)
+        return classical, offset, measured_rows, measured_offset, scales
+
+    def lane(self, lane: int) -> tuple:
+        """Lane ``lane``'s built arrays in ``_BUILT_ON_READ`` order; the
+        first call builds those of every lane."""
+        if self._lanes is None:
+            self._lanes = list(zip(*self._stack()))
+        return self._lanes[lane]
+
+
+#: The arrays an engine output builds from its :class:`_EnginePass` on the
+#: first read of any of them, in :meth:`_EnginePass._stack` order.
+_BUILT_ON_READ = ("classical", "offset", "measured_rows", "measured_offset",
+                  "_current_scales")
+
+
+# Installed after the class is made, as ``exprs`` is; outputs made through
+# __init__ hold these arrays in the instance dict, where they hide the views.
+for _name in _BUILT_ON_READ:
+    setattr(GateOutput, _name, _lane_array(_name))
 
 
 def _made_output(fields: dict) -> GateOutput:
@@ -581,8 +669,7 @@ def sample_currents(output: GateOutput, input_blocks: Mapping[int, np.ndarray],
     z = rng.standard_normal(variances.size)
     q = np.concatenate([L @ z[:2], np.sqrt(variances[2:]) * z[2:]])
     measured = output.measured_offset + output.measured_rows @ q
-    two_beta = 2.0 * np.repeat([s.beta_0 for s in output.settings], 2)
-    return dict(zip(output.current_names, (two_beta * measured).tolist()))
+    return dict(zip(output.current_names, (output._current_scales * measured).tolist()))
 
 
 # ---------------------------------------------------------------------------

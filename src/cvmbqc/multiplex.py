@@ -227,6 +227,75 @@ def _to_ticks(value: float, tick: float, what: str) -> int:
     return int(n)
 
 
+def _event_log(slots: list, switches: list, tick: float, ticks_per_gap: int,
+               duration_ticks: int) -> tuple:
+    """The pipeline's event log in (tick, lane, element) order, emitted slot
+    by slot without a sort.
+
+    ``slots[l][s]`` is the slot of step s of lane l and ``switches`` the
+    (slot, lane, action) list of :func:`_switch_slots`, an inject and an
+    eject for each lane in turn.  With G = ``ticks_per_gap``, D =
+    ``duration_ticks`` and P = D + G, step s of lane l mixes and measures at
+    tick m P of its slot m = l + s n and, before its lane's last step, sends
+    the pulse round the loop at m P + D < (m + 1) P; lane l's switch injects
+    at l P and ejects at (l + steps n) P, and its input arrives at l G.  So
+    under the slot rule the slots follow each other in tick order, the
+    ejects come after every step, and the arrivals, at l G <= l P, all fall
+    among the first n slots.  Each is logged after every event of an earlier
+    tick and of the same tick and a lower lane: inside slot l, between
+    ``hd_in`` and ``switch``, when it shares the slot's tick (l = 0 or
+    D = 0), else after the slot's events at or below its tick.  Within one
+    tick and lane the elements sort as bs_gate < delay < hd_1 < hd_in <
+    input < switch, and a circulation shares its slot's tick only when
+    D = 0.  Events are made as plain tuples of the named-tuple class.
+    """
+    new, event = tuple.__new__, PipelineEvent
+    n_lanes, steps = len(slots), len(slots[0])
+    period_ticks = duration_ticks + ticks_per_gap
+    arrivals = [new(event, (lane * ticks_per_gap, lane * ticks_per_gap * tick, "input",
+                            lane, "arrive")) for lane in range(n_lanes)]
+    arrived = 0
+
+    def arrivals_below(t_count):
+        """The arrivals not yet logged with ticks below ``t_count``."""
+        nonlocal arrived
+        stop = max(arrived, min(n_lanes, -(-t_count // ticks_per_gap)))
+        below, arrived = arrivals[arrived:stop], stop
+        return below
+
+    log = []
+    for step in range(steps):
+        mix, measure = f"mix step {step + 1}", f"measure step {step + 1}"
+        for lane in range(n_lanes):
+            t_count = slots[lane][step] * period_ticks
+            t = t_count * tick
+            group = [new(event, (t_count, t, "bs_gate", lane, mix)),
+                     new(event, (t_count, t, "hd_1", lane, measure)),
+                     new(event, (t_count, t, "hd_in", lane, measure))]
+            if not step:
+                log += arrivals_below(t_count)
+                if arrived == lane and lane * ticks_per_gap == t_count:
+                    group += arrivals_below(t_count + 1)
+                slot, switch_lane, action = switches[2 * lane]
+                group.append(new(event, (slot * period_ticks, slot * period_ticks * tick,
+                                         "switch", switch_lane, action)))
+            if step + 1 < steps:
+                t_loop = t_count + duration_ticks
+                delay = new(event, (t_loop, t_loop * tick, "delay", lane, "circulate"))
+                if not duration_ticks:
+                    group.insert(1, delay)
+                else:
+                    if not step:
+                        group += arrivals_below(t_loop)
+                    group.append(delay)
+            log += group
+        if not step:
+            log += arrivals[arrived:]
+    log += [new(event, (slot * period_ticks, slot * period_ticks * tick, "switch", lane,
+                        action)) for slot, lane, action in switches[1::2]]
+    return tuple(log)
+
+
 def simulate_pipeline(duration: float, gap: float,
                       inputs: Sequence[tuple],
                       clusters: Sequence[TwoNodeCluster],
@@ -250,9 +319,12 @@ def simulate_pipeline(duration: float, gap: float,
     :func:`cvmbqc.gates.run_steps`: all lanes run through the engine core
     in one call, which is run_steps with one lane, so each lane's output is
     bit-identical to a stand-alone run_steps of that lane's input, slot
-    clusters and settings.  A bad lane raises what run_steps raises for it:
-    the first bad lane in lane order, after the unentangled-cluster warnings
-    of the lanes and steps before it.
+    clusters and settings.  The lanes' sampling and feed-forward arrays are
+    built on the first read of any of them, for all lanes at once.  A bad
+    lane raises what run_steps raises for it: the first bad lane in lane
+    order, after the unentangled-cluster warnings of the lanes and steps
+    before it.  The event log is ordered by (tick, lane, element) and is
+    emitted in that order, slot by slot, without a sort.
     """
     n_lanes = len(inputs)
     if n_lanes < 1:
@@ -276,29 +348,12 @@ def simulate_pipeline(duration: float, gap: float,
     duration_ticks = _to_ticks(duration, tick, "pulse duration")
     period_ticks = duration_ticks + ticks_per_gap
 
-    # (tick, lane, element, action): (tick, lane, element) is unique per
-    # event, so sorting the tuples orders the log by (tick, lane, element)
-    log = [(slot * period_ticks, lane, "switch", action)
-           for slot, lane, action in _switch_slots(n_lanes, steps)]
-    # the (mix, measure) actions of each step, named once for every lane
-    actions = [(f"mix step {step}", f"measure step {step}") for step in range(1, steps + 1)]
-    lane_clusters = []
-    for lane in range(n_lanes):
-        log.append((lane * ticks_per_gap, lane, "input", "arrive"))
-        slots = [lane_slot(lane, step, n_lanes) for step in range(steps)]
-        for slot, (mix, measure) in zip(slots, actions):
-            t_slot = slot * period_ticks
-            log += ((t_slot, lane, "bs_gate", mix), (t_slot, lane, "hd_in", measure),
-                    (t_slot, lane, "hd_1", measure))
-        # every step but the last sends its output pulse round the loop
-        log += [(slot * period_ticks + duration_ticks, lane, "delay", "circulate")
-                for slot in slots[:-1]]
-        lane_clusters.append([clusters[slot] for slot in slots])
+    slots = [[lane_slot(lane, step, n_lanes) for step in range(steps)]
+             for lane in range(n_lanes)]
+    lane_clusters = [[clusters[slot] for slot in lane_slots] for lane_slots in slots]
     outputs = gates._run_lanes(inputs, lane_clusters, gate_settings, allow_unentangled)
-
-    log.sort()
-    events = tuple([PipelineEvent(t_count, t_count * tick, element, lane, action)
-                    for t_count, lane, element, action in log])
+    events = _event_log(slots, _switch_slots(n_lanes, steps), tick, ticks_per_gap,
+                        duration_ticks)
     result = PipelineResult(tuple(outputs), events, delay)
     clashes = result.collisions()
     if clashes:

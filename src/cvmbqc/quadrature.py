@@ -243,7 +243,12 @@ SYMMETRY_TOL = 1e-12
 
 
 def _check_symmetric(cov: np.ndarray) -> None:
-    if abs(cov - cov.T).max() > SYMMETRY_TOL * max(1.0, float(abs(cov).max())):
+    """Reject a covariance with a NaN or infinite entry, or one that is not
+    symmetric to ``SYMMETRY_TOL`` times its largest entry (at least 1)."""
+    scale = float(abs(cov).max())
+    if not math.isfinite(scale):
+        raise ValueError("covariance entries must be finite")
+    if abs(cov - cov.T).max() > SYMMETRY_TOL * max(1.0, scale):
         raise ValueError("covariance must be symmetric")
 
 

@@ -13,8 +13,9 @@ and, in a pipeline of more than one lane, the lane.  The engine now evaluates
 each step in Python floats, builds its arrays once per call for a stack of
 lanes (gathering the measured rows from the per-step values by flat index)
 and the expressions from clean dicts on first read, copies an output's
-fields to feed forward, and the pipeline runs all its lanes in one engine
-call and sorts plain tuples into named tuples; the float operations that fix
+fields to feed forward, builds the sampling and feed-forward arrays of all
+lanes on first read, and the pipeline runs all its lanes in one engine call
+and emits its log as named tuples in slot order; the float operations that fix
 an output bit are the same, so every array must be equal with equal
 signbits, every expression, name and log byte the same, and every error must
 keep its type and message (the feed-forward check now reads both rows of

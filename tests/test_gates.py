@@ -8,12 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cvmbqc import gates
 from cvmbqc.gates import (
     CZ_MATRIX,
     MEASURED_EIG_MIN,
     PHASE_RESIDUAL_TOL,
     PINV_RCOND,
     DegenerateHomodynePhasesError,
+    GateOutput,
     HomodyneSetting,
     PhaseSolveError,
     TwoModeCoefficients,
@@ -484,6 +486,20 @@ class TestConditioningOracle:
             oracle = single_step_covariance_oracle(cov_in, cluster, setting)
             assert np.max(np.abs(engine - oracle)) < 1e-9
 
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
+    def test_oracle_rejects_a_nan_input_block(self, where):
+        # the oracle once returned an all-NaN covariance here, while
+        # output_covariance rejects the same block
+        cov_in = np.diag([0.25, 0.25])
+        cov_in[where] = math.nan
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
+        setting = HomodyneSetting(0.9, 0.2)
+        with pytest.raises(ValueError, match="^covariance entries must be finite$"):
+            single_step_covariance_oracle(cov_in, cluster, setting)
+        out = run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,))
+        with pytest.raises(ValueError, match="not a finite"):
+            output_covariance(out, {0: cov_in})
+
     def test_oracle_independent_of_excess_noise(self):
         setting = HomodyneSetting(0.8, 1.7)
         cov_in = random_input_cov(np.random.default_rng(6))
@@ -772,6 +788,116 @@ class TestExpressionView:
             assert e.coeffs == coeffs and e.symbols == {}
             assert type(e.offset) is float and math.copysign(1.0, e.offset) == 1.0
             assert e.offset == 0.0
+
+
+class TestLaneArraysOnRead:
+    """An engine output builds ``classical``, ``offset``, ``measured_rows``,
+    ``measured_offset`` and its current scales on the first read of any of
+    them, for every lane of its engine pass at once."""
+
+    ARRAYS = ("classical", "offset", "measured_rows", "measured_offset")
+    BUILT = ARRAYS + ("_current_scales",)
+    CLUSTER = TwoNodeCluster.from_y_variances(0.05, 0.05)
+    SETTINGS = (HomodyneSetting(0.9, 0.2, 3e5), HomodyneSetting(1.4, 0.6))
+    SHIFTED = TestExpressionView.SHIFTED
+
+    def _output(self):
+        return run_steps(self.SHIFTED, (self.CLUSTER,) * 2, self.SETTINGS)
+
+    def _pipeline(self, n_lanes=3):
+        settings = [[HomodyneSetting(0.9 + 0.1 * lane, 0.2, 1e5 * (lane + 1)),
+                     HomodyneSetting(1.4, 0.6)] for lane in range(n_lanes)]
+        inputs = [self.SHIFTED] + [(x_quad(0), y_quad(0))] * (n_lanes - 1)
+        return simulate_pipeline(5.0, 1.0, inputs, [self.CLUSTER] * (2 * n_lanes),
+                                 settings).outputs
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """Counts the engine passes that build their stacked arrays."""
+        built = []
+        real = gates._EnginePass._stack
+
+        def counted(record):
+            built.append(record)
+            return real(record)
+
+        monkeypatch.setattr(gates._EnginePass, "_stack", counted)
+        return built
+
+    def test_no_array_is_built_until_read(self, stacks):
+        for out in (self._output(), *self._pipeline()):
+            assert not set(self.BUILT) & set(out.__dict__)
+            _ = out.signal_matrix, out.noise, out.quadrature_rows()
+            output_covariance(out, {})
+        assert stacks == []
+
+    @pytest.mark.parametrize("first", BUILT)
+    def test_one_read_builds_every_lane_once(self, stacks, first):
+        outputs = self._pipeline()
+        getattr(outputs[1], first)
+        assert len(stacks) == 1
+        assert set(self.BUILT) <= set(outputs[1].__dict__)
+        assert not set(self.BUILT) & set(outputs[0].__dict__)
+        for out in outputs:
+            for name in self.BUILT:
+                getattr(out, name)
+        assert len(stacks) == 1
+        for name in self.BUILT:
+            lanes = [out.__dict__[name] for out in outputs]
+            base = lanes[0].base
+            assert base is not None and all(lane.base is base for lane in lanes)
+            assert base.size == len(outputs) * lanes[0].size
+
+    def test_arrays_equal_the_lanes_run_alone(self):
+        outputs = self._pipeline()
+        settings = [out.settings for out in outputs]
+        for out, lane_settings in zip(outputs, settings):
+            alone = run_steps(self.SHIFTED if out is outputs[0] else (x_quad(0), y_quad(0)),
+                              (self.CLUSTER,) * 2, lane_settings)
+            for name in self.BUILT:
+                assert np.array_equal(getattr(out, name), getattr(alone, name))
+            assert out._current_scales.tolist() == [
+                2.0 * s.beta_0 for s in lane_settings for _ in range(2)]
+
+    def test_second_read_returns_the_same_object(self):
+        out = self._output()
+        first = {name: getattr(out, name) for name in self.BUILT}
+        assert all(getattr(out, name) is first[name] for name in self.BUILT)
+
+    def test_replace_keeps_a_given_array(self):
+        out = self._output()
+        classical = 3.0 * np.ones((2, 4))
+        changed = replace(out, classical=classical)
+        assert changed.classical is classical
+        assert "_pass" not in changed.__dict__
+        for name in set(self.ARRAYS) - {"classical"}:
+            assert np.array_equal(getattr(changed, name), getattr(out, name))
+        assert np.array_equal(changed._current_scales, out._current_scales)
+
+    def test_constructor_holds_every_array(self):
+        out = self._output()
+        fields = {f: getattr(out, f) for f in (
+            "signal_matrix", "noise", *self.ARRAYS, "current_names", "input_mode",
+            "settings", "clusters")}
+        made = GateOutput(**fields)
+        assert set(self.BUILT) <= set(made.__dict__)
+        blocks = {1: np.array([[0.5, 0.2], [0.2, 0.3]])}
+        drawn = [sample_currents(o, blocks, np.random.default_rng(3)) for o in (out, made)]
+        assert drawn[0] == drawn[1]
+
+    @pytest.mark.parametrize("read", [False, True])
+    def test_feed_forward_keeps_its_zeros_and_the_lane_rows(self, stacks, read):
+        out = self._output()
+        if read:
+            _ = out.measured_rows
+        corrected = feed_forward(out, dict.fromkeys(out.current_names, 0.5))
+        assert corrected.measured_rows is out.measured_rows
+        assert corrected.measured_offset is out.measured_offset
+        assert corrected._current_scales is out._current_scales
+        assert not np.any(corrected.classical) and corrected.classical.shape == (2, 4)
+        assert corrected.offset.tolist() == [0.0, 0.0]
+        assert np.any(out.classical) and np.any(out.offset)
+        assert len(stacks) == 1
 
 
 class TestCompose:

@@ -218,6 +218,59 @@ class TestScheduleLanes:
                               _slot_clusters(2, 2), _lane_settings(2, 2))
 
 
+def sorted_event_log(duration, gap, n_lanes, steps, ticks_per_gap):
+    """The log as the pipeline once built it: plain tuples per lane, sorted,
+    then made into events through the named tuple's constructor."""
+    tick = gap / ticks_per_gap
+    duration_ticks = round(duration / tick)
+    period_ticks = duration_ticks + ticks_per_gap
+    log = [(slot * period_ticks, lane, "switch", action)
+           for slot, lane, action in multiplex._switch_slots(n_lanes, steps)]
+    actions = [(f"mix step {step}", f"measure step {step}") for step in range(1, steps + 1)]
+    for lane in range(n_lanes):
+        log.append((lane * ticks_per_gap, lane, "input", "arrive"))
+        slots = [multiplex.lane_slot(lane, step, n_lanes) for step in range(steps)]
+        for slot, (mix, measure) in zip(slots, actions):
+            t_slot = slot * period_ticks
+            log += ((t_slot, lane, "bs_gate", mix), (t_slot, lane, "hd_in", measure),
+                    (t_slot, lane, "hd_1", measure))
+        log += [(slot * period_ticks + duration_ticks, lane, "delay", "circulate")
+                for slot in slots[:-1]]
+    log.sort()
+    return tuple(PipelineEvent(t_count, t_count * tick, element, lane, action)
+                 for t_count, lane, element, action in log)
+
+
+class TestEventLogInSlotOrder:
+    """The log is emitted slot by slot, without a sort, in the order the
+    sorted log had."""
+
+    @staticmethod
+    def _check(duration, gap, n_lanes, steps, ticks_per_gap):
+        clusters = [TwoNodeCluster.from_y_variances(0.05, 0.05)] * (n_lanes * steps)
+        result = simulate_pipeline(duration, gap, [(x_quad(0), y_quad(0))] * n_lanes,
+                                   clusters, _lane_settings(n_lanes, steps),
+                                   ticks_per_gap=ticks_per_gap)
+        expected = sorted_event_log(duration, gap, n_lanes, steps, ticks_per_gap)
+        assert result.events == expected
+        assert all(type(ev) is PipelineEvent for ev in result.events)
+        assert events_to_jsonl(result.events).encode() == events_to_jsonl(expected).encode()
+
+    @pytest.mark.parametrize("n_lanes,steps,ticks_per_gap", [
+        (1, 1, 100), (3, 3, 100), (2, 4, 7), (16, 4, 100), (64, 4, 100)])
+    def test_shapes(self, n_lanes, steps, ticks_per_gap):
+        self._check(5.0, 1.0, n_lanes, steps, ticks_per_gap)
+
+    # a duration of 0.5 gap with ticks_per_gap = 2 puts arrivals on the
+    # ticks of earlier lanes' slots and circulations; 1e-12 rounds the
+    # duration to zero ticks, so circulations share their slot's tick
+    @pytest.mark.parametrize("duration,ticks_per_gap", [
+        (0.5, 2), (1.5, 2), (1.0, 1), (2.0, 3), (1e-12, 1), (1e-12, 7)])
+    @pytest.mark.parametrize("n_lanes,steps", [(1, 1), (2, 1), (5, 2), (7, 3)])
+    def test_ties_between_arrivals_and_slots(self, duration, ticks_per_gap, n_lanes, steps):
+        self._check(duration, 1.0, n_lanes, steps, ticks_per_gap)
+
+
 def _pipeline_fixture(n_lanes=2, v=0.05):
     cluster = TwoNodeCluster.from_y_variances(v, v)
     clusters = [cluster] * (2 * n_lanes)

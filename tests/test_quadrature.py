@@ -233,6 +233,36 @@ class TestUncertainty:
             check_uncertainty(np.array([[0.25, 0.1], [0.1 + 2e-12, 0.25]]))
 
 
+class TestNonFiniteCovariance:
+    """A NaN or infinite entry fails the covariance check; a NaN once passed
+    it, since every comparison with NaN is false."""
+
+    BAD = [pytest.param(np.nan, id="nan"), pytest.param(np.inf, id="inf"),
+           pytest.param(-np.inf, id="minus-inf")]
+
+    @staticmethod
+    def _cov(value, where):
+        cov = np.diag([VACUUM_VARIANCE, 1.0])
+        cov[where] = value
+        return cov
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
+    @pytest.mark.parametrize("value", BAD)
+    def test_state_rejects(self, value, where):
+        with pytest.raises(ValueError, match="^covariance entries must be finite$"):
+            GaussianState(np.zeros(2), self._cov(value, where))
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0)])
+    @pytest.mark.parametrize("value", BAD)
+    def test_check_uncertainty_rejects(self, value, where):
+        with pytest.raises(ValueError, match="^covariance entries must be finite$"):
+            check_uncertainty(self._cov(value, where))
+
+    def test_largest_finite_entries_pass(self):
+        big = np.finfo(float).max
+        GaussianState(np.zeros(2), np.diag([big, big]))
+
+
 def test_db_conversion_round_trip():
     for db in (0.0, 3.0, 8.3, 15.0):
         assert variance_to_db(db_to_variance(db)) == pytest.approx(db, abs=1e-12)

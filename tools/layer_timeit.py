@@ -13,10 +13,15 @@ on a shared host are rough; alternating the sides spreads the host's load
 over both.
 
 The layers: ``run_steps`` at k = 1, 4 and 32 steps; ``sample_currents``,
-``output_covariance`` and ``feed_forward`` on a 4-step output; and
-``simulate_pipeline`` with 16 and 64 lanes of 4 steps.  Inputs are those of
-the benchmark: clusters ``from_y_variances(0.05, 0.05, 10.0)``, a vacuum
-input, theta+ ~ U(-pi, pi) and theta- = pi/2 + U(-0.3, 0.3).
+``output_covariance`` and ``feed_forward`` on a 4-step output;
+``simulate_pipeline`` with 16 and 64 lanes of 4 steps; the lane rerun of the
+benchmark's pipeline check (``run_steps`` at k = 4, then
+``output_covariance`` and a read of ``signal_matrix``); and a 16-lane
+``simulate_pipeline`` with ``sample_currents`` and ``feed_forward`` on every
+lane.  The last two show what an output's arrays cost where they are built
+and where they are read.  Inputs are those of the benchmark: clusters
+``from_y_variances(0.05, 0.05, 10.0)``, a vacuum input,
+theta+ ~ U(-pi, pi) and theta- = pi/2 + U(-0.3, 0.3).
 """
 
 from __future__ import annotations
@@ -65,10 +70,23 @@ def layers(number: int) -> dict:
     calls["output_covariance k=4"] = lambda: gates.output_covariance(out, vacuum)
     currents = gates.sample_currents(out, vacuum, draws)
     calls["feed_forward k=4"] = lambda: gates.feed_forward(out, currents)
+    pipelines = {}
     for lanes in (16, 64):
-        calls[f"simulate_pipeline lanes={lanes}"] = functools.partial(
+        pipelines[lanes] = calls[f"simulate_pipeline lanes={lanes}"] = functools.partial(
             multiplex.simulate_pipeline, 5.0, 1.0, [pair] * lanes,
             [cluster] * (4 * lanes), [settings(4) for _ in range(lanes)])
+    rerun = settings(4)
+
+    def lane_rerun():
+        direct = gates.run_steps(pair, [cluster] * 4, rerun)
+        return gates.output_covariance(direct, vacuum), direct.signal_matrix
+
+    def sampled_lanes():
+        for lane in pipelines[16]().outputs:
+            gates.feed_forward(lane, gates.sample_currents(lane, vacuum, draws))
+
+    calls["lane rerun k=4"] = lane_rerun
+    calls["sampled lanes lanes=16"] = sampled_lanes
     return {name: min(timeit.repeat(call, number=number, repeat=REPEATS)) / number
             for name, call in calls.items()}
 
