@@ -24,11 +24,7 @@ from .quadrature import (
     db_to_variance,
     embed,
     expr_covariance,
-    is_symplectic,
     omega_matrix,
-    phase_rotation,
-    squeezing,
-    symmetric_beam_splitter,
     variance_to_db,
     x_quad,
     y_quad,

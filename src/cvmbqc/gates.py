@@ -56,8 +56,10 @@ quadrature); they carry no current columns and need no solve.  Each entry
 of R is one signed, scaled trig value of a step, so R is gathered from the
 per-step values in one indexed pass.  The output rows over the source
 quadratures and over the 2k currents come from the suffix products M_k ...
-M_{j+1} of the 2x2 gates, so a chain costs O(k).  The output covariance is
-Q Sigma Q^T.  Sampling draws the columns q themselves, the input pair
+M_{j+1} of the 2x2 gates, so a chain costs O(k).  The output covariance
+Q Sigma Q^T is formed from the only two nonzero blocks of Q Sigma, the
+signal times the input block and the noise times the source variances, so
+it too costs O(k).  Sampling draws the columns q themselves, the input pair
 through the 2x2 Cholesky factor of its block (in Python floats, from the
 pivots that check the block) and each independent source quadrature
 through its standard deviation, and applies R, so the currents follow R
@@ -83,7 +85,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -205,6 +207,12 @@ def gate_matrix(theta_plus: float, theta_minus: float) -> np.ndarray:
     return np.array([[m00, m01], [m10, m11]])
 
 
+#: The arrays an engine output builds from its :class:`_EnginePass` on the
+#: first read of any of them, in :meth:`_EnginePass._stack` order.
+_BUILT_ON_READ = ("classical", "offset", "measured_rows", "measured_offset",
+                  "_current_scales")
+
+
 @dataclass(frozen=True, eq=False)
 class GateOutput:
     """Output of one or more chained measurement steps, as dense arrays.
@@ -227,25 +235,22 @@ class GateOutput:
       cluster j - 1 (the input for j = 0) and node 1 of cluster j, so every
       row has at most 8 nonzero columns and carries no current.
 
-    An output of the engine core holds ``signal_matrix`` and ``noise``
-    when it is made; ``classical``, ``offset``, ``measured_rows``,
-    ``measured_offset`` and the current scales 2 beta0 of sampling are
-    built on the first read of any of them, for every lane of the engine
-    pass at once (each lane's arrays are views into one stacked array), and
-    then kept.  So a covariance or a rerun that reads only the signal and
-    noise costs none of them.  An output made through the constructor, or
-    through :func:`dataclasses.replace`, holds every array as given.
-
-    ``exprs`` is the (X_out, Y_out) expression view of the output rows,
-    built from the arrays on first read and then kept; a view passed to the
-    constructor is kept as given.  Pass ``exprs=None`` to
-    :func:`dataclasses.replace` to rebuild it from changed arrays.  The
-    quadrature rows ``[signal_matrix | noise]`` are stacked once, when the
-    output is made (the engine core stacks those of all its lanes at once),
-    into one read-only array that the expression view and
-    :func:`output_covariance` read; :meth:`quadrature_rows` hands out a
-    writable copy.  The column variances are kept once per output, on first
-    use.  Outputs compare and hash by identity, as ``ClusterGraph`` does.
+    The output pair over all quadrature columns is
+    ``[signal_matrix | noise]``.  An output of the engine core holds
+    ``signal_matrix`` and ``noise`` when it is made; ``classical``,
+    ``offset``, ``measured_rows``, ``measured_offset`` and the current
+    scales 2 beta0 of sampling are built on the first read of any of them,
+    for every lane of the engine pass at once (each lane's arrays are views
+    into one stacked array), and then kept.  So a covariance or a rerun that
+    reads only the signal and noise costs none of them.  ``exprs`` is the
+    (X_out, Y_out) expression view of the output rows, built from the arrays
+    on first read and then kept.  Both are built by :meth:`__getattr__`.  An
+    output made through the constructor, or through
+    :func:`dataclasses.replace`, holds every array, and a view passed as
+    ``exprs``, as given; pass ``exprs=None`` to :func:`dataclasses.replace`
+    to rebuild the view from changed arrays.  The column variances are kept
+    once per output, on first use.  Outputs compare and hash by identity, as
+    ``ClusterGraph`` does.
     """
 
     signal_matrix: np.ndarray
@@ -259,22 +264,35 @@ class GateOutput:
     settings: tuple
     clusters: tuple
     exprs: tuple | None = None
-    _quad_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = np.concatenate((self.signal_matrix, self.noise), axis=1)
-        rows.setflags(write=False)
-        object.__setattr__(self, "_quad_rows", rows)
         object.__setattr__(self, "_current_scales",
                            2.0 * np.repeat([s.beta_0 for s in self.settings], 2))
         if self.exprs is None:
             # __init__ stored None in the instance dict, where it would hide
-            # the view built on first read (installed under ``exprs`` below)
+            # the view built on first read
             del self.__dict__["exprs"]
 
-    def quadrature_rows(self) -> np.ndarray:
-        """Quantum part of the output pair over all quadrature columns."""
-        return self._quad_rows.copy()
+    def __getattr__(self, name: str):
+        """Build and keep what an output holds only once it is read.
+
+        Python calls this only for names that neither the instance nor the
+        class holds: the first read of any of ``_BUILT_ON_READ`` keeps all of
+        the lane's arrays from its engine pass, and the first read of
+        ``exprs`` keeps the expression view.  :func:`feed_forward` reads the
+        arrays before it copies an output, so a read never replaces an array
+        the output holds.
+        """
+        fields = self.__dict__
+        if name in _BUILT_ON_READ and "_pass" in fields:
+            fields.update(zip(_BUILT_ON_READ, fields["_pass"].lane(fields["_lane"])))
+        elif name == "exprs":
+            fields[name] = _row_exprs(
+                np.concatenate((self.signal_matrix, self.noise), axis=1),
+                2 * self.input_mode, self.classical, self.current_names, self.offset)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return fields[name]
 
     @functools.cached_property
     def _column_variances(self) -> np.ndarray:
@@ -309,48 +327,15 @@ class GateOutput:
                              "symmetric positive-definite matrix")
         return block, ((l00, 0.0), (l10, math.sqrt(pivot)))
 
-    def column_cov(self, input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Covariance of the quadrature columns: the input mode's block
-        (vacuum when none is given) and the uncorrelated cluster sources."""
-        cov = np.diag(self._column_variances)
-        cov[:2, :2] = self._input_block(input_blocks)[0]
-        return cov
-
     def noise_covariance(self) -> np.ndarray:
         """Covariance of the noise the steps add to the output pair."""
         return (self.noise * self._column_variances[2:]) @ self.noise.T
 
 
-def _output_exprs(output: GateOutput) -> tuple:
-    """The (X_out, Y_out) expression view of an output's rows."""
-    return _row_exprs(output._quad_rows, 2 * output.input_mode, output.classical,
-                      output.current_names, output.offset)
-
-
 # ``exprs`` stays an init field, so dataclasses.replace passes a view on or
-# takes a new one.  A view given to __init__ sits in the instance dict; with
-# none given, this non-data descriptor builds it from the arrays on the first
-# read and keeps it there, so an output that is never read as expressions
-# costs only its arrays.  It is installed after the class is made because
-# the class attribute under a field's name is that field's default.
-GateOutput.exprs = functools.cached_property(_output_exprs)
-GateOutput.exprs.__set_name__(GateOutput, "exprs")
-
-
-def _lane_array(name: str) -> functools.cached_property:
-    """The non-data descriptor of an engine-built array: the first read of
-    any of ``_BUILT_ON_READ`` keeps all of the lane's arrays.  An engine
-    output holds none of them until then, and :func:`feed_forward` reads
-    them before it copies an output, so the read never replaces an array
-    the output holds."""
-    def read(output: GateOutput) -> np.ndarray:
-        fields = output.__dict__
-        fields.update(zip(_BUILT_ON_READ, output._pass.lane(output._lane)))
-        return fields[name]
-
-    view = functools.cached_property(read)
-    view.__set_name__(GateOutput, name)
-    return view
+# takes a new one; the class attribute that holds the field's default would
+# hide the view that __getattr__ builds, so it goes once the class is made.
+del GateOutput.exprs
 
 
 def _row_exprs(quad_rows, first_column, current_rows, names, offsets) -> tuple:
@@ -493,10 +478,9 @@ def _run_lanes(inputs: Sequence[tuple], clusters: Sequence[Sequence[TwoNodeClust
     over a leading lane axis, once for all lanes: each lane takes the same
     float operations on the same values as it would alone, so every lane's
     output is bit-identical to its own run_steps call.  The pass builds only
-    what every reader needs, ``signal_matrix``, ``noise`` and the stacked
-    quadrature rows; the outputs share an :class:`_EnginePass` record, from
-    which the first read of a sampling or feed-forward array builds those
-    arrays of every lane.
+    what every reader needs, ``signal_matrix`` and ``noise``; the outputs
+    share an :class:`_EnginePass` record, from which the first read of a
+    sampling or feed-forward array builds those arrays of every lane.
     """
     n, k = len(settings), len(settings[0])
     modes, offsets, values = [], [], []
@@ -533,15 +517,12 @@ def _run_lanes(inputs: Sequence[tuple], clusters: Sequence[Sequence[TwoNodeClust
         suffix[j] = signal
         signal = signal @ matrices[j]
     noise = (suffix @ _STEP_NOISE).transpose(1, 2, 0, 3).reshape(n, 2, 4 * k)
-    quad_rows = np.concatenate((signal, noise), axis=2)
-    quad_rows.setflags(write=False)
     names = _current_names(k)
     record = _EnginePass(values, offsets, suffix, signal)
     return [_made_output({
         "signal_matrix": signal[lane], "noise": noise[lane], "current_names": names,
         "input_mode": modes[lane], "settings": tuple(settings[lane]),
-        "clusters": tuple(clusters[lane]), "_quad_rows": quad_rows[lane],
-        "_pass": record, "_lane": lane})
+        "clusters": tuple(clusters[lane]), "_pass": record, "_lane": lane})
         for lane in range(n)]
 
 
@@ -597,22 +578,10 @@ class _EnginePass:
         return self._lanes[lane]
 
 
-#: The arrays an engine output builds from its :class:`_EnginePass` on the
-#: first read of any of them, in :meth:`_EnginePass._stack` order.
-_BUILT_ON_READ = ("classical", "offset", "measured_rows", "measured_offset",
-                  "_current_scales")
-
-
-# Installed after the class is made, as ``exprs`` is; outputs made through
-# __init__ hold these arrays in the instance dict, where they hide the views.
-for _name in _BUILT_ON_READ:
-    setattr(GateOutput, _name, _lane_array(_name))
-
-
 def _made_output(fields: dict) -> GateOutput:
-    """A :class:`GateOutput` holding ``fields``, the read-only quadrature
-    rows among them, made without ``__init__``: the engine core stacks the
-    rows of all its lanes at once, and :func:`feed_forward` copies them."""
+    """A :class:`GateOutput` holding ``fields``, made without ``__init__``:
+    the engine core's outputs hold views into its stacked arrays, and
+    :func:`feed_forward` copies an output's fields."""
     output = object.__new__(GateOutput)
     output.__dict__.update(fields)
     return output
@@ -621,9 +590,18 @@ def _made_output(fields: dict) -> GateOutput:
 def output_covariance(output: GateOutput,
                       input_blocks: Mapping[int, np.ndarray]) -> np.ndarray:
     """Quantum covariance Q Sigma Q^T of the output pair over the input and
-    source modes (vacuum input when ``input_blocks`` has no block for it)."""
-    Q = output._quad_rows
-    return Q @ output.column_cov(input_blocks) @ Q.T
+    source modes (vacuum input when ``input_blocks`` has no block for it).
+
+    Q is ``[signal_matrix | noise]``, and Sigma is diagonal outside the input
+    pair's 2x2 block B, with the source variances v on the diagonal.  So
+    Q Sigma is ``[signal_matrix B | noise diag(v)]``, formed from those two
+    blocks without Sigma; every other term of the dense product is an exact
+    zero, so the result is the dense Q Sigma Q^T bit for bit.
+    """
+    signal, noise = output.signal_matrix, output.noise
+    block = output._input_block(input_blocks)[0]
+    return (np.concatenate((signal @ block, noise * output._column_variances[2:]), axis=1)
+            @ np.concatenate((signal, noise), axis=1).T)
 
 
 def feed_forward(output: GateOutput, currents: Mapping[str, float] | None = None) -> GateOutput:
@@ -634,7 +612,7 @@ def feed_forward(output: GateOutput, currents: Mapping[str, float] | None = None
     Applying it again is a no-op.  The currents needed are those whose
     ``classical`` column is nonzero; a missing one raises, naming each
     missing current once, in ``current_names`` order.  The corrected output
-    shares every other field, and the rows and variances kept with it, with
+    shares every other field, and the arrays and variances kept with it, with
     ``output``: it is copied field by field, not rebuilt through
     ``GateOutput.__init__``.  It drops any kept expression view, so its view
     is built from the zeroed arrays on first read.

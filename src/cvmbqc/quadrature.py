@@ -104,10 +104,6 @@ class LinearQuadratureExpr:
 
     # -- inspection ------------------------------------------------------
 
-    def coefficient_vector(self, n_modes: int) -> np.ndarray:
-        """Dense coefficient vector over the first ``n_modes`` modes."""
-        return _coefficient_matrix((self,), n_modes)[0]
-
     def canonical(self):
         """Hashable canonical form, used for exact comparisons."""
         return (
@@ -185,40 +181,6 @@ def symplectic_residual(S: np.ndarray) -> float:
     S = np.asarray(S, dtype=float)
     omega = omega_matrix(S.shape[0] // 2)
     return float(np.max(np.abs(S @ omega @ S.T - omega)))
-
-
-def is_symplectic(S: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
-        return False
-    return symplectic_residual(S) < tol
-
-
-def phase_rotation(angle: float) -> np.ndarray:
-    """Single-mode phase rotation: x + i*y -> (x + i*y) * exp(i*angle)."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
-def squeezing(r: float) -> np.ndarray:
-    """Single-mode squeezer: y variance scaled by exp(-2r), x by exp(+2r)."""
-    return np.array([[math.exp(r), 0.0], [0.0, math.exp(-r)]])
-
-
-def symmetric_beam_splitter() -> np.ndarray:
-    """Two-mode 50/50 beam splitter acting as [[1,1],[1,-1]]/sqrt(2).
-
-    The same mixing is applied to the x pair and to the y pair, so the map
-    is orthogonal, symplectic, and self-inverse.
-    """
-    h = 1.0 / math.sqrt(2.0)
-    S = np.zeros((4, 4))
-    for q in (0, 1):  # x block then y block
-        S[q, q] = h
-        S[q, q + 2] = h
-        S[q + 2, q] = h
-        S[q + 2, q + 2] = -h
-    return S
 
 
 def embed(S_small: np.ndarray, modes: Sequence[int], n_modes: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for cluster construction, nullifiers, and the inseparability check."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,12 +20,21 @@ from cvmbqc.cluster import (
 from cvmbqc.quadrature import (
     embed,
     expr_covariance,
-    is_symplectic,
-    phase_rotation,
-    symmetric_beam_splitter,
+    symplectic_residual,
     x_quad,
     y_quad,
 )
+
+
+def rotation(angle):
+    """Single-mode phase rotation: x + i*y -> (x + i*y) * exp(i*angle)."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+#: Two-mode 50/50 beam splitter [[1, 1], [1, -1]]/sqrt(2) on the x pair and
+#: on the y pair, in (x1, y1, x2, y2) order.
+BEAM_SPLITTER = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]), np.eye(2)) / np.sqrt(2.0)
 
 
 def random_orthogonal(rng, n):
@@ -168,16 +178,16 @@ class TestUnitaryToSymplectic:
 
     def test_single_mode_quarter_turn(self):
         S = unitary_to_symplectic(np.diag([1j, 1.0]))
-        expected = embed(phase_rotation(np.pi / 2), [0], 2)
+        expected = embed(rotation(np.pi / 2), [0], 2)
         np.testing.assert_allclose(S, expected, atol=1e-15)
 
     def test_two_node_factorization(self):
         # the two-node map splits into quarter-turn, beam splitter, back-turn
         U = cluster_unitary(ClusterGraph.two_node(), default_two_node_q())
         S = unitary_to_symplectic(U)
-        factored = (embed(phase_rotation(-np.pi / 2), [0], 2)
-                    @ symmetric_beam_splitter()
-                    @ embed(phase_rotation(np.pi / 2), [0], 2))
+        factored = (embed(rotation(-np.pi / 2), [0], 2)
+                    @ BEAM_SPLITTER
+                    @ embed(rotation(np.pi / 2), [0], 2))
         np.testing.assert_allclose(S, factored, atol=1e-14)
 
     def test_result_symplectic_and_orthogonal(self):
@@ -185,7 +195,7 @@ class TestUnitaryToSymplectic:
         for n in (2, 3, 5):
             U = cluster_unitary(random_graph(rng, n), random_orthogonal(rng, n))
             S = unitary_to_symplectic(U)
-            assert is_symplectic(S)
+            assert symplectic_residual(S) < 1e-12
             np.testing.assert_allclose(S @ S.T, np.eye(2 * n), atol=1e-12)
 
     def test_rejects_non_unitary(self):
@@ -407,8 +417,10 @@ def reference_cov(vy, graph, q=None):
 
 
 def reference_expr_covariance(exprs, cov):
-    n_modes = cov.shape[0] // 2
-    C = np.vstack([e.coefficient_vector(n_modes) for e in exprs])
+    C = np.zeros((len(exprs), cov.shape[0]))
+    for row, e in zip(C, exprs):
+        for col, c in e.coeffs.items():
+            row[col] = c
     return C @ cov @ C.T
 
 

@@ -352,17 +352,37 @@ class TestEngineBitIdentical:
             new, ref = got[1], expected[1]
 
             blocks = {new.input_mode: np.array([[0.7, 0.1], [0.1, 0.4]])}
-            assert_bits_equal(new.column_cov(blocks), reference_column_cov(ref, blocks))
-            assert_bits_equal(new.column_cov({}), reference_column_cov(ref, {}))
             assert_bits_equal(new._column_variances[2:], reference_source_variances(ref))
             assert_bits_equal(new.noise_covariance(), reference_noise_covariance(ref))
-            Q = ref.quadrature_rows()
+            Q = np.hstack([ref.signal_matrix, ref.noise])
             assert_bits_equal(output_covariance(new, blocks),
                               Q @ reference_column_cov(ref, blocks) @ Q.T)
+            assert_bits_equal(output_covariance(new, {}),
+                              Q @ reference_column_cov(ref, {}) @ Q.T)
 
             currents = dict(zip(new.current_names, rng.normal(size=len(new.current_names))))
             assert_outputs_equal(feed_forward(new, currents),
                                  reference_feed_forward(ref, currents))
+
+    @pytest.mark.parametrize("k", [1, 4, 33, 64])
+    def test_output_covariance_is_the_dense_product(self, k):
+        # the covariance is formed from the two nonzero blocks of Q Sigma;
+        # it must be the dense Q Sigma Q^T to the bit, for an input mode
+        # m > 0 and input blocks far from vacuum
+        rng = np.random.default_rng([18, k])
+        for _ in range(10):
+            mode = int(rng.integers(1, 5))
+            clusters = [random_cluster(rng) for _ in range(k)]
+            settings = [random_setting(rng) for _ in range(k)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the unentangled clusters
+                out = run_steps((x_quad(mode), y_quad(mode)), clusters, settings,
+                                allow_unentangled=True)
+            a = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-2.0, 2.0, 2)
+            blocks = {mode: a @ a.T + 1e-3 * np.eye(2)}
+            Q = np.hstack([out.signal_matrix, out.noise])
+            assert_bits_equal(output_covariance(out, blocks),
+                              Q @ reference_column_cov(out, blocks) @ Q.T)
 
     def test_random_chains_hit_every_kind_of_input(self):
         # without these the comparison above would miss the warnings, the
@@ -443,18 +463,6 @@ class TestEngineBitIdentical:
             expected = outcome(reference_run_steps, exprs, (self.GOOD,), (self.FINE,))
             assert expected[0] == "raised"
             assert outcome(run_steps, exprs, (self.GOOD,), (self.FINE,)) == expected
-
-    def test_quadrature_rows_is_a_fresh_writable_copy(self):
-        out = run_steps(self.PAIR, (self.GOOD, self.GOOD), (self.FINE, self.FINE))
-        rows = out.quadrature_rows()
-        assert rows.flags.writeable
-        assert not np.shares_memory(rows, out.quadrature_rows())
-        rows[:] = 0.0
-        assert_bits_equal(out.quadrature_rows(), np.hstack([out.signal_matrix, out.noise]))
-        assert_bits_equal(output_covariance(out, {}),
-                          np.hstack([out.signal_matrix, out.noise])
-                          @ reference_column_cov(out, {})
-                          @ np.hstack([out.signal_matrix, out.noise]).T)
 
     def test_feed_forward_missing_currents(self):
         out = run_steps(self.PAIR, (self.GOOD, self.GOOD), (self.FINE, self.FINE))

@@ -2,6 +2,7 @@
 two-mode entangling construction."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -40,10 +41,36 @@ from cvmbqc.quadrature import (
     GaussianState,
     LinearQuadratureExpr,
     omega_matrix,
-    phase_rotation,
     x_quad,
     y_quad,
 )
+
+
+def rotation(angle):
+    """Single-mode phase rotation: x + i*y -> (x + i*y) * exp(i*angle)."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def dense_row(expr, n_modes):
+    """An expression's coefficients over the first ``n_modes`` modes."""
+    row = np.zeros(2 * n_modes)
+    for col, c in expr.coeffs.items():
+        row[col] = c
+    return row
+
+
+def quad_rows(out):
+    """The output pair over all quadrature columns, [signal | noise]."""
+    return np.hstack([out.signal_matrix, out.noise])
+
+
+def column_cov(out, blocks):
+    """The dense covariance of an output's quadrature columns: the input
+    mode's block (vacuum when none is given) and the source variances."""
+    cov = np.diag(out._column_variances)
+    cov[:2, :2] = blocks.get(out.input_mode, 0.25 * np.eye(2))
+    return cov
 
 
 def random_setting(rng, beta_0=1e6):
@@ -73,7 +100,7 @@ def assert_columns(out, m, k):
     """A k-step output from input mode m spans covariance columns 2m to
     2m + 4k + 1: the input pair, then the sources of every step."""
     assert out.input_mode == m and len(out.settings) == k
-    assert out.quadrature_rows().shape == (2, 4 * k + 2)
+    assert out.noise.shape == (2, 4 * k)
     for e in out.exprs:
         assert all(2 * m <= c < 2 * m + 4 * k + 2 for c in e.coeffs)
 
@@ -174,8 +201,8 @@ class TestSingleStep:
             assert_columns(out, 0, 1)
             _, (X2, Y2) = cluster_node_exprs((1, 2))
             R = out.measured_rows
-            full = out.quadrature_rows() + (out.classical * 2.0 * setting.beta_0) @ R
-            ref = np.vstack([e.coefficient_vector(3) for e in (X2, Y2)])
+            full = quad_rows(out) + (out.classical * 2.0 * setting.beta_0) @ R
+            ref = np.vstack([dense_row(e, 3) for e in (X2, Y2)])
             assert np.max(np.abs(full - ref)) <= 1e-12
             assert not np.any(out.measured_offset) and not np.any(out.offset)
 
@@ -212,9 +239,9 @@ class TestSingleStep:
             ports = (h * (cin * (X1 - x) + sin_ * (Y1 - y)),
                      h * (c1 * (X1 + x) + s1 * (Y1 + y)))
             for row, port in zip(R[2 * j:2 * j + 2], ports):
-                assert np.max(np.abs(row - port.coefficient_vector(n_modes))) <= 1e-14
+                assert np.max(np.abs(row - dense_row(port, n_modes))) <= 1e-14
             x, y = X2, Y2
-        return np.vstack([x.coefficient_vector(n_modes), y.coefficient_vector(n_modes)])
+        return np.vstack([dense_row(x, n_modes), dense_row(y, n_modes)])
 
     def test_resolved_rows_follow_the_cluster_nodes(self):
         rng = np.random.default_rng(14)
@@ -225,7 +252,7 @@ class TestSingleStep:
         assert_columns(out, 0, 3)
         ref = self.assert_rows_follow_the_nodes(out, settings)
         two_beta = 2.0 * np.repeat([s.beta_0 for s in settings], 2)
-        full = out.quadrature_rows() + (out.classical * two_beta) @ out.measured_rows
+        full = quad_rows(out) + (out.classical * two_beta) @ out.measured_rows
         assert np.max(np.abs(full - ref)) <= 1e-12
 
     def test_input_offset_reaches_only_the_first_ports(self):
@@ -264,7 +291,7 @@ class TestSingleStep:
         # the output's current terms grow with the gates, so this identity
         # is checked relative to their size
         carried = out.classical * 2.0 * np.repeat([s.beta_0 for s in settings], 2)
-        full = out.quadrature_rows() + carried @ out.measured_rows
+        full = quad_rows(out) + carried @ out.measured_rows
         assert np.max(np.abs(full - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(carried))))
 
     def test_ideal_cluster_covariance(self):
@@ -435,8 +462,8 @@ class TestSingleStep:
         out = run_steps((x_quad(0), y_quad(0)), [cluster] * 2,
                         [random_setting(rng) for _ in range(2)])
         n_modes = 5
-        for expr, row, cur in zip(out.exprs, out.quadrature_rows(), out.classical):
-            assert np.array_equal(expr.coefficient_vector(n_modes), row)
+        for expr, row, cur in zip(out.exprs, quad_rows(out), out.classical):
+            assert np.array_equal(dense_row(expr, n_modes), row)
             assert expr.symbols == {n: c for n, c in zip(out.current_names, cur) if c}
         # the first step sees the input and the sources of step 1 (modes 0-2);
         # the second sees the 8 source columns of steps 1 and 2, and only those
@@ -827,7 +854,7 @@ class TestLaneArraysOnRead:
     def test_no_array_is_built_until_read(self, stacks):
         for out in (self._output(), *self._pipeline()):
             assert not set(self.BUILT) & set(out.__dict__)
-            _ = out.signal_matrix, out.noise, out.quadrature_rows()
+            _ = out.signal_matrix, out.noise
             output_covariance(out, {})
         assert stacks == []
 
@@ -1074,6 +1101,24 @@ def not_covariance_message(block) -> str:
             "a finite, symmetric positive-definite matrix")
 
 
+class TestOutputCovarianceMemory:
+    def test_long_chain_peaks_far_below_the_dense_column_covariance(self):
+        # the dense (2 + 4k)^2 column covariance would take 134 MB at
+        # k = 1024; the two nonzero blocks of Q Sigma take 2 x (2 + 4k)
+        k = 1024
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.05, 10.0)
+        out = run_steps((x_quad(0), y_quad(0)), [cluster] * k,
+                        chain_settings(np.random.default_rng(5), k))
+        tracemalloc.start()
+        try:
+            cov = output_covariance(out, {0: np.array([[0.5, 0.1], [0.1, 0.3]])})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cov.shape == (2, 2) and np.all(np.isfinite(cov))
+        assert peak < 1_000_000
+
+
 class TestSampling:
     def test_deterministic_per_seed(self):
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
@@ -1105,7 +1150,7 @@ class TestSampling:
             draws = np.array([list(sample_currents(out, blocks, rng).values())
                               for _ in range(n)])
             R = out.measured_rows
-            sigma = R @ out.column_cov(blocks) @ R.T
+            sigma = R @ column_cov(out, blocks) @ R.T
             var = np.diag(sigma)
             assert (np.abs(draws.mean(axis=0)) < 4.0 * np.sqrt(var / n)).all()
             bound = 5.0 * np.sqrt((np.outer(var, var) + sigma ** 2) / n)
@@ -1130,10 +1175,7 @@ class TestSampling:
             sample_currents(out, {0: np.array(block)}, np.random.default_rng(0))
         assert str(info.value) == not_covariance_message(block)
 
-    @pytest.mark.parametrize("use", [
-        output_covariance,
-        lambda out, blocks: out.column_cov(blocks),
-    ], ids=["output_covariance", "column_cov"])
+    @pytest.mark.parametrize("use", [output_covariance], ids=["output_covariance"])
     @pytest.mark.parametrize("block", NOT_COVARIANCES, ids=NOT_COVARIANCE_IDS)
     def test_covariance_paths_reject_the_blocks_the_sampler_rejects(self, block, use):
         # one rule on every path that reads the input block: before it,
@@ -1155,9 +1197,8 @@ class TestSampling:
         cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
         out = run_steps((x_quad(0), y_quad(0)), (cluster,), (HomodyneSetting(0.9, 0.2),))
         blocks = {0: np.array(block)}
-        assert np.array_equal(out.column_cov(blocks)[:2, :2], block)
-        Q = out.quadrature_rows()
-        assert np.array_equal(output_covariance(out, blocks), Q @ out.column_cov(blocks) @ Q.T)
+        Q = quad_rows(out)
+        assert np.array_equal(output_covariance(out, blocks), Q @ column_cov(out, blocks) @ Q.T)
         currents = sample_currents(out, blocks, np.random.default_rng(0))
         assert all(math.isfinite(v) for v in currents.values())
 
@@ -1259,10 +1300,10 @@ class TestSolvePhases:
         # the computed determinant of R(a) diag(s, 1/s) R(b) is off from 1 by
         # about eps * s**2, far beyond a fixed 1e-9 at s = 1e6
         rng = np.random.default_rng(44)
-        targets = [phase_rotation(0.7) @ np.diag([3e4, 1 / 3e4]) @ phase_rotation(-1.1)]
+        targets = [rotation(0.7) @ np.diag([3e4, 1 / 3e4]) @ rotation(-1.1)]
         for s in np.logspace(0.0, 6.0, 25):
             for a, b in rng.uniform(-math.pi, math.pi, size=(4, 2)):
-                targets.append(phase_rotation(a) @ np.diag([s, 1 / s]) @ phase_rotation(b))
+                targets.append(rotation(a) @ np.diag([s, 1 / s]) @ rotation(b))
         for T in targets:
             assert solve_phases(T).residual <= PHASE_RESIDUAL_TOL
 
@@ -1311,7 +1352,7 @@ class TestCzTransform:
             TwoModeCoefficients(np.eye(2), np.diag([1.0 + 1e-6, 1.0]))
 
     def test_accepts_ill_conditioned_blocks(self):
-        a = phase_rotation(0.7) @ np.diag([3e4, 1 / 3e4]) @ phase_rotation(-1.1)
+        a = rotation(0.7) @ np.diag([3e4, 1 / 3e4]) @ rotation(-1.1)
         assert abs(np.linalg.det(a) - 1.0) > 1e-9
         coeffs = TwoModeCoefficients(a, np.eye(2))
         assert np.array_equal(coeffs.a, a)

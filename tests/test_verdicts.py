@@ -94,7 +94,7 @@ def edge_threshold_one_degree_high(real):
 
     Still missed: a wrong cluster state.  The verdict compares the source
     variance with the graph's threshold, two inputs, so a vacuum
-    ``generate_cluster`` leaves it passing (ROADMAP item 2)."""
+    ``generate_cluster`` leaves it passing (ROADMAP item 3)."""
     return lambda graph: 1.0 / (1.0 / real(graph) + 1.0)
 
 
@@ -104,7 +104,7 @@ def feed_forward_uncorrected(real):
 
     Still missed: a wrong gain.  ``gates.feed_forward`` zeroes every
     classical term whatever the currents are, so a flipped or scaled gain
-    leaves the verdict passing (ROADMAP item 3)."""
+    leaves the verdict passing (ROADMAP item 4)."""
     return lambda output, currents=None: output
 
 
@@ -154,19 +154,19 @@ BY_CONSTRUCTION = {
     "phase_solver_residual": (
         "gates.solve_phases raises PhaseSolveError above the PHASE_RESIDUAL_TOL "
         "the verdict compares with, and the runner turns that into exit 2; "
-        "ROADMAP item 4 judges the engine's gate against the target instead"),
+        "ROADMAP item 5 judges the engine's gate against the target instead"),
     "symplectic": (
         "holds for any blocks of determinant one, the wrong pair included; "
-        "ROADMAP item 4 runs the gate through the engine"),
+        "ROADMAP item 5 runs the gate through the engine"),
     "matches_entangling_target": (
-        "compares two constant blocks with CZ_MATRIX; ROADMAP item 4 judges the "
+        "compares two constant blocks with CZ_MATRIX; ROADMAP item 5 judges the "
         "engine's two-mode gate"),
     "no_collisions": (
         "a collision raises LaneCollisionError and exits 2, so the count reads 0; "
-        "ROADMAP item 5 derives the timing from the delay line"),
+        "ROADMAP item 6 derives the timing from the delay line"),
     "lane_isolation": (
         "compares each lane with a rerun of the same run_steps call; ROADMAP "
-        "item 5 judges the lanes against the n-mode oracle"),
+        "item 12 judges the lanes against a lane-stacked oracle"),
 }
 
 #: a passing run of each kind that together emit every verdict name

@@ -14,6 +14,7 @@ over both.
 
 The layers: ``run_steps`` at k = 1, 4 and 32 steps; ``sample_currents``,
 ``output_covariance`` and ``feed_forward`` on a 4-step output;
+``output_covariance`` on a 128-step output;
 ``simulate_pipeline`` with 16 and 64 lanes of 4 steps; the lane rerun of the
 benchmark's pipeline check (``run_steps`` at k = 4, then
 ``output_covariance`` and a read of ``signal_matrix``); and a 16-lane
@@ -52,9 +53,9 @@ def layers(number: int) -> dict:
     cluster = gates.TwoNodeCluster.from_y_variances(0.05, 0.05, 10.0)
     rng = np.random.default_rng(2024)
 
-    def settings(k):
-        tp = rng.uniform(-math.pi, math.pi, k)
-        tm = math.pi / 2 + rng.uniform(-0.3, 0.3, k)
+    def settings(k, draw=rng):
+        tp = draw.uniform(-math.pi, math.pi, k)
+        tm = math.pi / 2 + draw.uniform(-0.3, 0.3, k)
         return [gates.HomodyneSetting((p + m) / 2, (p - m) / 2)
                 for p, m in zip(tp.tolist(), tm.tolist())]
 
@@ -68,6 +69,9 @@ def layers(number: int) -> dict:
     draws = np.random.default_rng(7)
     calls["sample_currents k=4"] = lambda: gates.sample_currents(out, vacuum, draws)
     calls["output_covariance k=4"] = lambda: gates.output_covariance(out, vacuum)
+    # own generator, so the inputs of the later layers stay as they were
+    long = gates.run_steps(pair, [cluster] * 128, settings(128, np.random.default_rng(128)))
+    calls["output_covariance k=128"] = lambda: gates.output_covariance(long, vacuum)
     currents = gates.sample_currents(out, vacuum, draws)
     calls["feed_forward k=4"] = lambda: gates.feed_forward(out, currents)
     pipelines = {}
