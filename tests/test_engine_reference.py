@@ -464,6 +464,18 @@ class TestEngineBitIdentical:
             assert expected[0] == "raised"
             assert outcome(run_steps, exprs, (self.GOOD,), (self.FINE,)) == expected
 
+    def test_output_covariance_is_a_fresh_writable_array(self):
+        out = run_steps(self.PAIR, (self.GOOD, self.GOOD), (self.FINE, self.FINE))
+        signal, noise = out.signal_matrix.copy(), out.noise.copy()
+        cov = output_covariance(out, {})
+        assert cov.flags.writeable
+        assert not np.shares_memory(cov, output_covariance(out, {}))
+        cov[:] = 0.0
+        assert_bits_equal(out.signal_matrix, signal)
+        assert_bits_equal(out.noise, noise)
+        Q = np.hstack([signal, noise])
+        assert_bits_equal(output_covariance(out, {}), Q @ reference_column_cov(out, {}) @ Q.T)
+
     def test_feed_forward_missing_currents(self):
         out = run_steps(self.PAIR, (self.GOOD, self.GOOD), (self.FINE, self.FINE))
         currents = {"i_in[1]": 0.1, "i_1[2]": 0.2}
@@ -596,6 +608,28 @@ class TestPipelineLanesBitIdentical:
             assert len(got[1].outputs) == n_lanes
             for new, ref in zip(got[1].outputs, expected[1]):
                 assert_outputs_equal(new, ref)
+
+    @pytest.mark.parametrize("n_lanes,steps", [(2, 3), (16, 4)])
+    def test_lane_output_covariance_is_the_dense_product(self, n_lanes, steps):
+        # a lane's signal and noise come from the pass's stacked arrays; its
+        # covariance must be the dense Q Sigma Q^T to the bit, and that of
+        # the lane run alone
+        rng = np.random.default_rng([23, n_lanes, steps, 2])
+        inputs, clusters, settings = random_pipeline(rng, n_lanes, steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the unentangled slots
+            outputs = simulate_pipeline(5.0, 1.0, inputs, clusters, settings,
+                                        allow_unentangled=True).outputs
+            alone = [run_steps(inp, lane, lane_settings, allow_unentangled=True)
+                     for inp, lane, lane_settings
+                     in zip(inputs, slot_clusters(clusters, n_lanes, steps), settings)]
+        for out, single in zip(outputs, alone):
+            a = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-2.0, 2.0, 2)
+            blocks = {out.input_mode: a @ a.T + 1e-3 * np.eye(2)}
+            Q = np.hstack([out.signal_matrix, out.noise])
+            cov = output_covariance(out, blocks)
+            assert_bits_equal(cov, Q @ reference_column_cov(out, blocks) @ Q.T)
+            assert_bits_equal(cov, output_covariance(single, blocks))
 
     @pytest.mark.parametrize("fault,allow_unentangled", [
         ("degenerate", True), ("degenerate", False), ("unentangled", False),

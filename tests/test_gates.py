@@ -1,10 +1,12 @@
 """Tests for measurement-step gates, feed-forward, phase solving, and the
 two-mode entangling construction."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -912,6 +914,46 @@ class TestLaneArraysOnRead:
         drawn = [sample_currents(o, blocks, np.random.default_rng(3)) for o in (out, made)]
         assert drawn[0] == drawn[1]
 
+    def _made(self, how):
+        """An output made by the engine core, by a pipeline lane, by the
+        constructor or by feed_forward."""
+        if how == "lane":
+            return self._pipeline()[1]
+        out = self._output()
+        if how == "constructor":
+            return GateOutput(**{f.name: getattr(out, f.name) for f in fields(GateOutput)})
+        if how == "feed_forward":
+            return feed_forward(out, dict.fromkeys(out.current_names, 0.5))
+        return out
+
+    @pytest.mark.parametrize("how", ["run_steps", "lane", "constructor", "feed_forward"])
+    def test_an_unknown_name_is_an_attribute_error(self, stacks, how):
+        # a miss builds nothing and keeps nothing
+        out = self._made(how)
+        held, n_built = dict(out.__dict__), len(stacks)
+        with pytest.raises(AttributeError) as info:
+            out.nope
+        assert str(info.value) == "'GateOutput' object has no attribute 'nope'"
+        assert not hasattr(out, "nope") and getattr(out, "nope", None) is None
+        assert list(out.__dict__) == list(held)
+        assert all(out.__dict__[name] is value for name, value in held.items())
+        assert len(stacks) == n_built
+
+    @pytest.mark.parametrize("copier", [
+        copy.copy, copy.deepcopy, lambda out: pickle.loads(pickle.dumps(out)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_builds_the_same_arrays_on_read(self, copier):
+        lane = self._pipeline()[1]
+        copied = copier(lane)
+        assert not set(self.BUILT) & set(copied.__dict__)
+        for name in self.BUILT:
+            assert np.array_equal(getattr(copied, name), getattr(lane, name))
+        assert copied.exprs == lane.exprs
+        blocks = {0: np.array([[0.5, 0.2], [0.2, 0.3]])}
+        assert np.array_equal(output_covariance(copied, blocks), output_covariance(lane, blocks))
+        drawn = [sample_currents(o, blocks, np.random.default_rng(4)) for o in (lane, copied)]
+        assert drawn[0] == drawn[1]
+
     @pytest.mark.parametrize("read", [False, True])
     def test_feed_forward_keeps_its_zeros_and_the_lane_rows(self, stacks, read):
         out = self._output()
@@ -1186,6 +1228,25 @@ class TestSampling:
         with pytest.raises(ValueError) as info:
             use(out, {0: np.array(block)})
         assert str(info.value) == not_covariance_message(block)
+
+    @pytest.mark.parametrize("mode", [1, 3])
+    def test_only_the_input_modes_block_is_read(self, mode):
+        # blocks are keyed by mode: a block that is no covariance is not
+        # read under another mode, and raises under the input mode
+        cluster = TwoNodeCluster.from_y_variances(0.05, 0.05)
+        out = run_steps((x_quad(mode), y_quad(mode)), (cluster,), (HomodyneSetting(0.9, 0.2),))
+        bad = NOT_COVARIANCES[0]
+        others = {m: np.array(bad) for m in range(mode + 2) if m != mode}
+        vacuum = output_covariance(out, {})
+        assert np.array_equal(output_covariance(out, others), vacuum)
+        assert np.array_equal(output_covariance(out, {mode: 0.25 * np.eye(2)}), vacuum)
+        assert (sample_currents(out, others, np.random.default_rng(0))
+                == sample_currents(out, {}, np.random.default_rng(0)))
+        for use in (output_covariance,
+                    lambda o, blocks: sample_currents(o, blocks, np.random.default_rng(0))):
+            with pytest.raises(ValueError) as info:
+                use(out, {**others, mode: np.array(bad)})
+            assert str(info.value) == not_covariance_message(bad)
 
     @pytest.mark.parametrize("block", [
         [[0.25, 0.0], [0.0, 0.25]],
