@@ -10,11 +10,12 @@ N_j = Y_j - sum_i A_ji X_i, and two-node inseparability through the
 criterion  var(N_1) + var(N_2) < 1/2  (strict).
 
 Everything here works on the adjacency and covariance arrays: edges and
-degrees come from the adjacency matrix, the cluster covariance is one
-product S diag(d) S^T, and the two-node check reads six entries of the
-two nodes' 4x4 block.  Nullifiers are returned as ``LinearQuadratureExpr``
-objects, each built from a single coefficient map keyed by covariance
-column (x_i is 2i, y_j is 2j + 1), without expression arithmetic.
+degrees come from the adjacency matrix, the cluster covariance
+S diag(d) S^T is one symmetric product B B^T with B = S diag(sqrt(d)), and
+the two-node check reads six entries of the two nodes' 4x4 block.
+Nullifiers are returned as ``LinearQuadratureExpr`` objects, each built
+from a single coefficient map keyed by covariance column (x_i is 2i, y_j is
+2j + 1), without expression arithmetic.
 
 A graph is immutable: its adjacency is a read-only copy of the caller's
 array.  So the parts that depend on the graph alone, the Q-free map
@@ -30,9 +31,11 @@ Q = None means the identity, and the product with it is skipped.  The
 output bits are fixed by a few operations, kept as they are: the
 eigendecomposition of I + A^2, the real product (V / sqrt(w)) V^T, the
 complex product (I + iA) @ (I + A^2)^(-1/2), the product with a given Q,
-the product (S * d) @ S^T, and the order in which the two-node check
-subtracts its six entries.  Skipping the product with I changes no
-covariance bit; it can change only the sign of a zero in U.
+the column scaling B = S * sqrt(d), the symmetric product B @ B^T (one
+triangle formed and mirrored, so the covariance is exactly symmetric), and
+the order in which the two-node check subtracts its six entries.  Skipping
+the product with I changes no covariance bit; it can change only the sign
+of a zero in U.
 """
 
 from __future__ import annotations
@@ -204,7 +207,9 @@ def cluster_unitary(graph: ClusterGraph, q: np.ndarray | None = None) -> np.ndar
     so the construction is always well conditioned), as (V / sqrt(w)) V^T.
     The output bits are fixed by the eigendecomposition, the real product
     (V / sqrt(w)) V^T, the complex product (I + iA) @ inv_sqrt and the
-    product with Q; U is checked to be unitary.
+    product with Q; U is checked to be unitary.  The covariance that
+    :func:`generate_cluster` builds on U takes its bits from these and from
+    its own symmetric product B @ B^T.
 
     ``q=None`` means Q = I: the product with it is skipped, and the Q-free
     map, computed and checked once per graph, is returned shared and
@@ -276,6 +281,13 @@ def generate_cluster(source_y_variances: Sequence[float],
     partner 1/(16 * v_y).  For the two-node graph Q defaults to diag(1, -1),
     matching the beam-splitter-and-phase-shifter preparation; otherwise Q
     defaults to the identity.
+
+    The covariance S diag(d) S^T, with S the real form of U and d the
+    interleaved source variances, is formed as B @ B^T with
+    B = S * sqrt(d).  That symmetric product fixes the output bits: one
+    triangle is computed and mirrored, so the covariance is exactly
+    symmetric, and it differs from the general product (S * d) @ S^T only
+    by rounding, a few ulps of its largest entry.
     """
     n = graph.n_nodes
     vy = [float(v) for v in source_y_variances]
@@ -298,9 +310,10 @@ def generate_cluster(source_y_variances: Sequence[float],
         raise ValueError("quadrature variances must be positive and finite")
     if q is None and n == 2:
         q = default_two_node_q()
-    S = _real_form(cluster_unitary(graph, q))
-    # S diag(d) S^T with the diagonal applied as column scaling
-    return GaussianState(np.zeros(2 * n), (S * d) @ S.T)
+    # numpy hands the product of a C-contiguous array with its own
+    # transpose to BLAS syrk: half the flops of a general product
+    B = _real_form(cluster_unitary(graph, q)) * np.sqrt(d)
+    return GaussianState(np.zeros(2 * n), B @ B.T)
 
 
 @dataclass(frozen=True, slots=True)

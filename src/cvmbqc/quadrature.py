@@ -206,11 +206,17 @@ SYMMETRY_TOL = 1e-12
 
 def _check_symmetric(cov: np.ndarray) -> None:
     """Reject a covariance with a NaN or infinite entry, or one that is not
-    symmetric to ``SYMMETRY_TOL`` times its largest entry (at least 1)."""
-    scale = float(abs(cov).max())
-    if not math.isfinite(scale):
+    symmetric to ``SYMMETRY_TOL`` times its largest entry (at least 1).
+
+    The largest magnitude is read from the two reductions max and min, which
+    carry a NaN through, and the asymmetry from one temporary made absolute
+    in place, so a check allocates one array of the covariance's size.
+    """
+    hi, lo = float(np.maximum.reduce(cov, None)), float(np.minimum.reduce(cov, None))
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("covariance entries must be finite")
-    if abs(cov - cov.T).max() > SYMMETRY_TOL * max(1.0, scale):
+    asym = cov - cov.T
+    if np.maximum.reduce(np.abs(asym, asym), None) > SYMMETRY_TOL * max(1.0, hi, -lo):
         raise ValueError("covariance must be symmetric")
 
 

@@ -53,6 +53,9 @@ PHASE_RESIDUAL_TOL = gates.PHASE_RESIDUAL_TOL
 SYMPLECTIC_TOL = quadrature.SYMPLECTIC_TOL
 #: Pipeline outputs vs stand-alone per-lane runs, absolute.
 LANE_ISOLATION_TOL = 1e-12
+#: Nullifier covariance of a generated cluster vs its closed form
+#: v (I + A^2), relative to the largest entry of the closed form.
+NULLIFIER_COV_REL_TOL = 1e-9
 #: Largest magnitude of an input_cov, target or cz block entry, of the
 #: delayed-check x_variance and of the pipeline ticks_per_gap, as their rows
 #: of KEYS bound them; products of a few such numbers, as the
@@ -509,24 +512,34 @@ def _run_cluster_check(cfg: ExperimentConfig) -> ResultRecord:
 
     pairwise = graph.n_nodes == 2  # the inseparability sum applies to pairs
     exprs = clus.nullifiers(graph)
+    adj = graph.adjacency.astype(float)
+    unit_cov = np.eye(graph.n_nodes) + adj @ adj  # nullifier covariance at v = 1
     rows = {"y_variance": [], "nullifier_sum": [], "verdict": []}
     verdicts = []
     for v in variances:
         state = clus.generate_cluster([v] * graph.n_nodes, graph)
         if pairwise:
             nullifier_sum = clus.vlf_two_node_check(state, (0, 1)).nullifier_sum
-            verdict = Verdict(f"entangled[v={v!r}]", nullifier_sum,
-                              clus.VLF_GUARDED_BOUND, "<", "VLF_BOUND - VLF_GUARD")
+            checks = [Verdict(f"entangled[v={v!r}]", nullifier_sum,
+                              clus.VLF_GUARDED_BOUND, "<", "VLF_BOUND - VLF_GUARD")]
         else:
-            # larger graphs: evaluate the nullifier variances directly and
-            # check the source squeezing against the edge threshold
-            nullifier_sum = float(np.trace(expr_covariance(exprs, state.cov)))
-            verdict = Verdict(f"below_edge_threshold[v={v!r}]", float(v), threshold,
-                              "<", "min_squeezing_threshold(graph)")
-        verdicts.append(verdict)
+            # larger graphs: check the source squeezing against the edge
+            # threshold, and the generated state's nullifier covariance
+            # against v (I + A^2), exact for equal y variances and any Q
+            null_cov = expr_covariance(exprs, state.cov)
+            nullifier_sum = float(np.trace(null_cov))
+            want = v * unit_cov
+            # divided as Python floats: a quotient past the float range is
+            # inf, with no numpy overflow warning
+            rel = float(np.max(np.abs(null_cov - want))) / float(np.max(np.abs(want)))
+            checks = [Verdict(f"below_edge_threshold[v={v!r}]", float(v), threshold,
+                              "<", "min_squeezing_threshold(graph)"),
+                      Verdict(f"nullifier_covariance[v={v!r}]", rel, NULLIFIER_COV_REL_TOL,
+                              "<=", "NULLIFIER_COV_REL_TOL")]
+        verdicts += checks
         rows["y_variance"].append(float(v))
         rows["nullifier_sum"].append(nullifier_sum)
-        rows["verdict"].append(verdict.passed)
+        rows["verdict"].append(all(c.passed for c in checks))
     record = ResultRecord(
         kind="cluster-check",
         inputs={"graph": graph.adjacency.tolist(), "y_variance": variances},

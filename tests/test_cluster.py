@@ -26,6 +26,9 @@ from cvmbqc.quadrature import (
 )
 
 
+EPS = np.finfo(float).eps
+
+
 def rotation(angle):
     """Single-mode phase rotation: x + i*y -> (x + i*y) * exp(i*angle)."""
     c, s = math.cos(angle), math.sin(angle)
@@ -405,14 +408,29 @@ def reference_unitary(graph, q=None):
     return (np.eye(n) + 1j * adj) @ inv_sqrt @ q
 
 
-def reference_cov(vy, graph, q=None):
+def reference_factors(vy, graph, q=None):
+    """S, the real form of the reference U, and the interleaved source
+    variances d of ``generate_cluster``'s defaults."""
     n = graph.n_nodes
     if q is None:
         q = default_two_node_q() if n == 2 else np.eye(n)
     d = np.empty(2 * n)
     d[0::2] = [1.0 / (16.0 * v) for v in vy]
     d[1::2] = vy
-    S = unitary_to_symplectic(reference_unitary(graph, q))
+    return unitary_to_symplectic(reference_unitary(graph, q)), d
+
+
+def reference_cov(vy, graph, q=None):
+    """The symmetric product B B^T with B = S diag(sqrt(d)) through an
+    explicit diagonal matrix."""
+    S, d = reference_factors(vy, graph, q)
+    B = S @ np.diag(np.sqrt(d))
+    return B @ B.T
+
+
+def dense_cov(vy, graph, q=None):
+    """The general product S diag(d) S^T, the textbook form of the state."""
+    S, d = reference_factors(vy, graph, q)
     return S @ np.diag(d) @ S.T
 
 
@@ -533,6 +551,24 @@ class TestArrayPathMatchesReference:
         graph = ClusterGraph(graph.adjacency)
         for each in (None, q, None, q):
             assert_matches_reference(graph, each)
+
+    @staticmethod
+    def states(graph):
+        """(vy, q, covariance) at the default Q and at a random orthogonal Q."""
+        n = graph.n_nodes
+        vy = np.random.default_rng(n).uniform(0.01, 0.2, n).tolist()
+        for q in (None, random_orthogonal(np.random.default_rng(n + 3), n)):
+            yield vy, q, generate_cluster(vy, graph, q).cov
+
+    def test_covariance_is_exactly_symmetric(self, graph):
+        for _, _, cov in self.states(graph):
+            assert np.array_equal(cov, cov.T)
+            assert np.array_equal(np.signbit(cov), np.signbit(cov.T))
+
+    def test_covariance_is_the_dense_product_to_rounding(self, graph):
+        for vy, q, cov in self.states(graph):
+            scale = np.max(np.abs(cov))
+            assert np.max(np.abs(cov - dense_cov(vy, graph, q))) <= 16 * EPS * scale
 
 
 def test_random_orthogonal_freedom_matches_reference():

@@ -190,7 +190,7 @@ FAULTS = [
     pytest.param(transposed_gate, [GATE, COMPOSE_NODES], id="transposed-gate-matrix"),
     pytest.param(shifted_source_modes, [GATE_NODES, COMPOSE_NODES],
                  id="off-by-one-source-mode"),
-    pytest.param(vacuum_clusters, [CHAIN3], id="a-vacuum-cluster", marks=survivor(3)),
+    pytest.param(vacuum_clusters, [CHAIN3], id="a-vacuum-cluster"),
     pytest.param(swapped_phases, [GATE], id="b-swapped-phases", marks=survivor(4)),
     pytest.param(zero_currents, [GATE, PIPELINE], id="c-zero-currents", marks=survivor(4)),
     pytest.param(short_loop_delay, [PIPELINE], id="d-short-loop-delay", marks=survivor(6)),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cvmbqc.quadrature import (
+    SYMMETRY_TOL,
     GaussianState,
     LinearQuadratureExpr,
     VACUUM_VARIANCE,
@@ -243,6 +244,78 @@ class TestNonFiniteCovariance:
     def test_largest_finite_entries_pass(self):
         big = np.finfo(float).max
         GaussianState(np.zeros(2), np.diag([big, big]))
+
+
+class TestSymmetryCheckEdges:
+    """The symmetry check on the edges of its two reductions and of its
+    bound, SYMMETRY_TOL times the largest magnitude (at least 1)."""
+
+    @staticmethod
+    def reference_check(cov):
+        """The check as a plain absolute value of the whole matrix."""
+        scale = float(np.max(np.abs(cov)))
+        if not math.isfinite(scale):
+            return "finite"
+        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * max(1.0, scale):
+            return "symmetric"
+        return None
+
+    @staticmethod
+    def outcome(cov):
+        try:
+            GaussianState(np.zeros(cov.shape[0]), cov)
+        except ValueError as exc:
+            return str(exc).split()[-1]
+        return None
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("value", TestNonFiniteCovariance.BAD)
+    def test_non_finite_first_or_last_entry(self, value, where):
+        # every other entry of one sign, so only one of max and min meets it
+        for sign in (1.0, -1.0):
+            cov = sign * np.arange(1.0, 37.0).reshape(6, 6)
+            cov = cov + cov.T
+            cov.flat[0 if where == "first" else -1] = value
+            with pytest.raises(ValueError, match="^covariance entries must be finite$"):
+                GaussianState(np.zeros(6), cov)
+            with pytest.raises(ValueError, match="^covariance entries must be finite$"):
+                check_uncertainty(cov)
+
+    @pytest.mark.parametrize("scale", [4.0, -1e4, 0.25, 1e-6],
+                             ids=["largest-4", "largest-minus-1e4", "below-1", "tiny"])
+    def test_asymmetry_on_the_bound(self, scale):
+        # the largest magnitude sits at (0, 1) and (1, 0); the one asymmetric
+        # pair is (0, 2) = 0 against (2, 0) = delta, so cov - cov.T is exact
+        cov = np.diag([0.5 * abs(scale)] * 4)
+        cov[0, 1] = cov[1, 0] = scale
+        edge = SYMMETRY_TOL * max(1.0, abs(scale))
+        cov[2, 0] = edge
+        GaussianState(np.zeros(4), cov)
+        check_uncertainty(cov)
+        cov[2, 0] = np.nextafter(edge, np.inf)
+        with pytest.raises(ValueError, match="^covariance must be symmetric$"):
+            GaussianState(np.zeros(4), cov)
+        with pytest.raises(ValueError, match="^covariance must be symmetric$"):
+            check_uncertainty(cov)
+
+    def test_agrees_with_the_whole_matrix_absolute_value(self):
+        rng = np.random.default_rng(11)
+        special = [np.nan, np.inf, -np.inf, np.finfo(float).max, -np.finfo(float).max]
+        seen = set()
+        for trial in range(400):
+            n = 2 * int(rng.integers(1, 4))
+            cov = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-8, 9)
+            cov = cov + cov.T
+            if trial % 3 == 0:  # an asymmetry near the bound
+                i, j = rng.integers(0, n, 2)
+                bound = SYMMETRY_TOL * max(1.0, float(np.max(np.abs(cov))))
+                cov[i, j] += bound * rng.uniform(0.5, 2.0)
+            if trial % 5 == 0:
+                cov.flat[rng.integers(0, n * n)] = special[trial % len(special)]
+            want = self.reference_check(cov)
+            assert self.outcome(cov) == want, cov
+            seen.add(want)
+        assert seen == {None, "finite", "symmetric"}
 
 
 def test_db_conversion_round_trip():

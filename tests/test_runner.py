@@ -161,7 +161,9 @@ class TestClusterCheck:
         record = json.loads((tmp_path / "o" / "cluster-check.json").read_text())
         verdicts = [(v["name"], v["passed"]) for v in record["verdicts"]]
         assert verdicts == [("below_edge_threshold[v=0.01]", True),
-                            ("below_edge_threshold[v=0.25]", False)]
+                            ("nullifier_covariance[v=0.01]", True),
+                            ("below_edge_threshold[v=0.25]", False),
+                            ("nullifier_covariance[v=0.25]", True)]
         assert record["passed"] is False
 
     def test_guard_band_fails_against_the_bound_it_prints(self, tmp_path, capsys):
@@ -178,6 +180,65 @@ class TestClusterCheck:
         assert record["series"]["checks"]["verdict"] == [False, False, True]
         assert {v["threshold"] for v in record["verdicts"]} == {0.499999999999}
         assert clus.VLF_GUARDED_BOUND == clus.VLF_BOUND - clus.VLF_GUARD
+
+    @pytest.mark.parametrize("graph,random_q", [
+        ("0 1 0; 1 0 1; 0 1 0", False),
+        ("0 1 1 1; 1 0 0 0; 1 0 0 0; 1 0 0 0", False),
+        ("0 1 0 0 1; 1 0 1 0 0; 0 1 0 1 0; 0 0 1 0 1; 1 0 0 1 0", False),
+        # the closed form holds for any orthogonal Q, here a random one
+        ("0 1 0; 1 0 1; 0 1 0", True),
+    ], ids=["chain3", "star4", "ring5", "chain3-random-q"])
+    def test_nullifier_covariance_reads_the_generated_state(self, tmp_path, monkeypatch,
+                                                            graph, random_q):
+        if random_q:
+            q = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+            real = clus.generate_cluster
+            monkeypatch.setattr(clus, "generate_cluster",
+                                lambda vy, g, *args: real(vy, g, q))
+        cfg = write_config(tmp_path, f"[cluster-check]\ngraph = {graph}\n"
+                                     "y_variance = 0.001, 0.05, 0.15\n")
+        record = runner.run(runner.ExperimentConfig(
+            "cluster-check", runner.load_params(cfg, "cluster-check"), None,
+            tmp_path / "o", "json"))
+        g = clus.ClusterGraph.from_text(graph)
+        adj = g.adjacency.astype(float)
+        states = [v for v in record.verdicts if v.name.startswith("nullifier_covariance")]
+        assert [v.name for v in states] == [f"nullifier_covariance[v={v!r}]"
+                                            for v in (0.001, 0.05, 0.15)]
+        for verdict, v in zip(states, (0.001, 0.05, 0.15)):
+            null_cov = expr_covariance(clus.nullifiers(g), clus.generate_cluster([v] * g.n_nodes,
+                                                                                 g).cov)
+            want = v * (np.eye(g.n_nodes) + adj @ adj)
+            assert verdict.value == np.max(np.abs(null_cov - want)) / np.max(want)
+            assert (verdict.threshold, verdict.comparison) == (1e-9, "<=")
+            assert verdict.constant == "NULLIFIER_COV_REL_TOL"
+            assert verdict.passed
+        assert runner.NULLIFIER_COV_REL_TOL == 1e-9
+
+    def test_a_pair_emits_no_nullifier_covariance(self, tmp_path):
+        cfg = write_config(tmp_path, "[cluster-check]\ny_variance = 0.05, 0.01\n")
+        assert main(["cluster-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        record = json.loads((tmp_path / "o" / "cluster-check.json").read_text())
+        assert [v["name"] for v in record["verdicts"]] == ["entangled[v=0.05]",
+                                                          "entangled[v=0.01]"]
+
+    def test_a_wrong_state_fails_the_row_below_the_threshold(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # sources of twice the asked y variance: the asked value is below
+        # the edge threshold, the state is not the one asked for
+        real = clus.generate_cluster
+        monkeypatch.setattr(clus, "generate_cluster",
+                            lambda vy, g, *args: real([2 * v for v in vy], g, *args))
+        cfg = write_config(tmp_path, "[cluster-check]\ngraph = 0 1 0; 1 0 1; 0 1 0\n"
+                                     "y_variance = 0.05\n")
+        assert main(["cluster-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "[PASS] below_edge_threshold[v=0.05]: value 0.05 < 0.2 "
+            "(min_squeezing_threshold(graph))",
+            "[FAIL] nullifier_covariance[v=0.05]: value 1 <= 1e-09 (NULLIFIER_COV_REL_TOL)"]
+        record = json.loads((tmp_path / "o" / "cluster-check.json").read_text())
+        # the row's verdict column is false when any verdict of the row fails
+        assert record["series"]["checks"]["verdict"] == [False]
 
     @pytest.mark.parametrize("variances,value", [
         ("0.05, 0.05", "0.05"), ("0.01, 0.1, 0.010", "0.01"), ("0, -0.0", "-0.0")])
@@ -474,8 +535,9 @@ class TestVerdict:
         assert capsys.readouterr().out.splitlines()[0] == (
             "[PASS] below_edge_threshold[v=0.19999999999999998]: "
             "value 0.19999999999999998 < 0.2 (min_squeezing_threshold(graph))")
-        [verdict] = json.loads((out / "cluster-check.json").read_text())["verdicts"]
+        verdict, state = json.loads((out / "cluster-check.json").read_text())["verdicts"]
         assert (verdict["value"], verdict["threshold"]) == (0.19999999999999998, 0.2)
+        assert state["name"] == "nullifier_covariance[v=0.19999999999999998]"
         assert (out / "cluster-check.csv").read_text().splitlines()[1] == (
             "below_edge_threshold[v=0.19999999999999998],0.19999999999999998,0.2,<,1")
 
@@ -806,6 +868,24 @@ class TestNumericEdgesExitCode:
         assert proc.returncode == 2, proc.stderr
         [line] = proc.stderr.splitlines()
         assert line.startswith("config error: [delayed-check] ")
+
+    # the anti-squeezed x variances 1/(16 v) cancel in the nullifiers, so
+    # rounding alone passes the relative NULLIFIER_COV_REL_TOL (ROADMAP
+    # item 8): 2.5e-8 at 1e-5; at 1e-300 the quotient passes the float range
+    @pytest.mark.parametrize("variance", ["1e-5", "1e-300"])
+    def test_cluster_check(self, tmp_path, variance):
+        """A strongly squeezed chain fails only ``nullifier_covariance``,
+        with no RuntimeWarning."""
+        cfg = write_config(tmp_path, "[cluster-check]\ngraph = 0 1 0; 1 0 1; 0 1 0\n"
+                                     f"y_variance = {variance}\n")
+        proc = run_python(["-W", "error::RuntimeWarning", "-m", "cvmbqc", "cluster-check",
+                           "--config", cfg, "--out", "o"], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ""
+        record = json.loads((tmp_path / "o" / "cluster-check.json").read_text())
+        [failed] = [v for v in record["verdicts"] if not v["passed"]]
+        assert failed["name"] == f"nullifier_covariance[v={float(variance)!r}]"
+        assert failed["value"] > runner.NULLIFIER_COV_REL_TOL
 
     @pytest.mark.parametrize("kind,text,code,message", [
         # source variances near 1e16, or of 1e-12 beside x variances of

@@ -88,13 +88,21 @@ def generate_cluster_vacuum(real):
                                                 graph, *args)
 
 
+def generate_cluster_doubled_y(real):
+    """Cluster generation from sources of twice the y variance asked, so the
+    nullifier covariance is 2 v (I + A^2) while the asked v stays below the
+    edge threshold."""
+    return lambda variances, graph, *args: real([2.0 * v for v in variances], graph, *args)
+
+
 def edge_threshold_one_degree_high(real):
     """The edge threshold counting one degree too many, 1/(3 + d_i + d_j),
     so a 3-node chain's 1/5 drops to 1/6.
 
-    Still missed: a wrong cluster state.  The verdict compares the source
-    variance with the graph's threshold, two inputs, so a vacuum
-    ``generate_cluster`` leaves it passing (ROADMAP item 3)."""
+    The verdict compares the source variance with the graph's threshold,
+    two inputs, so a wrong cluster state leaves it passing; that fault is
+    ``nullifier_covariance``'s.  Which bound the per-edge nullifier sum of
+    the state should meet is still open (ROADMAP item 3)."""
     return lambda graph: 1.0 / (1.0 / real(graph) + 1.0)
 
 
@@ -144,6 +152,9 @@ CASES = {
     "below_edge_threshold": (
         "cluster-check", CHAIN3 + "y_variance = 0.18\n",
         cluster, "min_squeezing_threshold", edge_threshold_one_degree_high),
+    "nullifier_covariance": (
+        "cluster-check", CHAIN3 + "y_variance = 0.05\n",
+        cluster, "generate_cluster", generate_cluster_doubled_y),
     "feed_forward_offsets_zero": (
         "gate", GATE + SAMPLING, gates, "feed_forward", feed_forward_uncorrected),
 }

@@ -17,12 +17,16 @@ The layers: ``run_steps`` at k = 1, 4 and 32 steps; ``sample_currents``,
 ``output_covariance`` on a 128-step output;
 ``simulate_pipeline`` with 16 and 64 lanes of 4 steps; the lane rerun of the
 benchmark's pipeline check (``run_steps`` at k = 4, then
-``output_covariance`` and a read of ``signal_matrix``); and a 16-lane
+``output_covariance`` and a read of ``signal_matrix``); a 16-lane
 ``simulate_pipeline`` with ``sample_currents`` and ``feed_forward`` on every
-lane.  The last two show what an output's arrays cost where they are built
-and where they are read.  Inputs are those of the benchmark: clusters
-``from_y_variances(0.05, 0.05, 10.0)``, a vacuum input,
-theta+ ~ U(-pi, pi) and theta- = pi/2 + U(-0.3, 0.3).
+lane; and the cluster path of the benchmark's ``cluster-large`` ops on a
+200-node chain: ``generate_cluster``, then ``expr_covariance`` of its
+nullifiers over that state.  The lane rerun and the sampled lanes show what
+an output's arrays cost where they are built and where they are read.
+Inputs are those of the benchmark: clusters
+``from_y_variances(0.05, 0.05, 10.0)``, whose source variances the 200-node
+chain takes on every node, a vacuum input, theta+ ~ U(-pi, pi) and
+theta- = pi/2 + U(-0.3, 0.3).
 """
 
 from __future__ import annotations
@@ -47,8 +51,9 @@ def layers(number: int) -> dict:
     """Best seconds per call of each layer, from the ``cvmbqc`` on sys.path."""
     import numpy as np
 
+    from cvmbqc import cluster as clus
     from cvmbqc import gates, multiplex
-    from cvmbqc.quadrature import x_quad, y_quad
+    from cvmbqc.quadrature import expr_covariance, x_quad, y_quad
 
     cluster = gates.TwoNodeCluster.from_y_variances(0.05, 0.05, 10.0)
     rng = np.random.default_rng(2024)
@@ -91,6 +96,13 @@ def layers(number: int) -> dict:
 
     calls["lane rerun k=4"] = lane_rerun
     calls["sampled lanes lanes=16"] = sampled_lanes
+    # fixed inputs, drawn from no generator
+    chain = clus.ClusterGraph.chain(200)
+    generate = calls["generate_cluster n=200"] = functools.partial(
+        clus.generate_cluster, [cluster.y_variances[0]] * 200, chain,
+        source_x_variances=[cluster.x_variances[0]] * 200)
+    calls["expr_covariance n=200"] = functools.partial(
+        expr_covariance, clus.nullifiers(chain), generate().cov)
     return {name: min(timeit.repeat(call, number=number, repeat=REPEATS)) / number
             for name, call in calls.items()}
 
