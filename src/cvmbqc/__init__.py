@@ -11,7 +11,7 @@ universal single-mode Gaussian gates and a two-mode entangling gate:
   variances of the squeezed light;
 * :mod:`cvmbqc.gates` - homodyne measurement steps, feed-forward, phase
   solving, and the beam-splitter-sandwich entangling gate;
-* :mod:`cvmbqc.multiplex` - delay lines, switch schedules, parallel lanes;
+* :mod:`cvmbqc.multiplex` - delay lines, the loop switch, parallel lanes;
 * :mod:`cvmbqc.runner` - the config-driven command line.
 """
 
@@ -73,10 +73,8 @@ from .multiplex import (
     DelayedVlf,
     LaneCollisionError,
     PipelineResult,
-    SwitchSchedule,
     admissible_frequencies,
     delayed_vlf,
-    schedule_lanes,
     simulate_pipeline,
 )
 

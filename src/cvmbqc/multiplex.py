@@ -1,4 +1,4 @@
-"""Temporal multiplexing: delay lines, switch schedules, and parallel lanes.
+"""Temporal multiplexing: delay lines, the loop switch, and parallel lanes.
 
 A loop interferometer with a switchable phase (0 or pi) routes pulses either
 straight through or into a delay arm, so consecutive cluster pairs can serve
@@ -8,8 +8,10 @@ slot rule (:func:`lane_slot`) times every lane: lane l injects in slot l,
 measures step s in slot l + s * n with that slot's cluster, and ejects in
 slot l + steps * n.  So lane l consumes clusters l, l + n, l + 2n, ..., and
 pulses of different lanes never meet on a beam splitter, which is what
-makes the lanes independent.  The switch program, the event log and the
-cluster pick all read this rule.  The lanes' gate chains are one
+makes the lanes independent.  The switch program is the rule's inject and
+eject slots (:func:`_switch_slots`), where the switch is pi; it is 0 in
+every other slot.  The program, the event log and the cluster pick all
+read this rule.  The lanes' gate chains are one
 computation: :func:`simulate_pipeline` runs every lane through the gate
 engine's core in one pass, the core that :func:`cvmbqc.gates.run_steps` runs
 with one lane, and each lane's output is bit-identical to run_steps on that
@@ -83,31 +85,6 @@ def admissible_frequencies(tau: float, k_range: Iterable[int]) -> np.ndarray:
     return np.array([2.0 * math.pi * k / tau for k in ks])
 
 
-@dataclass(frozen=True)
-class SwitchInterval:
-    start: float
-    end: float
-    phase: float  # 0.0 routes straight, pi injects/ejects
-
-
-@dataclass(frozen=True)
-class SwitchSchedule:
-    """Time-ordered, non-overlapping switch intervals with phases 0 or pi."""
-
-    intervals: tuple
-
-    def __post_init__(self):
-        prev_end = -math.inf
-        for iv in self.intervals:
-            if iv.phase not in (0.0, math.pi):
-                raise ValueError("the loop switch only takes phases 0 or pi")
-            if iv.start >= iv.end:
-                raise ValueError("empty or inverted switch interval")
-            if iv.start < prev_end:
-                raise ValueError("overlapping switch intervals")
-            prev_end = iv.end
-
-
 def lane_slot(lane: int, step: int, n_lanes: int) -> int:
     """Slot of step ``step`` of lane ``lane`` under the slot rule.
 
@@ -124,33 +101,12 @@ def _switch_slots(n_lanes: int, steps: int) -> list:
             for step, action in ((0, "inject"), (steps, "eject"))]
 
 
-def _loop_delay(period: float, gap: float, n_lanes: int, steps: int) -> float:
-    """Loop delay n_lanes * T0 of ``n_lanes`` lanes of ``steps`` steps, after
-    checking the timing arguments of :func:`schedule_lanes`."""
-    if n_lanes < 1:
-        raise ValueError("need at least one lane")
-    if steps < 1:
-        raise ValueError("need at least one step per lane")
+def _loop_delay(period: float, gap: float, n_lanes: int) -> float:
+    """Loop delay n_lanes * T0 of ``n_lanes`` lanes, after checking that
+    0 < ``gap`` (T0) < ``period`` (T + T0)."""
     if period <= 0 or gap <= 0 or gap >= period:
         raise ValueError("need 0 < gap < period")
     return n_lanes * gap
-
-
-def schedule_lanes(period: float, gap: float, n_lanes: int, steps: int):
-    """Loop delay and switch program of ``n_lanes`` lanes of ``steps`` steps.
-
-    ``period`` is the cluster repetition period (T + T0) and ``gap`` the
-    inter-pulse dark time T0.  The loop delay is the float n_lanes * T0.
-    The switch is pi in every inject and eject slot of the slot rule
-    (:func:`lane_slot`) and 0 while a lane's intermediate pulse circulates.
-    """
-    delay = _loop_delay(period, gap, n_lanes, steps)
-    pi_slots = {slot for slot, _, _ in _switch_slots(n_lanes, steps)}
-    schedule = SwitchSchedule(tuple(
-        SwitchInterval(slot * period, (slot + 1) * period,
-                       math.pi if slot in pi_slots else 0.0)
-        for slot in range(max(pi_slots) + 1)))
-    return delay, schedule
 
 
 class PipelineEvent(NamedTuple):
@@ -229,8 +185,7 @@ def _to_ticks(value: float, tick: float, what: str) -> int:
 
 def _event_log(slots: list, switches: list, tick: float, ticks_per_gap: int,
                duration_ticks: int) -> tuple:
-    """The pipeline's event log in (tick, lane, element) order, emitted slot
-    by slot without a sort.
+    """The pipeline's event log in (tick, lane, element) order, without a sort.
 
     ``slots[l][s]`` is the slot of step s of lane l and ``switches`` the
     (slot, lane, action) list of :func:`_switch_slots`, an inject and an
@@ -238,31 +193,19 @@ def _event_log(slots: list, switches: list, tick: float, ticks_per_gap: int,
     ``duration_ticks`` and P = D + G, step s of lane l mixes and measures at
     tick m P of its slot m = l + s n and, before its lane's last step, sends
     the pulse round the loop at m P + D < (m + 1) P; lane l's switch injects
-    at l P and ejects at (l + steps n) P, and its input arrives at l G.  So
-    under the slot rule the slots follow each other in tick order, the
-    ejects come after every step, and the arrivals, at l G <= l P, all fall
-    among the first n slots.  Each is logged after every event of an earlier
-    tick and of the same tick and a lower lane: inside slot l, between
-    ``hd_in`` and ``switch``, when it shares the slot's tick (l = 0 or
-    D = 0), else after the slot's events at or below its tick.  Within one
-    tick and lane the elements sort as bs_gate < delay < hd_1 < hd_in <
-    input < switch, and a circulation shares its slot's tick only when
-    D = 0.  Events are made as plain tuples of the named-tuple class.
+    at l P and ejects at (l + steps n) P.  So under the slot rule the slots
+    follow each other in tick order and the ejects come after every step:
+    the first pass emits them so.  Within one tick and lane the elements
+    sort as bs_gate < delay < hd_1 < hd_in < input < switch, and a
+    circulation shares its slot's tick only when D = 0.  Lane l's input
+    arrives at l G <= l P, among the first step's events, so the second
+    pass merges the arrivals into those, each before the first event with a
+    larger (tick, lane, element) key.  Events are made as plain tuples of
+    the named-tuple class.
     """
     new, event = tuple.__new__, PipelineEvent
     n_lanes, steps = len(slots), len(slots[0])
     period_ticks = duration_ticks + ticks_per_gap
-    arrivals = [new(event, (lane * ticks_per_gap, lane * ticks_per_gap * tick, "input",
-                            lane, "arrive")) for lane in range(n_lanes)]
-    arrived = 0
-
-    def arrivals_below(t_count):
-        """The arrivals not yet logged with ticks below ``t_count``."""
-        nonlocal arrived
-        stop = max(arrived, min(n_lanes, -(-t_count // ticks_per_gap)))
-        below, arrived = arrivals[arrived:stop], stop
-        return below
-
     log = []
     for step in range(steps):
         mix, measure = f"mix step {step + 1}", f"measure step {step + 1}"
@@ -273,27 +216,29 @@ def _event_log(slots: list, switches: list, tick: float, ticks_per_gap: int,
                      new(event, (t_count, t, "hd_1", lane, measure)),
                      new(event, (t_count, t, "hd_in", lane, measure))]
             if not step:
-                log += arrivals_below(t_count)
-                if arrived == lane and lane * ticks_per_gap == t_count:
-                    group += arrivals_below(t_count + 1)
                 slot, switch_lane, action = switches[2 * lane]
                 group.append(new(event, (slot * period_ticks, slot * period_ticks * tick,
                                          "switch", switch_lane, action)))
             if step + 1 < steps:
                 t_loop = t_count + duration_ticks
-                delay = new(event, (t_loop, t_loop * tick, "delay", lane, "circulate"))
-                if not duration_ticks:
-                    group.insert(1, delay)
-                else:
-                    if not step:
-                        group += arrivals_below(t_loop)
-                    group.append(delay)
+                group.insert(1 if not duration_ticks else len(group),
+                             new(event, (t_loop, t_loop * tick, "delay", lane, "circulate")))
             log += group
         if not step:
-            log += arrivals[arrived:]
+            first = len(log)
     log += [new(event, (slot * period_ticks, slot * period_ticks * tick, "switch", lane,
                         action)) for slot, lane, action in switches[1::2]]
-    return tuple(log)
+    merged, done, i = [], 0, 0
+    for lane in range(n_lanes):
+        t_count = lane * ticks_per_gap
+        key = (t_count, lane, "input")
+        while i < first and (log[i][0], log[i][3], log[i][2]) < key:
+            i += 1
+        merged += log[done:i]
+        merged.append(new(event, (t_count, t_count * tick, "input", lane, "arrive")))
+        done = i
+    merged += log[done:]
+    return tuple(merged)
 
 
 def simulate_pipeline(duration: float, gap: float,
@@ -307,9 +252,9 @@ def simulate_pipeline(duration: float, gap: float,
     ``inputs`` is one (x, y) expression pair per lane; ``gate_settings`` one
     setting list per lane; ``clusters`` one cluster per emission slot.  The
     slot rule (:func:`lane_slot`) places every event and picks each step's
-    cluster, and the switch events sit in the pi slots of the
-    :func:`schedule_lanes` program; the timing arguments are checked as
-    that function checks them, but the program itself is not built.  Event
+    cluster, and the switch events sit in the inject and eject slots of
+    :func:`_switch_slots`.  The loop delay n_lanes * gap comes from
+    :func:`_loop_delay`, which raises unless 0 < gap < duration + gap.  Event
     times live on an integer tick grid (tick = gap / ticks_per_gap) so
     collisions are detected exactly; if :meth:`PipelineResult.collisions`
     counts any, the run raises :class:`LaneCollisionError`, never silent.
@@ -324,7 +269,8 @@ def simulate_pipeline(duration: float, gap: float,
     lane raises what run_steps raises for it: the first bad lane in lane
     order, after the unentangled-cluster warnings of the lanes and steps
     before it.  The event log is ordered by (tick, lane, element) and is
-    emitted in that order, slot by slot, without a sort.
+    emitted in that order without a sort: slot by slot, with the input
+    arrivals merged into the first step's events.
     """
     n_lanes = len(inputs)
     if n_lanes < 1:
@@ -343,7 +289,7 @@ def simulate_pipeline(duration: float, gap: float,
     if not math.isfinite(period):
         raise ValueError(f"pulse period duration + gap = {duration:g} + {gap:g} "
                          "is not finite")
-    delay = _loop_delay(period, gap, n_lanes, steps)
+    delay = _loop_delay(period, gap, n_lanes)
     tick = gap / ticks_per_gap
     duration_ticks = _to_ticks(duration, tick, "pulse duration")
     period_ticks = duration_ticks + ticks_per_gap

@@ -273,18 +273,18 @@ class UncertaintyReport:
         return self.satisfied
 
 
-def check_uncertainty(cov: np.ndarray, tol: float = UNCERTAINTY_TOL) -> UncertaintyReport:
-    """Check the bound Sigma + (i/4) Omega >= 0 up to ``tol``.
+def check_uncertainty(cov: np.ndarray) -> UncertaintyReport:
+    """Check the bound Sigma + (i/4) Omega >= 0 up to UNCERTAINTY_TOL.
 
     The matrix Sigma + (i/4) Omega is Hermitian, so the bound holds iff its
-    smallest eigenvalue is >= -tol.
+    smallest eigenvalue is >= -UNCERTAINTY_TOL.
     """
     cov = np.asarray(cov, dtype=float)
     _check_symmetric(cov)
     omega = omega_matrix(cov.shape[0] // 2)
     eigs = np.linalg.eigvalsh(cov + 0.25j * omega)
     lo = float(np.min(eigs))
-    return UncertaintyReport(lo >= -tol, lo)
+    return UncertaintyReport(lo >= -UNCERTAINTY_TOL, lo)
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,10 @@ LANE_ISOLATION_TOL = 1e-12
 #: v (I + A^2), relative to the largest entry of the closed form.
 NULLIFIER_COV_REL_TOL = 1e-9
 #: Largest magnitude of an input_cov, target or cz block entry, of the
-#: delayed-check x_variance and of the pipeline ticks_per_gap, as their rows
-#: of KEYS bound them; products of a few such numbers, as the
-#: engine, the oracle and determinants form them, stay inside the
-#: floating-point range.
+#: cluster-check y_variance, of the delayed-check x_variance and of the
+#: pipeline ticks_per_gap, as their rows of KEYS bound them; products of a
+#: few such numbers, as the engine, the oracle, the nullifier covariance
+#: and determinants form them, stay inside the floating-point range.
 MAX_CONFIG_ENTRY = 1e50
 #: Largest spectrum ``points`` and ``oracle_points``: each point is an
 #: array entry and a record row, so a larger count is a memory error, not
@@ -303,7 +303,7 @@ KEYS = {
     },
     "cluster-check": {
         "graph": Key(TEXT, "0 1; 1 0"),
-        "y_variance": Key(NUMBER_LIST, REQUIRED),
+        "y_variance": Key(NUMBER_LIST, REQUIRED, magnitude=MAX_CONFIG_ENTRY),
     },
     "delayed-check": {
         "kappa": Key(NUMBER, REQUIRED),

@@ -70,8 +70,7 @@ def short_loop_delay(monkeypatch):
     """The pipeline's loop delay is one gap short."""
     real = multiplex._loop_delay
     monkeypatch.setattr(multiplex, "_loop_delay",
-                        lambda period, gap, n_lanes, steps:
-                        real(period, gap, n_lanes, steps) - gap)
+                        lambda period, gap, n_lanes: real(period, gap, n_lanes) - gap)
 
 
 def flipped_gain(monkeypatch):

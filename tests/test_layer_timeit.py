@@ -18,7 +18,8 @@ def test_times_every_layer():
     assert list(timings) == [
         "run_steps k=1", "run_steps k=4", "run_steps k=32", "sample_currents k=4",
         "output_covariance k=4", "output_covariance k=128", "feed_forward k=4",
-        "simulate_pipeline lanes=16", "simulate_pipeline lanes=64", "lane rerun k=4",
+        "simulate_pipeline lanes=16", "simulate_pipeline lanes=64", "_event_log lanes=64",
+        "lane rerun k=4",
         "sampled lanes lanes=16", "generate_cluster n=200", "expr_covariance n=200"]
     assert all(0.0 < t < math.inf for t in timings.values())
 

@@ -1,4 +1,4 @@
-"""Tests for delays, switch schedules, lane assignment, and the pipeline."""
+"""Tests for delays, the slot rule and its switch events, and the pipeline."""
 
 import json
 import math
@@ -21,7 +21,6 @@ from cvmbqc.multiplex import (
     admissible_frequencies,
     delayed_vlf,
     events_to_jsonl,
-    schedule_lanes,
     simulate_pipeline,
 )
 from cvmbqc.quadrature import x_quad, y_quad
@@ -118,27 +117,36 @@ def _assert_round_robin(n_lanes, steps):
     return result
 
 
-class TestScheduleLanes:
+def _switch_ticks(result):
+    """{(lane, action): [tick, ...]} of the log's switch events."""
+    found = {}
+    for ev in result.events:
+        if ev.element == "switch":
+            found.setdefault((ev.lane, ev.action), []).append(ev.tick)
+    return found
+
+
+class TestSlotRule:
     def test_single_lane_sequence(self):
-        delay, schedule = schedule_lanes(6.0, 1.0, 1, 2)
-        assert delay == 1.0  # one lane: loop delay equals the gap
-        phases = [iv.phase for iv in schedule.intervals]
-        assert phases == [math.pi, 0.0, math.pi]  # inject, circulate, eject
+        result = simulate_pipeline(5.0, 1.0, [(x_quad(0), y_quad(0))],
+                                   _slot_clusters(1, 2), _lane_settings(1, 2))
+        assert result.delay == 1.0  # one lane: loop delay equals the gap
+        # inject in slot 0, circulate through slot 1, eject in slot 2
+        assert _switch_ticks(result) == {(0, "inject"): [0], (0, "eject"): [1200]}
 
     def test_two_lanes_interleave(self):
-        delay, schedule = schedule_lanes(6.0, 1.0, 2, 2)
-        assert delay == 2.0
-        phases = [iv.phase for iv in schedule.intervals]
-        assert phases == [math.pi, math.pi, 0.0, 0.0, math.pi, math.pi]
-        _assert_round_robin(2, 2)
+        result = _assert_round_robin(2, 2)
+        assert result.delay == 2.0
+        # injects in slots 0 and 1, ejects in slots 4 and 5
+        assert _switch_ticks(result) == {
+            (0, "inject"): [0], (0, "eject"): [2400],
+            (1, "inject"): [600], (1, "eject"): [3000]}
 
     @pytest.mark.parametrize("n_lanes,gap", [(1, 1.0), (3, 0.5), (7, 0.1)])
     def test_delay_is_the_float_lanes_times_gap(self, n_lanes, gap):
-        delay, _ = schedule_lanes(5.0 + gap, gap, n_lanes, 2)
         result = simulate_pipeline(5.0, gap, [(x_quad(0), y_quad(0))] * n_lanes,
                                    _slot_clusters(n_lanes, 2), _lane_settings(n_lanes, 2))
-        for got in (delay, result.delay):
-            assert type(got) is float and got == n_lanes * gap
+        assert type(result.delay) is float and result.delay == n_lanes * gap
 
     def test_equal_counts_pigeonhole(self):
         # one step per lane: each lane takes exactly the cluster of its own slot
@@ -147,20 +155,14 @@ class TestScheduleLanes:
             (c,) for c in _slot_clusters(3, 1)]
 
     def test_infeasible_counts_rejected(self):
-        with pytest.raises(ValueError, match="step"):
-            schedule_lanes(6.0, 1.0, 3, 0)
-        with pytest.raises(ValueError, match="lane"):
-            schedule_lanes(6.0, 1.0, 0, 2)
-        with pytest.raises(ValueError, match="gap"):
-            schedule_lanes(6.0, 6.0, 2, 2)
-
-    def test_schedule_is_valid(self):
-        _, schedule = schedule_lanes(6.0, 1.0, 2, 3)
-        prev_end = -1.0
-        for iv in schedule.intervals:
-            assert iv.start >= prev_end
-            assert iv.phase in (0.0, math.pi)
-            prev_end = iv.end
+        with pytest.raises(ValueError, match="positive number of steps"):
+            simulate_pipeline(5.0, 1.0, [(x_quad(0), y_quad(0))] * 3,
+                              _slot_clusters(3, 1), [[]] * 3)
+        with pytest.raises(ValueError, match="at least one lane"):
+            simulate_pipeline(5.0, 1.0, [], _slot_clusters(1, 2), [])
+        with pytest.raises(ValueError, match=r"^need 0 < gap < period$"):  # gap = period
+            simulate_pipeline(0.0, 6.0, [(x_quad(0), y_quad(0))] * 2,
+                              _slot_clusters(2, 2), _lane_settings(2, 2))
 
     @pytest.mark.parametrize("n_lanes,steps", [(1, 1), (1, 4), (2, 3), (4, 2), (5, 5)])
     def test_round_robin_through_the_pipeline(self, n_lanes, steps):
@@ -183,19 +185,17 @@ class TestScheduleLanes:
 
     @pytest.mark.parametrize("n_lanes", [1, 2, 3, 7])
     @pytest.mark.parametrize("steps", [1, 2, 4])
-    def test_switch_program_and_event_log_agree(self, n_lanes, steps):
+    def test_switch_events_follow_the_slot_rule(self, n_lanes, steps):
         duration, gap = 2.5, 0.5
         result = simulate_pipeline(duration, gap, [(x_quad(0), y_quad(0))] * n_lanes,
                                    _slot_clusters(n_lanes, steps),
                                    _lane_settings(n_lanes, steps), ticks_per_gap=7)
-        _, schedule = schedule_lanes(duration + gap, gap, n_lanes, steps)
         period_ticks = 6 * 7
-        switches = [ev for ev in result.events if ev.element == "switch"]
-        assert {ev.action for ev in switches} == {"inject", "eject"}
-        assert all(ev.tick % period_ticks == 0 for ev in switches)
-        slots = sorted(ev.tick // period_ticks for ev in switches)
-        pi_slots = [m for m, iv in enumerate(schedule.intervals) if iv.phase == math.pi]
-        assert slots == pi_slots  # one switch event in each pi slot, none elsewhere
+        # one inject in each lane's first slot and one eject in the slot
+        # after its last step, by lane_slot, and no other switch event
+        assert _switch_ticks(result) == {
+            (lane, action): [multiplex.lane_slot(lane, step, n_lanes) * period_ticks]
+            for lane in range(n_lanes) for step, action in ((0, "inject"), (steps, "eject"))}
 
     def test_kept_collision_count_matches_a_fresh_scan(self):
         # lanes 0 and 1 share a beam-splitter tick (1 clash) and alternate on

@@ -20,6 +20,11 @@ from cvmbqc.runner import ConfigError, main, parse_angle
 SRC = str(Path(cvmbqc.__file__).resolve().parents[1])
 
 
+#: Adjacency rows of a 50-node star, hub first.
+STAR_50 = "; ".join(" ".join("1" if (i == 0) != (j == 0) else "0" for j in range(50))
+                    for i in range(50))
+
+
 def write_config(tmp_path, body):
     path = tmp_path / "exp.ini"
     path.write_text(body)
@@ -651,6 +656,7 @@ class TestBadInputExitCode:
         ("pipeline", TestPipeline.BODY + "input_cov = 0.01, 0, 0.01\n"),
         ("cluster-check", "[cluster-check]\ny_variance =\n"),
         ("cluster-check", "[cluster-check]\ngraph = 0 1 0; 1 0 1; 0 1 0\ny_variance = 5e-324\n"),
+        ("cluster-check", f"[cluster-check]\ngraph = {STAR_50}\ny_variance = 1e307\n"),
         ("gate", "[gate]\ntheta_in = 0\ntheta_1 = 0.35\ny_variance = 0\n"),
         ("gate", "[gate]\ntheta_in = pi/0\ntheta_1 = 0.35\n"),
         ("gate", "[gate]\ntheta_in = nan\ntheta_1 = 0.35\n"),
@@ -676,7 +682,8 @@ class TestBadInputExitCode:
             "gate-input-negative-variance", "gate-input-uncertainty",
             "compose-input-negative-variance", "compose-input-uncertainty",
             "pipeline-input-negative-variance", "pipeline-input-uncertainty",
-            "empty-y-variance", "cluster-variance-underflow", "gate-zero-variance",
+            "empty-y-variance", "cluster-variance-underflow", "cluster-variance-overflow",
+            "gate-zero-variance",
             "angle-over-zero", "nan-angle", "inf-variance", "nan-target",
             "unreachable-target", "inf-multiple", "huge-beta-0", "subnormal-beta-0",
             "tick-count-overflow", "tick-underflow", "fractional-multiple",
@@ -886,6 +893,20 @@ class TestNumericEdgesExitCode:
         [failed] = [v for v in record["verdicts"] if not v["passed"]]
         assert failed["name"] == f"nullifier_covariance[v={float(variance)!r}]"
         assert failed["value"] > runner.NULLIFIER_COV_REL_TOL
+
+    def test_cluster_check_at_the_variance_bound(self, tmp_path):
+        """A 50-node star at y_variance = MAX_CONFIG_ENTRY runs to a finite
+        record with no RuntimeWarning; above it, ``y_variance = 1e307`` in
+        ``TestBadInputExitCode``, its nullifier covariance overflowed."""
+        cfg = write_config(tmp_path, f"[cluster-check]\ngraph = {STAR_50}\n"
+                                     f"y_variance = {runner.MAX_CONFIG_ENTRY!r}\n")
+        proc = run_python(["-W", "error::RuntimeWarning", "-m", "cvmbqc", "cluster-check",
+                           "--config", cfg, "--out", "o"], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ""
+        record = json.loads((tmp_path / "o" / "cluster-check.json").read_text(),
+                            parse_constant=lambda token: pytest.fail(f"{token} in the record"))
+        assert not record["passed"]
 
     @pytest.mark.parametrize("kind,text,code,message", [
         # source variances near 1e16, or of 1e-12 beside x variances of

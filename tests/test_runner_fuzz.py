@@ -171,8 +171,16 @@ def test_spectrum_contract(text):
     check_contract("spectrum", text)
 
 
+#: Adjacency rows of a 50-node star, hub first.
+STAR_50 = "; ".join(" ".join("1" if (i == 0) != (j == 0) else "0" for j in range(50))
+                    for i in range(50))
+
+
 @FUZZ
 @given(CLUSTER_CHECK)
+# a variance whose nullifier covariance once overflowed into a
+# RuntimeWarning traceback, or wrote Infinity and NaN into the record
+@example(f"[cluster-check]\ngraph = {STAR_50}\ny_variance = 1e307\n")
 def test_cluster_check_contract(text):
     check_contract("cluster-check", text)
 

@@ -14,9 +14,10 @@ over both.
 
 The layers: ``run_steps`` at k = 1, 4 and 32 steps; ``sample_currents``,
 ``output_covariance`` and ``feed_forward`` on a 4-step output;
-``output_covariance`` on a 128-step output;
-``simulate_pipeline`` with 16 and 64 lanes of 4 steps; the lane rerun of the
-benchmark's pipeline check (``run_steps`` at k = 4, then
+``output_covariance`` on a 128-step output; ``simulate_pipeline`` with 16
+and 64 lanes of 4 steps; the pipeline's event log (``multiplex._event_log``)
+alone, on 64 lanes of 4 steps and the benchmark's tick grid; the lane rerun
+of the benchmark's pipeline check (``run_steps`` at k = 4, then
 ``output_covariance`` and a read of ``signal_matrix``); a 16-lane
 ``simulate_pipeline`` with ``sample_currents`` and ``feed_forward`` on every
 lane; and the cluster path of the benchmark's ``cluster-large`` ops on a
@@ -84,6 +85,10 @@ def layers(number: int) -> dict:
         pipelines[lanes] = calls[f"simulate_pipeline lanes={lanes}"] = functools.partial(
             multiplex.simulate_pipeline, 5.0, 1.0, [pair] * lanes,
             [cluster] * (4 * lanes), [settings(4) for _ in range(lanes)])
+    # the log of a 64-lane pipeline of 4 steps: duration 5, gap 1, 100 ticks per gap
+    slots = [[multiplex.lane_slot(lane, step, 64) for step in range(4)] for lane in range(64)]
+    calls["_event_log lanes=64"] = functools.partial(
+        multiplex._event_log, slots, multiplex._switch_slots(64, 4), 1.0 / 100, 100, 500)
     rerun = settings(4)
 
     def lane_rerun():
