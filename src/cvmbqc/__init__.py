@@ -38,7 +38,6 @@ from .cluster import (
     generate_cluster,
     min_squeezing_threshold,
     nullifiers,
-    unitary_to_symplectic,
     vlf_two_node_check,
 )
 from .laser import (

@@ -224,23 +224,12 @@ def cluster_unitary(graph: ClusterGraph, q: np.ndarray | None = None) -> np.ndar
     return U
 
 
-def unitary_to_symplectic(U: np.ndarray) -> np.ndarray:
+def _real_form(U: np.ndarray) -> np.ndarray:
     """Real 2n x 2n form of a mode unitary acting on x_j + i*y_j.
 
-    X' = Re(U) X - Im(U) Y and Y' = Im(U) X + Re(U) Y; the result is both
-    symplectic and orthogonal.
-    """
-    U = np.asarray(U, dtype=complex)
-    n = U.shape[0]
-    if U.shape != (n, n) or np.max(np.abs(U @ U.conj().T - np.eye(n))) > 1e-10:
-        raise ValueError("input is not unitary")
-    return _real_form(U)
-
-
-def _real_form(U: np.ndarray) -> np.ndarray:
-    """The real 2n x 2n form of a square complex U, without a unitarity check.
-
-    For callers that hold U from :func:`cluster_unitary`, which has checked it.
+    X' = Re(U) X - Im(U) Y and Y' = Im(U) X + Re(U) Y; for a unitary U the
+    result is both symplectic and orthogonal.  U is not checked here: its
+    callers hold U from :func:`cluster_unitary`, which has checked it.
     """
     n = U.shape[0]
     S = np.empty((2 * n, 2 * n))

@@ -52,14 +52,17 @@ measured quadrature is a fixed row over the sources of two steps:
 
 These rows R, and the offset D_0 (input offset) of the first step, hold
 with every current replaced by its defining operator (current = 2 beta0
-quadrature); they carry no current columns and need no solve.  Each entry
-of R is one signed, scaled trig value of a step, so R is gathered from the
-per-step values in one indexed pass.  The output rows over the source
-quadratures and over the 2k currents come from the suffix products M_k ...
-M_{j+1} of the 2x2 gates, so a chain costs O(k).  The output covariance
-Q Sigma Q^T is formed from the only two nonzero blocks of Q Sigma, the
-signal times the input block and the noise times the source variances, so
-it too costs O(k).  Sampling draws the columns q themselves, the input pair
+quadrature); they carry no current columns and need no solve.  With T_j
+the trig rows (cos, sin) of theta_in and theta_1 of step j, R is
+block-bidiagonal over the sources: row pair j holds T_j N_1 / 2 over
+cluster j and diag(-1, 1) T_j N_2 / 2 over cluster j - 1, N_1 and N_2 the
+node identities (``_NODE_1``, ``_NODE_2``), and D_0 over the chain input.
+So R is built as those two block bands and one block.  The output rows
+over the source quadratures and over the 2k currents come from the suffix
+products M_k ... M_{j+1} of the 2x2 gates, so a chain costs O(k).  The
+output covariance Q Sigma Q^T is formed from the only two nonzero blocks
+of Q Sigma, the signal times the input block and the noise times the
+source variances, so it too costs O(k).  Sampling draws the columns q themselves, the input pair
 through the 2x2 Cholesky factor of its block (in Python floats, from the
 pivots that check the block) and each independent source quadrature
 through its standard deviation, and applies R, so the currents follow R
@@ -247,10 +250,10 @@ class GateOutput:
     on first read and then kept.  Both are built by :meth:`__getattr__`.  An
     output made through the constructor, or through
     :func:`dataclasses.replace`, holds every array, and a view passed as
-    ``exprs``, as given; pass ``exprs=None`` to :func:`dataclasses.replace`
-    to rebuild the view from changed arrays.  The column variances are kept
-    once per output, on first use.  Outputs compare and hash by identity, as
-    ``ClusterGraph`` does.
+    ``exprs``, as given; a view that an output built from its own arrays is
+    not carried into a copy, which builds its own from its arrays on first
+    read.  The column variances are kept once per output, on first use.
+    Outputs compare and hash by identity, as ``ClusterGraph`` does.
     """
 
     signal_matrix: np.ndarray
@@ -268,9 +271,10 @@ class GateOutput:
     def __post_init__(self):
         object.__setattr__(self, "_current_scales",
                            2.0 * np.repeat([s.beta_0 for s in self.settings], 2))
-        if self.exprs is None:
-            # __init__ stored None in the instance dict, where it would hide
-            # the view built on first read
+        if self.exprs is None or type(self.exprs) is _BuiltView:
+            # __init__ stored None, or the view another output built from its
+            # own arrays, in the instance dict, where it would hide the view
+            # built from this output's arrays on first read
             del self.__dict__["exprs"]
 
     def __getattr__(self, name: str):
@@ -338,12 +342,17 @@ class GateOutput:
 del GateOutput.exprs
 
 
-def _row_exprs(quad_rows, first_column, current_rows, names, offsets) -> tuple:
+class _BuiltView(tuple):
+    """An expression view an output built from its own arrays, which a copy
+    made by :func:`dataclasses.replace` does not carry."""
+
+
+def _row_exprs(quad_rows, first_column, current_rows, names, offsets) -> _BuiltView:
     """Expression view of float array rows; array column c is covariance
     column ``first_column`` + c.  Zero entries are left out, as the
     expression constructor leaves them out."""
     first = int(first_column)  # Python-int keys whatever the input mode's type
-    return tuple(LinearQuadratureExpr._from_clean(
+    return _BuiltView(LinearQuadratureExpr._from_clean(
         {first + c: v for c, v in enumerate(row) if v},
         {name: v for name, v in zip(names, cur) if v}, off)
         for row, cur, off in zip(quad_rows.tolist(), current_rows.tolist(),
@@ -381,10 +390,10 @@ _IDENTITY.setflags(write=False)
 _PORT_SIGN = np.array([[-1.0], [1.0]])
 
 #: Each step's values in the engine core's flat ``values``: the four gate
-#: entries, the trig rows (cos, sin) of theta_in and theta_1 from index
-#: ``_TRIG_AT``, the four current gains, then from ``_BETA_AT`` beta0 once
-#: for each of the step's two currents.
-_STEP_VALUES, _TRIG_AT, _BETA_AT = 14, 4, 12
+#: entries, the trig rows (cos, sin) of theta_in and theta_1, the four
+#: current gains, then from ``_BETA_AT`` beta0 once for each of the step's
+#: two currents.
+_STEP_VALUES, _BETA_AT = 14, 12
 
 
 @functools.lru_cache(maxsize=64)
@@ -393,47 +402,6 @@ def _current_names(k: int) -> tuple:
     if k == 1:
         return ("i_in", "i_1")
     return tuple(name for j in range(1, k + 1) for name in (f"i_in[{j}]", f"i_1[{j}]"))
-
-
-def _node_reads(node: np.ndarray) -> tuple:
-    """For each source column of a node's rows, the trig entry it reads
-    (the one nonzero of the column) and its sign."""
-    reads = np.abs(node).argmax(axis=0)
-    return reads, node[reads, np.arange(node.shape[1])]
-
-
-@functools.lru_cache(maxsize=64)
-def _measured_map(n: int, k: int) -> tuple:
-    """Gather map of the measured rows of n lanes of k steps from the
-    engine core's flat ``values``.
-
-    For every entry the rows can hold: its flat position in the
-    (n, 2k, 2 + 4k) rows, its index in ``values``, its sign, its divisor
-    and a signed-zero term, so that the entry is
-    sign * values[index] / divisor + zero.  Row pair j holds
-    T_j _NODE_1 / 2 over cluster j, diag(-1, 1) T_j _NODE_2 / 2 over
-    cluster j - 1 (j >= 1) and D_0 = diag(-1, 1) T_0 / sqrt(2) over the
-    chain input; each node column reads one trig entry.  The zero term is
-    +0.0 for the node entries, as the matmuls that once built them summed
-    a zero product into +0.0, and -0.0, which keeps every sign, for D_0.
-    """
-    width = 2 + 4 * k
-    lane, step, row, col = np.ogrid[:n, :k, :2, :4]
-    first = (lane * 2 * k + 2 * step + row) * width  # row 2j + r of lane l
-    trig = (lane * k + step) * _STEP_VALUES + _TRIG_AT + 2 * row  # T_j row r
-    reads_1, signs_1 = _node_reads(_NODE_1)
-    reads_2, signs_2 = _node_reads(_NODE_2)
-    parts = [  # (position, index, sign, divisor, zero) of each block
-        (first + 2 + 4 * step + col, trig + reads_1[col], signs_1[col], 2.0, 0.0),
-        (first[:, 1:] + 2 + 4 * (step[:, 1:] - 1) + col, trig[:, 1:] + reads_2[col],
-         _PORT_SIGN[row, 0] * signs_2[col], 2.0, 0.0),
-        (first[:, :1] + col[..., :2], trig[:, :1] + col[..., :2],
-         _PORT_SIGN[row, 0], _SQRT2, -0.0)]
-    table = tuple(np.concatenate([a.ravel() for a in column])
-                  for column in zip(*(np.broadcast_arrays(*part) for part in parts)))
-    for column in table:
-        column.setflags(write=False)
-    return table
 
 
 def run_steps(input_exprs: tuple, clusters: Sequence[TwoNodeCluster],
@@ -541,8 +509,9 @@ class _EnginePass:
     and the signal matrices.  The first call of :meth:`lane` builds
     ``classical``, ``offset``, ``measured_rows``, ``measured_offset`` and
     the current scales of every lane at once, with the float operations the
-    engine once ran eagerly; each lane's arrays are views into those stacked
-    arrays.
+    engine once ran eagerly (the measured rows as every step's node blocks,
+    written on two block bands); each lane's arrays are views into those
+    stacked arrays.
     """
 
     __slots__ = ("values", "offsets", "suffix", "signal", "_lanes")
@@ -558,11 +527,15 @@ class _EnginePass:
         _, trig, gains = _step_arrays(values, n, k)
         offsets = np.array(self.offsets).reshape(n, 2, 1)
         # row pair j over (step, 4 sources): node 1 of cluster j on the
-        # diagonal, node 2 of cluster j - 1 below it and D_0 over the input,
-        # gathered from ``values`` and placed by flat index
+        # diagonal, node 2 of cluster j - 1 below it and D_0 over the input.
+        # A node block's matmul gives +0.0 where it gives zero (sin theta is
+        # 0 only where cos theta is 1); + 0.0 undoes the port sign's -0.0.
         measured_rows = np.zeros((n, 2 * k, 2 + 4 * k))
-        positions, indices, signs, divisors, zeros = _measured_map(n, k)
-        measured_rows.reshape(-1)[positions] = signs * values[indices] / divisors + zeros
+        blocks = measured_rows[:, :, 2:].reshape(n, k, 2, k, 4)
+        steps = np.arange(k)
+        blocks[:, steps, :, steps] = trig @ _NODE_1 / 2
+        blocks[:, steps[1:], :, steps[:-1]] = _PORT_SIGN * (trig[1:] @ _NODE_2) / 2 + 0.0
+        measured_rows[:, :2, :2] = _PORT_SIGN * trig[0] / _SQRT2
         measured_offset = np.zeros((n, 2 * k))
         measured_offset[:, :2] = ((_PORT_SIGN * trig[0]) @ offsets)[..., 0] / _SQRT2
         classical = (self.suffix @ gains).transpose(1, 2, 0, 3).reshape(n, 2, 2 * k)
@@ -810,8 +783,7 @@ def _setting_from_half_sum_diff(theta_plus, theta_minus, beta_0):
                            (theta_plus - theta_minus) / 2.0, beta_0)
 
 
-def solve_phases(target: np.ndarray, tol: float = PHASE_RESIDUAL_TOL,
-                 beta_0: float = DEFAULT_BETA_0) -> PhaseSolution:
+def solve_phases(target: np.ndarray, *, beta_0: float = DEFAULT_BETA_0) -> PhaseSolution:
     """Find settings with gate(setting_2) @ gate(setting_1) = target.
 
     Uses the rotation form of the one-step gate,
@@ -823,7 +795,7 @@ def solve_phases(target: np.ndarray, tol: float = PHASE_RESIDUAL_TOL,
         step 2: tp = B - A, tm = pi/2             (pure rotation R(A - B))
 
     solves the problem in closed form, to a residual of order eps * s
-    (about 1e-10 at s = 1e5).  A residual above ``tol`` raises
+    (about 1e-10 at s = 1e5).  A residual above ``PHASE_RESIDUAL_TOL`` raises
     :class:`PhaseSolveError` carrying that residual rather than returning a
     wrong answer.
     """
@@ -851,9 +823,9 @@ def solve_phases(target: np.ndarray, tol: float = PHASE_RESIDUAL_TOL,
     q2 = _setting_from_half_sum_diff(tp2, tm2, beta_0)
     M = gate_matrix(tp2, tm2) @ gate_matrix(tp1, tm1)
     residual = float(np.max(np.abs(M - target)))
-    if residual > tol:
-        raise PhaseSolveError(
-            f"target not reached: residual {residual:.3e} exceeds {tol:g}")
+    if residual > PHASE_RESIDUAL_TOL:
+        raise PhaseSolveError(f"target not reached: residual {residual:.3e} "
+                              f"exceeds {PHASE_RESIDUAL_TOL:g}")
     return PhaseSolution(q1, q2, residual)
 
 

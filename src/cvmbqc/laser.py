@@ -27,10 +27,7 @@ import numpy as np
 
 from .quadrature import VACUUM_VARIANCE
 
-#: Integration windows shorter than this many correlation times are rejected.
-MIN_ORACLE_WINDOW = 20.0
-
-#: Default integration window for the numeric Fourier oracle.
+#: Integration window of the numeric Fourier oracle, in correlation times 1/kappa.
 DEFAULT_ORACLE_WINDOW = 50.0
 
 
@@ -117,15 +114,15 @@ def y_spectral_variance(omega, kappa: float):
     return w2 / (4.0 * (kappa * kappa + w2))
 
 
-def y_spectral_variance_oracle(omega: float, kappa: float, mu: float = 0.0,
-                               window: float | None = None) -> float:
+def y_spectral_variance_oracle(omega: float, kappa: float, mu: float = 0.0) -> float:
     """Numeric Fourier transform of the correlation function plus vacuum.
 
     Computes 1/4 + 2 * Integral_0^W C(tau) cos(w tau) dtau, with C the
-    stationary normally ordered correlation, by Filon-type quadrature
-    (Iserles and Norsett, Proc. R. Soc. A 461, 1383, 2005).  [0, W] is cut
-    into ceil(2 kappa W) equal panels.  On each panel the envelope C is
-    expanded in Legendre polynomials P_0 .. P_19 from its values at the 20
+    stationary normally ordered correlation and W = DEFAULT_ORACLE_WINDOW /
+    kappa, by Filon-type quadrature (Iserles and Norsett, Proc. R. Soc. A
+    461, 1383, 2005).  [0, W] is cut into ceil(2 kappa W) equal panels,
+    100 up to rounding.  On each panel the envelope C is expanded in
+    Legendre polynomials P_0 .. P_19 from its values at the 20
     Gauss-Legendre nodes, and each term is integrated against the cosine
     exactly: on a panel of width h, Integral_-1^1 P_n(x) exp(i z x) dx =
     2 i^n j_n(z) with z = w h / 2, the same for every panel.  The panels are
@@ -134,20 +131,17 @@ def y_spectral_variance_oracle(omega: float, kappa: float, mu: float = 0.0,
     The method is generic: it samples C and uses no closed form of the
     transform, so it is an independent check of the closed form (exact
     agreement is expected only at mu = 0).  Its cost is fixed: 20 samples of
-    C per panel, 2000 at the default window, for any finite w.  Its error
-    is about 2e-10 relative to the exact finite-window transform, tested to
-    1e-9 for w from 1e-3 kappa to 1e15 kappa; where the result is small
-    (w << kappa at mu = 0) the sum 1/4 + 2 I cancels, and the relative error
-    grows as about eps / (4 * result).
+    C per panel, about 2000 in all, for any finite w.  Its error is about
+    2e-10 relative to the exact finite-window transform, tested to 1e-9 for
+    w from 1e-3 kappa to 1e15 kappa; where the result is small (w << kappa
+    at mu = 0) the sum 1/4 + 2 I cancels, and the relative error grows as
+    about eps / (4 * result).
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     if not 0.0 <= mu < 1.0:
         raise ValueError("mu must lie in [0, 1)")
-    W = DEFAULT_ORACLE_WINDOW / kappa if window is None else float(window)
-    if W < MIN_ORACLE_WINDOW / kappa:
-        raise ValueError(
-            f"integration window {W:g} shorter than {MIN_ORACLE_WINDOW:g}/kappa")
+    W = DEFAULT_ORACLE_WINDOW / kappa
     rate = kappa * (1.0 - mu / 2.0)
     amp = -(kappa / 8.0) * ((1.0 - mu) / (1.0 - mu / 2.0))
     omega = abs(float(omega))

@@ -14,8 +14,8 @@ from cvmbqc.cluster import (
     generate_cluster,
     min_squeezing_threshold,
     nullifiers,
-    unitary_to_symplectic,
     vlf_two_node_check,
+    _real_form,
 )
 from cvmbqc.quadrature import (
     embed,
@@ -175,19 +175,22 @@ class TestClusterUnitary:
             cluster_unitary(ClusterGraph.two_node(), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-class TestUnitaryToSymplectic:
+class TestRealForm:
+    """``cluster._real_form``, the real form the cluster covariance and the
+    covariance oracle build on."""
+
     def test_identity(self):
-        np.testing.assert_array_equal(unitary_to_symplectic(np.eye(2)), np.eye(4))
+        np.testing.assert_array_equal(_real_form(np.eye(2, dtype=complex)), np.eye(4))
 
     def test_single_mode_quarter_turn(self):
-        S = unitary_to_symplectic(np.diag([1j, 1.0]))
+        S = _real_form(np.diag([1j, 1.0]))
         expected = embed(rotation(np.pi / 2), [0], 2)
         np.testing.assert_allclose(S, expected, atol=1e-15)
 
     def test_two_node_factorization(self):
         # the two-node map splits into quarter-turn, beam splitter, back-turn
         U = cluster_unitary(ClusterGraph.two_node(), default_two_node_q())
-        S = unitary_to_symplectic(U)
+        S = _real_form(U)
         factored = (embed(rotation(-np.pi / 2), [0], 2)
                     @ BEAM_SPLITTER
                     @ embed(rotation(np.pi / 2), [0], 2))
@@ -197,13 +200,9 @@ class TestUnitaryToSymplectic:
         rng = np.random.default_rng(8)
         for n in (2, 3, 5):
             U = cluster_unitary(random_graph(rng, n), random_orthogonal(rng, n))
-            S = unitary_to_symplectic(U)
+            S = _real_form(U)
             assert symplectic_residual(S) < 1e-12
             np.testing.assert_allclose(S @ S.T, np.eye(2 * n), atol=1e-12)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="unitary"):
-            unitary_to_symplectic(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_matches_elementwise_definition(self):
         rng = np.random.default_rng(21)
@@ -221,8 +220,9 @@ class TestUnitaryToSymplectic:
                     expected[2 * j, 2 * k + 1] = -U[j, k].imag
                     expected[2 * j + 1, 2 * k] = U[j, k].imag
                     expected[2 * j + 1, 2 * k + 1] = U[j, k].real
-            S = unitary_to_symplectic(U)
+            S = _real_form(U)
             assert np.array_equal(S, expected)
+            assert np.array_equal(S, reference_real_form(U))
             assert np.array_equal(np.signbit(S), np.signbit(expected))
 
 
@@ -408,6 +408,16 @@ def reference_unitary(graph, q=None):
     return (np.eye(n) + 1j * adj) @ inv_sqrt @ q
 
 
+def reference_real_form(U):
+    """The real form X' = Re(U) X - Im(U) Y, Y' = Im(U) X + Re(U) Y, built
+    in block order (all x, then all y) and permuted to the interleaved
+    (x_j, y_j) column order."""
+    n = U.shape[0]
+    blocks = np.block([[U.real, -U.imag], [U.imag, U.real]])
+    order = np.arange(2 * n).reshape(2, n).T.ravel()
+    return blocks[np.ix_(order, order)]
+
+
 def reference_factors(vy, graph, q=None):
     """S, the real form of the reference U, and the interleaved source
     variances d of ``generate_cluster``'s defaults."""
@@ -417,7 +427,7 @@ def reference_factors(vy, graph, q=None):
     d = np.empty(2 * n)
     d[0::2] = [1.0 / (16.0 * v) for v in vy]
     d[1::2] = vy
-    return unitary_to_symplectic(reference_unitary(graph, q)), d
+    return reference_real_form(reference_unitary(graph, q)), d
 
 
 def reference_cov(vy, graph, q=None):

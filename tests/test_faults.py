@@ -144,7 +144,7 @@ def rotated_lane_arrays(monkeypatch):
 
     def rotated(*args):
         outputs = real(*args)
-        return [replace(out, exprs=None, **{name: getattr(src, name) for name in arrays})
+        return [replace(out, **{name: getattr(src, name) for name in arrays})
                 for out, src in zip(outputs, outputs[1:] + outputs[:1])]
 
     monkeypatch.setattr(gates, "_run_lanes", rotated)

@@ -804,6 +804,25 @@ class TestExpressionView:
         assert [e.symbols for e in rebuilt.exprs] == [
             {name: 2.0 * v for name, v in e.symbols.items()} for e in out.exprs]
 
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    def test_replace_builds_its_view_from_a_changed_array(self, read):
+        out = self._output()
+        if read:
+            _ = out.exprs
+        changed = replace(out, signal_matrix=2.0 * out.signal_matrix)
+        assert "exprs" not in changed.__dict__
+        assert changed.exprs == self._from_arrays(changed)
+        assert [e.coeffs[4] for e in changed.exprs] == [
+            2.0 * e.coeffs[4] for e in out.exprs]
+
+    def test_replace_keeps_a_view_given_in_place_of_a_built_one(self):
+        out = self._output()
+        _ = out.exprs
+        given = (x_quad(0), y_quad(0))
+        changed = replace(out, signal_matrix=2.0 * out.signal_matrix, exprs=given)
+        assert changed.exprs is given
+        assert replace(changed, noise=2.0 * changed.noise).exprs is given
+
     @pytest.mark.parametrize("view", ["none", "read", "given"])
     def test_feed_forward_builds_its_view_from_the_zeroed_arrays(self, view):
         out = self._output()
@@ -1374,13 +1393,14 @@ class TestSolvePhases:
         with pytest.raises(ValueError, match="determinant"):
             solve_phases(np.array(target))
 
-    def test_residual_above_tol_raises(self):
+    def test_residual_above_tol_raises(self, monkeypatch):
         # the closed form lands within rounding of this shear, not on it
         target = np.array([[1.0, 0.5], [0.0, 1.0]])
         residual = solve_phases(target).residual
         assert residual > 0.0
+        monkeypatch.setattr(gates, "PHASE_RESIDUAL_TOL", 0.0)
         with pytest.raises(PhaseSolveError, match=f"residual {residual:.3e}"):
-            solve_phases(target, tol=0.0)
+            solve_phases(target)
 
 
 class TestCzTransform:

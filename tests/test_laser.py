@@ -8,7 +8,6 @@ import pytest
 
 from cvmbqc.laser import (
     DEFAULT_ORACLE_WINDOW,
-    MIN_ORACLE_WINDOW,
     DivergentAntisqueezingError,
     PulseTrain,
     XNoiseModel,
@@ -126,10 +125,6 @@ class TestOracle:
         assert residual > 0
         assert residual == pytest.approx(expected, rel=1e-9)
 
-    def test_rejects_short_window(self):
-        with pytest.raises(ValueError, match="window"):
-            y_spectral_variance_oracle(1.0, 1.0, 0.0, window=5.0)
-
 
 def finite_window_transform(omega, kappa, mu, window):
     """1/4 + 2 * Integral_0^W amp exp(-rate tau) cos(omega tau) dtau, exactly.
@@ -152,7 +147,7 @@ class TestOracleErrorBound:
     """The quadrature against the exact finite-window Laplace transform."""
 
     KAPPAS = (0.5, 1.3)
-    # Both windows give panels of width 1/(2 kappa), so omega = 4 n kappa puts
+    # The window gives panels of width 1/(2 kappa), so omega = 4 n kappa puts
     # the panel frequency w h / 2 at n: 4 pi and 8 pi are zeros of j_0, and
     # 76 is where the Bessel recurrence changes direction.  The largest
     # frequencies come first: a design whose panel count grows with omega
@@ -161,29 +156,25 @@ class TestOracleErrorBound:
                     + tuple(np.logspace(-3, 3, 61)))
 
     @pytest.mark.parametrize("mu", [0.0, 0.05, 0.3])
-    @pytest.mark.parametrize("short", [False, True], ids=["default-window", "min-window"])
-    def test_relative_error_below_1e_9(self, mu, short):
+    def test_relative_error_below_1e_9(self, mu):
         for kappa in self.KAPPAS:
-            window = MIN_ORACLE_WINDOW / kappa if short else None
-            exact_window = window or DEFAULT_ORACLE_WINDOW / kappa
+            window = DEFAULT_ORACLE_WINDOW / kappa
             for ratio in self.OMEGA_RATIOS:
                 omega = ratio * kappa
-                ref = finite_window_transform(omega, kappa, mu, exact_window)
-                got = y_spectral_variance_oracle(omega, kappa, mu, window)
+                ref = finite_window_transform(omega, kappa, mu, window)
+                got = y_spectral_variance_oracle(omega, kappa, mu)
                 assert abs(got - ref) <= 1e-9 * ref, (kappa, omega)
 
-    @pytest.mark.parametrize("short", [False, True], ids=["default-window", "min-window"])
-    def test_zero_frequency(self, short):
+    def test_zero_frequency(self):
         for kappa in self.KAPPAS:
-            window = MIN_ORACLE_WINDOW / kappa if short else None
-            exact_window = window or DEFAULT_ORACLE_WINDOW / kappa
-            # e^{-kappa W} / 4: about 5e-23 at the default window, 5.2e-10 at the short one
-            ref = finite_window_transform(0.0, kappa, 0.0, exact_window)
-            assert ref == pytest.approx(math.exp(-kappa * exact_window) / 4.0, rel=1e-12)
-            assert abs(y_spectral_variance_oracle(0.0, kappa, 0.0, window) - ref) <= 1e-15
+            window = DEFAULT_ORACLE_WINDOW / kappa
+            # e^{-kappa W} / 4: about 5e-23
+            ref = finite_window_transform(0.0, kappa, 0.0, window)
+            assert ref == pytest.approx(math.exp(-kappa * window) / 4.0, rel=1e-12)
+            assert abs(y_spectral_variance_oracle(0.0, kappa, 0.0) - ref) <= 1e-15
             for mu in (0.05, 0.3):
-                ref = finite_window_transform(0.0, kappa, mu, exact_window)
-                got = y_spectral_variance_oracle(0.0, kappa, mu, window)
+                ref = finite_window_transform(0.0, kappa, mu, window)
+                got = y_spectral_variance_oracle(0.0, kappa, mu)
                 assert abs(got - ref) <= 1e-9 * ref
 
     def test_even_in_omega(self):
@@ -205,9 +196,6 @@ class TestOracleErrorBound:
             sizes.clear()
             y_spectral_variance_oracle(omega, 1.3)
             assert sizes == [100 * 20]
-        sizes.clear()
-        y_spectral_variance_oracle(1e15, 1.3, window=MIN_ORACLE_WINDOW / 1.3)
-        assert sizes == [40 * 20]
 
 
 def _whole_pulse_covariance(train, m, m_prime, channel, channel_prime, n=21):

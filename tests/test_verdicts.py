@@ -38,7 +38,7 @@ def run_steps_scaled_signal(real):
     """run_steps whose net gate is scaled by 1.01 (its exprs rebuilt to match)."""
     def scaled(*args, **kwargs):
         out = real(*args, **kwargs)
-        return replace(out, signal_matrix=1.01 * out.signal_matrix, exprs=None)
+        return replace(out, signal_matrix=1.01 * out.signal_matrix)
     return scaled
 
 

@@ -20,11 +20,13 @@ alone, on 64 lanes of 4 steps and the benchmark's tick grid; the lane rerun
 of the benchmark's pipeline check (``run_steps`` at k = 4, then
 ``output_covariance`` and a read of ``signal_matrix``); a 16-lane
 ``simulate_pipeline`` with ``sample_currents`` and ``feed_forward`` on every
-lane; and the cluster path of the benchmark's ``cluster-large`` ops on a
+lane; the cluster path of the benchmark's ``cluster-large`` ops on a
 200-node chain: ``generate_cluster``, then ``expr_covariance`` of its
-nullifiers over that state.  The lane rerun and the sampled lanes show what
-an output's arrays cost where they are built and where they are read.
-Inputs are those of the benchmark: clusters
+nullifiers over that state; and ``gates._EnginePass._stack`` alone, the
+build of the arrays that sampling and feed-forward read, on fixed engine
+passes of 64 lanes of 4 steps and of 1 lane of 48 steps.  The lane rerun
+and the sampled lanes show what an output's arrays cost where they are
+built and where they are read.  Inputs are those of the benchmark: clusters
 ``from_y_variances(0.05, 0.05, 10.0)``, whose source variances the 200-node
 chain takes on every node, a vacuum input, theta+ ~ U(-pi, pi) and
 theta- = pi/2 + U(-0.3, 0.3).
@@ -108,6 +110,13 @@ def layers(number: int) -> dict:
         source_x_variances=[cluster.x_variances[0]] * 200)
     calls["expr_covariance n=200"] = functools.partial(
         expr_covariance, clus.nullifiers(chain), generate().cov)
+    # own generator, so the inputs of the layers above stay as they were
+    stack_rng = np.random.default_rng(48)
+    for lanes, k in ((64, 4), (1, 48)):
+        record = gates._run_lanes([pair] * lanes, [[cluster] * k] * lanes,
+                                  [settings(k, stack_rng) for _ in range(lanes)],
+                                  False)[0].__dict__["_pass"]
+        calls[f"_stack lanes={lanes} k={k}"] = record._stack
     return {name: min(timeit.repeat(call, number=number, repeat=REPEATS)) / number
             for name, call in calls.items()}
 
