@@ -815,6 +815,17 @@ class TestExpressionView:
         assert [e.coeffs[4] for e in changed.exprs] == [
             2.0 * e.coeffs[4] for e in out.exprs]
 
+    @pytest.mark.parametrize("name", ["noise", "classical", "offset"])
+    def test_replace_rebuilds_its_view_from_each_array_it_reads(self, name):
+        # the view reads the noise columns, the current rows and the offsets
+        # as well as the signal columns; a read view goes stale on each
+        out = self._output()
+        _ = out.exprs
+        changed = replace(out, **{name: 2.0 * getattr(out, name)})
+        assert "exprs" not in changed.__dict__
+        assert changed.exprs == self._from_arrays(changed)
+        assert changed.exprs != out.exprs
+
     def test_replace_keeps_a_view_given_in_place_of_a_built_one(self):
         out = self._output()
         _ = out.exprs
@@ -906,6 +917,22 @@ class TestLaneArraysOnRead:
                 assert np.array_equal(getattr(out, name), getattr(alone, name))
             assert out._current_scales.tolist() == [
                 2.0 * s.beta_0 for s in lane_settings for _ in range(2)]
+
+    def test_measured_rows_hold_no_negative_zero(self):
+        # theta = 0 and pi/2 give exact zeros in a node block's (cos, sin)
+        # row; the port sign must not turn them into -0.0 on either band of
+        # the source columns (D_0 over the input keeps its signs, as in the
+        # reference)
+        settings = [[HomodyneSetting(0.0, math.pi / 2), HomodyneSetting(math.pi / 2, 0.0),
+                     HomodyneSetting(0.0, 0.7)],
+                    [HomodyneSetting(math.pi / 2, 0.0), HomodyneSetting(0.0, math.pi / 2),
+                     HomodyneSetting(0.7, 0.0)]]
+        outputs = simulate_pipeline(5.0, 1.0, [(x_quad(0), y_quad(0))] * 2,
+                                    [self.CLUSTER] * 6, settings).outputs
+        for out in outputs:
+            R = out.measured_rows[:, 2:]
+            assert np.count_nonzero(R == 0.0) > 0
+            assert not np.any(np.signbit(R[R == 0.0]))
 
     def test_second_read_returns_the_same_object(self):
         out = self._output()
