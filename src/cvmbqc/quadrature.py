@@ -204,20 +204,47 @@ def embed(S_small: np.ndarray, modes: Sequence[int], n_modes: int) -> np.ndarray
 SYMMETRY_TOL = 1e-12
 
 
+#: Rows of one strip of the symmetry check.  A strip of a 400 x 400
+#: covariance takes 100 KiB: an eighth of the covariance, and below glibc's
+#: default 128 KiB threshold for serving an allocation from fresh pages.
+_SYMMETRY_STRIP_ROWS = 32
+
+
 def _check_symmetric(cov: np.ndarray) -> None:
-    """Reject a covariance with a NaN or infinite entry, or one that is not
-    symmetric to ``SYMMETRY_TOL`` times its largest entry (at least 1).
+    """Reject an empty, non-square or not 2-D covariance, one with a NaN or
+    infinite entry, or one that is not symmetric to ``SYMMETRY_TOL`` times
+    its largest entry (at least 1).
 
     The largest magnitude is read from the two reductions max and min, which
-    carry a NaN through, and the asymmetry from one temporary made absolute
-    in place, so a check allocates one array of the covariance's size.
+    carry a NaN through.  The asymmetry cov - cov.T is antisymmetric, so its
+    largest entry is its largest magnitude.  It is read in strips of
+    h = ``_SYMMETRY_STRIP_ROWS`` rows, formed one after another in one
+    buffer of h rows, so a check never allocates an array of the
+    covariance's size.  The buffer takes a copy of the strip's transposed
+    columns, and the strip's rows are subtracted into it in place: a
+    subtraction that reads a transposed operand would allocate numpy's own
+    buffer of up to 8192 entries.  A covariance of at most h rows is one
+    strip, formed as cov - cov.T.
     """
+    shape = cov.shape
+    if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+        raise ValueError("covariance must be a non-empty square matrix")
     hi, lo = float(np.maximum.reduce(cov, None)), float(np.minimum.reduce(cov, None))
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("covariance entries must be finite")
-    asym = cov - cov.T
-    if np.maximum.reduce(np.abs(asym, asym), None) > SYMMETRY_TOL * max(1.0, hi, -lo):
-        raise ValueError("covariance must be symmetric")
+    bound = SYMMETRY_TOL * max(1.0, hi, -lo)
+    n, h = shape[0], _SYMMETRY_STRIP_ROWS
+    if n <= h:
+        if np.maximum.reduce(cov - cov.T, None) > bound:
+            raise ValueError("covariance must be symmetric")
+        return
+    buffer = np.empty((h, n))
+    for r in range(0, n, h):
+        strip = buffer[:n - r]  # fewer than h rows only at the end
+        np.copyto(strip, cov[:, r:r + h].T)
+        np.subtract(cov[r:r + h], strip, out=strip)
+        if np.maximum.reduce(strip, None) > bound:
+            raise ValueError("covariance must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -281,6 +308,8 @@ def check_uncertainty(cov: np.ndarray) -> UncertaintyReport:
     """
     cov = np.asarray(cov, dtype=float)
     _check_symmetric(cov)
+    if cov.shape[0] % 2:
+        raise ValueError("covariance dimension must be even")
     omega = omega_matrix(cov.shape[0] // 2)
     eigs = np.linalg.eigvalsh(cov + 0.25j * omega)
     lo = float(np.min(eigs))

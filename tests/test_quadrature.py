@@ -1,15 +1,18 @@
 """Tests for the quadrature algebra: symplectic maps, states, uncertainty."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cvmbqc.quadrature import (
     SYMMETRY_TOL,
+    _SYMMETRY_STRIP_ROWS,
     GaussianState,
     LinearQuadratureExpr,
     VACUUM_VARIANCE,
+    _check_symmetric,
     check_uncertainty,
     db_to_variance,
     embed,
@@ -316,6 +319,101 @@ class TestSymmetryCheckEdges:
             assert self.outcome(cov) == want, cov
             seen.add(want)
         assert seen == {None, "finite", "symmetric"}
+
+
+STRIP = _SYMMETRY_STRIP_ROWS
+
+
+class TestSymmetryStrips:
+    """The strip scan's verdict against the whole-matrix formula, on sides
+    that are one strip, one row short of or over a strip, and many strips."""
+
+    SIDES = [2, 6, STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 1, 400]
+
+    @staticmethod
+    def symmetric(n, scale):
+        a = np.random.default_rng(n).normal(size=(n, n)) * scale
+        return a + a.T
+
+    @staticmethod
+    def pair(n, place):
+        """Entry (i, j) of the one asymmetric pair: above the diagonal, except
+        in the bottom-left corner.  A strip holds the pair when it holds
+        row i or row j; on a side of one strip, the pair across a strip
+        boundary is the corner (0, n - 1)."""
+        return {"first": (0, 1),
+                "last": (n - 2, n - 1),
+                "boundary": (STRIP - 1, STRIP) if n > STRIP else (0, n - 1),
+                "bottom-left": (n - 1, 0)}[place]
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e4], ids=["below-1", "1e4"])
+    @pytest.mark.parametrize("place", ["first", "last", "boundary", "bottom-left"])
+    @pytest.mark.parametrize("n", SIDES)
+    def test_pair_on_and_one_ulp_above_the_bound(self, n, place, scale):
+        cov = self.symmetric(n, scale)
+        assert TestSymmetryCheckEdges.reference_check(cov) is None
+        _check_symmetric(cov)
+        # cov[i, j] - cov[j, i] is then exactly the value put at (i, j)
+        i, j = self.pair(n, place)
+        cov[i, j] = cov[j, i] = 0.0
+        edge = SYMMETRY_TOL * max(1.0, float(np.max(np.abs(cov))))
+        cov[i, j] = edge
+        assert TestSymmetryCheckEdges.reference_check(cov) is None
+        _check_symmetric(cov)
+        cov[i, j] = np.nextafter(edge, np.inf)
+        assert TestSymmetryCheckEdges.reference_check(cov) == "symmetric"
+        with pytest.raises(ValueError, match="^covariance must be symmetric$"):
+            _check_symmetric(cov)
+
+    @pytest.mark.parametrize("value", TestNonFiniteCovariance.BAD)
+    @pytest.mark.parametrize("n", SIDES)
+    def test_non_finite_only_in_the_last_strip(self, n, value):
+        cov = self.symmetric(n, 1.0)
+        cov[n - 1, n - 1] = value
+        assert TestSymmetryCheckEdges.reference_check(cov) == "finite"
+        with pytest.raises(ValueError, match="^covariance entries must be finite$"):
+            _check_symmetric(cov)
+
+    def test_peak_memory_is_below_an_eighth_of_the_covariance(self):
+        cov = self.symmetric(400, 1.0)
+        tracemalloc.start()
+        try:
+            _check_symmetric(cov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cov.nbytes / 8
+
+
+class TestCovarianceShape:
+    """An empty, non-square or not 2-D covariance fails with one named error
+    before any reduction; check_uncertainty also needs an even side."""
+
+    SHAPE = "^covariance must be a non-empty square matrix$"
+
+    @pytest.mark.parametrize("cov", [
+        np.zeros((0, 0)), np.zeros((3, 0)), np.full((2, 3), np.nan), np.full(4, np.nan),
+        np.zeros((2, 2, 2)), np.float64(0.25)],
+        ids=["empty", "no-columns", "non-square", "1-d", "3-d", "0-d"])
+    def test_rejected(self, cov):
+        with pytest.raises(ValueError, match=self.SHAPE):
+            _check_symmetric(cov)
+        with pytest.raises(ValueError, match=self.SHAPE):
+            check_uncertainty(cov)
+
+    def test_empty_state_rejected(self):
+        with pytest.raises(ValueError, match=self.SHAPE):
+            GaussianState(np.zeros(0), np.zeros((0, 0)))
+
+    def test_odd_side_rejected_by_check_uncertainty(self):
+        with pytest.raises(ValueError, match="^covariance dimension must be even$"):
+            check_uncertainty(VACUUM_VARIANCE * np.eye(3))
+
+    def test_state_dimension_messages_kept(self):
+        with pytest.raises(ValueError, match="^mean/covariance dimensions disagree$"):
+            GaussianState(np.zeros(2), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="^state dimension must be even$"):
+            GaussianState(np.zeros(3), VACUUM_VARIANCE * np.eye(3))
 
 
 def test_db_conversion_round_trip():

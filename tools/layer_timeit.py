@@ -6,11 +6,14 @@ Each ``*_SRC`` is a directory that holds the ``cvmbqc`` package (a
 checkout's ``src``).  The two trees are timed in alternating subprocesses,
 ``--rounds`` of each, the side that starts switching every round, and BLAS
 on one thread in each.  A subprocess times every layer on fixed seeded
-inputs with ``timeit``: the best of 5 repeats of ``--number`` calls.  The
-tool prints one line per layer with the best time per call of each side
-over all its rounds, in microseconds, and change / parent.  Best-of timings
-on a shared host are rough; alternating the sides spreads the host's load
-over both.
+inputs with ``timeit``: the best of 5 repeats of ``--number`` calls, with
+the process's minor page faults (``ru_minflt``) read around those calls.
+The tool prints one line per layer with the best time per call of each side
+over all its rounds, in microseconds, change / parent, and each side's
+fewest minor page faults per call over its rounds.  A layer that frees
+memory to the kernel and maps it again on the next call shows here as
+faults.  Best-of timings on a shared host are rough; alternating the sides
+spreads the host's load over both.
 
 The layers: ``run_steps`` at k = 1, 4 and 32 steps; ``sample_currents``,
 ``output_covariance`` and ``feed_forward`` on a 4-step output;
@@ -24,7 +27,10 @@ lane; the cluster path of the benchmark's ``cluster-large`` ops on a
 200-node chain: ``generate_cluster``, then ``expr_covariance`` of its
 nullifiers over that state; and ``gates._EnginePass._stack`` alone, the
 build of the arrays that sampling and feed-forward read, on fixed engine
-passes of 64 lanes of 4 steps and of 1 lane of 48 steps.  The lane rerun
+passes of 64 lanes of 4 steps and of 1 lane of 48 steps; and the state
+check ``quadrature._check_symmetric`` alone, on the oracle's 6 x 6 joint
+covariance (``gates._joint_cov`` of a vacuum input) and on the 200-node
+chain's 400 x 400 covariance.  The lane rerun
 and the sampled lanes show what an output's arrays cost where they are
 built and where they are read.  Inputs are those of the benchmark: clusters
 ``from_y_variances(0.05, 0.05, 10.0)``, whose source variances the 200-node
@@ -39,6 +45,7 @@ import functools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import timeit
@@ -50,13 +57,22 @@ _ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 REPEATS = 5
 
 
+def _timed(call, number: int) -> tuple:
+    """Best seconds per call of ``call``, and minor page faults per call."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    seconds = min(timeit.repeat(call, number=number, repeat=REPEATS)) / number
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return seconds, faults / (REPEATS * number)
+
+
 def layers(number: int) -> dict:
-    """Best seconds per call of each layer, from the ``cvmbqc`` on sys.path."""
+    """Best seconds and minor page faults per call of each layer, from the
+    ``cvmbqc`` on sys.path."""
     import numpy as np
 
     from cvmbqc import cluster as clus
     from cvmbqc import gates, multiplex
-    from cvmbqc.quadrature import expr_covariance, x_quad, y_quad
+    from cvmbqc.quadrature import _check_symmetric, expr_covariance, x_quad, y_quad
 
     cluster = gates.TwoNodeCluster.from_y_variances(0.05, 0.05, 10.0)
     rng = np.random.default_rng(2024)
@@ -108,8 +124,9 @@ def layers(number: int) -> dict:
     generate = calls["generate_cluster n=200"] = functools.partial(
         clus.generate_cluster, [cluster.y_variances[0]] * 200, chain,
         source_x_variances=[cluster.x_variances[0]] * 200)
+    state = generate()
     calls["expr_covariance n=200"] = functools.partial(
-        expr_covariance, clus.nullifiers(chain), generate().cov)
+        expr_covariance, clus.nullifiers(chain), state.cov)
     # own generator, so the inputs of the layers above stay as they were
     stack_rng = np.random.default_rng(48)
     for lanes, k in ((64, 4), (1, 48)):
@@ -117,8 +134,10 @@ def layers(number: int) -> dict:
                                   [settings(k, stack_rng) for _ in range(lanes)],
                                   False)[0].__dict__["_pass"]
         calls[f"_stack lanes={lanes} k={k}"] = record._stack
-    return {name: min(timeit.repeat(call, number=number, repeat=REPEATS)) / number
-            for name, call in calls.items()}
+    joint = gates._joint_cov(vacuum[0], cluster)
+    calls["_check_symmetric n=6"] = functools.partial(_check_symmetric, joint)
+    calls["_check_symmetric n=400"] = functools.partial(_check_symmetric, state.cov)
+    return {name: _timed(call, number) for name, call in calls.items()}
 
 
 def _child(src: str, number: int) -> dict:
@@ -149,12 +168,15 @@ def main(argv=None) -> int:
     sides = [("parent", args.parent_src), ("change", args.change_src)]
     for round_ in range(args.rounds):
         for side, src in (sides if round_ % 2 == 0 else sides[::-1]):
-            for name, seconds in _child(src, args.number).items():
-                best[side][name] = min(seconds, best[side].get(name, math.inf))
-    print(f"{'layer':32s} {'parent us':>10s} {'change us':>10s} {'ratio':>6s}")
-    for name, parent in best["parent"].items():
-        change = best["change"][name]
-        print(f"{name:32s} {parent * 1e6:10.1f} {change * 1e6:10.1f} {change / parent:6.3f}")
+            for name, timing in _child(src, args.number).items():
+                best[side][name] = [min(pair) for pair in zip(
+                    timing, best[side].get(name, (math.inf, math.inf)))]
+    print(f"{'layer':32s} {'parent us':>10s} {'change us':>10s} {'ratio':>6s} "
+          f"{'parent flt':>10s} {'change flt':>10s}")
+    for name, (parent, parent_faults) in best["parent"].items():
+        change, change_faults = best["change"][name]
+        print(f"{name:32s} {parent * 1e6:10.1f} {change * 1e6:10.1f} {change / parent:6.3f} "
+              f"{parent_faults:10.1f} {change_faults:10.1f}")
     return 0
 
 
