@@ -10,7 +10,6 @@ import numpy as np
 
 from cvmbqc import (
     PulseTrain,
-    XNoiseModel,
     variance_to_db,
     x_spectral_variance,
     y_correlation,
@@ -57,6 +56,6 @@ print("=== the anti-squeezed partner quadrature ===")
 omegas = np.array([0.1, 1.0, 10.0]) * kappa
 print(f"{'omega/kappa':>12} {'x_var (min unc)':>16} {'x_var (10x excess)':>19}")
 for w, a, b in zip(omegas / kappa, x_spectral_variance(omegas, kappa),
-                   x_spectral_variance(omegas, kappa, XNoiseModel(10.0))):
+                   x_spectral_variance(omegas, kappa, excess=10.0)):
     print(f"{w:12g} {a:16.4f} {b:19.4f}")
 print("Every downstream gate result is independent of the excess factor.")

@@ -43,7 +43,6 @@ from .cluster import (
 from .laser import (
     DivergentAntisqueezingError,
     PulseTrain,
-    XNoiseModel,
     x_spectral_variance,
     y_correlation,
     y_spectral_variance,

@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import GaussianState, LinearQuadratureExpr
+from .quadrature import GaussianState, LinearQuadratureExpr, _partner_variance
 
 #: Two-node inseparability bound: the nullifier-variance sum must be below 1/2.
 VLF_BOUND = 0.5
@@ -285,7 +285,7 @@ def generate_cluster(source_y_variances: Sequence[float],
     if any(v <= 0 for v in vy):
         raise ValueError("source variances must be positive")
     if source_x_variances is None:
-        vx = [1.0 / (16.0 * v) for v in vy]
+        vx = [_partner_variance(v) for v in vy]
     else:
         vx = [float(v) for v in source_x_variances]
         if len(vx) != n or any(v <= 0 for v in vx):

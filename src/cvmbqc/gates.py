@@ -100,6 +100,7 @@ from .quadrature import (
     LinearQuadratureExpr,
     _check_symmetric,
     _mode_column,
+    _partner_variance,
     embed,
 )
 
@@ -161,7 +162,8 @@ class TwoNodeCluster:
     """Measurement resource: two squeezed sources entangled as a two-node cluster.
 
     Holds the source quadrature variances; x variances default to the
-    minimum-uncertainty partner scaled by an excess-noise factor.
+    minimum-uncertainty partner scaled by an excess-noise factor of at
+    least 1.
     """
 
     y_variances: tuple
@@ -181,7 +183,7 @@ class TwoNodeCluster:
     def from_y_variances(cls, v1: float, v2: float, excess: float = 1.0) -> "TwoNodeCluster":
         if not (v1 > 0 and v2 > 0):
             raise ValueError("source variances must be positive and finite")
-        return cls((v1, v2), (excess / (16.0 * v1), excess / (16.0 * v2)))
+        return cls((v1, v2), (_partner_variance(v1, excess), _partner_variance(v2, excess)))
 
     def vlf_sum(self) -> float:
         """Nullifier-variance sum of the generated cluster: 2 (v1 + v2)."""

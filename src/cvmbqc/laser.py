@@ -12,8 +12,9 @@ frequency w is
     <|dy(w)|^2> = 1/4 + F[<: dy(t) dy(t') :>](w),
 
 which for perfect synchronization (mu = 0) closes to w^2 / (4 (kappa^2 + w^2)).
-The anti-squeezed x quadrature has no closed form here; it is modelled as a
-minimum-uncertainty reciprocal times an optional excess-noise factor.
+The anti-squeezed x quadrature has no closed form here; it is modelled as the
+minimum-uncertainty partner 1 / (16 y_var) times an excess-noise factor of at
+least 1, a plain float.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import VACUUM_VARIANCE
+from .quadrature import VACUUM_VARIANCE, _partner_variance
 
 #: Integration window of the numeric Fourier oracle, in correlation times 1/kappa.
 DEFAULT_ORACLE_WINDOW = 50.0
@@ -211,31 +212,21 @@ def _spherical_bessel(z: float, count: int) -> np.ndarray:
     return j[:count] / math.sqrt(math.fsum((2.0 * orders + 1.0) * j * j))
 
 
-@dataclass(frozen=True)
-class XNoiseModel:
-    """Model of the anti-squeezed quadrature: x = factor / (16 * y).
+def x_spectral_variance(omega, kappa: float, excess: float = 1.0):
+    """Anti-squeezed quadrature variance excess / (16 * y_var(omega)).
 
-    factor = 1 is the minimum-uncertainty partner; factor > 1 adds excess
-    noise in the stretched quadrature (which leaves every criterion and gate
-    in this package unchanged).
-    """
-
-    factor: float = 1.0
-
-    def __post_init__(self):
-        if self.factor < 1.0:
-            raise ValueError("excess-noise factor must be >= 1")
-
-
-def x_spectral_variance(omega, kappa: float,
-                        model: XNoiseModel = XNoiseModel(1.0)):
-    """Anti-squeezed quadrature variance factor / (16 * y_var(omega)).
-
-    Diverges at omega = 0 where the squeezed variance vanishes; that case
-    raises :class:`DivergentAntisqueezingError` rather than returning inf.
+    ``excess`` is the excess-noise factor: 1 gives the minimum-uncertainty
+    partner, and a larger factor adds noise in the stretched quadrature,
+    which leaves every criterion and gate in this package unchanged.  A
+    factor below 1, or NaN, raises ValueError; it is checked before the
+    divergence.  The variance diverges at omega = 0, where the squeezed
+    variance vanishes; that case raises :class:`DivergentAntisqueezingError`
+    rather than returning inf.  Vectorized over ``omega``.
     """
     y = y_spectral_variance(omega, kappa)
-    if np.any(np.asarray(y) == 0.0):
+    with np.errstate(divide="ignore"):
+        x = _partner_variance(y, excess)
+    if np.any(y == 0.0):
         raise DivergentAntisqueezingError(
             "x variance divergent at omega = 0 under the reciprocal model")
-    return model.factor / (16.0 * y)
+    return x

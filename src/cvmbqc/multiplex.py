@@ -38,14 +38,15 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import gates
+from .cluster import VLF_BOUND
 from .gates import HomodyneSetting, TwoNodeCluster
 
 #: Grid snap tolerance, in cycles: |w tau / (2 pi) - k| below this is treated
 #: as exactly on-grid, making the reduction to the undelayed criterion exact.
 GRID_SNAP_TOL = 1e-9
 
-#: Delayed-pair inseparability bound (same 1/2 as the undelayed criterion).
-DELAYED_VLF_BOUND = 0.5
+#: Delayed-pair inseparability bound: the undelayed criterion's bound.
+DELAYED_VLF_BOUND = VLF_BOUND
 
 
 class LaneCollisionError(RuntimeError):

@@ -330,3 +330,12 @@ def variance_to_db(variance: float) -> float:
 def db_to_variance(db: float) -> float:
     """Inverse of :func:`variance_to_db`, e.g. 8.3 dB -> about 0.037."""
     return VACUUM_VARIANCE * 10.0 ** (-db / 10.0)
+
+
+def _partner_variance(y, excess: float = 1.0):
+    """Anti-squeezed partner excess / (16 y) of a squeezed variance y, a
+    float or an array: the minimum-uncertainty partner 1 / (16 y) times an
+    excess-noise factor, which is checked first and must be at least 1."""
+    if not excess >= 1.0:  # NaN fails too
+        raise ValueError("excess-noise factor must be >= 1")
+    return excess / (16.0 * y)

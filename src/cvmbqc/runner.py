@@ -298,7 +298,6 @@ KEYS = {
         **dict.fromkeys(("omega_min", "omega_max"), Key(NUMBER)),
         "points": Key(INTEGER, 200, (">=", 2), _MAX_SWEEP_POINTS),
         "excess_factor": Key(NUMBER, 10.0),
-        "mu": Key(NUMBER, 0.0),
         "oracle_points": Key(INTEGER, 9, (">=", 2), _MAX_SWEEP_POINTS),
     },
     "cluster-check": {
@@ -445,37 +444,33 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 
 def _run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
     p = cfg.params
-    kappa, points, factor, mu = p["kappa"], p["points"], p["excess_factor"], p["mu"]
+    kappa, points, factor = p["kappa"], p["points"], p["excess_factor"]
     lo = 1e-3 * kappa if p["omega_min"] is None else p["omega_min"]
     hi = 1e3 * kappa if p["omega_max"] is None else p["omega_max"]
     if not 0 < lo < hi:
         raise ConfigError("[spectrum] need 0 < omega_min < omega_max")
-    if mu != 0.0:
-        raise ConfigError(
-            "[spectrum] the closed-form spectrum holds at mu = 0 only; for "
-            "mu > 0 use cvmbqc.laser.y_spectral_variance_oracle directly")
 
-    model = laser.XNoiseModel(factor)
     with _float_range("spectrum", f"kappa = {kappa:g}, omega from {lo:g} to {hi:g} "
                                   f"and excess_factor = {factor:g}"):
         omegas = _sorted_unique(np.concatenate([
             np.logspace(math.log10(lo), math.log10(hi), points), [kappa]]))
         y = laser.y_spectral_variance(omegas, kappa)
-        x = laser.x_spectral_variance(omegas, kappa, model)
+        x = laser.x_spectral_variance(omegas, kappa, factor)
 
     oracle_idx = sorted(set(
         np.linspace(0, omegas.size - 1, p["oracle_points"]).astype(int).tolist()))
     oracle_rel = 0.0
     for i in oracle_idx:
-        ref = laser.y_spectral_variance_oracle(float(omegas[i]), kappa, mu)
+        ref = laser.y_spectral_variance_oracle(float(omegas[i]), kappa)
         oracle_rel = max(oracle_rel, abs(ref - y[i]) / y[i])
 
     at_kappa = 4.0 * float(laser.y_spectral_variance(kappa, kappa))
     uncert = float(np.min(x * y))
     record = ResultRecord(
         kind="spectrum",
+        # mu: the phase locking of the closed form and of the oracle's default
         inputs={"kappa": kappa, "omega_min": lo, "omega_max": hi,
-                "points": points, "excess_factor": factor, "mu": mu},
+                "points": points, "excess_factor": factor, "mu": 0.0},
         scalars={"four_y_var_at_kappa": at_kappa, "oracle_rel_error": oracle_rel},
         series={"sweep": {"omega": list(map(float, omegas)),
                           "y_var": list(map(float, y)),
@@ -483,7 +478,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> ResultRecord:
                           "four_y_var": list(map(float, 4.0 * y))}},
     )
     record.verdicts = [
-        Verdict("boundary_value_at_kappa", at_kappa, 0.5, "==",
+        Verdict("boundary_value_at_kappa", at_kappa, clus.VLF_BOUND, "==",
                 "VLF_BOUND (4*y_var at omega = kappa sits on the bound)"),
         Verdict("squeezed_below_vacuum", float(np.max(y)), VACUUM_VARIANCE, "<",
                 "VACUUM_VARIANCE"),
@@ -569,7 +564,7 @@ def _run_delayed_check(cfg: ExperimentConfig) -> ResultRecord:
                                 multiplex.admissible_frequencies(tau, k_values).tolist()):
                 y = float(laser.y_spectral_variance(omega, kappa))
                 x = 0.0 if k == 0 else float(
-                    laser.x_spectral_variance(omega, kappa, laser.XNoiseModel(10.0)))
+                    laser.x_spectral_variance(omega, kappa, 10.0))
                 res = multiplex.delayed_vlf(tau, omega, y, x)
                 reduced = res.lhs == 4.0 * y
                 all_reduced = all_reduced and reduced
@@ -638,14 +633,15 @@ def _sample_and_feed_forward(cfg: ExperimentConfig, outputs: list,
 
     Returns the currents and the corrected output of each output, and the
     feed_forward_offsets_zero verdict over all outputs, whose value is the
-    largest classical term left: an offset or a symbol coefficient.
+    largest classical term left: an entry of an output's ``offset`` or of
+    its ``classical`` rows.
     """
     rng = np.random.default_rng(cfg.seed)
     currents, corrected = [], []
     for out in outputs:
         currents.append(gates.sample_currents(out, input_blocks, rng))
         corrected.append(gates.feed_forward(out, currents[-1]))
-    leftover = [t for c in corrected for e in c.exprs for t in (e.offset, *e.symbols.values())]
+    leftover = np.concatenate([t.ravel() for c in corrected for t in (c.offset, c.classical)])
     # np.max, unlike max, keeps a NaN term
     verdict = Verdict("feed_forward_offsets_zero", float(np.max(np.abs(leftover))),
                       0.0, "==", "feed-forward leaves no classical values")
@@ -660,8 +656,8 @@ def _sampling_block(out: gates.GateOutput, currents: dict,
         "currents": {k: _round12(v) for k, v in sorted(currents.items())},
         "feed_forward_shifts": [_round12(v) for v in (
             out.offset + out.classical @ [currents[n] for n in out.current_names])],
-        "corrected_offsets": [e.offset for e in corrected.exprs],
-        "corrected_symbol_count": [len(e.symbols) for e in corrected.exprs],
+        "corrected_offsets": corrected.offset.tolist(),
+        "corrected_symbol_count": np.count_nonzero(corrected.classical, axis=1).tolist(),
     }
 
 

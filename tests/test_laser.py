@@ -10,7 +10,6 @@ from cvmbqc.laser import (
     DEFAULT_ORACLE_WINDOW,
     DivergentAntisqueezingError,
     PulseTrain,
-    XNoiseModel,
     x_spectral_variance,
     y_correlation,
     y_spectral_variance,
@@ -230,13 +229,12 @@ class TestXModel:
         assert x_spectral_variance(1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_excess_noise_scales(self):
-        assert x_spectral_variance(1.0, 1.0, XNoiseModel(4.0)) == \
-            pytest.approx(2.0, abs=1e-14)
+        assert x_spectral_variance(1.0, 1.0, 4.0) == pytest.approx(2.0, abs=1e-14)
 
     def test_uncertainty_product_everywhere(self):
         omegas = np.logspace(-3, 3, 60)
-        for model in (XNoiseModel(1.0), XNoiseModel(7.0)):
-            x = x_spectral_variance(omegas, 1.0, model)
+        for excess in (1.0, 7.0):
+            x = x_spectral_variance(omegas, 1.0, excess)
             y = y_spectral_variance(omegas, 1.0)
             assert np.all(x * y >= 1.0 / 16.0 - 1e-15)
 
@@ -244,6 +242,17 @@ class TestXModel:
         with pytest.raises(DivergentAntisqueezingError, match="divergent"):
             x_spectral_variance(0.0, 1.0)
 
-    def test_rejects_factor_below_one(self):
-        with pytest.raises(ValueError):
-            XNoiseModel(0.5)
+    def test_divergent_entry_raises_without_a_numpy_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergentAntisqueezingError, match="divergent"):
+                x_spectral_variance(np.array([1.0, 0.0, 2.0]), 1.0, 3.0)
+
+    @pytest.mark.parametrize("excess", [0.5, math.nan])
+    def test_rejects_factor_below_one(self, excess):
+        with pytest.raises(ValueError, match="excess-noise factor must be >= 1"):
+            x_spectral_variance(1.0, 1.0, excess)
+
+    def test_factor_is_checked_before_the_divergence(self):
+        with pytest.raises(ValueError, match="excess-noise factor must be >= 1"):
+            x_spectral_variance(0.0, 1.0, 0.5)

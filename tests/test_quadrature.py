@@ -6,6 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cvmbqc.cluster import ClusterGraph, generate_cluster
+from cvmbqc.gates import TwoNodeCluster
+from cvmbqc.laser import x_spectral_variance, y_spectral_variance
 from cvmbqc.quadrature import (
     SYMMETRY_TOL,
     _SYMMETRY_STRIP_ROWS,
@@ -13,6 +16,7 @@ from cvmbqc.quadrature import (
     LinearQuadratureExpr,
     VACUUM_VARIANCE,
     _check_symmetric,
+    _partner_variance,
     check_uncertainty,
     db_to_variance,
     embed,
@@ -420,3 +424,49 @@ def test_db_conversion_round_trip():
     for db in (0.0, 3.0, 8.3, 15.0):
         assert variance_to_db(db_to_variance(db)) == pytest.approx(db, abs=1e-12)
     assert db_to_variance(0.0) == VACUUM_VARIANCE
+
+
+class TestPartnerVariance:
+    """``_partner_variance`` is the one anti-squeezing rule: it equals, bit for
+    bit, each expression the sources once wrote for themselves."""
+
+    @staticmethod
+    def draws(seed=31, size=200):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(1e-6, 10.0, size), rng.uniform(1.0, 100.0, size)
+
+    def test_equals_the_former_expressions(self):
+        ys, excesses = self.draws()
+        for y, excess in zip(ys.tolist(), excesses.tolist()):
+            assert _partner_variance(y, excess) == excess / (16.0 * y)
+            assert _partner_variance(y) == 1.0 / (16.0 * y)
+
+    def test_two_node_cluster(self):
+        ys, excesses = self.draws()
+        for v1, v2, excess in zip(ys[0::2].tolist(), ys[1::2].tolist(), excesses.tolist()):
+            cluster = TwoNodeCluster.from_y_variances(v1, v2, excess)
+            assert cluster.x_variances == (excess / (16.0 * v1), excess / (16.0 * v2))
+
+    def test_generated_cluster_default(self):
+        ys, _ = self.draws(size=8)
+        graph = ClusterGraph.from_text("0 1 0 0; 1 0 1 0; 0 1 0 1; 0 0 1 0")
+        for vy in (ys[:4].tolist(), ys[4:].tolist()):
+            explicit = generate_cluster(vy, graph,
+                                        source_x_variances=[1.0 / (16.0 * v) for v in vy])
+            assert np.array_equal(generate_cluster(vy, graph).cov, explicit.cov)
+
+    def test_laser_partner_of_an_array(self):
+        omegas = np.logspace(-3, 3, 200)
+        _, excesses = self.draws(size=5)
+        for excess in excesses.tolist():
+            y = y_spectral_variance(omegas, 1.3)
+            assert np.array_equal(x_spectral_variance(omegas, 1.3, excess),
+                                  excess / (16.0 * y))
+        ys, excesses = self.draws()
+        assert np.array_equal(_partner_variance(ys, excesses[0]),
+                              excesses[0] / (16.0 * ys))
+
+    @pytest.mark.parametrize("excess", [0.5, 1.0 - 2.0 ** -53, 0.0, -1.0, math.nan])
+    def test_rejects_an_excess_below_one(self, excess):
+        with pytest.raises(ValueError, match=r"^excess-noise factor must be >= 1$"):
+            _partner_variance(0.05, excess)

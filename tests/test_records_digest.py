@@ -5,6 +5,8 @@ to ``tests/data/records_digest.txt``.  A change that moves a record on
 purpose regenerates that file and names the moved lines in CHANGES.md; any
 other change to a record fails here.  Lines starting with ``#`` are the
 file's header (the numpy version and platform it was made on), not digest.
+The digest runs under two string hash seeds, and each run must match, so a
+record that depends on the hash seed fails here too.
 """
 
 import os
@@ -20,13 +22,19 @@ COMMITTED = ROOT / "tests" / "data" / "records_digest.txt"
 #: Differing lines shown on failure.
 SHOWN = 5
 
+#: The variables that set the BLAS thread count, named on failure: the
+#: digest's rounding-level values can move with it.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _digest_lines(text: str) -> list:
     return [line for line in text.splitlines() if not line.startswith("#")]
 
 
-def test_records_digest_matches_the_committed_file():
-    env = {**os.environ,
+def _check_digest(hash_seed: str) -> None:
+    """Run the digest under ``PYTHONHASHSEED=hash_seed`` and compare it with
+    the committed file."""
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
     run = subprocess.run(
@@ -43,7 +51,15 @@ def test_records_digest_matches_the_committed_file():
                        if line.startswith("# made with")), "# made with: no header")
         shown = "\n".join(f"line {n}:\n  committed {old}\n  produced  {new}"
                           for n, old, new in differing[:SHOWN])
+        threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}"
+                            for name in THREAD_VARIABLES)
         raise AssertionError(
             f"{len(differing)} of {len(committed)} digest lines differ, and the digest "
             f"has {len(produced)} lines against {len(committed)} committed.\n"
-            f"committed {header[2:]}; this run used numpy {np.__version__}.\n{shown}")
+            f"committed {header[2:]}; this run used numpy {np.__version__}, "
+            f"PYTHONHASHSEED={hash_seed} and {threads}.\n{shown}")
+
+
+def test_records_digest_matches_the_committed_file():
+    for hash_seed in ("1", "2"):
+        _check_digest(hash_seed)

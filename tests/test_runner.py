@@ -14,7 +14,7 @@ import pytest
 import cvmbqc
 from cvmbqc import cluster as clus
 from cvmbqc import gates, laser, multiplex, runner
-from cvmbqc.quadrature import LinearQuadratureExpr, expr_covariance
+from cvmbqc.quadrature import expr_covariance
 from cvmbqc.runner import ConfigError, main, parse_angle
 
 SRC = str(Path(cvmbqc.__file__).resolve().parents[1])
@@ -91,6 +91,13 @@ class TestSpectrum:
         code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "mu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mu", ["0", "0.0"])
+    def test_mu_is_set_but_never_read(self, tmp_path, capsys, mu):
+        cfg = write_config(tmp_path, f"[spectrum]\nkappa = 1.0\nmu = {mu}\n")
+        code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: [spectrum] mu is set but never read\n"
 
     def test_oracle_verdict_fails_on_a_perturbed_closed_form(self, tmp_path, monkeypatch,
                                                               capsys):
@@ -464,8 +471,7 @@ class TestFeedForwardVerdictCanFail:
             out = real(output, currents)
             if len(calls) < (2 if kind == "pipeline" else 1):
                 return out
-            x, y = out.exprs
-            return replace(out, exprs=(x, y + LinearQuadratureExpr(offset=-2e-3)))
+            return replace(out, offset=out.offset + [0.0, -2e-3])
 
         monkeypatch.setattr(gates, "feed_forward", leaky_last)
         assert main([kind, *args, "--out", str(tmp_path / "bad")]) == 1
@@ -473,6 +479,52 @@ class TestFeedForwardVerdictCanFail:
         record = json.loads((tmp_path / "bad" / f"{kind}.json").read_text())
         verdicts = {v["name"]: v for v in record["verdicts"]}
         assert verdicts["feed_forward_offsets_zero"]["value"] == 2e-3
+
+    @pytest.mark.parametrize("kind", ["compose", "gate"])
+    def test_leftover_terms_reach_the_sampling_block(self, tmp_path, monkeypatch, kind):
+        """The record's corrected offsets and current counts are the
+        corrected output's ``offset`` and nonzero ``classical`` entries."""
+        cfg = write_config(tmp_path, self.BODIES[kind] + "sampling = true\n")
+        real = gates.feed_forward
+
+        def leaky(output, currents):
+            out = real(output, currents)
+            classical = out.classical.copy()
+            classical[1, -1] = 3e-3
+            return replace(out, offset=out.offset + [0.0, -2e-3], classical=classical)
+
+        monkeypatch.setattr(gates, "feed_forward", leaky)
+        assert main([kind, "--config", cfg, "--seed", "5", "--out", str(tmp_path / "o")]) == 1
+        record = json.loads((tmp_path / "o" / f"{kind}.json").read_text())
+        sampling = record["scalars"]["sampling"]
+        assert sampling["corrected_offsets"] == [0.0, -2e-3]
+        assert sampling["corrected_symbol_count"] == [0, 1]
+        verdicts = {v["name"]: v for v in record["verdicts"]}
+        assert verdicts["feed_forward_offsets_zero"]["value"] == 3e-3
+
+
+class TestExcessFactorAtLeastOne:
+    """Every kind that reads excess_factor refuses one below 1 with the same
+    config error, and runs at 1."""
+
+    BODIES = {"spectrum": "[spectrum]\nkappa = 1.0\npoints = 40\n",
+              **TestFeedForwardVerdictCanFail.BODIES}
+
+    @pytest.mark.parametrize("kind", sorted(BODIES))
+    def test_below_one_exits_2(self, tmp_path, capsys, kind):
+        cfg = write_config(tmp_path, self.BODIES[kind] + "excess_factor = 0.5\n")
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: excess-noise factor must be >= 1\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", sorted(BODIES))
+    def test_one_runs_to_its_verdicts(self, tmp_path, kind):
+        # [spectrum] exits 1 here: x_var * y_var rounds to just below the
+        # exact 1/16 that its uncertainty_product verdict compares with
+        cfg = write_config(tmp_path, self.BODIES[kind] + "excess_factor = 1\n")
+        code = main([kind, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == (1 if kind == "spectrum" else 0)
+        assert (tmp_path / "o" / f"{kind}.json").exists()
 
 
 class TestSamplingChangesOnlyItsOwnFields:

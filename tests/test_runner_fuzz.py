@@ -63,7 +63,6 @@ SPECTRUM = section(
      "omega_max": mostly(["1e3", "100", "20"]),
      "points": mostly(["40", "200", "2"]),
      "excess_factor": mostly(["10", "1", "2.5"]),
-     "mu": mostly(["0"]),
      "oracle_points": mostly(["9", "2", "5"])},
     required={"kappa": mostly(["1", "0.5", "1.3", "2"])})
 CLUSTER_CHECK = section(
