@@ -299,9 +299,11 @@ def generate_cluster(source_y_variances: Sequence[float],
         raise ValueError("quadrature variances must be positive and finite")
     if q is None and n == 2:
         q = default_two_node_q()
-    # numpy hands the product of a C-contiguous array with its own
-    # transpose to BLAS syrk: half the flops of a general product
-    B = _real_form(cluster_unitary(graph, q)) * np.sqrt(d)
+    # scaled in place, so one 2n x 2n array is live; numpy hands the
+    # product of a C-contiguous array with its own transpose to BLAS syrk:
+    # half the flops of a general product
+    B = _real_form(cluster_unitary(graph, q))
+    B *= np.sqrt(d)
     return GaussianState(np.zeros(2 * n), B @ B.T)
 
 

@@ -98,9 +98,14 @@ def y_correlation(t: float, t_prime: float, m: int, m_prime: int,
         return 0.0
     if not (train.in_window(t, m) and train.in_window(t_prime, m_prime)):
         return 0.0
-    k, mu = train.kappa, train.mu
-    rate = k * (1.0 - mu / 2.0)
-    return -(k / 8.0) * ((1.0 - mu) / (1.0 - mu / 2.0)) * math.exp(-rate * abs(t - t_prime))
+    amp, rate = _correlation_law(train.kappa, train.mu)
+    return amp * math.exp(-rate * abs(t - t_prime))
+
+
+def _correlation_law(kappa: float, mu: float) -> tuple:
+    """Amplitude -(kappa/8) (1-mu)/(1-mu/2) and decay rate kappa (1-mu/2)
+    of the same-pulse correlation amp * exp(-rate |t - t'|)."""
+    return -(kappa / 8.0) * ((1.0 - mu) / (1.0 - mu / 2.0)), kappa * (1.0 - mu / 2.0)
 
 
 def y_spectral_variance(omega, kappa: float):
@@ -121,9 +126,9 @@ def y_spectral_variance_oracle(omega: float, kappa: float, mu: float = 0.0) -> f
     Computes 1/4 + 2 * Integral_0^W C(tau) cos(w tau) dtau, with C the
     stationary normally ordered correlation and W = DEFAULT_ORACLE_WINDOW /
     kappa, by Filon-type quadrature (Iserles and Norsett, Proc. R. Soc. A
-    461, 1383, 2005).  [0, W] is cut into ceil(2 kappa W) equal panels,
-    100 up to rounding.  On each panel the envelope C is expanded in
-    Legendre polynomials P_0 .. P_19 from its values at the 20
+    461, 1383, 2005).  [0, W] is cut into exactly 100 equal panels, two
+    per correlation time for every kappa.  On each panel the envelope C is
+    expanded in Legendre polynomials P_0 .. P_19 from its values at the 20
     Gauss-Legendre nodes, and each term is integrated against the cosine
     exactly: on a panel of width h, Integral_-1^1 P_n(x) exp(i z x) dx =
     2 i^n j_n(z) with z = w h / 2, the same for every panel.  The panels are
@@ -132,7 +137,7 @@ def y_spectral_variance_oracle(omega: float, kappa: float, mu: float = 0.0) -> f
     The method is generic: it samples C and uses no closed form of the
     transform, so it is an independent check of the closed form (exact
     agreement is expected only at mu = 0).  Its cost is fixed: 20 samples of
-    C per panel, about 2000 in all, for any finite w.  Its error is about
+    C per panel, 2000 in all, for any finite w.  Its error is about
     2e-10 relative to the exact finite-window transform, tested to 1e-9 for
     w from 1e-3 kappa to 1e15 kappa; where the result is small (w << kappa
     at mu = 0) the sum 1/4 + 2 I cancels, and the relative error grows as
@@ -143,14 +148,12 @@ def y_spectral_variance_oracle(omega: float, kappa: float, mu: float = 0.0) -> f
     if not 0.0 <= mu < 1.0:
         raise ValueError("mu must lie in [0, 1)")
     W = DEFAULT_ORACLE_WINDOW / kappa
-    rate = kappa * (1.0 - mu / 2.0)
-    amp = -(kappa / 8.0) * ((1.0 - mu) / (1.0 - mu / 2.0))
+    amp, rate = _correlation_law(kappa, mu)
     omega = abs(float(omega))
 
-    panels = math.ceil(2.0 * kappa * W)
-    h = W / panels
+    h = W / _PANELS
     nodes, projection = _legendre_projection()
-    mid = (np.arange(panels) + 0.5) * h
+    mid = (np.arange(_PANELS) + 0.5) * h
     coeffs = amp * np.exp(-rate * (mid[:, None] + 0.5 * h * nodes)) @ projection
     # Re(exp(i w mid) i^n j_n): even n weigh cos(w mid), odd n -sin(w mid)
     j = _spherical_bessel(0.5 * omega * h, _PANEL_NODES) * _I_POWER_SIGNS
@@ -159,6 +162,9 @@ def y_spectral_variance_oracle(omega: float, kappa: float, mu: float = 0.0) -> f
                  - np.sin(phase) * (coeffs[:, 1::2] @ j[1::2]))
     return VACUUM_VARIANCE + 2.0 * math.fsum(panel)
 
+
+#: Oracle panels over the window: two per correlation time 1/kappa.
+_PANELS = int(2 * DEFAULT_ORACLE_WINDOW)
 
 #: Gauss-Legendre nodes per oracle panel; the envelope is expanded in P_0 ..
 #: P_{n-1} with n this count.

@@ -6,6 +6,11 @@ file, runs the experiment, writes a JSON record (and CSV series) into the
 output directory, prints one line per verdict, and exits 0 only if every
 verdict passed (1 on a failed verdict, 2 on usage or config errors).
 
+``gate`` and ``compose`` are one path: each builds its settings and
+clusters and runs the engine, and ``_judged_chain`` judges the output
+against the single-step oracle chained over the same steps and writes the
+record; a verdict for both kinds is added there once.
+
 Every verdict carries the named constant it was judged against and passes
 exactly when its recorded comparison holds on the unrounded numbers.  All
 floating output uses 12 significant digits with '.' as the decimal
@@ -45,6 +50,8 @@ from .quadrature import (
 ORACLE_REL_TOL = 1e-6
 #: Gate-matrix determinant distance from 1.
 GATE_DET_TOL = 1e-12
+#: Composed (engine) signal-matrix determinant distance from 1.
+NET_DET_TOL = 1e-9
 #: Engine output covariance vs conditioning oracle, absolute.
 STEP_ORACLE_TOL = 1e-9
 #: Two-step phase-solver residual.
@@ -648,17 +655,43 @@ def _sample_and_feed_forward(cfg: ExperimentConfig, outputs: list,
     return currents, corrected, verdict
 
 
-def _sampling_block(out: gates.GateOutput, currents: dict,
-                    corrected: gates.GateOutput) -> dict:
-    """The record block of one sampled output: the currents, the shifts they
-    put on the output offsets, the corrected offsets and symbol counts."""
-    return {
-        "currents": {k: _round12(v) for k, v in sorted(currents.items())},
-        "feed_forward_shifts": [_round12(v) for v in (
-            out.offset + out.classical @ [currents[n] for n in out.current_names])],
-        "corrected_offsets": corrected.offset.tolist(),
-        "corrected_symbol_count": np.count_nonzero(corrected.classical, axis=1).tolist(),
-    }
+def _judged_chain(cfg: ExperimentConfig, out: gates.GateOutput, clusters: tuple,
+                  settings: tuple, cov_in: np.ndarray, inputs: dict, scalars: dict,
+                  determinant: Verdict, extra: tuple = ()) -> ResultRecord:
+    """The record of a ``gate`` or ``compose`` run: ``out``, the engine's
+    output of ``settings`` on ``clusters`` from mode 0, judged against the
+    single-step oracle chained over the same steps from ``cov_in``.
+
+    ``inputs``, ``scalars``, ``determinant`` and ``extra`` are the kind's
+    own; ``determinant.value`` is the recorded ``det_minus_one``.  The
+    verdicts run: the determinant, oracle_agreement, the ``extra`` ones,
+    then in sampling mode feed_forward_offsets_zero, with the sampled
+    currents, the shifts they put on the output offsets, the corrected
+    offsets and symbol counts in the ``sampling`` block.
+    """
+    engine_cov = gates.output_covariance(out, {0: cov_in})
+    oracle_cov = cov_in
+    for cluster, setting in zip(clusters, settings):
+        oracle_cov = gates.single_step_covariance_oracle(oracle_cov, cluster, setting)
+    oracle_err = float(np.max(np.abs(engine_cov - oracle_cov)))
+    record = ResultRecord(
+        kind=cfg.kind, inputs=inputs,
+        scalars={**scalars, "output_covariance": engine_cov.tolist(),
+                 "oracle_covariance": oracle_cov.tolist(),
+                 "residuals": {"det_minus_one": determinant.value, "oracle": oracle_err}},
+        verdicts=[determinant, Verdict("oracle_agreement", oracle_err, STEP_ORACLE_TOL, "<=",
+                                       "STEP_ORACLE_TOL"), *extra])
+    if cfg.params["sampling"]:
+        [currents], [corrected], verdict = _sample_and_feed_forward(cfg, [out], {0: cov_in})
+        record.scalars["sampling"] = {
+            "currents": {k: _round12(v) for k, v in sorted(currents.items())},
+            "feed_forward_shifts": [_round12(v) for v in (
+                out.offset + out.classical @ [currents[n] for n in out.current_names])],
+            "corrected_offsets": corrected.offset.tolist(),
+            "corrected_symbol_count": np.count_nonzero(corrected.classical, axis=1).tolist(),
+        }
+        record.verdicts.append(verdict)
+    return record
 
 
 def _run_gate(cfg: ExperimentConfig) -> ResultRecord:
@@ -666,90 +699,55 @@ def _run_gate(cfg: ExperimentConfig) -> ResultRecord:
     setting = gates.HomodyneSetting(p["theta_in"], p["theta_1"], _beta_0(cfg))
     cluster = _cluster(p)
     cov_in = _input_cov(cfg)
-
+    # M itself, not the engine's signal: its product with the identity
+    # loses the sign of a zero entry
     M = gates.gate_matrix(setting.theta_plus, setting.theta_minus)
     out = gates.run_steps((x_quad(0), y_quad(0)), (cluster,), (setting,),
                           allow_unentangled=p["allow_unentangled"])
-    engine_cov = gates.output_covariance(out, {0: cov_in})
-    oracle_cov = gates.single_step_covariance_oracle(cov_in, cluster, setting)
-    noise_cov = out.noise_covariance()
     det_err = abs(float(np.linalg.det(M)) - 1.0)
-    oracle_err = float(np.max(np.abs(engine_cov - oracle_cov)))
-
-    record = ResultRecord(
-        kind="gate",
-        inputs={"theta_in": setting.theta_in, "theta_1": setting.theta_1,
-                "beta_0": setting.beta_0, "y_variances": cluster.y_variances,
-                "x_variances": cluster.x_variances, "input_cov": cov_in.tolist()},
-        scalars={"signal_matrix": M.tolist(),
-                 "output_covariance": engine_cov.tolist(),
-                 "oracle_covariance": oracle_cov.tolist(),
-                 "noise_covariance": noise_cov.tolist(),
-                 "residuals": {"det_minus_one": det_err, "oracle": oracle_err}},
-    )
-    record.verdicts = [
-        Verdict("gate_determinant", det_err, GATE_DET_TOL, "<=", "GATE_DET_TOL"),
-        Verdict("oracle_agreement", oracle_err, STEP_ORACLE_TOL, "<=", "STEP_ORACLE_TOL"),
-    ]
-    if p["sampling"]:
-        [currents], [corrected], verdict = _sample_and_feed_forward(cfg, [out], {0: cov_in})
-        record.scalars["sampling"] = _sampling_block(out, currents, corrected)
-        record.verdicts.append(verdict)
-    return record
+    return _judged_chain(
+        cfg, out, (cluster,), (setting,), cov_in,
+        {"theta_in": setting.theta_in, "theta_1": setting.theta_1,
+         "beta_0": setting.beta_0, "y_variances": cluster.y_variances,
+         "x_variances": cluster.x_variances, "input_cov": cov_in.tolist()},
+        {"signal_matrix": M.tolist(), "noise_covariance": out.noise_covariance().tolist()},
+        Verdict("gate_determinant", det_err, GATE_DET_TOL, "<=", "GATE_DET_TOL"))
 
 
 def _run_compose(cfg: ExperimentConfig) -> ResultRecord:
     p = cfg.params
     beta0 = _beta_0(cfg)
     cov_in = _input_cov(cfg)
-    cluster_1, cluster_2 = (_cluster(p, s) for s in ("_step1", "_step2"))
+    clusters = tuple(_cluster(p, s) for s in ("_step1", "_step2"))
 
-    solver_residual = None
+    scalars, extra = {}, ()
     if p["target"] is not None:
         try:
             solution = gates.solve_phases(p["target"], beta_0=beta0)
         except gates.PhaseSolveError as exc:
             raise ConfigError(f"[compose] {exc}") from None
-        s1, s2 = solution.setting_1, solution.setting_2
-        solver_residual = solution.residual
+        settings = (solution.setting_1, solution.setting_2)
+        scalars["solver_residual"] = solution.residual
+        extra = (Verdict("phase_solver_residual", solution.residual, PHASE_RESIDUAL_TOL, "<=",
+                         "PHASE_RESIDUAL_TOL"),)
     else:
-        s1 = gates.HomodyneSetting(p["theta_in_1"], p["theta_1_1"], beta0)
-        s2 = gates.HomodyneSetting(p["theta_in_2"], p["theta_1_2"], beta0)
+        settings = tuple(gates.HomodyneSetting(p[f"theta_in_{step}"], p[f"theta_1_{step}"], beta0)
+                         for step in (1, 2))
 
-    out = gates.run_steps((x_quad(0), y_quad(0)), (cluster_1, cluster_2), (s1, s2),
+    out = gates.run_steps((x_quad(0), y_quad(0)), clusters, settings,
                           allow_unentangled=p["allow_unentangled"])
-    engine_cov = gates.output_covariance(out, {0: cov_in})
-    mid = gates.single_step_covariance_oracle(cov_in, cluster_1, s1)
-    oracle_cov = gates.single_step_covariance_oracle(mid, cluster_2, s2)
-    oracle_err = float(np.max(np.abs(engine_cov - oracle_cov)))
+    s1, s2 = settings
+    scalars["signal_matrix"] = out.signal_matrix.tolist()
     det_err = abs(float(np.linalg.det(out.signal_matrix)) - 1.0)
-
-    record = ResultRecord(
-        kind="compose",
-        inputs={"theta_in_1": s1.theta_in, "theta_1_1": s1.theta_1,
-                "theta_in_2": s2.theta_in, "theta_1_2": s2.theta_1,
-                "beta_0": beta0, "input_cov": cov_in.tolist(),
-                "y_variances": [cluster_1.y_variances, cluster_2.y_variances]},
-        scalars={"signal_matrix": out.signal_matrix.tolist(),
-                 "output_covariance": engine_cov.tolist(),
-                 "oracle_covariance": oracle_cov.tolist(),
-                 "residuals": {"det_minus_one": det_err, "oracle": oracle_err}},
-    )
-    record.verdicts = [
-        Verdict("net_determinant", det_err, 1e-9, "<=",
-                "composed gate stays determinant-one"),
-        Verdict("oracle_agreement", oracle_err, STEP_ORACLE_TOL, "<=", "STEP_ORACLE_TOL"),
-    ]
-    if solver_residual is not None:
-        record.scalars["solver_residual"] = solver_residual
-        record.verdicts.append(Verdict(
-            "phase_solver_residual", solver_residual, PHASE_RESIDUAL_TOL, "<=",
-            "PHASE_RESIDUAL_TOL"))
-    if p["sampling"]:
-        [currents], [corrected], verdict = _sample_and_feed_forward(cfg, [out], {0: cov_in})
-        record.scalars["sampling"] = _sampling_block(out, currents, corrected)
-        record.verdicts.append(verdict)
-    return record
+    return _judged_chain(
+        cfg, out, clusters, settings, cov_in,
+        {"theta_in_1": s1.theta_in, "theta_1_1": s1.theta_1,
+         "theta_in_2": s2.theta_in, "theta_1_2": s2.theta_1,
+         "beta_0": beta0, "input_cov": cov_in.tolist(),
+         "y_variances": [c.y_variances for c in clusters]},
+        scalars,
+        Verdict("net_determinant", det_err, NET_DET_TOL, "<=",
+                "composed gate stays determinant-one"), extra)
 
 
 def _run_cz(cfg: ExperimentConfig) -> ResultRecord:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cvmbqc import laser
 from cvmbqc.laser import (
     DEFAULT_ORACLE_WINDOW,
     DivergentAntisqueezingError,
@@ -181,8 +182,30 @@ class TestOracleErrorBound:
             assert y_spectral_variance_oracle(-omega, 1.0, 0.05) == \
                 y_spectral_variance_oracle(omega, 1.0, 0.05)
 
+    # kappas of the benchmark's spectrum configs at which 2 kappa W, with
+    # W = 50 / kappa, rounds up past 100
+    ROUNDED_UP_KAPPAS = (1.3121187091902449, 1.5285348231506615, 0.7263732204154701,
+                         1.4415257556496144, 1.2460816469222353, 0.7172099439201836)
+
+    def test_one_hundred_panels_for_every_kappa(self, monkeypatch):
+        # the panel frequency z = w h / 2 reads the panel width h = W / 100
+        seen = []
+        real = laser._spherical_bessel
+
+        def recording(z, count):
+            seen.append(z)
+            return real(z, count)
+
+        monkeypatch.setattr(laser, "_spherical_bessel", recording)
+        for kappa in self.ROUNDED_UP_KAPPAS + self.KAPPAS:
+            window = DEFAULT_ORACLE_WINDOW / kappa
+            for omega in (0.3 * kappa, 7.0 * kappa):
+                seen.clear()
+                y_spectral_variance_oracle(omega, kappa)
+                assert seen == [pytest.approx(omega * window / 200, rel=1e-15)], kappa
+
     def test_integrand_samples_do_not_depend_on_omega(self, monkeypatch):
-        # 20 samples on each of ceil(2 kappa W) panels, whatever omega is
+        # 20 samples on each of 100 panels, whatever omega is
         sizes = []
         real_exp = np.exp
 

@@ -14,10 +14,12 @@ inseparability bound (exit 1), and ``pipeline`` on the sampled shapes of
 on a finer tick grid, and 16 lanes of 4 steps, the shape of the benchmark's
 ``pipeline-wide`` ops.  Then runs ``gate`` and ``compose`` unsampled on
 the configs of ``UNSAMPLED``, whose lines a change to the photocurrent
-draw must leave alone.  Prints one line per run: seed, graph, pipeline
-shape or unsampled config, kind, exit code, the sha256 of stdout and of
-stderr, then the relative path and sha256 of every file written.  The cvmbqc on the path is the one digested,
-so two checkouts compare with ``diff``:
+draw must leave alone; the last of them pins the sign of a zero in the
+``gate`` record's ``signal_matrix``.  Prints one line per run: seed,
+graph, pipeline shape or unsampled config, kind, exit code, the sha256 of
+stdout and of stderr, then the relative path and sha256 of every file
+written.  The cvmbqc on the path is the one digested, so two checkouts
+compare with ``diff``:
 
     PYTHONPATH=src python tools/records_digest.py > change.txt
     PYTHONPATH=../parent/src python tools/records_digest.py > parent.txt
@@ -88,6 +90,8 @@ UNSAMPLED = {
                                   "theta_in_2 = 1.4\ntheta_1_2 = 0.6\n"),
     "compose-target": ("compose", "target = 2, 0.5; -1, 0.25\ny_variance = 0.03\n"
                                   "input_cov = 0.3, -0.05, 0.25\n"),
+    # gate_matrix's lower-left entry is -0.0 here, the engine's signal 0.0
+    "gate-signed-zero": ("gate", "theta_in = 0.5\ntheta_1 = -0.5\n"),
 }
 
 
