@@ -74,15 +74,16 @@ def short_loop_delay(monkeypatch):
 
 
 def flipped_gain(monkeypatch):
-    """protocol_gains flips the sign of its first gain."""
-    real = gates.protocol_gains
+    """The feed-forward gains flip the sign of their first entry, in
+    ``gates._gains``, which ``protocol_gains`` and the oracle both call."""
+    real = gates._gains
 
-    def flipped(setting):
-        gains = real(setting).copy()
+    def flipped(setting, *trig):
+        gains = real(setting, *trig).copy()
         gains[0, 0] = -gains[0, 0]
         return gains
 
-    monkeypatch.setattr(gates, "protocol_gains", flipped)
+    monkeypatch.setattr(gates, "_gains", flipped)
 
 
 def halved_source_variances(monkeypatch):

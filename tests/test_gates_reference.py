@@ -2,7 +2,9 @@
 
 The references below are the earlier code, kept verbatim: the oracle as
 ``step_joint_state`` -> ``condition_homodyne`` -> ``protocol_gains`` over
-``GaussianState`` objects.  The earlier ``condition_homodyne`` is
+``GaussianState`` objects, with its own copy of ``protocol_gains``, so a
+fault in the gains that the library's oracle and ``protocol_gains`` share
+cannot move both sides alike.  The earlier ``condition_homodyne`` is
 ``test_gates.reference_condition_eigh``, which checks the array-level
 ``gates._schur_condition`` bit for bit too.  The oracle now builds the joint
 covariance and conditions it through one array-level Schur core, with the
@@ -17,6 +19,7 @@ import pytest
 
 from cvmbqc import gates
 from cvmbqc.gates import (
+    DEGENERACY_TOL,
     DegenerateHomodynePhasesError,
     HomodyneSetting,
     TwoNodeCluster,
@@ -46,12 +49,25 @@ def reference_joint_state(input_cov, cluster):
     return GaussianState(np.zeros(6), S @ joint @ S.T)
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
+def reference_protocol_gains(setting):
+    """``protocol_gains`` before the oracle shared its cos and sin with it."""
+    sm = math.sin(setting.theta_minus)
+    if abs(sm) <= DEGENERACY_TOL:
+        raise DegenerateHomodynePhasesError("degenerate homodyne phases")
+    cin, sin_ = math.cos(setting.theta_in), math.sin(setting.theta_in)
+    c1, s1 = math.cos(setting.theta_1), math.sin(setting.theta_1)
+    return (_SQRT2 / sm) * np.array([[c1, -cin], [-s1, sin_]])
+
+
 def reference_oracle(input_cov, cluster, setting):
     """``single_step_covariance_oracle`` through the state objects."""
     joint = reference_joint_state(input_cov, cluster)
     state, _, _, gain, sigma_mm = reference_condition_eigh(
         joint, {0: setting.theta_in, 1: setting.theta_1})
-    D = gain - protocol_gains(setting)
+    D = gain - reference_protocol_gains(setting)
     return state.cov + D @ sigma_mm @ D.T
 
 
@@ -179,3 +195,28 @@ class TestOracleBitIdentical:
         expected = outcome(reference_oracle, input_cov, cluster, setting)
         assert expected == ("raised", error, message)
         assert outcome(single_step_covariance_oracle, input_cov, cluster, setting) == expected
+
+
+class TestProtocolGainsBitIdentical:
+    #: |sin(theta_minus)| at 0, at pi, just inside and just outside DEGENERACY_TOL
+    EDGES = [HomodyneSetting(0.7, 0.7), HomodyneSetting(0.7, 0.7 + math.pi),
+             HomodyneSetting(0.3 + 5e-10, 0.3), HomodyneSetting(0.3 + 2e-9, 0.3)]
+
+    @pytest.mark.parametrize("k,family,seed", CHAIN_CASES)
+    def test_chain_settings(self, k, family, seed):
+        # bytes, so the signs of zeros count too
+        for setting in chain_settings(chain_rng(k, family, seed), k, family):
+            expected = reference_protocol_gains(setting)
+            assert protocol_gains(setting).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("setting,raises", zip(EDGES, (True, True, True, False)),
+                             ids=["zero", "pi", "inside-tol", "outside-tol"])
+    def test_degeneracy_edges(self, setting, raises):
+        expected = outcome(reference_protocol_gains, setting)
+        assert (expected[0] == "raised") is raises
+        got = outcome(protocol_gains, setting)
+        if raises:
+            assert got == expected == ("raised", DegenerateHomodynePhasesError,
+                                       "degenerate homodyne phases")
+        else:
+            assert got[0] == "ok" and got[1].tobytes() == expected[1].tobytes()

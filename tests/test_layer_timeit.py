@@ -22,23 +22,25 @@ def test_times_every_layer():
         "lane rerun k=4",
         "sampled lanes lanes=16", "generate_cluster n=200", "expr_covariance n=200",
         "_stack lanes=64 k=4", "_stack lanes=1 k=48",
-        "_check_symmetric n=6", "_check_symmetric n=400"]
+        "_check_symmetric n=6", "_check_symmetric n=400",
+        "oracle step", "oracle chain k=32"]
     assert all(0.0 < t < math.inf and 0.0 <= faults < math.inf
                for t, faults in timings.values())
 
 
 def test_prints_times_and_faults_of_both_sides(monkeypatch, capsys):
-    # one child's timings stand in for both sides: best of two rounds each
+    # one child's timings stand in for both sides: best and slowest of two
+    # rounds each
     rounds = iter([{"a": (2e-6, 3.0)}, {"a": (1e-6, 5.0)},
                    {"a": (4e-6, 0.5)}, {"a": (3e-6, 1.0)}])
     monkeypatch.setattr(layer_timeit, "_child", lambda src, number: next(rounds))
     monkeypatch.chdir(ROOT)
     assert layer_timeit.main(["src", "src", "--rounds", "2"]) == 0
     header, row = capsys.readouterr().out.splitlines()
-    assert header.split() == ["layer", "parent", "us", "change", "us", "ratio",
-                              "parent", "flt", "change", "flt"]
+    assert header.split() == ["layer", "parent", "us", "slowest", "change", "us", "slowest",
+                              "ratio", "parent", "flt", "change", "flt"]
     # round 0 runs parent then change, round 1 change then parent
-    assert row.split() == ["a", "2.0", "1.0", "0.500", "1.0", "0.5"]
+    assert row.split() == ["a", "2.0", "3.0", "1.0", "4.0", "0.500", "1.0", "0.5"]
 
 
 @pytest.mark.parametrize("args", [

@@ -411,14 +411,15 @@ class TestOracleVerdictCanFail:
     def test_flipped_gain_sign_exits_1(self, tmp_path, monkeypatch, capsys, kind, body):
         cfg = write_config(tmp_path, body)
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
-        real = gates.protocol_gains
+        # the gains that protocol_gains and the oracle both read
+        real = gates._gains
 
-        def flipped(setting):
-            gains = real(setting).copy()
+        def flipped(setting, *trig):
+            gains = real(setting, *trig).copy()
             gains[0, 0] = -gains[0, 0]
             return gains
 
-        monkeypatch.setattr(gates, "protocol_gains", flipped)
+        monkeypatch.setattr(gates, "_gains", flipped)
         code = main([kind, "--config", cfg, "--out", str(tmp_path / "bad")])
         assert code == 1
         assert "[FAIL] oracle_agreement" in capsys.readouterr().out

@@ -69,13 +69,14 @@ def delayed_vlf_doubled_delay(real):
 
 def protocol_gains_flipped(real):
     """The feed-forward gains with the sign of the first one flipped, so the
-    conditioning oracle and the engine disagree.
+    conditioning oracle and the engine disagree.  Injected in ``gates._gains``,
+    which ``protocol_gains`` and the oracle both call.
 
     The spectrum's ``oracle_agreement`` shares the name; its fault, a
     closed form off by a relative 1e-5, is
     ``tests/test_runner.py::TestSpectrum::test_oracle_verdict_fails_on_a_perturbed_closed_form``."""
-    def flipped(setting):
-        gains = real(setting).copy()
+    def flipped(setting, *trig):
+        gains = real(setting, *trig).copy()
         gains[0, 0] = -gains[0, 0]
         return gains
     return flipped
@@ -145,7 +146,7 @@ CASES = {
         frequencies_off_grid),
     "offgrid_fails": (
         "delayed-check", DELAYED_CHECK, multiplex, "delayed_vlf", delayed_vlf_doubled_delay),
-    "oracle_agreement": ("gate", GATE, gates, "protocol_gains", protocol_gains_flipped),
+    "oracle_agreement": ("gate", GATE, gates, "_gains", protocol_gains_flipped),
     "entangled": (
         "cluster-check", "[cluster-check]\ny_variance = 0.05\n",
         cluster, "generate_cluster", generate_cluster_vacuum),

@@ -9,11 +9,14 @@ on one thread in each.  A subprocess times every layer on fixed seeded
 inputs with ``timeit``: the best of 5 repeats of ``--number`` calls, with
 the process's minor page faults (``ru_minflt``) read around those calls.
 The tool prints one line per layer with the best time per call of each side
-over all its rounds, in microseconds, change / parent, and each side's
-fewest minor page faults per call over its rounds.  A layer that frees
-memory to the kernel and maps it again on the next call shows here as
-faults.  Best-of timings on a shared host are rough; alternating the sides
-spreads the host's load over both.
+over all its rounds and, next to it, that side's slowest round (the best of
+5 repeats in its slowest subprocess), in microseconds; then change / parent
+of the best times, and each side's fewest minor page faults per call over
+its rounds.  The slowest round shows the spread within one side: a ratio
+inside that spread is no change.  A layer that frees memory to the kernel
+and maps it again on the next call shows here as faults.  Best-of timings
+on a shared host are rough; alternating the sides spreads the host's load
+over both.
 
 The layers: ``run_steps`` at k = 1, 4 and 32 steps; ``sample_currents``,
 ``output_covariance`` and ``feed_forward`` on a 4-step output;
@@ -30,12 +33,14 @@ build of the arrays that sampling and feed-forward read, on fixed engine
 passes of 64 lanes of 4 steps and of 1 lane of 48 steps; and the state
 check ``quadrature._check_symmetric`` alone, on the oracle's 6 x 6 joint
 covariance (``gates._joint_cov`` of a vacuum input) and on the 200-node
-chain's 400 x 400 covariance.  The lane rerun
-and the sampled lanes show what an output's arrays cost where they are
-built and where they are read.  Inputs are those of the benchmark: clusters
-``from_y_variances(0.05, 0.05, 10.0)``, whose source variances the 200-node
-chain takes on every node, a vacuum input, theta+ ~ U(-pi, pi) and
-theta- = pi/2 + U(-0.3, 0.3).
+chain's 400 x 400 covariance; and the covariance oracle, as one
+``single_step_covariance_oracle`` step from a vacuum input and as a chain
+of 32 steps fed each step's output, the oracle half of a ``chain-long``
+op.  The lane rerun and the sampled lanes show what an output's arrays cost
+where they are built and where they are read.  Inputs are those of the
+benchmark: clusters ``from_y_variances(0.05, 0.05, 10.0)``, whose source
+variances the 200-node chain takes on every node, a vacuum input,
+theta+ ~ U(-pi, pi) and theta- = pi/2 + U(-0.3, 0.3).
 """
 
 from __future__ import annotations
@@ -137,6 +142,19 @@ def layers(number: int) -> dict:
     joint = gates._joint_cov(vacuum[0], cluster)
     calls["_check_symmetric n=6"] = functools.partial(_check_symmetric, joint)
     calls["_check_symmetric n=400"] = functools.partial(_check_symmetric, state.cov)
+    # own generator, so the inputs of the layers above stay as they were
+    oracle_rng = np.random.default_rng(32)
+    calls["oracle step"] = functools.partial(
+        gates.single_step_covariance_oracle, vacuum[0], cluster, settings(1, oracle_rng)[0])
+    oracle_settings = settings(32, oracle_rng)
+
+    def oracle_chain():
+        cov = vacuum[0]
+        for setting in oracle_settings:
+            cov = gates.single_step_covariance_oracle(cov, cluster, setting)
+        return cov
+
+    calls["oracle chain k=32"] = oracle_chain
     return {name: _timed(call, number) for name, call in calls.items()}
 
 
@@ -164,18 +182,21 @@ def main(argv=None) -> int:
             parser.error(f"{src} holds no cvmbqc package")
     if args.rounds < 1 or args.number < 1:
         parser.error("--rounds and --number must be at least 1")
+    # side -> layer -> [best seconds, slowest round's seconds, fewest faults]
     best = {"parent": {}, "change": {}}
     sides = [("parent", args.parent_src), ("change", args.change_src)]
     for round_ in range(args.rounds):
         for side, src in (sides if round_ % 2 == 0 else sides[::-1]):
-            for name, timing in _child(src, args.number).items():
-                best[side][name] = [min(pair) for pair in zip(
-                    timing, best[side].get(name, (math.inf, math.inf)))]
-    print(f"{'layer':32s} {'parent us':>10s} {'change us':>10s} {'ratio':>6s} "
-          f"{'parent flt':>10s} {'change flt':>10s}")
-    for name, (parent, parent_faults) in best["parent"].items():
-        change, change_faults = best["change"][name]
-        print(f"{name:32s} {parent * 1e6:10.1f} {change * 1e6:10.1f} {change / parent:6.3f} "
+            for name, (seconds, faults) in _child(src, args.number).items():
+                low, high, fewest = best[side].get(name, (math.inf, 0.0, math.inf))
+                best[side][name] = [min(low, seconds), max(high, seconds),
+                                    min(fewest, faults)]
+    print(f"{'layer':32s} {'parent us':>10s} {'slowest':>9s} {'change us':>10s} "
+          f"{'slowest':>9s} {'ratio':>6s} {'parent flt':>10s} {'change flt':>10s}")
+    for name, (parent, parent_slow, parent_faults) in best["parent"].items():
+        change, change_slow, change_faults = best["change"][name]
+        print(f"{name:32s} {parent * 1e6:10.1f} {parent_slow * 1e6:9.1f} "
+              f"{change * 1e6:10.1f} {change_slow * 1e6:9.1f} {change / parent:6.3f} "
               f"{parent_faults:10.1f} {change_faults:10.1f}")
     return 0
 
