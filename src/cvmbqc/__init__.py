@@ -3,7 +3,7 @@
 The package models the full chain from pulsed amplitude-squeezed lasers to
 universal single-mode Gaussian gates and a two-mode entangling gate:
 
-* :mod:`cvmbqc.quadrature` - quadrature algebra, symplectic maps, Gaussian
+* :mod:`cvmbqc.quadrature` - quadrature expressions, symplectic maps, Gaussian
   states, uncertainty checks;
 * :mod:`cvmbqc.cluster` - graph cluster states, nullifiers, squeezing
   thresholds, the two-node inseparability criterion;

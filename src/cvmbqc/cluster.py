@@ -95,9 +95,6 @@ class ClusterGraph:
     def n_nodes(self) -> int:
         return self.adjacency.shape[0]
 
-    def degree(self, node: int) -> int:
-        return int(self.adjacency[node].sum())
-
     def edges(self):
         """Edges (i, j) with i < j as Python ints, in row-major order.
 

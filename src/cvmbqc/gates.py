@@ -726,16 +726,11 @@ def _joint_cov(input_cov: np.ndarray, cluster: TwoNodeCluster) -> np.ndarray:
     return cov
 
 
-def protocol_gains(setting: HomodyneSetting) -> np.ndarray:
-    """Feed-forward gains in measured-quadrature units (current = 2 beta0 q)."""
-    return _gains(setting, math.cos(setting.theta_in), math.sin(setting.theta_in),
-                  math.cos(setting.theta_1), math.sin(setting.theta_1))
-
-
 def _gains(setting: HomodyneSetting, cin: float, sin_: float, c1: float,
            s1: float) -> np.ndarray:
-    """:func:`protocol_gains` from cos and sin of theta_in and theta_1, which
-    the oracle has computed once for its measured rows."""
+    """Feed-forward gains in measured-quadrature units (current = 2 beta0 q),
+    from cos and sin of theta_in and theta_1, which the oracle has computed
+    once for its measured rows."""
     sm = math.sin(setting.theta_minus)
     if abs(sm) <= DEGENERACY_TOL:
         raise DegenerateHomodynePhasesError("degenerate homodyne phases")

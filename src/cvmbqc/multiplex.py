@@ -137,7 +137,9 @@ def events_to_jsonl(events: Sequence[PipelineEvent]) -> str:
 
 
 def _count_collisions(events: Sequence[PipelineEvent]) -> int:
-    """Number of (element, tick) pairs visited by more than one lane."""
+    """Number of clashes on the beam splitter and the two detectors: events
+    at an (element, tick) whose previous visitor there was another lane.
+    Two lanes that alternate on one detector tick, lanes 0, 1, 0, count 2."""
     seen = {}
     clashes = 0
     for tick, _, element, lane, _ in events:
@@ -168,7 +170,9 @@ class PipelineResult:
         object.__setattr__(self, "_collisions", _count_collisions(events))
 
     def collisions(self) -> int:
-        """Number of (element, tick) pairs visited by more than one lane."""
+        """Number of clashes counted when the result was made: events on the
+        beam splitter or a detector at an (element, tick) whose previous
+        visitor there was another lane (see :func:`_count_collisions`)."""
         return self._collisions
 
 

@@ -1,4 +1,4 @@
-"""Quadrature-operator algebra for multimode Gaussian states.
+"""Quadrature expressions, symplectic maps and Gaussian states.
 
 Conventions used throughout the package:
 
@@ -55,8 +55,9 @@ class LinearQuadratureExpr:
     (photocurrent records and the like) with real coefficients.  Classical
     terms never contribute to covariances.
 
-    Instances are immutable by convention: all arithmetic returns new
-    expressions and the stored dicts must not be mutated.
+    Instances are immutable by convention: ``+`` returns a new expression
+    and the stored dicts must not be mutated.  Expressions compare and hash
+    by identity.
     """
 
     __slots__ = ("coeffs", "symbols", "offset")
@@ -75,8 +76,6 @@ class LinearQuadratureExpr:
         expr.coeffs, expr.symbols, expr.offset = coeffs, symbols, offset
         return expr
 
-    # -- arithmetic ------------------------------------------------------
-
     def __add__(self, other: "LinearQuadratureExpr") -> "LinearQuadratureExpr":
         coeffs = dict(self.coeffs)
         for k, v in other.coeffs.items():
@@ -85,40 +84,6 @@ class LinearQuadratureExpr:
         for k, v in other.symbols.items():
             symbols[k] = symbols.get(k, 0.0) + v
         return LinearQuadratureExpr(coeffs, symbols, self.offset + other.offset)
-
-    def __sub__(self, other: "LinearQuadratureExpr") -> "LinearQuadratureExpr":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar: float) -> "LinearQuadratureExpr":
-        s = float(scalar)
-        return LinearQuadratureExpr(
-            {k: s * v for k, v in self.coeffs.items()},
-            {k: s * v for k, v in self.symbols.items()},
-            s * self.offset,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "LinearQuadratureExpr":
-        return (-1.0) * self
-
-    # -- inspection ------------------------------------------------------
-
-    def canonical(self):
-        """Hashable canonical form, used for exact comparisons."""
-        return (
-            tuple(sorted(self.coeffs.items())),
-            tuple(sorted(self.symbols.items())),
-            self.offset,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearQuadratureExpr):
-            return NotImplemented
-        return self.canonical() == other.canonical()
-
-    def __hash__(self):
-        return hash(self.canonical())
 
     def __repr__(self):
         parts = [f"{c:+g}*{_label(col)}" for col, c in sorted(self.coeffs.items())]
@@ -268,10 +233,6 @@ class GaussianState:
         _check_symmetric(cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-
-    @property
-    def n_modes(self) -> int:
-        return self.mean.size // 2
 
 
 def expr_covariance(exprs: Sequence[LinearQuadratureExpr],

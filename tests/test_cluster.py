@@ -18,12 +18,14 @@ from cvmbqc.cluster import (
     _real_form,
 )
 from cvmbqc.quadrature import (
+    LinearQuadratureExpr,
     embed,
     expr_covariance,
     symplectic_residual,
     x_quad,
     y_quad,
 )
+from test_quadrature import terms
 
 
 EPS = np.finfo(float).eps
@@ -94,7 +96,7 @@ class TestSharedResults:
         adj[0, 1] = adj[1, 0] = 0
         np.testing.assert_array_equal(graph.adjacency, ClusterGraph.chain(3).adjacency)
         assert np.array_equal(cluster_unitary(graph), U)
-        assert nullifiers(graph)[0] == y_quad(0) - x_quad(1)
+        assert terms(nullifiers(graph)[:1]) == [({1: 1.0, 2: -1.0}, {}, 0.0)]
 
     def test_q_free_unitary_is_shared_and_read_only(self):
         graph = ClusterGraph.chain(3)
@@ -228,19 +230,18 @@ class TestRealForm:
 
 class TestNullifiers:
     def test_two_node(self):
-        n1, n2 = nullifiers(ClusterGraph.two_node())
-        assert n1 == y_quad(0) - x_quad(1)
-        assert n2 == y_quad(1) - x_quad(0)
+        assert terms(nullifiers(ClusterGraph.two_node())) == [
+            ({1: 1.0, 2: -1.0}, {}, 0.0), ({3: 1.0, 0: -1.0}, {}, 0.0)]
 
     def test_edgeless(self):
         exprs = nullifiers(ClusterGraph(np.zeros((3, 3), dtype=int)))
-        assert list(exprs) == [y_quad(0), y_quad(1), y_quad(2)]
+        assert terms(exprs) == terms([y_quad(0), y_quad(1), y_quad(2)])
 
     def test_three_chain(self):
-        n1, n2, n3 = nullifiers(ClusterGraph.chain(3))
-        assert n1 == y_quad(0) - x_quad(1)
-        assert n2 == y_quad(1) - x_quad(0) - x_quad(2)
-        assert n3 == y_quad(2) - x_quad(1)
+        assert terms(nullifiers(ClusterGraph.chain(3))) == [
+            ({1: 1.0, 2: -1.0}, {}, 0.0),
+            ({3: 1.0, 0: -1.0, 4: -1.0}, {}, 0.0),
+            ({5: 1.0, 2: -1.0}, {}, 0.0)]
 
 
 class TestSqueezingThreshold:
@@ -382,18 +383,19 @@ def reference_edges(graph):
 
 
 def reference_threshold(graph):
-    return min(1.0 / (2 + graph.degree(i) + graph.degree(j))
-               for i, j in reference_edges(graph))
+    degree = [int(row.sum()) for row in graph.adjacency]
+    return min(1.0 / (2 + degree[i] + degree[j]) for i, j in reference_edges(graph))
 
 
 def reference_nullifiers(graph):
+    """y_j minus the x of each neighbour i of j, as coefficient maps."""
     out = []
     for j in range(graph.n_nodes):
-        expr = y_quad(j)
+        coeffs = {2 * j + 1: 1.0}
         for i in range(graph.n_nodes):
             if graph.adjacency[j, i]:
-                expr = expr - x_quad(i)
-        out.append(expr)
+                coeffs[2 * i] = -1.0
+        out.append(LinearQuadratureExpr(coeffs))
     return out
 
 
@@ -541,11 +543,11 @@ class TestArrayPathMatchesReference:
 
     def test_nullifiers(self, graph):
         graph = ClusterGraph(graph.adjacency)
-        want = [e.canonical() for e in reference_nullifiers(graph)]
+        want = terms(reference_nullifiers(graph))
         for _ in range(2):
             got = nullifiers(graph)
             assert isinstance(got, tuple)
-            assert [e.canonical() for e in got] == want
+            assert terms(got) == want
 
     def test_cluster_covariance_and_pair_sums(self, graph):
         assert_matches_reference(ClusterGraph(graph.adjacency), None)

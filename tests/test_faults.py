@@ -75,7 +75,7 @@ def short_loop_delay(monkeypatch):
 
 def flipped_gain(monkeypatch):
     """The feed-forward gains flip the sign of their first entry, in
-    ``gates._gains``, which ``protocol_gains`` and the oracle both call."""
+    ``gates._gains``, which the oracle calls for its gains."""
     real = gates._gains
 
     def flipped(setting, *trig):

@@ -2,9 +2,9 @@
 
 The references below are the earlier code, kept verbatim: the oracle as
 ``step_joint_state`` -> ``condition_homodyne`` -> ``protocol_gains`` over
-``GaussianState`` objects, with its own copy of ``protocol_gains``, so a
-fault in the gains that the library's oracle and ``protocol_gains`` share
-cannot move both sides alike.  The earlier ``condition_homodyne`` is
+``GaussianState`` objects, with its own copy of ``protocol_gains`` (since
+removed), so a fault in the library's gains, ``gates._gains``, cannot move
+both sides alike.  The earlier ``condition_homodyne`` is
 ``test_gates.reference_condition_eigh``, which checks the array-level
 ``gates._schur_condition`` bit for bit too.  The oracle now builds the joint
 covariance and conditions it through one array-level Schur core, with the
@@ -23,7 +23,6 @@ from cvmbqc.gates import (
     DegenerateHomodynePhasesError,
     HomodyneSetting,
     TwoNodeCluster,
-    protocol_gains,
     single_step_covariance_oracle,
 )
 from cvmbqc.quadrature import GaussianState
@@ -60,6 +59,12 @@ def reference_protocol_gains(setting):
     cin, sin_ = math.cos(setting.theta_in), math.sin(setting.theta_in)
     c1, s1 = math.cos(setting.theta_1), math.sin(setting.theta_1)
     return (_SQRT2 / sm) * np.array([[c1, -cin], [-s1, sin_]])
+
+
+def library_gains(setting):
+    """``gates._gains`` from the setting's cos and sin, as the oracle calls it."""
+    return gates._gains(setting, math.cos(setting.theta_in), math.sin(setting.theta_in),
+                        math.cos(setting.theta_1), math.sin(setting.theta_1))
 
 
 def reference_oracle(input_cov, cluster, setting):
@@ -207,14 +212,14 @@ class TestProtocolGainsBitIdentical:
         # bytes, so the signs of zeros count too
         for setting in chain_settings(chain_rng(k, family, seed), k, family):
             expected = reference_protocol_gains(setting)
-            assert protocol_gains(setting).tobytes() == expected.tobytes()
+            assert library_gains(setting).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("setting,raises", zip(EDGES, (True, True, True, False)),
                              ids=["zero", "pi", "inside-tol", "outside-tol"])
     def test_degeneracy_edges(self, setting, raises):
         expected = outcome(reference_protocol_gains, setting)
         assert (expected[0] == "raised") is raises
-        got = outcome(protocol_gains, setting)
+        got = outcome(library_gains, setting)
         if raises:
             assert got == expected == ("raised", DegenerateHomodynePhasesError,
                                        "degenerate homodyne phases")

@@ -1,4 +1,4 @@
-"""Tests for the quadrature algebra: symplectic maps, states, uncertainty."""
+"""Tests for the quadrature module: expressions, symplectic maps, states, uncertainty."""
 
 import math
 import tracemalloc
@@ -112,6 +112,12 @@ class TestApplySymplectic:
             assert check_uncertainty(S @ cov @ S.T).satisfied
 
 
+def terms(exprs):
+    """The (coeffs, symbols, offset) of each expression: expressions compare
+    by identity, so tests compare these."""
+    return [(e.coeffs, e.symbols, e.offset) for e in exprs]
+
+
 class TestExprAlgebra:
     def test_quadrature_index_validation(self):
         # x_m is covariance column 2m and y_m is 2m + 1, for an integer m >= 0
@@ -124,12 +130,18 @@ class TestExprAlgebra:
             with pytest.raises(ValueError, match="nonnegative integer"):
                 quad(1.5)
 
-    def test_linear_ops_are_exact(self):
-        e = 2.0 * x_quad(0) - 3.0 * y_quad(1)
-        assert e.coeffs[0] == 2.0
-        assert e.coeffs[3] == -3.0
-        zero = e - e
-        assert not zero.coeffs and zero.offset == 0.0
+    def test_addition_is_exact(self):
+        e = LinearQuadratureExpr({0: 2.0, 3: -3.0}, {"i": 0.5}, 1.0)
+        total = e + LinearQuadratureExpr({0: 1.0}, {"j": 1.0}, 0.25)
+        assert terms([total]) == [({0: 3.0, 3: -3.0}, {"i": 0.5, "j": 1.0}, 1.25)]
+        assert terms([e]) == [({0: 2.0, 3: -3.0}, {"i": 0.5}, 1.0)]
+        zero = e + LinearQuadratureExpr({0: -2.0, 3: 3.0}, {"i": -0.5}, -1.0)
+        assert terms([zero]) == [({}, {}, 0.0)]
+
+    def test_compared_by_identity(self):
+        e = x_quad(0)
+        assert e == e and e != x_quad(0)
+        assert len({e, x_quad(0)}) == 2
 
     def test_vacuum_variance(self):
         cov = expr_covariance([x_quad(0)], VACUUM_VARIANCE * np.eye(2))
@@ -137,7 +149,7 @@ class TestExprAlgebra:
 
     def test_two_mode_difference_variance(self):
         # y1 - x2 over vacuum: two independent quarters sum to one half
-        expr = y_quad(0) - x_quad(1)
+        expr = LinearQuadratureExpr({1: 1.0, 2: -1.0})
         cov = expr_covariance([expr], VACUUM_VARIANCE * np.eye(4))
         assert cov[0, 0] == pytest.approx(0.5, abs=1e-15)
 
@@ -167,7 +179,7 @@ class TestExprAlgebra:
         assert repr(e) == f"+1*{label}"
 
     def test_repr_names_the_columns(self):
-        assert repr(1.5 * x_quad(2) - y_quad(0)) == "-1*y0 +1.5*x2"
+        assert repr(LinearQuadratureExpr({4: 1.5, 1: -1.0})) == "-1*y0 +1.5*x2"
         assert repr(LinearQuadratureExpr(symbols={"i": 0.5}, offset=1.0)) == "+0.5*<i> +1"
         assert repr(LinearQuadratureExpr()) == "+0"
 
@@ -178,9 +190,7 @@ class TestExprAlgebra:
         cov = np.diag([0.7, 0.09, 0.4, 0.16])
         for _ in range(15):
             S = random_symplectic(rng, 2)
-            basis = [x_quad(0), y_quad(0), x_quad(1), y_quad(1)]
-            exprs = [sum((S[r, c] * basis[c] for c in range(4)),
-                         LinearQuadratureExpr()) for r in range(4)]
+            exprs = [LinearQuadratureExpr(dict(enumerate(row))) for row in S]
             via_exprs = expr_covariance(exprs, cov)
             via_matrix = S @ cov @ S.T
             assert np.max(np.abs(via_exprs - via_matrix)) < 1e-12

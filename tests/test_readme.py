@@ -1,13 +1,19 @@
 """The README's library quick start and command-line example run against
-this checkout, and its config key tables list the keys of ``runner.KEYS``."""
+this checkout, its config key tables list the keys of ``runner.KEYS``, and
+the names of its removed-names table are gone from the package."""
 
 import configparser
+import dataclasses
+import importlib
 import json
+import pkgutil
 import re
+import typing
 from pathlib import Path
 
 import pytest
 
+import cvmbqc
 from cvmbqc import runner
 from cvmbqc.runner import main
 
@@ -78,3 +84,49 @@ def test_key_tables_match_the_runner(kind):
         row = runner.KEYS[kind][key]
         assert value == row.value[1], key
         assert spells_default(default, row), (key, default, row.default)
+
+
+def removed_names() -> list:
+    """The names in the first cells of the README's "Removed names and their
+    replacements" table: each backticked dotted name (``module.name``,
+    ``Class.member``) or name with an argument list, its arguments dropped.
+    What a cell says from "the " on names an argument or a config key of a
+    name that stays, so it is not read."""
+    table = re.search(r"^Removed names and their replacements:\n\n\| removed \|.*\n\|[-| ]+\n"
+                      r"((?:\|.*\n)+)", README.read_text(), re.M)
+    assert table, "README has no removed-names table"
+    names = []
+    for line in table.group(1).splitlines():
+        cell = re.split(r"(?<!\\)\|", line.strip("|"))[0]
+        cell = re.split(r"(?:^|\s)the\s", cell.strip())[0]
+        for token in re.findall(r"`([^`]+)`", cell):
+            name = re.fullmatch(r"([A-Za-z_]\w*(?:\.\w+)*)(\(.*\))?", token)
+            if name and ("." in name.group(1) or name.group(2)):
+                names.append(name.group(1))
+    return names
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names something in ``cvmbqc`` or one of its modules,
+    reading a dataclass field that has no class attribute through its type."""
+    roots = [cvmbqc] + [importlib.import_module(f"cvmbqc.{m.name}")
+                        for m in pkgutil.iter_modules(cvmbqc.__path__)
+                        if not m.name.startswith("_")]
+    for obj in roots:
+        for part in dotted.split("."):
+            if hasattr(obj, part):
+                obj = getattr(obj, part)
+            elif (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                  and part in {f.name for f in dataclasses.fields(obj)}):
+                obj = typing.get_type_hints(obj)[part]
+            else:
+                break
+        else:
+            return True
+    return False
+
+
+def test_removed_names_are_gone():
+    names = removed_names()
+    assert "quadrature.is_symplectic" in names and "single_step" in names
+    assert not [name for name in names if resolves(name)]

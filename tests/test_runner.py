@@ -14,7 +14,7 @@ import pytest
 import cvmbqc
 from cvmbqc import cluster as clus
 from cvmbqc import gates, laser, multiplex, runner
-from cvmbqc.quadrature import expr_covariance
+from cvmbqc.quadrature import expr_covariance, x_quad, y_quad
 from cvmbqc.runner import ConfigError, main, parse_angle
 
 SRC = str(Path(cvmbqc.__file__).resolve().parents[1])
@@ -411,7 +411,7 @@ class TestOracleVerdictCanFail:
     def test_flipped_gain_sign_exits_1(self, tmp_path, monkeypatch, capsys, kind, body):
         cfg = write_config(tmp_path, body)
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
-        # the gains that protocol_gains and the oracle both read
+        # the gains that the oracle reads
         real = gates._gains
 
         def flipped(setting, *trig):
@@ -637,6 +637,26 @@ class TestPipeline:
         events = (tmp_path / "o" / "events.jsonl").read_text().splitlines()
         assert all(set(json.loads(line)) == {"t", "tick", "element", "lane", "action"}
                    for line in events)
+
+    def test_large_input_passes_isolation_beyond_the_oracle_bound(self, tmp_path):
+        """ROADMAP item 12: with an input of variance 1e4 the lanes pass
+        lane_isolation, while the engine and the single-step oracle chained
+        over each lane differ by more than LANE_ISOLATION_TOL, so judging the
+        lanes against that oracle at the same bound would exit 1 here."""
+        cfg = write_config(tmp_path, self.BODY + "input_cov = 10000, 0, 10000\n")
+        assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        record = json.loads((tmp_path / "o" / "pipeline.json").read_text())
+        assert {v["name"]: v["passed"] for v in record["verdicts"]}["lane_isolation"]
+        p = runner.load_params(cfg, "pipeline")
+        cluster, cov_in = runner._cluster(p), np.diag([1e4, 1e4])
+        for lane in range(p["lanes"]):
+            settings = [gates.HomodyneSetting(*pair) for pair in p[f"settings_lane{lane}"]]
+            out = gates.run_steps((x_quad(0), y_quad(0)), [cluster] * len(settings), settings)
+            oracle = cov_in
+            for setting in settings:
+                oracle = gates.single_step_covariance_oracle(oracle, cluster, setting)
+            engine = gates.output_covariance(out, {0: cov_in})
+            assert np.max(np.abs(engine - oracle)) > runner.LANE_ISOLATION_TOL
 
     def test_lane_collision_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         # a slot rule that puts both lanes' steps in one slot

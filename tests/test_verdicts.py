@@ -54,7 +54,7 @@ def y_variance_plus_vacuum(real):
 
 def x_variance_scaled_down(real):
     """The anti-squeezed spectrum times 0.05, so min x_var*y_var is 0.03125 < 1/16."""
-    return lambda omega, kappa, model: 0.05 * real(omega, kappa, model)
+    return lambda omega, kappa, excess: 0.05 * real(omega, kappa, excess)
 
 
 def frequencies_off_grid(real):
@@ -67,10 +67,10 @@ def delayed_vlf_doubled_delay(real):
     return lambda tau, omega, y_var, x_var: real(2.0 * tau, omega, y_var, x_var)
 
 
-def protocol_gains_flipped(real):
+def gains_flipped(real):
     """The feed-forward gains with the sign of the first one flipped, so the
     conditioning oracle and the engine disagree.  Injected in ``gates._gains``,
-    which ``protocol_gains`` and the oracle both call.
+    which the oracle calls for its gains.
 
     The spectrum's ``oracle_agreement`` shares the name; its fault, a
     closed form off by a relative 1e-5, is
@@ -146,7 +146,7 @@ CASES = {
         frequencies_off_grid),
     "offgrid_fails": (
         "delayed-check", DELAYED_CHECK, multiplex, "delayed_vlf", delayed_vlf_doubled_delay),
-    "oracle_agreement": ("gate", GATE, gates, "_gains", protocol_gains_flipped),
+    "oracle_agreement": ("gate", GATE, gates, "_gains", gains_flipped),
     "entangled": (
         "cluster-check", "[cluster-check]\ny_variance = 0.05\n",
         cluster, "generate_cluster", generate_cluster_vacuum),
