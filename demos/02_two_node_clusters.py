@@ -10,7 +10,6 @@ import numpy as np
 from cvmbqc import (
     ClusterGraph,
     cluster_unitary,
-    default_two_node_q,
     db_to_variance,
     generate_cluster,
     min_squeezing_threshold,
@@ -21,7 +20,9 @@ from cvmbqc import (
 
 print("=== the entangling unitary of the two-node graph ===")
 graph = ClusterGraph.two_node()
-U = cluster_unitary(graph, default_two_node_q())
+# U includes the two-node graph's Q = diag(1, -1): the phase shifter of the
+# two-source preparation
+U = cluster_unitary(graph)
 print(np.round(U, 6))
 print("This factors into: quarter-turn on mode 1, symmetric beam splitter,")
 print("back-turn on mode 1 - three linear elements, nothing asymmetric.")

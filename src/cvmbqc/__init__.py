@@ -18,7 +18,6 @@ universal single-mode Gaussian gates and a two-mode entangling gate:
 from .quadrature import (
     GaussianState,
     LinearQuadratureExpr,
-    UncertaintyReport,
     VACUUM_VARIANCE,
     check_uncertainty,
     db_to_variance,
@@ -34,7 +33,6 @@ from .cluster import (
     VLF_BOUND,
     VlfResult,
     cluster_unitary,
-    default_two_node_q,
     generate_cluster,
     min_squeezing_threshold,
     nullifiers,

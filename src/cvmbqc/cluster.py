@@ -3,11 +3,13 @@
 A cluster topology is a simple graph with adjacency matrix A.  The
 entangling unitary U = (I + iA)(I + A^2)^(-1/2) Q maps a vector of
 squeezed-mode amplitudes x_j + i*y_j onto cluster-mode amplitudes
-X_j + i*Y_j; Q is an arbitrary orthogonal matrix that changes the
-preparation circuit but not the nullifier statistics when the sources are
-squeezed equally.  Cluster quality is measured through the nullifiers
-N_j = Y_j - sum_i A_ji X_i, and two-node inseparability through the
-criterion  var(N_1) + var(N_2) < 1/2  (strict).
+X_j + i*Y_j.  Q is an orthogonal matrix that changes the preparation
+circuit but not the nullifier statistics when the sources are squeezed
+equally; each graph has one: Q = diag(1, -1) on two nodes, the
+beam-splitter-and-phase-shifter preparation of the two-source experiment,
+and Q = I on every other graph.  Cluster quality is measured through the
+nullifiers N_j = Y_j - sum_i A_ji X_i, and two-node inseparability through
+the criterion  var(N_1) + var(N_2) < 1/2  (strict).
 
 Everything here works on the adjacency and covariance arrays: edges and
 degrees come from the adjacency matrix, the cluster covariance
@@ -18,24 +20,22 @@ from a single coefficient map keyed by covariance column (x_i is 2i, y_j is
 2j + 1), without expression arithmetic.
 
 A graph is immutable: its adjacency is a read-only copy of the caller's
-array.  So the parts that depend on the graph alone, the Q-free map
-(I + iA)(I + A^2)^(-1/2), the nullifier tuple, the edge tuple and the
-minimum edge threshold, are computed once per graph object, on first use,
-and kept: the map is returned as a read-only array, the nullifiers as the
-kept tuple, the edges as a new list on each call.  An edgeless graph keeps
-no threshold; asking for it raises on every call.  A sweep over source
-variances on one graph pays for them once; what depends on the variances
-or on a given Q is computed on every call.
+array.  So the parts that depend on the graph alone, U with its Q, the
+nullifier tuple, the edge tuple and the minimum edge threshold, are
+computed once per graph object, on first use, and kept: U is returned as a
+read-only array, the nullifiers as the kept tuple, the edges as a new list
+on each call.  An edgeless graph keeps no threshold; asking for it raises
+on every call.  A sweep over source variances on one graph pays for them
+once; what depends on the variances is computed on every call.
 
-Q = None means the identity, and the product with it is skipped.  The
-output bits are fixed by a few operations, kept as they are: the
+The output bits are fixed by a few operations, kept as they are: the
 eigendecomposition of I + A^2, the real product (V / sqrt(w)) V^T, the
-complex product (I + iA) @ (I + A^2)^(-1/2), the product with a given Q,
-the column scaling B = S * sqrt(d), the symmetric product B @ B^T (one
-triangle formed and mirrored, so the covariance is exactly symmetric), and
-the order in which the two-node check subtracts its six entries.  Skipping
-the product with I changes no covariance bit; it can change only the sign
-of a zero in U.
+complex product (I + iA) @ (I + A^2)^(-1/2), on two nodes its product with
+diag(1, -1), the column scaling B = S * sqrt(d), the symmetric product
+B @ B^T (one triangle formed and mirrored, so the covariance is exactly
+symmetric), and the order in which the two-node check subtracts its six
+entries.  On other graphs the product with Q = I is skipped; that changes
+no covariance bit, and can change only the sign of a zero in U.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ VLF_GUARD = 1e-12
 VLF_GUARDED_BOUND = VLF_BOUND - VLF_GUARD
 
 _UNITARY_TOL = 1e-12
-_ORTHOGONAL_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +117,8 @@ class ClusterGraph:
 
     @cached_property
     def _entangling_map(self) -> np.ndarray:
-        """The checked Q-free map (I + iA)(I + A^2)^(-1/2), read-only.
+        """The checked U = (I + iA)(I + A^2)^(-1/2) Q, read-only (see
+        :func:`cluster_unitary`).
 
         Filled on first use; a fill that raises keeps nothing.
         """
@@ -127,7 +127,10 @@ class ClusterGraph:
         w, V = np.linalg.eigh(np.eye(n) + adj @ adj)
         inv_sqrt = (V * (1.0 / np.sqrt(w))) @ V.T
         U = (np.eye(n) + 1j * adj) @ inv_sqrt
-        _check_unitary(U)
+        if n == 2:
+            U = U @ np.diag([1.0, -1.0])
+        if np.max(np.abs(U @ U.conj().T - np.eye(n))) > _UNITARY_TOL:
+            raise ValueError("constructed matrix failed the unitarity check")
         U.flags.writeable = False
         return U
 
@@ -177,48 +180,23 @@ class ClusterGraph:
         return cls(adj)
 
 
-def _check_orthogonal(q: np.ndarray, n: int) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if q.shape != (n, n):
-        raise ValueError("orthogonal matrix dimension does not match the graph")
-    if np.max(np.abs(q.T @ q - np.eye(n))) > _ORTHOGONAL_TOL:
-        raise ValueError("Q is not orthogonal within tolerance")
-    return q
+def cluster_unitary(graph: ClusterGraph) -> np.ndarray:
+    """Entangling unitary U = (I + iA)(I + A^2)^(-1/2) Q of the graph.
 
-
-def _check_unitary(U: np.ndarray) -> None:
-    if np.max(np.abs(U @ U.conj().T - np.eye(U.shape[0]))) > _UNITARY_TOL:
-        raise ValueError("constructed matrix failed the unitarity check")
-
-
-def default_two_node_q() -> np.ndarray:
-    """Orthogonal freedom matching the two-source experimental layout."""
-    return np.diag([1.0, -1.0])
-
-
-def cluster_unitary(graph: ClusterGraph, q: np.ndarray | None = None) -> np.ndarray:
-    """Entangling unitary U = (I + iA)(I + A^2)^(-1/2) Q.
-
-    The inverse square root is taken by eigendecomposition of the symmetric
-    positive-definite matrix I + A^2 (its spectrum is bounded below by 1,
-    so the construction is always well conditioned), as (V / sqrt(w)) V^T.
-    The output bits are fixed by the eigendecomposition, the real product
-    (V / sqrt(w)) V^T, the complex product (I + iA) @ inv_sqrt and the
-    product with Q; U is checked to be unitary.  The covariance that
+    Q is diag(1, -1) on the two-node graph, matching the
+    beam-splitter-and-phase-shifter preparation, and the identity on every
+    other graph, where its product is skipped.  The inverse square root is
+    taken by eigendecomposition of the symmetric positive-definite matrix
+    I + A^2 (its spectrum is bounded below by 1, so the construction is
+    always well conditioned), as (V / sqrt(w)) V^T.  The output bits are
+    fixed by the eigendecomposition, the real product (V / sqrt(w)) V^T,
+    the complex product (I + iA) @ inv_sqrt and, on two nodes, its product
+    with diag(1, -1).  U is checked to be unitary, computed once per graph
+    and returned shared and read-only.  The covariance that
     :func:`generate_cluster` builds on U takes its bits from these and from
     its own symmetric product B @ B^T.
-
-    ``q=None`` means Q = I: the product with it is skipped, and the Q-free
-    map, computed and checked once per graph, is returned shared and
-    read-only.  A given Q must be orthogonal; it multiplies that map from
-    the right on every call, and the product, a new array, is checked again.
     """
-    if q is None:
-        return graph._entangling_map
-    q = _check_orthogonal(q, graph.n_nodes)
-    U = graph._entangling_map @ q
-    _check_unitary(U)
-    return U
+    return graph._entangling_map
 
 
 def _real_form(U: np.ndarray) -> np.ndarray:
@@ -259,14 +237,12 @@ def min_squeezing_threshold(graph: ClusterGraph) -> float:
 
 def generate_cluster(source_y_variances: Sequence[float],
                      graph: ClusterGraph,
-                     q: np.ndarray | None = None,
                      source_x_variances: Sequence[float] | None = None) -> GaussianState:
     """Cluster state from independently squeezed sources.
 
     One y variance per node; x variances default to the minimum-uncertainty
-    partner 1/(16 * v_y).  For the two-node graph Q defaults to diag(1, -1),
-    matching the beam-splitter-and-phase-shifter preparation; otherwise Q
-    defaults to the identity.
+    partner 1/(16 * v_y).  The sources enter through the graph's U,
+    :func:`cluster_unitary`, with its Q.
 
     The covariance S diag(d) S^T, with S the real form of U and d the
     interleaved source variances, is formed as B @ B^T with
@@ -294,12 +270,10 @@ def generate_cluster(source_y_variances: Sequence[float],
     d[1::2] = vy
     if not np.all((d > 0) & (d < np.inf)):
         raise ValueError("quadrature variances must be positive and finite")
-    if q is None and n == 2:
-        q = default_two_node_q()
     # scaled in place, so one 2n x 2n array is live; numpy hands the
     # product of a C-contiguous array with its own transpose to BLAS syrk:
     # half the flops of a general product
-    B = _real_form(cluster_unitary(graph, q))
+    B = _real_form(cluster_unitary(graph))
     B *= np.sqrt(d)
     return GaussianState(np.zeros(2 * n), B @ B.T)
 

@@ -101,8 +101,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cluster import (VLF_GUARDED_BOUND, ClusterGraph, _real_form, cluster_unitary,
-                      default_two_node_q)
+from .cluster import VLF_GUARDED_BOUND, ClusterGraph, _real_form, cluster_unitary
 from .quadrature import (
     VACUUM_VARIANCE,
     LinearQuadratureExpr,
@@ -690,8 +689,7 @@ def _step_symplectic() -> np.ndarray:
     first use rather than at import, so processes that never run the oracle
     do not load the LAPACK routines it needs.
     """
-    S_cluster = embed(_real_form(
-        cluster_unitary(ClusterGraph.two_node(), default_two_node_q())), (1, 2), 3)
+    S_cluster = embed(_real_form(cluster_unitary(ClusterGraph.two_node())), (1, 2), 3)
     S_mix = np.kron(np.array([[-1.0, 1.0], [1.0, 1.0]]) / _SQRT2, np.eye(2))
     S = embed(S_mix, (0, 1), 3) @ S_cluster
     S.setflags(write=False)

@@ -56,7 +56,9 @@ class LinearQuadratureExpr:
     terms never contribute to covariances.
 
     Instances are immutable by convention: ``+`` returns a new expression
-    and the stored dicts must not be mutated.  Expressions compare and hash
+    and the stored dicts must not be mutated.  ``+`` takes expressions only,
+    so a number raises TypeError; an offset a is added as
+    ``LinearQuadratureExpr(offset=a)``.  Expressions compare and hash
     by identity.
     """
 
@@ -77,6 +79,8 @@ class LinearQuadratureExpr:
         return expr
 
     def __add__(self, other: "LinearQuadratureExpr") -> "LinearQuadratureExpr":
+        if not isinstance(other, LinearQuadratureExpr):
+            return NotImplemented
         coeffs = dict(self.coeffs)
         for k, v in other.coeffs.items():
             coeffs[k] = coeffs.get(k, 0.0) + v
@@ -250,19 +254,8 @@ def expr_covariance(exprs: Sequence[LinearQuadratureExpr],
     return C @ source_cov @ C.T
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
-    """Result of the uncertainty-bound check, with the worst eigenvalue."""
-
-    satisfied: bool
-    min_eigenvalue: float
-
-    def __bool__(self):
-        return self.satisfied
-
-
-def check_uncertainty(cov: np.ndarray) -> UncertaintyReport:
-    """Check the bound Sigma + (i/4) Omega >= 0 up to UNCERTAINTY_TOL.
+def check_uncertainty(cov: np.ndarray) -> bool:
+    """Whether the bound Sigma + (i/4) Omega >= 0 holds up to UNCERTAINTY_TOL.
 
     The matrix Sigma + (i/4) Omega is Hermitian, so the bound holds iff its
     smallest eigenvalue is >= -UNCERTAINTY_TOL.
@@ -273,8 +266,7 @@ def check_uncertainty(cov: np.ndarray) -> UncertaintyReport:
         raise ValueError("covariance dimension must be even")
     omega = omega_matrix(cov.shape[0] // 2)
     eigs = np.linalg.eigvalsh(cov + 0.25j * omega)
-    lo = float(np.min(eigs))
-    return UncertaintyReport(lo >= -UNCERTAINTY_TOL, lo)
+    return bool(np.min(eigs) >= -UNCERTAINTY_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from cvmbqc import cluster as cluster_module
 from cvmbqc.cluster import (
     ClusterGraph,
     cluster_unitary,
-    default_two_node_q,
     generate_cluster,
     min_squeezing_threshold,
     nullifiers,
@@ -18,6 +17,7 @@ from cvmbqc.cluster import (
     _real_form,
 )
 from cvmbqc.quadrature import (
+    GaussianState,
     LinearQuadratureExpr,
     embed,
     expr_covariance,
@@ -50,6 +50,20 @@ def random_orthogonal(rng, n):
 def random_graph(rng, n):
     adj = np.triu((rng.random((n, n)) < 0.5).astype(int), 1)
     return ClusterGraph(adj + adj.T)
+
+
+def cluster_state(vy, graph, q=None):
+    """``generate_cluster(vy, graph)``; with a further orthogonal ``q``, the
+    same state built on U Q from the graph's U, the orthogonal freedom the
+    library does not take."""
+    if q is None:
+        return generate_cluster(vy, graph)
+    n = graph.n_nodes
+    d = np.empty(2 * n)
+    d[0::2] = [1.0 / (16.0 * v) for v in vy]
+    d[1::2] = vy
+    B = _real_form(cluster_unitary(graph) @ q) * np.sqrt(d)
+    return GaussianState(np.zeros(2 * n), B @ B.T)
 
 
 class TestGraphValidation:
@@ -98,19 +112,24 @@ class TestSharedResults:
         assert np.array_equal(cluster_unitary(graph), U)
         assert terms(nullifiers(graph)[:1]) == [({1: 1.0, 2: -1.0}, {}, 0.0)]
 
-    def test_q_free_unitary_is_shared_and_read_only(self):
+    def test_unitary_is_shared_and_read_only(self):
         graph = ClusterGraph.chain(3)
         U = cluster_unitary(graph)
         assert cluster_unitary(graph) is U
         with pytest.raises(ValueError, match="read-only"):
             U[0, 0] = 0
 
-    def test_unitary_with_q_is_a_new_writeable_array(self):
-        graph = ClusterGraph.chain(3)
-        U = cluster_unitary(graph, np.eye(3))
-        assert U is not cluster_unitary(graph, np.eye(3))
-        U[0, 0] = 0
-        assert cluster_unitary(graph)[0, 0] != 0
+    def test_two_node_unitary_keeps_the_bytes_of_its_q_product(self):
+        # the bytes of (I + iA)(I + A^2)^(-1/2) @ diag(1, -1): entries +-s
+        # with s one ulp below 1/sqrt(2), and the signs of its zeros
+        s = float.fromhex("0x1.6a09e667f3bccp-1")
+        want = np.array([[complex(s, 0.0), complex(0.0, -s)],
+                         [complex(0.0, s), complex(-s, 0.0)]])
+        graph = ClusterGraph.two_node()
+        U = cluster_unitary(graph)
+        assert U.dtype == want.dtype and U.shape == want.shape
+        assert U.tobytes() == want.tobytes()
+        assert cluster_unitary(graph) is U and not U.flags.writeable
 
     def test_nullifiers_are_shared(self):
         graph = ClusterGraph.chain(3)
@@ -151,30 +170,27 @@ class TestSharedResults:
 
 
 class TestClusterUnitary:
-    def test_two_node_with_default_q(self):
-        U = cluster_unitary(ClusterGraph.two_node(), default_two_node_q())
+    def test_two_node_with_its_q(self):
+        U = cluster_unitary(ClusterGraph.two_node())
         expected = np.array([[1, -1j], [1j, -1]]) / np.sqrt(2)
         np.testing.assert_allclose(U, expected, atol=1e-14)
 
-    def test_two_node_with_identity_q(self):
-        U = cluster_unitary(ClusterGraph.two_node(), np.eye(2))
+    def test_two_node_without_its_q(self):
+        # diag(1, -1) is its own inverse
+        U = cluster_unitary(ClusterGraph.two_node()) @ np.diag([1.0, -1.0])
         expected = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
         np.testing.assert_allclose(U, expected, atol=1e-14)
 
     def test_edgeless_identity(self):
-        U = cluster_unitary(ClusterGraph(np.zeros((3, 3), dtype=int)), np.eye(3))
+        U = cluster_unitary(ClusterGraph(np.zeros((3, 3), dtype=int)))
         np.testing.assert_allclose(U, np.eye(3), atol=1e-14)
 
     def test_unitary_for_random_graphs(self):
         rng = np.random.default_rng(2)
         for n in range(1, 9):
             for _ in range(5):
-                U = cluster_unitary(random_graph(rng, n), random_orthogonal(rng, n))
+                U = cluster_unitary(random_graph(rng, n)) @ random_orthogonal(rng, n)
                 assert np.max(np.abs(U @ U.conj().T - np.eye(n))) < 1e-12
-
-    def test_rejects_non_orthogonal_q(self):
-        with pytest.raises(ValueError, match="orthogonal"):
-            cluster_unitary(ClusterGraph.two_node(), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestRealForm:
@@ -191,8 +207,7 @@ class TestRealForm:
 
     def test_two_node_factorization(self):
         # the two-node map splits into quarter-turn, beam splitter, back-turn
-        U = cluster_unitary(ClusterGraph.two_node(), default_two_node_q())
-        S = _real_form(U)
+        S = _real_form(cluster_unitary(ClusterGraph.two_node()))
         factored = (embed(rotation(-np.pi / 2), [0], 2)
                     @ BEAM_SPLITTER
                     @ embed(rotation(np.pi / 2), [0], 2))
@@ -201,18 +216,17 @@ class TestRealForm:
     def test_result_symplectic_and_orthogonal(self):
         rng = np.random.default_rng(8)
         for n in (2, 3, 5):
-            U = cluster_unitary(random_graph(rng, n), random_orthogonal(rng, n))
-            S = _real_form(U)
+            S = _real_form(cluster_unitary(random_graph(rng, n)) @ random_orthogonal(rng, n))
             assert symplectic_residual(S) < 1e-12
             np.testing.assert_allclose(S @ S.T, np.eye(2 * n), atol=1e-12)
 
     def test_matches_elementwise_definition(self):
         rng = np.random.default_rng(21)
-        unitaries = [cluster_unitary(ClusterGraph.two_node(), default_two_node_q())]
+        unitaries = [cluster_unitary(ClusterGraph.two_node())]
         for n in (1, 2, 5, 40):
             z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             unitaries.append(np.linalg.qr(z)[0])
-            unitaries.append(cluster_unitary(random_graph(rng, n), random_orthogonal(rng, n)))
+            unitaries.append(cluster_unitary(random_graph(rng, n)) @ random_orthogonal(rng, n))
         for U in unitaries:
             n = U.shape[0]
             expected = np.zeros((2 * n, 2 * n))
@@ -296,7 +310,7 @@ class TestGenerateCluster:
             reference = None
             for _ in range(6):
                 q = random_orthogonal(rng, n)
-                state = generate_cluster([v] * n, graph, q)
+                state = cluster_state([v] * n, graph, q)
                 variances = np.diag(expr_covariance(exprs, state.cov))
                 if reference is None:
                     reference = variances
@@ -307,7 +321,7 @@ class TestGenerateCluster:
         exprs = nullifiers(graph)
 
         def total(vs):
-            state = generate_cluster(vs, graph, np.eye(3))
+            state = generate_cluster(vs, graph)
             return float(np.trace(expr_covariance(exprs, state.cov)))
 
         base = [0.05, 0.08, 0.03]
@@ -337,9 +351,11 @@ class TestGenerateCluster:
             assert vlf_two_node_check(state, (np.int64(i), np.intp(j))) == want
             assert vlf_two_node_check(state, np.array([i, j])) == want
 
-    def test_unitarity_check_can_fail(self, monkeypatch):
+    @pytest.mark.parametrize("n", [5, 2])
+    def test_unitarity_check_can_fail(self, monkeypatch, n):
         # one eigenvector off by 1e-9 leaves (I + A^2)^(-1/2) non-orthogonal
-        # by about 1e-9, far above the 1e-12 unitarity tolerance
+        # by about 1e-9, far above the 1e-12 unitarity tolerance; on two
+        # nodes the check reads U with its Q
         real_eigh = np.linalg.eigh
         calls = []
 
@@ -350,31 +366,28 @@ class TestGenerateCluster:
             v[:, 1] *= 1 + 1e-9
             return w, v
 
-        graph = ClusterGraph.chain(5)
-        vy = [0.1] * 5
+        graph = ClusterGraph.chain(n)
+        vy = [0.1] * n
         with monkeypatch.context() as patch:
             patch.setattr(cluster_module.np.linalg, "eigh", perturbed_eigh)
-            for q in (None, np.eye(5)):
+            for _ in range(2):
                 with pytest.raises(ValueError, match="unitarity check"):
-                    generate_cluster(vy, graph, q)
+                    generate_cluster(vy, graph)
         # a failed fill keeps nothing: each call factorised again, and the
         # same graph object builds its cluster once eigh is restored
         assert len(calls) == 2
-        for q in (None, np.eye(5)):
-            state = generate_cluster(vy, graph, q)
-            want = reference_cov(vy, graph, q)
-            assert np.array_equal(state.cov, want)
-            assert np.array_equal(np.signbit(state.cov), np.signbit(want))
-
-    def test_rejects_non_orthogonal_q_beyond_two_nodes(self):
-        with pytest.raises(ValueError, match="Q is not orthogonal"):
-            generate_cluster([0.1] * 5, ClusterGraph.chain(5), q=np.ones((5, 5)))
+        state = generate_cluster(vy, graph)
+        want = reference_cov(vy, graph)
+        assert np.array_equal(state.cov, want)
+        assert np.array_equal(np.signbit(state.cov), np.signbit(want))
 
 
 # Reference versions of the cluster path as plain expression arithmetic,
 # full-width products and the earlier formulas (explicit diagonal matrices,
 # a product with Q = I, the 2x4 pair-sum rows, one coefficient vector per
-# expression); the array code must reproduce them bit for bit.
+# expression); the array code must reproduce them bit for bit.  A given
+# ``q`` is a further orthogonal freedom on the graph's own Q, applied as
+# ``cluster_state`` applies it.
 
 def reference_edges(graph):
     adj = graph.adjacency
@@ -401,13 +414,15 @@ def reference_nullifiers(graph):
 
 def reference_unitary(graph, q=None):
     """U by the earlier arithmetic: the inverse square root through an
-    explicit diagonal matrix, then a product with Q even when Q = I."""
+    explicit diagonal matrix, then a product with the graph's Q, diag(1, -1)
+    on two nodes and I otherwise, even when Q = I; then one with ``q``."""
     n = graph.n_nodes
-    q = np.eye(n) if q is None else q
     adj = graph.adjacency.astype(float)
     w, V = np.linalg.eigh(np.eye(n) + adj @ adj)
     inv_sqrt = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
-    return (np.eye(n) + 1j * adj) @ inv_sqrt @ q
+    own_q = np.diag([1.0, -1.0]) if n == 2 else np.eye(n)
+    U = (np.eye(n) + 1j * adj) @ inv_sqrt @ own_q
+    return U if q is None else U @ q
 
 
 def reference_real_form(U):
@@ -424,8 +439,6 @@ def reference_factors(vy, graph, q=None):
     """S, the real form of the reference U, and the interleaved source
     variances d of ``generate_cluster``'s defaults."""
     n = graph.n_nodes
-    if q is None:
-        q = default_two_node_q() if n == 2 else np.eye(n)
     d = np.empty(2 * n)
     d[0::2] = [1.0 / (16.0 * v) for v in vy]
     d[1::2] = vy
@@ -472,14 +485,14 @@ def assert_matches_reference(graph, q):
     want = reference_cov(vy, graph, q)
     want_null = reference_expr_covariance(reference_nullifiers(graph), want)
     for _ in range(2):
-        U = cluster_unitary(graph, q)
+        U = cluster_unitary(graph) if q is None else cluster_unitary(graph) @ q
         assert np.array_equal(U, want_U)
-        if q is not None:
+        if q is not None or n == 2:
             # the signs of zeros may differ only where the product with I is skipped
             assert np.array_equal(np.signbit(U.real), np.signbit(want_U.real))
             assert np.array_equal(np.signbit(U.imag), np.signbit(want_U.imag))
 
-        state = generate_cluster(vy, graph, q)
+        state = cluster_state(vy, graph, q)
         assert np.array_equal(state.cov, want)
         assert np.array_equal(np.signbit(state.cov), np.signbit(want))
         assert np.array_equal(state.mean, np.zeros(2 * n))
@@ -570,7 +583,7 @@ class TestArrayPathMatchesReference:
         n = graph.n_nodes
         vy = np.random.default_rng(n).uniform(0.01, 0.2, n).tolist()
         for q in (None, random_orthogonal(np.random.default_rng(n + 3), n)):
-            yield vy, q, generate_cluster(vy, graph, q).cov
+            yield vy, q, cluster_state(vy, graph, q).cov
 
     def test_covariance_is_exactly_symmetric(self, graph):
         for _, _, cov in self.states(graph):
@@ -589,7 +602,7 @@ def test_random_orthogonal_freedom_matches_reference():
         graph = random_graph(rng, n)
         q = random_orthogonal(rng, n)
         vy = rng.uniform(0.01, 0.2, n).tolist()
-        cov = generate_cluster(vy, graph, q).cov
+        cov = cluster_state(vy, graph, q).cov
         want = reference_cov(vy, graph, q)
         assert np.array_equal(cov, want)
         assert np.array_equal(np.signbit(cov), np.signbit(want))

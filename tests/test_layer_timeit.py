@@ -20,7 +20,7 @@ def test_times_every_layer():
         "output_covariance k=4", "output_covariance k=128", "feed_forward k=4",
         "simulate_pipeline lanes=16", "simulate_pipeline lanes=64", "_event_log lanes=64",
         "lane rerun k=4",
-        "sampled lanes lanes=16", "generate_cluster n=200", "expr_covariance n=200",
+        "sampled lanes lanes=16", "generate_cluster n=2", "generate_cluster n=200", "expr_covariance n=200",
         "_stack lanes=64 k=4", "_stack lanes=1 k=48",
         "_check_symmetric n=6", "_check_symmetric n=400",
         "oracle step", "oracle chain k=32"]

@@ -24,6 +24,7 @@ from cvmbqc.multiplex import (
     simulate_pipeline,
 )
 from cvmbqc.quadrature import x_quad, y_quad
+from test_engine_reference import reference_event_log, reference_events_to_jsonl
 from test_quadrature import terms
 
 
@@ -219,32 +220,10 @@ class TestSlotRule:
                               _slot_clusters(2, 2), _lane_settings(2, 2))
 
 
-def sorted_event_log(duration, gap, n_lanes, steps, ticks_per_gap):
-    """The log as the pipeline once built it: plain tuples per lane, sorted,
-    then made into events through the named tuple's constructor."""
-    tick = gap / ticks_per_gap
-    duration_ticks = round(duration / tick)
-    period_ticks = duration_ticks + ticks_per_gap
-    log = [(slot * period_ticks, lane, "switch", action)
-           for slot, lane, action in multiplex._switch_slots(n_lanes, steps)]
-    actions = [(f"mix step {step}", f"measure step {step}") for step in range(1, steps + 1)]
-    for lane in range(n_lanes):
-        log.append((lane * ticks_per_gap, lane, "input", "arrive"))
-        slots = [multiplex.lane_slot(lane, step, n_lanes) for step in range(steps)]
-        for slot, (mix, measure) in zip(slots, actions):
-            t_slot = slot * period_ticks
-            log += ((t_slot, lane, "bs_gate", mix), (t_slot, lane, "hd_in", measure),
-                    (t_slot, lane, "hd_1", measure))
-        log += [(slot * period_ticks + duration_ticks, lane, "delay", "circulate")
-                for slot in slots[:-1]]
-    log.sort()
-    return tuple(PipelineEvent(t_count, t_count * tick, element, lane, action)
-                 for t_count, lane, element, action in log)
-
-
 class TestEventLogInSlotOrder:
-    """The log is emitted slot by slot, without a sort, in the order the
-    sorted log had."""
+    """The log is emitted slot by slot, without a sort, in the order of the
+    earlier pipeline's sorted log (``test_engine_reference``'s reference,
+    which keeps its own slot rule)."""
 
     @staticmethod
     def _check(duration, gap, n_lanes, steps, ticks_per_gap):
@@ -252,10 +231,12 @@ class TestEventLogInSlotOrder:
         result = simulate_pipeline(duration, gap, [(x_quad(0), y_quad(0))] * n_lanes,
                                    clusters, _lane_settings(n_lanes, steps),
                                    ticks_per_gap=ticks_per_gap)
-        expected = sorted_event_log(duration, gap, n_lanes, steps, ticks_per_gap)
-        assert result.events == expected
+        expected = reference_event_log(duration, gap, n_lanes, steps, ticks_per_gap)
+        assert result.events == tuple(PipelineEvent(ev.tick, ev.t, ev.element, ev.lane,
+                                                    ev.action) for ev in expected)
         assert all(type(ev) is PipelineEvent for ev in result.events)
-        assert events_to_jsonl(result.events).encode() == events_to_jsonl(expected).encode()
+        assert (events_to_jsonl(result.events).encode()
+                == reference_events_to_jsonl(expected).encode())
 
     @pytest.mark.parametrize("n_lanes,steps,ticks_per_gap", [
         (1, 1, 100), (3, 3, 100), (2, 4, 7), (16, 4, 100), (64, 4, 100)])

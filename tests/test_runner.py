@@ -204,9 +204,8 @@ class TestClusterCheck:
                                                             graph, random_q):
         if random_q:
             q = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
-            real = clus.generate_cluster
-            monkeypatch.setattr(clus, "generate_cluster",
-                                lambda vy, g, *args: real(vy, g, q))
+            real = clus.cluster_unitary
+            monkeypatch.setattr(clus, "cluster_unitary", lambda g: real(g) @ q)
         cfg = write_config(tmp_path, f"[cluster-check]\ngraph = {graph}\n"
                                      "y_variance = 0.001, 0.05, 0.15\n")
         record = runner.run(runner.ExperimentConfig(

@@ -26,9 +26,11 @@ alone, on 64 lanes of 4 steps and the benchmark's tick grid; the lane rerun
 of the benchmark's pipeline check (``run_steps`` at k = 4, then
 ``output_covariance`` and a read of ``signal_matrix``); a 16-lane
 ``simulate_pipeline`` with ``sample_currents`` and ``feed_forward`` on every
-lane; the cluster path of the benchmark's ``cluster-large`` ops on a
-200-node chain: ``generate_cluster``, then ``expr_covariance`` of its
-nullifiers over that state; and ``gates._EnginePass._stack`` alone, the
+lane; ``generate_cluster`` on the two-node graph, the default graph of a
+``[cluster-check]`` run, with default x variances; the cluster path of the
+benchmark's ``cluster-large`` ops on a 200-node chain:
+``generate_cluster``, then ``expr_covariance`` of its nullifiers over that
+state; and ``gates._EnginePass._stack`` alone, the
 build of the arrays that sampling and feed-forward read, on fixed engine
 passes of 64 lanes of 4 steps and of 1 lane of 48 steps; and the state
 check ``quadrature._check_symmetric`` alone, on the oracle's 6 x 6 joint
@@ -125,6 +127,8 @@ def layers(number: int) -> dict:
     calls["lane rerun k=4"] = lane_rerun
     calls["sampled lanes lanes=16"] = sampled_lanes
     # fixed inputs, drawn from no generator
+    calls["generate_cluster n=2"] = functools.partial(
+        clus.generate_cluster, [cluster.y_variances[0]] * 2, clus.ClusterGraph.two_node())
     chain = clus.ClusterGraph.chain(200)
     generate = calls["generate_cluster n=200"] = functools.partial(
         clus.generate_cluster, [cluster.y_variances[0]] * 200, chain,
